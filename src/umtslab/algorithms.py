@@ -19,8 +19,7 @@ from scipy.optimize import brentq
 from umtslab.core import Umts, support_headroom
 from umtslab.metricspace import scale_metric
 from umtslab.potential import BandPotential, TwoPointRule, estimate_potential
-
-EPS_EQ = 1e-9
+from umtslab.tolerances import EPS_EQ
 
 
 @dataclass

@@ -24,18 +24,20 @@ from pathlib import Path
 import numpy as np
 
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
-from umtslab.combiner import CombinedRun
+from umtslab.combiner import CombinedRun, trace_header
 from umtslab.core import (
     ElementaryTask,
     Umts,
     apply_elementary,
+    beta_excluded_mass,
     flat_work_function,
     online_step_cost,
 )
-from umtslab.harness import AdversaryConfig, audit_run, empirical_ratio, generate_sequence
+from umtslab.harness import AdversaryConfig, adversary, audit_steps, ratio_report, simulate
 from umtslab.hst import line_algorithm, weighted_caching_algorithm
 from umtslab.metricspace import FiniteMetric, make_uniform
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
+from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 
 RUN_SCHEMA = "umtslab-run-v1"
 SUMMARY_SCHEMA = "umtslab-summary-v1"
@@ -107,76 +109,48 @@ def build_algorithm(space_spec, algorithm: str):
                 gap=float(space_spec.get("gap", 1.0)),
                 s=float(space_spec.get("s", 1.0)),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad space {space_spec.get('name', kind)!r}: {exc}") from exc
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
-def _atomic_trace(alg, tasks):
-    """Work function, distribution, and cost chain for a single rule."""
-    u = alg.umts
-    w = flat_work_function(u)
-    p = alg.probabilities(w)
-    header = {
-        "kind": "header",
-        "labels": list(u.labels),
-        "dist": u.metric.dist.tolist(),
-        "rates": u.rates.tolist(),
-        "s": u.s,
-        "initial": u.initial_state,
-        "beta": alg.beta,
-        "ratio": alg.declared_ratio,
-        "algorithm": alg.name,
-        "p0": p.tolist(),
-    }
-    rows = []
-    for i, t in enumerate(tasks, start=1):
-        v = u.metric.index(t.state)
-        w2 = apply_elementary(u, w, v, t.delta)
-        p2 = alg.probabilities(w2)
-        cost = online_step_cost(u, p, p2, t)
-        rows.append(
-            {
-                "kind": "step",
-                "i": i,
-                "state": t.state,
-                "delta": t.delta,
-                "w": w2.tolist(),
-                "p": p2.tolist(),
-                "cost": cost,
-            }
+def _adversary_config(entry, seed) -> AdversaryConfig:
+    try:
+        return AdversaryConfig(
+            kind=entry.get("kind", "uniform-random"),
+            steps=int(entry.get("steps", 100)),
+            seed=int(seed),
+            max_fraction=float(entry.get("max_fraction", 0.999)),
         )
-        w, p = w2, p2
-    return header, rows
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad adversary {entry!r}: {exc}") from exc
 
 
 def _run_job(space_spec, algorithm, adversary_spec, seed):
+    """Simulate one job once; the audit, optimum, ratio and trace all read that run."""
     alg = build_algorithm(space_spec, algorithm)
-    config = AdversaryConfig(
-        kind=adversary_spec.get("kind", "uniform-random"),
-        steps=int(adversary_spec.get("steps", 100)),
-        seed=int(seed),
-        max_fraction=float(adversary_spec.get("max_fraction", 0.999)),
-    )
-    tasks = generate_sequence(alg, config)
-    report = audit_run(alg, tasks)
-    ratio = empirical_ratio(alg, tasks)
+    config = _adversary_config(adversary_spec, seed)
+    steps = list(simulate(alg, adversary(config)))
+    report = audit_steps(alg, steps)
+    ratio = ratio_report(alg, report["cost"], report["opt"])
     if report["kind"] == "combined":
         run: CombinedRun = report["run"]
-        trace = [run.header()] + list(run.trace)
-        cost = run.cost
+        trace = [run.header()] + run.trace
     else:
-        header, rows = _atomic_trace(alg, tasks)
-        trace = [header] + rows
-        cost = report["cost"]
+        p0 = steps[0].p if steps else alg.probabilities(flat_work_function(alg.umts))
+        trace = [trace_header(alg, alg.beta, p0)] + [
+            {"kind": "step", "i": i, "state": rec.task.state, "delta": rec.delta,
+             "w": rec.w2.tolist(), "p": rec.p2.tolist(), "cost": rec.cost}
+            for i, rec in enumerate(steps, start=1)
+        ]
     passed = bool(report["passed"]) and ratio["passed"] is not False
     row = {
         "space": str(space_spec.get("name", space_spec.get("kind", "uniform"))),
         "algorithm": algorithm,
         "adversary": config.kind,
-        "seed": int(seed),
-        "steps": len(tasks),
-        "cost": cost,
+        "seed": config.seed,
+        "steps": len(steps),
+        "cost": report["cost"],
         "opt": ratio["opt"],
         "ratio": ratio["ratio"],
         "declared": alg.declared_ratio,
@@ -218,7 +192,13 @@ def _seeds(config) -> list[int]:
     seeds = config.get("seeds", [0])
     if not seeds:
         raise ConfigError("config lists no seeds")
-    return [int(s) for s in seeds]
+    try:
+        out = [int(s) for s in seeds]
+        if min(out) < 0:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"seeds must be non-negative integers, got {seeds!r}") from None
+    return out
 
 
 def cmd_run(args) -> int:
@@ -229,11 +209,13 @@ def cmd_run(args) -> int:
     if not spaces or not algorithms:
         raise ConfigError("config needs non-empty 'spaces' and 'algorithms' lists")
     adversaries = config.get("adversaries") or [{"kind": "uniform-random", "steps": 100}]
+    for entry in adversaries:
+        _adversary_config(entry, seeds[0])  # reject a bad entry before any job runs
     jobs = [
-        (space, algorithm, adversary, seed)
+        (space, algorithm, entry, seed)
         for space in spaces
         for algorithm in algorithms
-        for adversary in adversaries
+        for entry in adversaries
         for seed in seeds
     ]
 
@@ -275,18 +257,9 @@ def cmd_run(args) -> int:
         for result in results:
             row = result["row"]
             writer.writerow(
-                [
-                    row["space"],
-                    row["algorithm"],
-                    row["adversary"],
-                    row["seed"],
-                    row["steps"],
-                    repr(float(row["cost"])),
-                    repr(float(row["opt"])),
-                    repr(float(row["ratio"])),
-                    repr(float(row["declared"])),
-                    "pass" if row["passed"] else "fail",
-                ]
+                [row[key] for key in CSV_COLUMNS[:5]]
+                + [repr(float(row[key])) for key in CSV_COLUMNS[5:9]]
+                + ["pass" if row["passed"] else "fail"]
             )
 
     failures = sum(1 for result in results if not result["row"]["passed"])
@@ -312,130 +285,110 @@ def cmd_run(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _verify_atomic(head, rows):
+def _verify(head, rows):
+    """Replay a trace from its own numbers; returns (exit code, message).
+
+    Composition traces (the header lists ``blocks``) also replay the blocks and the quotient.
+    """
     u = Umts(
         FiniteMetric(tuple(head["labels"]), np.asarray(head["dist"], dtype=float)),
         np.asarray(head["rates"], dtype=float),
         float(head["s"]),
         str(head.get("initial", "")),
     )
-    beta = float(head.get("beta", 0.0))
-    d = u.metric.dist
+    combined = "blocks" in head
+    if combined:
+        blocks = [[u.metric.index(m) for m in b] for b in head["blocks"]]
+        qlabels = tuple(f"B{i}" for i in range(len(blocks)))
+        qu = Umts(
+            FiniteMetric(qlabels, np.asarray(head["dist_hat"], dtype=float)),
+            np.asarray(head["hat_rates"], dtype=float),
+            float(head["s"]),
+        )
+        beta = float(head["beta"])
+        tol = head.get("tol")
+        cost_allow = math.inf if tol is None else float(tol)
+        what = np.asarray(head["hat_init"], dtype=float)
+        ph_prev = np.asarray(head["p_hat0"], dtype=float)
+    else:
+        beta = float(head.get("beta", 0.0))
+    cost_check = "samecompratio" if combined else "stepcost"
     w = flat_work_function(u)
-    for row in rows:
-        i = int(row["i"])
-        v = u.metric.index(row["state"])
-        w2 = apply_elementary(u, w, v, float(row["delta"]))
-        stored = np.asarray(row["w"], dtype=float)
-        gap = float(np.abs(w2 - stored).max())
-        if gap > 1e-9:
-            return 1, (
-                f"welleqw violated at step {i}: stored work function deviates "
-                f"from the recomputed chain by {gap:.3g}"
-            )
-        p = np.asarray(row["p"], dtype=float)
-        if beta > 0.0:
-            for x in range(u.n):
-                excl = stored[x] - stored - beta * d[:, x]
-                excl[x] = -math.inf
-                if excl.max() >= -1e-12 and p[x] > 1e-9:
-                    return 1, (
-                        f"betatagc violated at step {i}: mass {p[x]:.3g} "
-                        f"on excluded state {u.labels[x]}"
-                    )
-        w = stored
-    return 0, f"ok: {len(rows)} steps verified (welleqw, betatagc)"
-
-
-def _verify_combined(head, rows):
-    u = Umts(
-        FiniteMetric(tuple(head["labels"]), np.asarray(head["dist"], dtype=float)),
-        np.asarray(head["rates"], dtype=float),
-        float(head["s"]),
-        str(head.get("initial", "")),
-    )
-    blocks = [[u.metric.index(m) for m in b] for b in head["blocks"]]
-    qlabels = tuple(f"B{i}" for i in range(len(blocks)))
-    qu = Umts(
-        FiniteMetric(qlabels, np.asarray(head["dist_hat"], dtype=float)),
-        np.asarray(head["hat_rates"], dtype=float),
-        float(head["s"]),
-    )
-    beta = float(head["beta"])
-    d = u.metric.dist
-    tol = head.get("tol")
-    cost_allow = math.inf if tol is None else float(tol)
-    w = flat_work_function(u)
-    what = np.asarray(head["hat_init"], dtype=float)
     p_prev = np.asarray(head["p0"], dtype=float)
-    ph_prev = np.asarray(head["p_hat0"], dtype=float)
     for row in rows:
         i = int(row["i"])
         v = u.metric.index(row["state"])
         delta = float(row["delta"])
-        j = int(row["block"])
-        dhat = float(row["delta_hat"])
         stored_w = np.asarray(row["w"], dtype=float)
         w2 = apply_elementary(u, w, v, delta)
         gap = float(np.abs(w2 - stored_w).max())
-        if gap > 1e-9:
+        if gap > EPS_EQ:
             return 1, (
                 f"welleqw violated at step {i}: stored work function deviates "
                 f"from the recomputed chain by {gap:.3g}"
             )
-        for b, idx in enumerate(blocks):
-            bgap = float(np.abs(stored_w[idx] - np.asarray(row["w_blocks"][b])).max())
-            if bgap > 1e-9:
+        if combined:
+            j = int(row["block"])
+            dhat = float(row["delta_hat"])
+            for b, idx in enumerate(blocks):
+                bgap = float(np.abs(stored_w[idx] - np.asarray(row["w_blocks"][b])).max())
+                if bgap > EPS_EQ:
+                    return 1, (
+                        f"welleqw violated at step {i}: block {b} work function "
+                        f"drifts from the restricted global one by {bgap:.3g}"
+                    )
+            stored_what = np.asarray(row["what"], dtype=float)
+            what2 = apply_elementary(qu, what, j, dhat)
+            hgap = float(np.abs(what2 - stored_what).max())
+            if hgap > EPS_EQ:
                 return 1, (
-                    f"welleqw violated at step {i}: block {b} work function "
-                    f"drifts from the restricted global one by {bgap:.3g}"
+                    f"hatw violated at step {i}: quotient work function detaches "
+                    f"from its charges by {hgap:.3g}"
                 )
-        stored_what = np.asarray(row["what"], dtype=float)
-        what2 = apply_elementary(qu, what, j, dhat)
-        hgap = float(np.abs(what2 - stored_what).max())
-        if hgap > 1e-9:
-            return 1, (
-                f"hatw violated at step {i}: quotient work function detaches "
-                f"from its charges by {hgap:.3g}"
-            )
-        ggap = float(np.abs(stored_what - np.asarray(row["g"], dtype=float)).max())
-        if ggap > 1e-6:
-            return 1, (
-                f"hatw violated at step {i}: quotient work function differs "
-                f"from the block G values by {ggap:.3g}"
-            )
+            ggap = float(np.abs(stored_what - np.asarray(row["g"], dtype=float)).max())
+            if ggap > EPS_AUDIT:
+                return 1, (
+                    f"hatw violated at step {i}: quotient work function differs "
+                    f"from the block G values by {ggap:.3g}"
+                )
         p2 = np.asarray(row["p"], dtype=float)
-        for x in range(u.n):
-            excl = stored_w[x] - stored_w - beta * d[:, x]
-            excl[x] = -math.inf
-            if excl.max() >= -1e-12 and p2[x] > 1e-9:
-                return 1, (
-                    f"betatagc violated at step {i}: mass {p2[x]:.3g} "
-                    f"on excluded state {u.labels[x]}"
-                )
-        ph2 = np.asarray(row["p_hat"], dtype=float)
-        cost = float(row["cost"])
-        qcost = float(row["qcost"])
-        cexp = online_step_cost(u, p_prev, p2, ElementaryTask(u.labels[v], delta))
-        if abs(cexp - cost) > 1e-6:
+        total = float(p2.sum())
+        if not abs(total - 1.0) <= EPS_EQ:  # NaN fails too
+            return 1, f"distribution violated at step {i}: probabilities sum to {total:.12g}"
+        # a single-state rule declares beta = 0 and is exempt
+        excluded = beta_excluded_mass(u, beta, stored_w, p2) if combined or beta > 0.0 else []
+        if excluded:
+            x, mass = excluded[0]
             return 1, (
-                f"samecompratio violated at step {i}: stored step cost "
+                f"betatagc violated at step {i}: mass {mass:.3g} "
+                f"on excluded state {u.labels[x]}"
+            )
+        cost = float(row["cost"])
+        cexp = online_step_cost(u, p_prev, p2, ElementaryTask(u.labels[v], delta))
+        if not abs(cexp - cost) <= EPS_AUDIT:
+            return 1, (
+                f"{cost_check} violated at step {i}: stored step cost "
                 f"disagrees with the transport recomputation by {abs(cexp - cost):.3g}"
             )
-        qexp = online_step_cost(qu, ph_prev, ph2, ElementaryTask(qlabels[j], dhat))
-        if abs(qexp - qcost) > 1e-6:
-            return 1, (
-                f"samecompratio violated at step {i}: stored quotient cost "
-                f"disagrees with the transport recomputation by {abs(qexp - qcost):.3g}"
-            )
-        if cost > qcost + cost_allow:
-            return 1, (
-                f"samecompratio violated at step {i}: step cost {cost:.6g} "
-                f"exceeds the quotient step cost {qcost:.6g}"
-            )
-        w, what = stored_w, stored_what
-        p_prev, ph_prev = p2, ph2
-    return 0, f"ok: {len(rows)} steps verified (welleqw, hatw, betatagc, samecompratio)"
+        if combined:
+            ph2 = np.asarray(row["p_hat"], dtype=float)
+            qcost = float(row["qcost"])
+            qexp = online_step_cost(qu, ph_prev, ph2, ElementaryTask(qlabels[j], dhat))
+            if abs(qexp - qcost) > EPS_AUDIT:
+                return 1, (
+                    f"samecompratio violated at step {i}: stored quotient cost "
+                    f"disagrees with the transport recomputation by {abs(qexp - qcost):.3g}"
+                )
+            if cost > qcost + cost_allow:
+                return 1, (
+                    f"samecompratio violated at step {i}: step cost {cost:.6g} "
+                    f"exceeds the quotient step cost {qcost:.6g}"
+                )
+            what, ph_prev = stored_what, ph2
+        w, p_prev = stored_w, p2
+    checks = "hatw, distribution, betatagc, samecompratio" if combined else (
+        "distribution, betatagc, stepcost")
+    return 0, f"ok: {len(rows)} steps verified (welleqw, {checks})"
 
 
 def cmd_verify(args) -> int:
@@ -455,10 +408,7 @@ def cmd_verify(args) -> int:
     if not isinstance(head, dict) or head.get("kind") != "header":
         raise ConfigError("trace must start with a header line")
     try:
-        if "blocks" in head:
-            code, message = _verify_combined(head, lines[1:])
-        else:
-            code, message = _verify_atomic(head, lines[1:])
+        code, message = _verify(head, lines[1:])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed trace: {exc}") from exc
     print(message)

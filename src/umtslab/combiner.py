@@ -12,7 +12,7 @@ of delta_hat = G_l(w_l + step) - G_l(w_l). The exported constraint pair
 (beta, eta) follows the combination arithmetic below and the potential is
 Phi_hat(w_hat) + r * sum_l alpha_hat(z_l) Phi_l(w_l) / r_l.
 
-:class:`CombinedRun` simulates a run while checking the four structural
+:class:`CombinedRun` checks a run step by step for the four structural
 identities the construction relies on (hatw, welleqw, betatagc,
 samecompratio) plus reasonableness of the induced sequences, at the
 tolerances each identity supports.
@@ -28,13 +28,13 @@ from scipy.optimize import brentq
 
 from umtslab.algorithms import OnlineAlgorithm
 from umtslab.core import (
+    ElementaryTask,
+    Step,
     Umts,
     apply_elementary,
+    beta_excluded_mass,
     flat_work_function,
-    online_step_cost,
-    support_headroom,
 )
-from umtslab.core import ElementaryTask
 from umtslab.metricspace import (
     Partition,
     induced_metric,
@@ -42,9 +42,7 @@ from umtslab.metricspace import (
     min_cross_distance,
     quotient_metric,
 )
-
-EPS_EQ = 1e-9
-EPS_AUDIT = 1e-6
+from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +138,7 @@ class CombinedParts:
         )
 
     def initial_hat_work(self) -> np.ndarray:
-        return np.array(
-            [a.g_value(np.zeros(len(idx)))
-             for a, idx in zip(self.block_algs, self.global_index)]
-        )
+        return self.hat_work(np.zeros(self.u.n))
 
 
 def block_subsystem(u: Umts, block) -> Umts:
@@ -361,6 +356,23 @@ def translate_task(parts: CombinedParts, w_blocks: list[np.ndarray],
     return j, max(0.0, raw), wb2, clamp
 
 
+def trace_header(alg: OnlineAlgorithm, beta: float, p0) -> dict:
+    """Header fields every run trace carries: the system, the rule, its start distribution."""
+    u = alg.umts
+    return {
+        "kind": "header",
+        "labels": list(u.labels),
+        "dist": u.metric.dist.tolist(),
+        "rates": u.rates.tolist(),
+        "s": u.s,
+        "initial": u.initial_state,
+        "beta": beta,
+        "ratio": alg.declared_ratio,
+        "algorithm": alg.name,
+        "p0": p0.tolist(),
+    }
+
+
 @dataclass
 class AuditIssue:
     lemma: str
@@ -369,12 +381,26 @@ class AuditIssue:
     detail: str
 
 
+def worst_issues(issues: list[AuditIssue]) -> dict[str, dict]:
+    """The largest issue of each lemma, with its step and detail."""
+    worst: dict[str, dict] = {}
+    for issue in issues:
+        cur = worst.get(issue.lemma)
+        if cur is None or issue.magnitude > cur["magnitude"]:
+            worst[issue.lemma] = {
+                "magnitude": issue.magnitude, "step": issue.step, "detail": issue.detail
+            }
+    return worst
+
+
 @dataclass
 class CombinedRun:
-    """Step a combined algorithm while checking its structural identities.
+    """Check a combined algorithm's structural identities step by step.
 
-    Tracks the global work function, per-block work functions, and the
-    quotient work function started at G_l(0). Each step checks:
+    Reads the rule's steps (as :func:`umtslab.harness.simulate` yields them)
+    or takes them itself, one :meth:`step` at a time. It tracks the block work
+    functions and the quotient work function started at G_l(0), and steps
+    the quotient rule on the translated charges. Each step checks:
     hatw (quotient values equal block G values, 1e-6), welleqw (block and
     restricted global work functions agree, 1e-9), betatagc (zero mass on
     beta-excluded states, 1e-9), samecompratio (combined step cost at most
@@ -383,9 +409,6 @@ class CombinedRun:
     """
 
     alg: OnlineAlgorithm
-    tol_hatw: float = EPS_AUDIT
-    tol_well: float = EPS_EQ
-    tol_cost: float = EPS_AUDIT
     issues: list[AuditIssue] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
 
@@ -394,17 +417,15 @@ class CombinedRun:
         if parts is None:
             raise ValueError("algorithm was not built by combine()")
         self.parts = parts
-        u = parts.u
-        self.w = flat_work_function(u)
+        self.w = flat_work_function(parts.u)
         self.w_blocks = [np.zeros(len(idx)) for idx in parts.global_index]
         self.what = parts.initial_hat_work()
-        self.p = self.alg.probabilities(self.w)
+        # the rule's start distribution comes with the first step read
+        self.p = self.p0 = None
         self.p_hat = parts.quotient_alg.probabilities(self.what)
-        self.p0 = self.p.copy()
         self.p_hat0 = self.p_hat.copy()
-        self.steps = 0
-        self.cost = 0.0
-        self.qcost = 0.0
+        self.qtasks: list[ElementaryTask] = []
+        self.steps, self.cost, self.qcost = 0, 0.0, 0.0
         self.dhat_tol = max(
             EPS_EQ,
             max((a.phi_slack for a in parts.block_algs if math.isfinite(a.phi_slack)),
@@ -413,63 +434,61 @@ class CombinedRun:
 
     def header(self) -> dict:
         parts = self.parts
-        u = parts.u
-        return {
-            "kind": "header",
-            "labels": list(u.labels),
-            "dist": u.metric.dist.tolist(),
-            "rates": u.rates.tolist(),
-            "s": u.s,
-            "initial": u.initial_state,
+        p0 = self.p0 if self.p0 is not None else self.alg.probabilities(self.w)
+        return trace_header(self.alg, parts.beta, p0) | {
             "blocks": [list(b) for b in parts.partition.blocks],
             "dist_hat": parts.dist_hat.tolist(),
             "hat_rates": parts.quotient_umts.rates.tolist(),
             "hat_init": parts.initial_hat_work().tolist(),
-            "beta": parts.beta,
             "alpha": np.asarray(self.alg.alpha).tolist(),
-            "ratio": self.alg.declared_ratio,
-            "algorithm": self.alg.name,
-            "tol": (self.tol_cost + self.alg.phi_slack)
-            if math.isfinite(self.alg.phi_slack)
-            else None,
+            "tol": EPS_AUDIT + self.alg.phi_slack if math.isfinite(self.alg.phi_slack) else None,
             "dhat_tol": self.dhat_tol,
-            "p0": self.p0.tolist(),
             "p_hat0": self.p_hat0.tolist(),
         }
 
     def _issue(self, lemma, magnitude, detail):
         self.issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
 
-    def step(self, state, delta: float) -> dict:
+    def step(self, state, delta: float, rec: Step | None = None) -> dict:
+        """Check the step charging ``delta`` at ``state`` (label or index).
+
+        ``rec`` is the rule's record of that step when a run is read; without
+        one the step is taken here. Returns the step's trace row.
+        """
         parts = self.parts
         u = parts.u
-        v = u.metric.index(state) if isinstance(state, str) else int(state)
-        qu = parts.quotient_umts
-        qalg = parts.quotient_alg
+        if rec is None:
+            v = u.metric.index(state) if isinstance(state, str) else int(state)
+            if self.p is None:
+                self.p = self.alg.probabilities(self.w)
+            rec = Step(u, self.alg, self.w, self.p, v, delta)
+        v, delta = rec.v, rec.delta
+        if self.p0 is None:
+            self.p0 = rec.p
 
         # reasonableness against both crossings, before moving anything
         xb = parts.block_algs[parts.block_of[v]].zero_crossing(
             self.w_blocks[parts.block_of[v]], int(parts.local_index[v])
         )
-        if delta > xb + 1e-9:
+        if delta > xb + EPS_EQ:
             self._issue("resadv", delta - xb, f"charge {delta:.6g} beyond block crossing {xb:.6g}")
 
         j, dhat, wb2, clamp = translate_task(parts, self.w_blocks, v, delta)
         if clamp > self.dhat_tol:
             self._issue("hatw", clamp, "negative quotient charge beyond tolerance")
-        xq = qalg.zero_crossing(self.what, j)
-        if dhat > xq + 1e-9:
-            self._issue("resadv", dhat - xq, f"quotient charge {dhat:.6g} beyond crossing {xq:.6g}")
+        q = Step(parts.quotient_umts, parts.quotient_alg, self.what, self.p_hat, j, dhat)
+        if dhat > q.crossing + EPS_EQ:
+            detail = f"quotient charge {dhat:.6g} beyond crossing {q.crossing:.6g}"
+            self._issue("resadv", dhat - q.crossing, detail)
 
-        w2 = apply_elementary(u, self.w, v, delta)
-        what2 = apply_elementary(qu, self.what, j, dhat)
+        w2, what2 = rec.w2, q.w2
         w_blocks2 = list(self.w_blocks)
         w_blocks2[j] = wb2
 
         # welleqw: restricted global and block-local work functions agree
         for i, idx in enumerate(parts.global_index):
             gap = np.abs(w2[idx] - w_blocks2[i]).max()
-            if gap > self.tol_well:
+            if gap > EPS_EQ:
                 self._issue("welleqw", gap, f"block {i} work function drifts")
 
         # hatw: quotient work function equals the block G values
@@ -477,24 +496,15 @@ class CombinedRun:
             [a.g_value(wb) for a, wb in zip(parts.block_algs, w_blocks2)]
         )
         gap = np.abs(what2 - gvals).max()
-        if gap > self.tol_hatw:
+        if gap > EPS_AUDIT:
             self._issue("hatw", gap, "quotient work function detached from block G values")
 
-        p2 = self.alg.probabilities(w2)
-        p_hat2 = qalg.probabilities(what2)
+        p2, p_hat2 = rec.p2, q.p2
+        for x, mass in beta_excluded_mass(u, parts.beta, w2, p2):
+            self._issue("betatagc", mass, f"mass {mass:.3g} on excluded state {u.labels[x]}")
 
-        # betatagc: no mass on states excluded by the beta constraint
-        d = u.metric.dist
-        for x in range(u.n):
-            worst = (w2[x] - w2 - parts.beta * d[:, x])
-            worst[x] = -math.inf
-            if worst.max() >= -1e-12 and p2[x] > EPS_EQ:
-                self._issue("betatagc", p2[x], f"mass {p2[x]:.3g} on excluded state {u.labels[x]}")
-
-        step_cost = online_step_cost(u, self.p, p2, ElementaryTask(u.labels[v], delta))
-        qtask = ElementaryTask(qu.labels[j], dhat)
-        qstep_cost = online_step_cost(qu, self.p_hat, p_hat2, qtask)
-        slack_allow = self.tol_cost + self.alg.phi_slack if math.isfinite(self.alg.phi_slack) else math.inf
+        step_cost, qstep_cost = rec.cost, q.cost
+        slack_allow = EPS_AUDIT + self.alg.phi_slack if math.isfinite(self.alg.phi_slack) else math.inf
         if step_cost > qstep_cost + slack_allow:
             self._issue(
                 "samecompratio",
@@ -504,6 +514,7 @@ class CombinedRun:
 
         self.w, self.w_blocks, self.what = w2, w_blocks2, what2
         self.p, self.p_hat = p2, p_hat2
+        self.qtasks.append(q.task)
         self.cost += step_cost
         self.qcost += qstep_cost
         self.steps += 1
@@ -527,20 +538,11 @@ class CombinedRun:
         return row
 
     def report(self) -> dict:
-        worst = {}
-        for issue in self.issues:
-            cur = worst.get(issue.lemma)
-            if cur is None or issue.magnitude > cur["magnitude"]:
-                worst[issue.lemma] = {
-                    "magnitude": issue.magnitude,
-                    "step": issue.step,
-                    "detail": issue.detail,
-                }
         return {
             "steps": self.steps,
             "cost": self.cost,
             "quotient_cost": self.qcost,
             "issues": len(self.issues),
-            "worst": worst,
+            "worst": worst_issues(self.issues),
             "passed": not self.issues,
         }

@@ -16,15 +16,15 @@ competitive bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from umtslab.metricspace import FiniteMetric
+from umtslab.tolerances import EPS_EQ, EPS_TIE
 from umtslab.transport import mcost_metric
-
-EPS_EQ = 1e-9
-EPS_AUDIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,10 @@ class Umts:
         r.setflags(write=False)
         if r.shape != (self.metric.n,):
             raise ValueError("one cost ratio per state required")
-        if (r < 0).any():
-            raise ValueError("cost ratios must be non-negative")
-        if self.s <= 0:
-            raise ValueError("distance ratio must be positive")
+        if not (np.isfinite(r) & (r >= 0)).all():
+            raise ValueError("cost ratios must be finite and non-negative")
+        if not (math.isfinite(self.s) and self.s > 0):
+            raise ValueError("distance ratio must be finite and positive")
         if not self.initial_state:
             object.__setattr__(self, "initial_state", self.metric.labels[0])
         elif self.initial_state not in self.metric.labels:
@@ -71,8 +71,8 @@ class ElementaryTask:
     delta: float
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("charges are non-negative")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("charges must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class GeneralTask:
         c = np.asarray(self.charges, dtype=float)
         object.__setattr__(self, "charges", c)
         c.setflags(write=False)
-        if (c < 0).any():
-            raise ValueError("charges are non-negative")
+        if not (np.isfinite(c) & (c >= 0)).all():
+            raise ValueError("charges must be finite and non-negative")
 
 
 def task_charges(u: Umts, task) -> np.ndarray:
@@ -163,6 +163,52 @@ def alpha_opt_cost(alpha, w) -> float:
 
 def opt_cost(w) -> float:
     return float(np.asarray(w).min())
+
+
+def beta_excluded_mass(u: Umts, beta: float, w, p) -> list[tuple[int, float]]:
+    """(state, mass) for every state that holds mass although beta excludes it.
+
+    State x is excluded when some other state y has
+    w(x) >= w(y) + beta * dist(y, x), ties within EPS_TIE included; mass
+    counts above EPS_EQ. A rule satisfying the beta constraint returns [].
+    """
+    w, p = np.asarray(w, dtype=float), np.asarray(p, dtype=float)
+    gap = w[None, :] - w[:, None] - beta * u.metric.dist
+    np.fill_diagonal(gap, -np.inf)
+    hit = (gap.max(axis=0) >= -EPS_TIE) & (p > EPS_EQ)
+    return [(int(x), float(p[x])) for x in np.flatnonzero(hit)]
+
+
+class Step:
+    """One online step: charging ``delta`` at state index ``v`` moves the rule
+    ``alg`` on system ``u`` from work function ``w`` and distribution ``p``
+    to ``w2`` and ``p2 = alg.probabilities(w2)``.
+
+    The step cost, the zero crossing at ``v`` before the charge and the
+    potential of ``w2`` are evaluated on first use, so a reader pays only
+    for what it reads; a caller that knows the crossing passes it in.
+    """
+
+    def __init__(self, u: Umts, alg, w, p, v: int, delta: float, crossing=None):
+        self.u, self.alg, self.v, self.delta = u, alg, v, delta
+        self.task = ElementaryTask(u.labels[v], delta)
+        self.w, self.p = w, p
+        self.w2 = apply_elementary(u, w, v, delta)
+        self.p2 = alg.probabilities(self.w2)
+        if crossing is not None:
+            self.crossing = crossing
+
+    @cached_property
+    def cost(self) -> float:
+        return online_step_cost(self.u, self.p, self.p2, self.task)
+
+    @cached_property
+    def crossing(self) -> float:
+        return self.alg.zero_crossing(self.w, self.v)
+
+    @cached_property
+    def phi(self) -> float:
+        return self.alg.phi(self.w2)
 
 
 @dataclass

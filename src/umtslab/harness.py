@@ -1,6 +1,8 @@
 """Adversaries, offline optimum, and empirical audits for online runs.
 
-Sequences are generated on the algorithm's own channel (the all-zero work
+Every run goes through one engine, :func:`simulate`: a policy (an adversary
+or a replayed task list) picks each charge, and every reader (generation,
+audit, cost, trace) reads the same stream of steps. Sequences are generated on the algorithm's own channel (the all-zero work
 function) and stay reasonable by construction: every charge targets a
 state the algorithm currently occupies with positive probability and stays
 strictly below both the probability zero crossing and the support
@@ -12,26 +14,25 @@ the best fixed schedule.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from umtslab.algorithms import OnlineAlgorithm
-from umtslab.combiner import CombinedRun
+from umtslab.combiner import AuditIssue, CombinedRun, worst_issues
 from umtslab.core import (
     ElementaryTask,
+    Step,
     Umts,
-    apply_elementary,
     apply_task,
+    beta_excluded_mass,
     flat_work_function,
     initial_work_function,
-    online_step_cost,
     opt_cost,
     support_headroom,
 )
-
-EPS_EQ = 1e-9
-EPS_AUDIT = 1e-6
+from umtslab.tolerances import EPS_AUDIT, EPS_EQ, EPS_TIE
 
 ADVERSARY_KINDS = ("uniform-random", "greedy-pressure", "support-raiser")
 
@@ -61,39 +62,78 @@ class AdversaryConfig:
             raise ValueError("steps must be non-negative")
 
 
-def generate_sequence(alg: OnlineAlgorithm, config: AdversaryConfig) -> list[ElementaryTask]:
-    """Reasonable task sequence for the algorithm under the given adversary."""
-    u = alg.umts
+def adversary(config: AdversaryConfig):
+    """Policy for :func:`simulate` that charges as the configured adversary.
+
+    It stops when the step budget is spent or no occupied state has
+    headroom left, and passes on the zero crossing it computed.
+    """
     rng = np.random.default_rng(config.seed)
-    w = flat_work_function(u)
-    tasks: list[ElementaryTask] = []
-    for _ in range(config.steps):
-        p = alg.probabilities(w)
+    budget = config.steps
+
+    def choose(alg: OnlineAlgorithm, w, p):
+        nonlocal budget
+        if budget <= 0:
+            return None
+        u = alg.umts
         cands = [v for v in range(u.n) if p[v] > EPS_EQ]
-        caps = {}
-        for v in cands:
-            caps[v] = min(alg.zero_crossing(w, v), support_headroom(u, w, v))
+        cross = {v: alg.zero_crossing(w, v) for v in cands}
+        caps = {v: min(cross[v], support_headroom(u, w, v)) for v in cands}
         open_states = [v for v in cands if caps[v] > 0.0]
         if not open_states:
-            break
-        if config.kind == "uniform-random":
-            v = open_states[rng.integers(len(open_states))]
-            fraction = rng.uniform(0.2, config.max_fraction)
-        elif config.kind == "greedy-pressure":
-            v = max(open_states, key=lambda x: (p[x] * min(caps[x], 1e12), -x))
-            fraction = config.max_fraction
-        else:  # support-raiser
-            v = min(open_states, key=lambda x: (w[x], x))
-            fraction = config.max_fraction
-        cap = caps[v]
-        if not math.isfinite(cap):
-            cap = max(1.0, u.diameter())
-        delta = fraction * cap * (1.0 - EPS_AUDIT)
-        if delta <= 0.0:
-            continue
-        tasks.append(ElementaryTask(u.labels[v], delta))
-        w = apply_elementary(u, w, v, delta)
-    return tasks
+            return None
+        while budget > 0:
+            budget -= 1
+            if config.kind == "uniform-random":
+                v = open_states[rng.integers(len(open_states))]
+                fraction = rng.uniform(0.2, config.max_fraction)
+            elif config.kind == "greedy-pressure":
+                v = max(open_states, key=lambda x: (p[x] * min(caps[x], 1e12), -x))
+                fraction = config.max_fraction
+            else:  # support-raiser
+                v = min(open_states, key=lambda x: (w[x], x))
+                fraction = config.max_fraction
+            cap = caps[v]
+            if not math.isfinite(cap):
+                cap = max(1.0, u.diameter())
+            delta = fraction * cap * (1.0 - EPS_AUDIT)
+            if delta > 0.0:
+                return v, delta, cross[v]
+        return None
+
+    return choose
+
+
+def replay(tasks):
+    """Policy for :func:`simulate` that charges the given elementary tasks in order."""
+    it = iter(tasks)
+
+    def choose(alg: OnlineAlgorithm, w, p):
+        t = next(it, None)
+        return None if t is None else (alg.umts.metric.index(t.state), t.delta, None)
+
+    return choose
+
+
+def simulate(alg: OnlineAlgorithm, policy) -> Iterator[Step]:
+    """Run the rule on its flat channel and yield one :class:`Step` per charge.
+
+    ``policy(alg, w, p)`` sees the current work function and distribution
+    and returns the next charge as (state index, delta, zero crossing at
+    that state or None), or None to end the run.
+    """
+    u = alg.umts
+    w = flat_work_function(u)
+    p = alg.probabilities(w)
+    while (charge := policy(alg, w, p)) is not None:
+        rec = Step(u, alg, w, p, *charge)
+        yield rec
+        w, p = rec.w2, rec.p2
+
+
+def generate_sequence(alg: OnlineAlgorithm, config: AdversaryConfig) -> list[ElementaryTask]:
+    """Reasonable task sequence for the algorithm under the given adversary."""
+    return [rec.task for rec in simulate(alg, adversary(config))]
 
 
 def offline_opt(u: Umts, tasks) -> float:
@@ -125,51 +165,33 @@ def elementarize(u: Umts, charges, eps: float) -> list[ElementaryTask]:
     return out
 
 
-def _simpson_local(alg: OnlineAlgorithm, w, v: int, delta: float) -> float:
-    rate = float(alg.umts.rates[v])
-    if delta == 0.0 or rate == 0.0:
-        return 0.0
-    xs = np.linspace(0.0, delta, 9)
-    ys = []
-    for x in xs:
-        w2 = np.asarray(w, dtype=float).copy()
-        w2[v] += x
-        ys.append(alg.probabilities(w2)[v])
-    return rate * float(np.trapezoid(ys, xs))
+def audit_run(alg: OnlineAlgorithm, tasks) -> dict:
+    """Run the sequence and check the declared per-step contracts."""
+    return audit_steps(alg, simulate(alg, replay(tasks)))
 
 
-def _local_integral(alg: OnlineAlgorithm, w, v: int, delta: float) -> float:
-    if alg.local_cost_integral is not None:
-        return alg.local_cost_integral(w, v, delta)
-    return _simpson_local(alg, w, v, delta)
+def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
+    """Check the declared per-step contracts on the steps of one run.
 
-
-def audit_run(alg: OnlineAlgorithm, tasks, tol: float = EPS_AUDIT) -> dict:
-    """Run the sequence and check the declared per-step contracts.
-
-    Combined algorithms get the full structural audit (quotient work
-    function, block consistency, cost comparison) plus the check that the
-    translated quotient adversary is no harder than the original one, up
-    to the static offset of the translation (start gap plus the largest
-    block diameter).
-    Atomic algorithms are checked directly: charges below the zero
-    crossing, valid distributions, no mass on states excluded by the beta
-    constraint (skipped when beta is zero, the single-state convention),
-    and sensibility of each step against the potential.
+    Combined algorithms get the full structural audit (:class:`CombinedRun`)
+    plus the check that the translated quotient adversary is no harder than
+    the original one, up to the static offset of the translation. Atomic
+    algorithms are checked directly: charges below the zero crossing, valid
+    distributions, no mass on beta-excluded states (skipped when beta is
+    zero, the single-state convention), and sensibility of each step
+    against the potential. The offline optimum is solved once per system.
     """
     u = alg.umts
-    opt = offline_opt(u, tasks)
+    tasks: list[ElementaryTask] = []
     if alg.parts is not None:
         run = CombinedRun(alg)
-        for t in tasks:
-            run.step(t.state, t.delta)
+        for rec in steps:
+            tasks.append(rec.task)
+            run.step(rec.v, rec.delta, rec)
+        opt = offline_opt(u, tasks)
         report = run.report()
         qu = alg.parts.quotient_umts
-        qtasks = [
-            ElementaryTask(qu.labels[row["block"]], row["delta_hat"])
-            for row in run.trace
-        ]
-        opt_hat = offline_opt(qu, qtasks)
+        opt_hat = offline_opt(qu, run.qtasks)
         # The translated adversary can exceed the original optimum only by
         # the static offset of the translation: the gap between the two
         # quotient start vectors plus the largest block diameter (the G
@@ -179,7 +201,7 @@ def audit_run(alg: OnlineAlgorithm, tasks, tol: float = EPS_AUDIT) -> dict:
         block_diam = max(
             float(u.metric.dist[np.ix_(idx, idx)].max()) for idx in parts.global_index
         )
-        resadv_allow = max(0.0, start_gap) + block_diam + tol + run.steps * run.dhat_tol
+        resadv_allow = max(0.0, start_gap) + block_diam + EPS_AUDIT + run.steps * run.dhat_tol
         if opt_hat > opt + resadv_allow:
             report["passed"] = False
             report.setdefault("worst", {})["resadv"] = {
@@ -188,104 +210,80 @@ def audit_run(alg: OnlineAlgorithm, tasks, tol: float = EPS_AUDIT) -> dict:
                 "detail": "quotient adversary is harder than the original",
             }
         report.update(
-            {"kind": "combined", "opt": opt, "opt_hat": opt_hat, "resadv_allow": resadv_allow}
+            {"kind": "combined", "opt": opt, "opt_hat": opt_hat, "resadv_allow": resadv_allow,
+             "run": run}
         )
-        report["run"] = run
         return report
 
-    w = flat_work_function(u)
-    p = alg.probabilities(w)
-    issues: list[dict] = []
+    issues: list[AuditIssue] = []
     cost = 0.0
-    sens_allow = tol + alg.phi_slack
-    for i, t in enumerate(tasks):
-        v = u.metric.index(t.state)
-        cross = alg.zero_crossing(w, v)
-        if t.delta > cross + 1e-9:
-            issues.append(
-                {"check": "resadv", "step": i, "magnitude": t.delta - cross}
-            )
-        w2 = apply_elementary(u, w, v, t.delta)
-        p2 = alg.probabilities(w2)
-        if abs(p2.sum() - 1.0) > 1e-9 or p2.min() < -1e-12:
-            issues.append(
-                {"check": "distribution", "step": i, "magnitude": abs(p2.sum() - 1.0)}
-            )
+    sens_allow = EPS_AUDIT + alg.phi_slack
+    phi_w = None
+    for i, rec in enumerate(steps):
+        tasks.append(rec.task)
+        v, delta, p2 = rec.v, rec.delta, rec.p2
+        if delta > rec.crossing + EPS_EQ:
+            issues.append(AuditIssue("resadv", i, delta - rec.crossing, "charge beyond crossing"))
+        if abs(p2.sum() - 1.0) > EPS_EQ or p2.min() < -EPS_TIE:
+            issues.append(AuditIssue("distribution", i, abs(p2.sum() - 1.0), "not a distribution"))
         if alg.beta > 0.0:
-            d = u.metric.dist
-            for x in range(u.n):
-                excl = w2[x] - w2 - alg.beta * d[:, x]
-                excl[x] = -math.inf
-                if excl.max() >= -1e-12 and p2[x] > EPS_EQ:
-                    issues.append(
-                        {"check": "betatagc", "step": i, "magnitude": float(p2[x])}
-                    )
-        step_cost = online_step_cost(u, p, p2, t)
+            for x, mass in beta_excluded_mass(u, alg.beta, rec.w2, p2):
+                detail = f"mass on excluded state {u.labels[x]}"
+                issues.append(AuditIssue("betatagc", i, mass, detail))
+        step_cost = rec.cost
         if math.isfinite(sens_allow):
-            moving = step_cost - float(p2[v] * u.rates[v] * t.delta)
-            lhs = moving + _local_integral(alg, w, v, t.delta)
-            lhs += alg.phi(w2) - alg.phi(w)
-            rhs = alg.declared_ratio * float(np.asarray(alg.alpha) @ (w2 - w))
+            if phi_w is None:
+                phi_w = alg.phi(rec.w)
+            moving = step_cost - float(p2[v] * u.rates[v] * delta)
+            lhs = moving + alg.local_cost_integral(rec.w, v, delta)
+            lhs += rec.phi - phi_w
+            rhs = alg.declared_ratio * float(np.asarray(alg.alpha) @ (rec.w2 - rec.w))
             if lhs > rhs + sens_allow:
-                issues.append(
-                    {"check": "sensibility", "step": i, "magnitude": lhs - rhs}
-                )
+                issues.append(AuditIssue("sensibility", i, lhs - rhs, "step beyond its allowance"))
+            phi_w = rec.phi
         cost += step_cost
-        w, p = w2, p2
-    worst: dict[str, dict] = {}
-    for issue in issues:
-        cur = worst.get(issue["check"])
-        if cur is None or issue["magnitude"] > cur["magnitude"]:
-            worst[issue["check"]] = {
-                "magnitude": issue["magnitude"],
-                "step": issue["step"],
-            }
     return {
         "kind": "atomic",
         "steps": len(tasks),
         "cost": cost,
-        "opt": opt,
+        "opt": offline_opt(u, tasks),
         "issues": issues,
-        "worst": worst,
+        "worst": worst_issues(issues),
         "passed": not issues,
     }
 
 
 def run_cost(alg: OnlineAlgorithm, tasks) -> float:
     """Total online cost of the run (endpoint charge convention)."""
-    u = alg.umts
-    w = flat_work_function(u)
-    p = alg.probabilities(w)
     total = 0.0
-    for t in tasks:
-        w2 = apply_task(u, w, t)
-        p2 = alg.probabilities(w2)
-        total += online_step_cost(u, p, p2, t)
-        w, p = w2, p2
+    for rec in simulate(alg, replay(tasks)):
+        total += rec.cost
     return total
 
 
-def empirical_ratio(alg: OnlineAlgorithm, tasks, min_opt: float = 1e-9) -> dict:
-    """Cost against the offline optimum, net of the additive allowance.
+def empirical_ratio(alg: OnlineAlgorithm, tasks) -> dict:
+    """Cost against the offline optimum, net of the additive allowance."""
+    return ratio_report(alg, run_cost(alg, tasks), offline_opt(alg.umts, tasks))
+
+
+def ratio_report(alg: OnlineAlgorithm, cost: float, opt: float) -> dict:
+    """Net ratio of a run's cost against its offline optimum.
 
     The guarantee has the form cost <= ratio * opt + c with
     c = (1 + eta) * ratio * diam + sup(potential); runs whose offline
-    optimum is below ``min_opt`` cannot witness a ratio and are skipped.
+    optimum is at most EPS_EQ cannot witness a ratio and are skipped.
     """
-    u = alg.umts
-    opt = offline_opt(u, tasks)
-    cost = run_cost(alg, tasks)
     sup = alg.phi_sup if math.isfinite(alg.phi_slack) else alg.potential_bound
-    overhead = (1.0 + alg.eta) * alg.declared_ratio * u.diameter() + sup
+    overhead = (1.0 + alg.eta) * alg.declared_ratio * alg.umts.diameter() + sup
     out = {
         "cost": cost,
         "opt": opt,
         "overhead": overhead,
         "declared": alg.declared_ratio,
     }
-    if opt <= min_opt:
+    if opt <= EPS_EQ:
         out.update({"ratio": math.nan, "passed": None})
         return out
     ratio = (cost - overhead) / opt
-    out.update({"ratio": ratio, "passed": bool(ratio <= alg.declared_ratio + 1e-9)})
+    out.update({"ratio": ratio, "passed": bool(ratio <= alg.declared_ratio + EPS_EQ)})
     return out

@@ -32,8 +32,7 @@ from umtslab.portfolio import (
     combined_algorithm,
     w_combined_algorithm,
 )
-
-EPS_EQ = 1e-9
+from umtslab.tolerances import EPS_EQ
 
 
 @dataclass(frozen=True)

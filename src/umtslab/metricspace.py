@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EPS_EQ = 1e-9
+from umtslab.tolerances import EPS_EQ
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,8 @@ class FiniteMetric:
             raise ValueError("label count and matrix shape disagree")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
 
     @property
     def n(self) -> int:

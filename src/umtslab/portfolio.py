@@ -35,8 +35,7 @@ from umtslab.algorithms import (
 )
 from umtslab.combiner import block_subsystem, combine
 from umtslab.core import Umts
-
-EPS_EQ = 1e-9
+from umtslab.tolerances import EPS_EQ
 
 LOG_X_FLOOR = math.exp(6.0) + 1.0
 BUDGET_COEFF = 100.0

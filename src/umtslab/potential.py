@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-EPS_EQ = 1e-9
+from umtslab.tolerances import EPS_EQ
+
 VI_TOL = 1e-7
 
 
@@ -232,7 +233,8 @@ def estimate_potential(
     """Least valid potential by value iteration over grid-step continuations.
 
     Works on spaces whose distances are integer multiples of the grid step
-    (uniform spaces in particular). Divergence is reported, not raised: it
+    (uniform spaces in particular), for rules that supply their
+    ``local_cost_integral``. Divergence is reported, not raised: it
     signals the declared ratio is below what the rule actually needs.
     """
     u = u if u is not None else alg.umts
@@ -286,12 +288,9 @@ def estimate_potential(
             dtype=np.int64,
         )
         move = u.s * _uniform_or_transport_batch(u, P, P[np.maximum(rows, 0)], D)
-        if hasattr(alg, "local_cost_integral") and alg.local_cost_integral is not None:
-            local = np.array(
-                [alg.local_cost_integral(W[i], v, h) if legal[i] else 0.0 for i in range(S)]
-            )
-        else:
-            local = _simpson_local(alg, W, v, h, rates[v], legal)
+        local = np.array(
+            [alg.local_cost_integral(W[i], v, h) if legal[i] else 0.0 for i in range(S)]
+        )
         gain[v] = np.where(legal, move + local - r * alpha[v] * h, -np.inf)
         target[v] = rows
 
@@ -331,20 +330,3 @@ def _uniform_or_transport_batch(u, P, Q, D) -> np.ndarray:
     from umtslab.transport import mcost_metric
 
     return np.array([mcost_metric(u.metric, p, q) for p, q in zip(P, Q)])
-
-
-def _simpson_local(alg, W, v, h, rate, legal) -> np.ndarray:
-    nodes = np.linspace(0.0, h, 9)
-    weights = np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
-    weights *= h / weights.sum() / 1.0
-    out = np.zeros(W.shape[0])
-    for i in range(W.shape[0]):
-        if not legal[i]:
-            continue
-        acc = 0.0
-        for t, wt in zip(nodes, weights):
-            w = W[i].copy()
-            w[v] += t
-            acc += wt * alg.probabilities(w)[v]
-        out[i] = rate * acc
-    return out

@@ -10,8 +10,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from umtslab.metricspace import FiniteMetric, TreeRealization
-
-EPS_EQ = 1e-9
+from umtslab.tolerances import EPS_EQ
 
 
 def _tree_flow_cost(tree: TreeRealization, diff: np.ndarray) -> float:

@@ -1,11 +1,13 @@
 """Run and verify subcommands, exit codes, and trace rechecking."""
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from umtslab import cli, harness
 from umtslab.cli import build_algorithm, main
 
 
@@ -63,6 +65,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
     mismatched = write_config(tmp_path, algorithms=["caching"])
     assert main(["run", str(mismatched), "--out", str(tmp_path / "o")]) == 2
+    for entry in (
+        {"kind": "uniform-random", "steps": 20, "max_fraction": 1.5},
+        {"kind": "chaotic", "steps": 20},
+        {"kind": "uniform-random", "steps": -1},
+    ):
+        # a valid first entry must not run before the bad one is rejected
+        config = write_config(tmp_path, adversaries=[{"kind": "uniform-random"}, entry])
+        assert main(["run", str(config), "--out", str(tmp_path / "adv")]) == 2
+        assert not (tmp_path / "adv").exists()
+    nan_rate = write_config(
+        tmp_path,
+        spaces=[{"name": "u2", "kind": "uniform", "points": 2, "rates": [math.nan, 1.0]}],
+        algorithms=["trivial"],
+    )
+    assert main(["run", str(nan_rate), "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
 
 
@@ -134,6 +151,63 @@ def test_verify_flags_corrupted_work_function(tmp_path, capsys):
     trace.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(trace)]) == 1
     assert "welleqw violated at step 5" in capsys.readouterr().out
+
+
+def test_verify_flags_corrupted_atomic_cost_and_distribution(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        spaces=[{"name": "u2", "kind": "uniform", "points": 2, "rates": [3.0, 1.0]}],
+        algorithms=["two-stable"],
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    lines = next((out / "traces").glob("*.jsonl")).read_text().splitlines()
+    for key, change, check in (
+        ("cost", lambda row: row.update(cost=row["cost"] + 0.01), "stepcost"),
+        ("p", lambda row: row["p"].__setitem__(0, row["p"][0] + 0.01), "distribution"),
+    ):
+        row = json.loads(lines[7])
+        change(row)
+        doctored = tmp_path / f"{key}.jsonl"
+        doctored.write_text("\n".join(lines[:7] + [json.dumps(row)] + lines[8:]) + "\n")
+        assert main(["verify", str(doctored)]) == 1
+        assert f"{check} violated at step 7" in capsys.readouterr().out
+
+
+def test_run_job_simulates_once(monkeypatch):
+    """One job makes one pass: k + 1 rule evaluations, one optimum per system."""
+    counts = {"probabilities": 0, "offline_opt": 0}
+    build = cli.build_algorithm
+    offline_opt = harness.offline_opt
+
+    def counted_build(space, algorithm):
+        alg = build(space, algorithm)
+        probabilities = alg.probabilities
+
+        def counted(w):
+            counts["probabilities"] += 1
+            return probabilities(w)
+
+        alg.probabilities = counted
+        return alg
+
+    def counted_opt(u, tasks):
+        counts["offline_opt"] += 1
+        return offline_opt(u, tasks)
+
+    monkeypatch.setattr(cli, "build_algorithm", counted_build)
+    monkeypatch.setattr(harness, "offline_opt", counted_opt)
+    jobs = (
+        ({"name": "u4", "kind": "uniform", "points": 4}, "odd-exponent", 1),
+        ({"name": "k2", "kind": "caching", "fetch_costs": [1.0, 0.7, 1.6]}, "caching", 2),
+    )
+    for space, algorithm, systems in jobs:
+        counts.update(probabilities=0, offline_opt=0)
+        result = cli._run_job(space, algorithm, {"kind": "uniform-random", "steps": 15}, 3)
+        k = result["row"]["steps"]
+        assert k == 15
+        assert counts["probabilities"] <= k + 1
+        assert counts["offline_opt"] == systems
 
 
 def test_verify_empty_and_malformed(tmp_path, capsys):

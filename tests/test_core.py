@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ def test_umts_validation():
         Umts(make_uniform(2, 1.0), np.array([1.0, 1.0]), 0.0)
     with pytest.raises(ValueError):
         Umts(make_uniform(2, 1.0), np.array([1.0, 1.0]), 1.0, initial_state="nope")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Umts(make_uniform(2, 1.0), np.array([bad, 1.0]), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Umts(make_uniform(2, 1.0), np.array([1.0, 1.0]), bad)
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMetric(("a", "b"), np.array([[0.0, bad], [bad, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            ElementaryTask("v1", bad)
+        with pytest.raises(ValueError, match="finite"):
+            GeneralTask(np.array([0.5, bad]))
     u = u2()
     assert u.initial_state == "v1"
 
