@@ -16,7 +16,6 @@ from umtslab.metricspace import (
     validate,
 )
 from umtslab.core import (
-    CostLedger,
     ElementaryTask,
     GeneralTask,
     Umts,
@@ -67,7 +66,6 @@ __all__ = [
     "make_uniform",
     "quotient_metric",
     "validate",
-    "CostLedger",
     "ElementaryTask",
     "GeneralTask",
     "Umts",

@@ -18,7 +18,13 @@ from scipy.optimize import brentq
 
 from umtslab.core import Umts, support_headroom
 from umtslab.metricspace import scale_metric
-from umtslab.potential import BandPotential, TwoPointRule, estimate_potential
+from umtslab.potential import (
+    BandPotential,
+    TwoPointRule,
+    estimate_potential,
+    grid_levels,
+    vi_state_count,
+)
 from umtslab.tolerances import EPS_EQ
 
 
@@ -29,7 +35,10 @@ class OnlineAlgorithm:
     ``probabilities(w)`` maps a work function to a distribution over states.
     ``phi(w)`` is a potential certifying the declared ratio;
     ``zero_crossing(w, v)`` is the largest charge at state ``v`` that keeps
-    the run reasonable (probability positive throughout). ``rebuild`` makes
+    the run reasonable (probability positive throughout).
+    ``local_cost_integral(w, v, delta)`` is the local cost of raising
+    ``w[..., v]`` by ``delta`` for work functions of shape ``(..., n)``, one
+    value per leading index. ``rebuild`` makes
     the same family on another system, which is how distance-ratio variants
     are produced.
     """
@@ -47,7 +56,7 @@ class OnlineAlgorithm:
     rebuild: Callable[[Umts], "OnlineAlgorithm"]
     descriptor: dict
     eta_variant_basis: float | None = None
-    local_cost_integral: Callable[[np.ndarray, int, float], float] | None = None
+    local_cost_integral: Callable[[np.ndarray, int, float], np.ndarray] | None = None
     probabilities_batch: Callable[[np.ndarray], np.ndarray] | None = None
     phi_slack: float = 0.0
     symmetric_rule: bool = False
@@ -100,7 +109,7 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
         return math.inf if j == v else 0.0
 
     def local_integral(w, j, delta):
-        return rate * delta if j == v else 0.0
+        return np.full(np.shape(w)[:-1], rate * delta if j == v else 0.0)
 
     return OnlineAlgorithm(
         name=f"trivial({label})",
@@ -178,8 +187,8 @@ def odd_exponent(u: Umts, grid_step: float | None = None) -> OnlineAlgorithm:
 
     def local_integral(w, v, delta):
         w = np.asarray(w, dtype=float)
-        a = (np.delete(w, v) - w[v]) / d
-        poly = (d / (t + 1)) * (a ** (t + 1) - (a - delta / d) ** (t + 1)).sum()
+        a = (np.delete(w, v, axis=-1) - w[..., v, None]) / d
+        poly = (d / (t + 1)) * (a ** (t + 1) - (a - delta / d) ** (t + 1)).sum(axis=-1)
         return rates[v] * (delta + poly) / b
 
     alg = OnlineAlgorithm(
@@ -211,10 +220,8 @@ def odd_exponent(u: Umts, grid_step: float | None = None) -> OnlineAlgorithm:
         alg.phi = lambda w: band.phi(float(w[0] - w[1]))
         alg.phi_sup = band.sup()
     else:
-        levels = max(2, int(round(d / grid_step))) if grid_step else (16 if n <= 4 else 10 if n <= 6 else 8)
+        levels = grid_levels(n, d, grid_step)
         sym = bool(np.abs(rates - rates[0]).max() < EPS_EQ)
-        from umtslab.potential import vi_state_count
-
         if vi_state_count(n, levels, sym) > 400_000:
             alg.phi_slack = math.inf
             alg.descriptor["potential"] = "omitted (state grid too large)"
@@ -346,11 +353,17 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
         y = float(w[0] - w[1])
         return max(0.0, d - y) if v == 0 else max(0.0, d + y)
 
-    def local_integral(w, v, delta):
-        y = float(w[0] - w[1])
+    def local_step(y, v, delta):
         if v == 0:
             return r1 * (_ts_big_p1(y + delta, d, z) - _ts_big_p1(y, d, z))
         return r2 * (delta - (_ts_big_p1(y, d, z) - _ts_big_p1(y - delta, d, z)))
+
+    # the closed forms stay on scalar math.exp/expm1 so every value keeps its bits
+    local_steps = np.vectorize(local_step, otypes=[float])
+
+    def local_integral(w, v, delta):
+        w = np.asarray(w, dtype=float)
+        return local_steps(w[..., 0] - w[..., 1], v, delta)
 
     phi_sup = max(
         _ts_phi_raw(-d, d, z, r1, r2) - phi_floor,
@@ -376,42 +389,40 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
     )
 
 
-def rho_variant(a: OnlineAlgorithm, rho: float) -> OnlineAlgorithm:
-    """Rebuild the family at distance ratio s / rho on the rho-scaled metric.
+def rho_variant(
+    family: Callable[[Umts], OnlineAlgorithm], u: Umts, rho: float
+) -> OnlineAlgorithm:
+    """Build ``family`` at distance ratio s / rho on the rho-scaled metric of ``u``.
 
-    The returned algorithm runs on the original system and evaluates the
-    inner rule and potential on the same work functions, which on
-    reasonable runs never leave the inner rule's admissible region. The
-    constraint pair tightens to (rho * beta, rho * eta_basis); rho * beta
-    must stay at most 1 for the result to remain usable in combinations.
+    The returned algorithm runs on ``u`` and evaluates the inner rule and
+    potential on the same work functions, which on reasonable runs never
+    leave the inner rule's admissible region. Only the inner rule is built:
+    the name, beta and eta basis taken from it are the family's constants,
+    the same on every system. The constraint pair tightens to
+    (rho * beta, rho * eta_basis); rho * beta must stay at most 1 for the
+    result to remain usable in combinations.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    if a.beta * rho > 1.0 + EPS_EQ:
+    inner = family(Umts(scale_metric(u.metric, rho), u.rates, u.s / rho, u.initial_state))
+    if inner.beta * rho > 1.0 + EPS_EQ:
         raise ValueError("scaled beta exceeds 1")
     if rho == 1.0:
-        return a
-    u = a.umts
-    inner_u = Umts(scale_metric(u.metric, rho), u.rates, u.s / rho, u.initial_state)
-    inner = a.rebuild(inner_u)
-    basis = a.eta_variant_basis if a.eta_variant_basis is not None else a.eta
-
-    def rebuild(u2: Umts) -> OnlineAlgorithm:
-        return rho_variant(a.rebuild(u2), rho)
-
+        return inner
+    basis = inner.eta_variant_basis if inner.eta_variant_basis is not None else inner.eta
     return OnlineAlgorithm(
-        name=f"{rho:g}-variant {a.name}",
+        name=f"{rho:g}-variant {inner.name}",
         umts=u,
         alpha=inner.alpha,
         declared_ratio=inner.declared_ratio,
-        beta=a.beta * rho,
+        beta=inner.beta * rho,
         eta=basis * rho,
         probabilities=inner.probabilities,
         phi=inner.phi,
         phi_sup=inner.phi_sup,
         zero_crossing=inner.zero_crossing,
-        rebuild=rebuild,
-        descriptor={"family": "rho-variant", "rho": rho, "base": a.descriptor},
+        rebuild=lambda u2: rho_variant(family, u2, rho),
+        descriptor={"family": "rho-variant", "rho": rho, "base": inner.descriptor},
         eta_variant_basis=basis * rho,
         local_cost_integral=inner.local_cost_integral,
         probabilities_batch=inner.probabilities_batch,

@@ -17,7 +17,7 @@ competitive bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -209,32 +209,3 @@ class Step:
     @cached_property
     def phi(self) -> float:
         return self.alg.phi(self.w2)
-
-
-@dataclass
-class StepRecord:
-    state: str
-    delta: float
-    moving: float
-    local: float
-    dhat: float | None = None
-    p_before: np.ndarray | None = None
-    p_after: np.ndarray | None = None
-
-
-@dataclass
-class CostLedger:
-    """Accumulates online costs over one run."""
-
-    moving_total: float = 0.0
-    local_total: float = 0.0
-    steps: list[StepRecord] = field(default_factory=list)
-
-    @property
-    def total(self) -> float:
-        return self.moving_total + self.local_total
-
-    def record(self, state, delta, moving, local, dhat=None, p_before=None, p_after=None):
-        self.moving_total += moving
-        self.local_total += local
-        self.steps.append(StepRecord(state, delta, moving, local, dhat, p_before, p_after))

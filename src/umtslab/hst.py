@@ -226,7 +226,7 @@ def _rhst_node(u_node: Umts, node: HstNode):
         u_node,
         blocks,
         child_algs,
-        quotient_builder=lambda q: rho_variant(combined_algorithm(q), 0.5),
+        quotient_builder=lambda q: rho_variant(combined_algorithm, q, 0.5),
         declared_beta=1.0,
         declared_eta=0.5,
     )
@@ -316,7 +316,7 @@ def _caching_node(u_node: Umts, node: HstNode):
         u_node,
         blocks,
         child_algs,
-        quotient_builder=lambda q: rho_variant(w_combined_algorithm(q), 0.5),
+        quotient_builder=lambda q: rho_variant(w_combined_algorithm, q, 0.5),
         declared_beta=1.0,
         declared_eta=0.6,
     )
@@ -378,7 +378,7 @@ def line_algorithm(n: int, gap: float = 1.0, s: float = 1.0, name: str | None = 
             u_node,
             blocks,
             child_algs,
-            quotient_builder=lambda q: rho_variant(two_stable(q), 0.25),
+            quotient_builder=lambda q: rho_variant(two_stable, q, 0.25),
         )
 
     alg = rec(u, tree)

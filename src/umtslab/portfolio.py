@@ -121,7 +121,7 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
         sub = block_subsystem(host, blk)
         if not big:
             return trivial_algorithm(sub)
-        return rho_variant(odd_exponent(sub), 0.1)
+        return rho_variant(odd_exponent, sub, 0.1)
 
     summary = {
         "family": "bucket-merge",
@@ -135,7 +135,7 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
 
     if b_prime == 1:
         log_x = blocks[0][1]
-        alg = rho_variant(odd_exponent(u), 0.1)
+        alg = rho_variant(odd_exponent, u, 0.1)
         _require(
             alg.declared_ratio <= ratio_budget(u.s, log_x) * (1 + 1e-9),
             "block ratio exceeds its scale budget",
@@ -172,7 +172,7 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
             u_tail,
             tail_blocks,
             tail_algs,
-            quotient_builder=lambda q: rho_variant(odd_exponent(q), 0.2),
+            quotient_builder=lambda q: rho_variant(odd_exponent, q, 0.2),
             declared_beta=0.5,
             declared_eta=0.3,
         )
@@ -186,7 +186,7 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
         u,
         [head_labels, tail_labels],
         [block_algs[0], merged_tail],
-        quotient_builder=lambda q: rho_variant(two_stable(q), 0.1),
+        quotient_builder=lambda q: rho_variant(two_stable, q, 0.1),
         declared_beta=EXPORT_BETA,
         declared_eta=EXPORT_ETA,
         name=final_name,
@@ -226,13 +226,13 @@ def w_combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
     tail_alg = (
         trivial_algorithm(sub_tail)
         if len(tail) == 1
-        else rho_variant(odd_exponent(sub_tail), 0.2)
+        else rho_variant(odd_exponent, sub_tail, 0.2)
     )
     alg = combine(
         u,
         [[anchor], tail],
         [trivial_algorithm(block_subsystem(u, [anchor])), tail_alg],
-        quotient_builder=lambda q: rho_variant(two_stable(q), 0.2),
+        quotient_builder=lambda q: rho_variant(two_stable, q, 0.2),
         declared_beta=W_EXPORT_BETA,
         declared_eta=W_EXPORT_ETA,
         name=name or f"wcombined({u.n})",

@@ -11,6 +11,7 @@ iteration is itself a meaningful signal (the declared ratio is too small).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -158,6 +159,42 @@ def _last_root(f, xs) -> float:
 # value iteration on gridded work-function differences
 
 
+def grid_levels(n: int, diameter: float, grid_step: float | None = None) -> int:
+    """Grid levels across the diameter: set by the grid step, or by default
+    16, 10 or 8 as n is at most 4, at most 6, or larger."""
+    if grid_step is None:
+        return 16 if n <= 4 else 10 if n <= 6 else 8
+    return max(2, int(round(diameter / grid_step)))
+
+
+@functools.lru_cache(maxsize=None)
+def _corners(n: int) -> np.ndarray:
+    """The 2^n corners of the unit cube, in itertools.product order."""
+    bits = np.arange(n - 1, -1, -1)
+    return (np.arange(2**n)[:, None] >> bits[None, :]) & 1
+
+
+class GridIndex:
+    """Rows of normalized grid states, found by their codes in radix levels + 1.
+
+    The codes of the enumerated states are sorted once; ``find`` encodes any
+    batch of states with entries in [0, levels] and looks them up with
+    ``searchsorted``.
+    """
+
+    def __init__(self, states: np.ndarray, levels: int):
+        self.radix = (levels + 1) ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
+        codes = states @ self.radix
+        self.rows = np.argsort(codes, kind="stable")
+        self.codes = codes[self.rows]
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Row of each state in ``keys`` (shape (..., n)), or -1 where absent."""
+        codes = np.asarray(keys, dtype=np.int64) @ self.radix
+        pos = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        return np.where(self.codes[pos] == codes, self.rows[pos], -1)
+
+
 @dataclass
 class PotentialEstimate:
     """Gridded least potential over normalized work-function differences."""
@@ -172,32 +209,32 @@ class PotentialEstimate:
     sweeps: int
     last_change: float
     slack: float
-    index: dict = field(repr=False, default_factory=dict)
+    index: GridIndex = field(repr=False)
 
     @property
     def sup(self) -> float:
         return float(self.table.max(initial=0.0))
 
     def phi(self, w) -> float:
-        """Multilinear interpolation at a (possibly off-grid) work function."""
+        """Multilinear interpolation at a (possibly off-grid) work function.
+
+        The 2^n corner terms are summed in corner order, one after another,
+        so the value does not depend on how the corners are batched.
+        """
         w = np.asarray(w, dtype=float)
         x = (w - w.min()) / self.h
         x = np.clip(x, 0.0, float(self.levels))
-        lo = np.floor(x).astype(int)
+        lo = np.floor(x).astype(np.int64)
         frac = x - lo
-        total, n = 0.0, len(x)
-        for corner in itertools.product((0, 1), repeat=n):
-            k = np.minimum(lo + np.array(corner), self.levels)
-            weight = np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
-            if weight == 0.0:
-                continue
-            k = k - k.min()
-            if self.symmetric:
-                k = np.sort(k)
-            row = self.index.get(k.astype(np.int64).tobytes())
-            if row is not None:
-                total += weight * self.table[row]
-        return float(total)
+        corners = _corners(len(x))
+        keys = np.minimum(lo + corners, self.levels)
+        keys -= keys.min(axis=1, keepdims=True)
+        if self.symmetric:
+            keys.sort(axis=1)
+        weights = np.where(corners == 1, frac, 1.0 - frac).prod(axis=1)
+        # every clipped, normalized corner is a grid state, so each is found
+        terms = weights * self.table[self.index.find(keys)]
+        return float(np.cumsum(terms)[-1])
 
 
 def vi_state_count(n: int, levels: int, symmetric: bool) -> int:
@@ -234,20 +271,18 @@ def estimate_potential(
 
     Works on spaces whose distances are integer multiples of the grid step
     (uniform spaces in particular), for rules that supply their
-    ``local_cost_integral``. Divergence is reported, not raised: it
-    signals the declared ratio is below what the rule actually needs.
+    ``local_cost_integral``; it is called once per charge direction on all
+    grid states at once. Divergence is reported, not raised: it signals the
+    declared ratio is below what the rule actually needs.
     """
     u = u if u is not None else alg.umts
     n, D = u.n, u.diameter()
     if n == 1:
-        est = PotentialEstimate(
-            np.zeros((1, 1), dtype=np.int64), np.zeros(1), 1.0, 0, False, True, False, 0, 0.0, 0.0
+        states = np.zeros((1, 1), dtype=np.int64)
+        return PotentialEstimate(
+            states, np.zeros(1), 1.0, 0, False, True, False, 0, 0.0, 0.0, GridIndex(states, 0)
         )
-        est.index[np.zeros(1, dtype=np.int64).tobytes()] = 0
-        return est
-    if grid_step is None:
-        grid_step = D / (16 if n <= 4 else 10 if n <= 6 else 8)
-    levels = max(2, int(round(D / grid_step)))
+    levels = grid_levels(n, D, grid_step)
     h = D / levels
     steps = u.metric.dist / h
     if np.abs(steps - np.round(steps)).max() > 1e-6:
@@ -264,7 +299,7 @@ def estimate_potential(
         raise ValueError("state grid too large; coarsen grid_step or shrink the space")
     states = _enumerate_states(n, levels, symmetric)
     S = states.shape[0]
-    index = {states[i].tobytes(): i for i in range(S)}
+    index = GridIndex(states, levels)
 
     W = states.astype(float) * h
     if hasattr(alg, "probabilities_batch") and alg.probabilities_batch is not None:
@@ -283,14 +318,9 @@ def estimate_potential(
         tgt_states -= tgt_states.min(axis=1)[:, None]
         if symmetric:
             tgt_states = np.sort(tgt_states, axis=1)
-        rows = np.array(
-            [index[tgt_states[i].tobytes()] if legal[i] else -1 for i in range(S)],
-            dtype=np.int64,
-        )
+        rows = np.where(legal, index.find(tgt_states), -1)
         move = u.s * _uniform_or_transport_batch(u, P, P[np.maximum(rows, 0)], D)
-        local = np.array(
-            [alg.local_cost_integral(W[i], v, h) if legal[i] else 0.0 for i in range(S)]
-        )
+        local = np.where(legal, alg.local_cost_integral(W, v, h), 0.0)
         gain[v] = np.where(legal, move + local - r * alpha[v] * h, -np.inf)
         target[v] = rows
 

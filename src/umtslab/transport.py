@@ -51,6 +51,19 @@ def _lp_cost(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return float(res.fun)
 
 
+def _require_distribution(p: np.ndarray) -> None:
+    """Reject p unless its entries are at least -1e-12 and sum to 1 within
+    EPS_EQ. This runs on every step, so it makes one pass over the entries;
+    a NaN or infinite entry leaves the sum off 1."""
+    total = 0.0
+    for x in p.tolist():
+        if x < -1e-12:
+            raise ValueError(f"not a distribution: negative entry {x}")
+        total += x
+    if not abs(total - 1.0) <= EPS_EQ:
+        raise ValueError(f"not a distribution: entries sum to {total}")
+
+
 def mcost_metric(metric: FiniteMetric, p, q) -> float:
     """Minimal transport cost between distributions p and q under the metric."""
     p = np.asarray(p, dtype=float)
@@ -58,6 +71,8 @@ def mcost_metric(metric: FiniteMetric, p, q) -> float:
     n = metric.n
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError("distribution length does not match the space")
+    _require_distribution(p)
+    _require_distribution(q)
     diff = p - q
     if np.abs(diff).max(initial=0.0) <= 1e-15 or n <= 1:
         return 0.0

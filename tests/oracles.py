@@ -2,7 +2,11 @@
 
 The transport oracle enumerates every spanning-tree basis of the bipartite
 transport graph and solves each by leaf peeling; the offline oracle searches
-all state paths; the line oracle uses the cumulative-mass formula.
+all state paths; the line oracle uses the cumulative-mass formula. The
+gridded-potential oracles are the straightforward loops: interpolation over
+the 2^n corners one by one through a dict of state rows, and value
+iteration whose local costs come from one scalar call per state and
+direction.
 """
 
 from __future__ import annotations
@@ -129,3 +133,96 @@ def random_metric(rng: np.random.Generator, n: int) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
     return d
+
+
+def _row_dict(states) -> dict:
+    return {np.asarray(k, dtype=np.int64).tobytes(): i for i, k in enumerate(states)}
+
+
+def reference_phi(est, w) -> float:
+    """Multilinear interpolation of a gridded estimate, corner by corner."""
+    index = _row_dict(est.states)
+    w = np.asarray(w, dtype=float)
+    x = (w - w.min()) / est.h
+    x = np.clip(x, 0.0, float(est.levels))
+    lo = np.floor(x).astype(int)
+    frac = x - lo
+    total, n = 0.0, len(x)
+    for corner in itertools.product((0, 1), repeat=n):
+        k = np.minimum(lo + np.array(corner), est.levels)
+        weight = np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
+        if weight == 0.0:
+            continue
+        k = k - k.min()
+        if est.symmetric:
+            k = np.sort(k)
+        row = index.get(k.astype(np.int64).tobytes())
+        if row is not None:
+            total += weight * est.table[row]
+    return float(total)
+
+
+def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: float = 1e-7):
+    """Value iteration with one local_cost_integral call per state and direction.
+
+    Returns (states, table, sweeps, slack) on the grid of ``grid_step``;
+    the state order, the symmetry rule and the moving cost are the
+    estimator's, so the tables compare row by row.
+    """
+    from umtslab.potential import _enumerate_states, _uniform_or_transport_batch
+
+    n, D = u.n, u.diameter()
+    levels = max(2, int(round(D / grid_step)))
+    h = D / levels
+    steps = np.round(u.metric.dist / h).astype(np.int64)
+    rates = np.asarray(u.rates)
+    symmetric = (
+        getattr(alg, "symmetric_rule", False)
+        and np.abs(u.metric.dist[~np.eye(n, dtype=bool)] - D).max() < 1e-9
+        and np.abs(rates - rates[0]).max() < 1e-9
+    )
+    states = _enumerate_states(n, levels, symmetric)
+    S = states.shape[0]
+    index = _row_dict(states)
+    W = states.astype(float) * h
+    if getattr(alg, "probabilities_batch", None) is not None:
+        P = alg.probabilities_batch(W)
+    else:
+        P = np.array([alg.probabilities(w) for w in W])
+    r, alpha = alg.declared_ratio, np.asarray(alg.alpha)
+    target = np.full((n, S), -1, dtype=np.int64)
+    gain = np.zeros((n, S))
+    for v in range(n):
+        caps = (states + steps[:, v][None, :] + np.where(np.arange(n) == v, 10 * levels, 0)[None, :]).min(axis=1)
+        legal = (states[:, v] + 1 <= caps) & (P[:, v] > 1e-12)
+        tgt = states.copy()
+        tgt[:, v] += 1
+        tgt -= tgt.min(axis=1)[:, None]
+        if symmetric:
+            tgt = np.sort(tgt, axis=1)
+        rows = np.array([index[tgt[i].tobytes()] if legal[i] else -1 for i in range(S)], dtype=np.int64)
+        move = u.s * _uniform_or_transport_batch(u, P, P[np.maximum(rows, 0)], D)
+        local = np.array(
+            [float(alg.local_cost_integral(W[i], v, h)) if legal[i] else 0.0 for i in range(S)]
+        )
+        gain[v] = np.where(legal, move + local - r * alpha[v] * h, -np.inf)
+        target[v] = rows
+    table = np.zeros(S)
+    blowup = 50.0 * max(r, 1.0) * D + 10.0
+    sweeps = 0
+    while sweeps < max_sweeps:
+        best = np.zeros(S)
+        for v in range(n):
+            best = np.maximum(best, gain[v] + np.where(target[v] >= 0, table[np.maximum(target[v], 0)], 0.0))
+        new = np.maximum(0.0, best)
+        change = float(np.abs(new - table).max())
+        table = new
+        sweeps += 1
+        if change < tol or table.max() > blowup:
+            break
+    slack = 0.0
+    for v in range(n):
+        ok = target[v] >= 0
+        if ok.any():
+            slack = max(slack, float(np.abs(table[target[v][ok]] - table[ok]).max()))
+    return states, table, sweeps, slack

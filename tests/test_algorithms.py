@@ -157,35 +157,32 @@ def test_trivial_algorithm():
 
 
 def test_rho_variant_constants():
-    base = odd_exponent(u_uniform(2))
-    var = rho_variant(base, 0.1)
+    var = rho_variant(odd_exponent, u_uniform(2), 0.1)
     assert abs(var.declared_ratio - (1.0 + 60.0 * math.log(2))) < EPS
     assert abs(var.beta - 0.1) < EPS
     assert abs(var.eta - 0.1) < EPS
-    ts = two_stable(u_uniform(2, rates=[1.0, 1.0]))
-    tsv = rho_variant(ts, 0.1)
+    tsv = rho_variant(two_stable, u_uniform(2, rates=[1.0, 1.0]), 0.1)
     assert abs(tsv.declared_ratio - 11.0) < EPS
     assert abs(tsv.beta - 0.1) < EPS
     assert abs(tsv.eta - 0.2) < EPS
 
 
 def test_rho_variant_contracts_support():
-    base = odd_exponent(u_uniform(2))
-    var = rho_variant(base, 0.1)
+    var = rho_variant(odd_exponent, u_uniform(2), 0.1)
     assert np.allclose(probabilities(var, [0.5, 0.0]), [0.0, 1.0], atol=EPS)
     assert np.allclose(probabilities(var, [0.05, 0.0]), [0.25, 0.75], atol=EPS)
     assert abs(var.zero_crossing(np.array([0.02, 0.0]), 0) - 0.08) < EPS
 
 
 def test_rho_variant_validation_and_identity():
-    base = two_stable(u_uniform(2))
-    assert rho_variant(base, 1.0) is base
+    u = u_uniform(2)
+    assert rho_variant(two_stable, u, 1.0).descriptor == two_stable(u).descriptor
     with pytest.raises(ValueError):
-        rho_variant(base, 0.0)
+        rho_variant(two_stable, u, 0.0)
     with pytest.raises(ValueError):
-        rho_variant(base, 1.5)
-    double = rho_variant(rho_variant(base, 0.5), 0.5)
-    quarter = rho_variant(base, 0.25)
+        rho_variant(two_stable, u, 1.5)
+    double = rho_variant(lambda uu: rho_variant(two_stable, uu, 0.5), u, 0.5)
+    quarter = rho_variant(two_stable, u, 0.25)
     assert abs(double.declared_ratio - quarter.declared_ratio) < EPS
     assert abs(double.eta - quarter.eta) < EPS
 

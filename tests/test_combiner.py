@@ -55,7 +55,7 @@ def three_level_metric():
 
 
 def ts_var(rho):
-    return lambda uu: rho_variant(two_stable(uu), rho)
+    return lambda uu: rho_variant(two_stable, uu, rho)
 
 
 def drive(calg, steps, seed):
@@ -99,7 +99,7 @@ def instance_c():
     u = Umts(make_uniform(3, 1.0), np.array([2.0, 1.0, 0.5]), 1.0)
     blocks = [["v1"], ["v2"], ["v3"]]
     balgs = [trivial_algorithm(block_subsystem(u, b)) for b in blocks]
-    return combine(u, blocks, balgs, lambda uu: rho_variant(odd_exponent(uu), 0.2))
+    return combine(u, blocks, balgs, lambda uu: rho_variant(odd_exponent, uu, 0.2))
 
 
 def instance_d():

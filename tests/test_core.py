@@ -5,7 +5,6 @@ import pytest
 
 from oracles import offline_exhaustive, random_metric
 from umtslab.core import (
-    CostLedger,
     ElementaryTask,
     GeneralTask,
     Umts,
@@ -173,16 +172,10 @@ def test_dp_matches_exhaustive_offline():
         )
 
 
-def test_task_charges_and_ledger():
+def test_task_charges_and_validation():
     u = u2()
     c = task_charges(u, ElementaryTask("v2", 0.3))
     assert c.tolist() == [0.0, 0.3]
-
-    ledger = CostLedger()
-    ledger.record("v1", 0.5, moving=0.2, local=0.1)
-    ledger.record("v2", 0.1, moving=0.0, local=0.05, dhat=0.08)
-    assert ledger.total == pytest.approx(0.35)
-    assert ledger.steps[1].dhat == 0.08
 
     with pytest.raises(ValueError):
         ElementaryTask("v1", -0.1)

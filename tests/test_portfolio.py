@@ -129,7 +129,7 @@ def test_combined_variant_contracts_constants():
     u = Umts(make_uniform(3), np.array([3.0, 1.0, 2.0]), 1.0)
     from umtslab.algorithms import rho_variant
 
-    var = rho_variant(combined_algorithm(u), 0.5)
+    var = rho_variant(combined_algorithm, u, 0.5)
     assert (var.beta, var.eta) == (0.5, 0.25)
     # rebuilt at doubled distance ratio: the contracted quotients double too
     tail_hat = 2.0 + 60.0 * math.log(2.0)

@@ -1,16 +1,32 @@
 """Band construction and gridded potential estimates."""
 
 import dataclasses
+import functools
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from oracles import reference_estimate, reference_phi
+from umtslab import algorithms
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import Umts, moving_cost
+from umtslab.hst import weighted_caching_algorithm
 from umtslab.metricspace import make_uniform
-from umtslab.potential import BandPotential, TwoPointRule, estimate_potential
+from umtslab.portfolio import combined_algorithm
+from umtslab.potential import (
+    BandPotential,
+    GridIndex,
+    PotentialEstimate,
+    TwoPointRule,
+    _enumerate_states,
+    estimate_potential,
+    vi_state_count,
+)
 
 
 def ts_rule(d, s, r1, r2, ratio):
@@ -187,7 +203,7 @@ def test_estimate_box_grid_unequal_rates():
     est = estimate_potential(a, u, grid_step=0.125)
     assert not est.symmetric
     assert est.converged
-    assert abs(est.phi(np.zeros(3)) - est.table[est.index[np.zeros(3, dtype=np.int64).tobytes()]]) < 1e-12
+    assert abs(est.phi(np.zeros(3)) - est.table[est.index.find(np.zeros(3, dtype=np.int64))]) < 1e-12
 
 
 def test_trivial_and_single_point_potentials_vanish():
@@ -209,3 +225,112 @@ def test_estimate_rejects_incompatible_grid():
     a = trivial_algorithm(u)
     with pytest.raises(ValueError):
         estimate_potential(a, u, grid_step=1.7 / 4)
+
+
+@functools.lru_cache(maxsize=None)
+def grid_states(n: int, levels: int, symmetric: bool) -> np.ndarray:
+    return _enumerate_states(n, levels, symmetric)
+
+
+@st.composite
+def estimates_and_points(draw):
+    """A gridded estimate with a random table, and a work function placed on
+    the grid, off it, or partly beyond ``levels`` (where phi clips)."""
+    n = draw(st.integers(2, 8))
+    symmetric = draw(st.booleans())
+    top = max(l for l in range(2, 17) if vi_state_count(n, l, symmetric) <= 20_000)
+    levels = draw(st.integers(2, top))
+    h = draw(st.sampled_from([0.125, 0.3, 1.0, 2.5]))
+    states = grid_states(n, levels, symmetric)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.uniform(0.0, 10.0, states.shape[0])
+    est = PotentialEstimate(
+        states, table, h, levels, symmetric, True, False, 1, 0.0, 0.0, GridIndex(states, levels)
+    )
+    kind = draw(st.sampled_from(["on-grid", "off-grid", "beyond"]))
+    if kind == "on-grid":
+        w = rng.integers(0, levels + 1, n) * h
+    elif kind == "off-grid":
+        w = rng.uniform(0.0, levels * h, n)
+    else:
+        w = rng.uniform(0.0, 2.5 * levels * h, n)
+        w[rng.integers(n)] = levels * h * 1.7
+    return est, w + draw(st.sampled_from([0.0, -3.7, 11.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(estimates_and_points())
+def test_phi_matches_corner_loop(case):
+    est, w = case
+    assert est.phi(w) == reference_phi(est, w)
+
+
+@pytest.mark.parametrize(
+    "alg_factory, n, rates, grid_step",
+    [
+        (odd_exponent, 3, [2.0, 1.0, 0.5], 0.125),
+        (odd_exponent, 4, [1.0] * 4, 1.0 / 16),
+        (odd_exponent, 5, [1.0, 3.0, 2.0, 1.0, 0.5], 0.25),
+        (odd_exponent, 6, [1.0] * 6, 0.1),
+        (trivial_algorithm, 3, [1.0, 2.0, 3.0], 0.25),
+        (two_stable, 2, [2.0, 0.5], 1.0 / 16),
+    ],
+)
+def test_estimate_table_matches_per_state_build(alg_factory, n, rates, grid_step):
+    u = Umts(make_uniform(n, 1.0), np.array(rates), 1.0)
+    a = alg_factory(u)
+    if alg_factory is trivial_algorithm:
+        a = dataclasses.replace(a, declared_ratio=a.declared_ratio + 1.0)
+    est = estimate_potential(a, u, grid_step=grid_step)
+    states, table, sweeps, slack = reference_estimate(a, u, grid_step)
+    assert np.array_equal(est.states, states)
+    assert np.array_equal(est.table, table)
+    assert (est.sweeps, est.slack) == (sweeps, slack)
+
+
+def held_estimates(root) -> set[int]:
+    """Ids of the PotentialEstimates reachable from an algorithm through its
+    fields, containers, closures and bound methods, but not its rebuilds."""
+    found, seen, todo = set(), set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, bool, type(None), type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, PotentialEstimate):
+            found.add(id(obj))
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, types.MethodType):
+            todo.extend((obj.__self__, obj.__func__))
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif isinstance(obj, algorithms.OnlineAlgorithm) or hasattr(obj, "__dataclass_fields__"):
+            todo.extend(v for k, v in vars(obj).items() if k != "rebuild")
+    return found
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: weighted_caching_algorithm([1.0, 1.5, 2.0, 1.2]),
+        lambda: combined_algorithm(Umts(make_uniform(4), np.array([3.0, 1.0, 2.0, 0.5]), 1.0)),
+    ],
+    ids=["caching-k3", "combined-n4"],
+)
+def test_each_estimate_is_built_once(monkeypatch, build):
+    made = []
+
+    def counted(*args, **kwargs):
+        est = estimate_potential(*args, **kwargs)
+        made.append(est)
+        return est
+
+    monkeypatch.setattr(algorithms, "estimate_potential", counted)
+    alg = build()
+    held = held_estimates(alg)
+    assert held, "the built algorithm should hold a gridded potential"
+    assert len(made) == len(held)
+    assert held == {id(est) for est in made}

@@ -80,3 +80,30 @@ def test_as_probability():
         as_probability([0.6, 0.6])
     with pytest.raises(ValueError):
         as_probability([1.5, -0.5])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0.5, np.nan, 0.5],
+        [0.5, np.inf, -np.inf],
+        [np.inf, 0.0, 0.0],
+        [1.0 + 1e-11, -1e-11, 0.0],
+        [0.5, 0.5, 1e-8],
+        [0.3, 0.3, 0.3],
+    ],
+)
+def test_mcost_requires_distributions(bad):
+    for m in (make_uniform(3, 1.0), make_line(3, 1.0)):
+        good = [0.2, 0.3, 0.5]
+        with pytest.raises(ValueError):
+            mcost_metric(m, bad, good)
+        with pytest.raises(ValueError):
+            mcost_metric(m, good, bad)
+
+
+def test_mcost_accepts_rounding_noise():
+    m = make_uniform(3, 1.0)
+    p = [0.5 + 1e-13, 0.5, -1e-13]
+    q = [0.5, 0.5 - 5e-10, 5e-10 + 1e-10]
+    assert mcost_metric(m, p, q) == pytest.approx(0.0, abs=1e-9)
