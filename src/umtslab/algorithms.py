@@ -10,7 +10,7 @@ the work function; all randomness lives in the probability vector itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -18,13 +18,7 @@ from scipy.optimize import brentq
 
 from umtslab.core import Umts, support_headroom
 from umtslab.metricspace import scale_metric
-from umtslab.potential import (
-    BandPotential,
-    TwoPointRule,
-    estimate_potential,
-    grid_levels,
-    vi_state_count,
-)
+from umtslab.potential import BandPotential, TwoPointRule, estimate_potential, grid_shape
 from umtslab.tolerances import EPS_EQ
 
 
@@ -32,15 +26,15 @@ from umtslab.tolerances import EPS_EQ
 class OnlineAlgorithm:
     """A stable rule with its potential, ratio, and constraint constants.
 
-    ``probabilities(w)`` maps a work function to a distribution over states.
+    ``probabilities(w)`` maps a work function to a distribution over states;
+    the atomic families take work functions of shape ``(..., n)`` and return
+    one distribution per leading index.
     ``phi(w)`` is a potential certifying the declared ratio;
     ``zero_crossing(w, v)`` is the largest charge at state ``v`` that keeps
     the run reasonable (probability positive throughout).
     ``local_cost_integral(w, v, delta)`` is the local cost of raising
     ``w[..., v]`` by ``delta`` for work functions of shape ``(..., n)``, one
-    value per leading index. ``rebuild`` makes
-    the same family on another system, which is how distance-ratio variants
-    are produced.
+    value per leading index.
     """
 
     name: str
@@ -53,11 +47,9 @@ class OnlineAlgorithm:
     phi: Callable[[np.ndarray], float]
     phi_sup: float
     zero_crossing: Callable[[np.ndarray, int], float]
-    rebuild: Callable[[Umts], "OnlineAlgorithm"]
     descriptor: dict
-    eta_variant_basis: float | None = None
+    eta_variant_basis: float
     local_cost_integral: Callable[[np.ndarray, int, float], np.ndarray] | None = None
-    probabilities_batch: Callable[[np.ndarray], np.ndarray] | None = None
     phi_slack: float = 0.0
     symmetric_rule: bool = False
     parts: object | None = None
@@ -90,17 +82,14 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
     """
     label = min(u.labels) if state is None else state
     v = u.metric.index(label)
-    n = u.n
-    point = np.zeros(n)
-    point[v] = 1.0
-    alpha = point.copy()
+    alpha = np.zeros(u.n)
+    alpha[v] = 1.0
     rate = float(u.rates[v])
 
     def probs(w):
-        return point.copy()
-
-    def probs_batch(W):
-        return np.tile(point, (W.shape[0], 1))
+        p = np.zeros(np.shape(w))
+        p[..., v] = 1.0
+        return p
 
     def phi(w):
         return 0.0
@@ -122,11 +111,9 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
         phi=phi,
         phi_sup=0.0,
         zero_crossing=crossing,
-        rebuild=lambda u2: trivial_algorithm(u2, state=label),
         descriptor={"family": "trivial", "state": label, "ratio": rate},
         eta_variant_basis=0.0,
         local_cost_integral=local_integral,
-        probabilities_batch=probs_batch,
     )
 
 
@@ -138,7 +125,7 @@ def require_uniform(u: Umts) -> float:
     return d
 
 
-def odd_exponent(u: Umts, grid_step: float | None = None) -> OnlineAlgorithm:
+def odd_exponent(u: Umts) -> OnlineAlgorithm:
     """Polynomial rule on a uniform space, ratio max(r) + 6 s ln b.
 
     The exponent is the smallest odd integer at least ln b, so the rule
@@ -159,17 +146,12 @@ def odd_exponent(u: Umts, grid_step: float | None = None) -> OnlineAlgorithm:
     rates = np.asarray(u.rates, dtype=float)
 
     def raw(w):
-        diffs = (w[None, :] - w[:, None]) / d
-        return (1.0 + (diffs**t).sum(axis=1)) / b
+        diffs = (w[..., None, :] - w[..., :, None]) / d
+        return (1.0 + (diffs**t).sum(axis=-1)) / b
 
     def probs(w):
         p = np.maximum(raw(np.asarray(w, dtype=float)), 0.0)
-        return p / p.sum()
-
-    def probs_batch(W):
-        diffs = (W[:, None, :] - W[:, :, None]) / d
-        p = np.maximum((1.0 + (diffs**t).sum(axis=2)) / b, 0.0)
-        return p / p.sum(axis=1, keepdims=True)
+        return p / p.sum(axis=-1, keepdims=True)
 
     def crossing(w, v):
         w = np.asarray(w, dtype=float)
@@ -202,7 +184,6 @@ def odd_exponent(u: Umts, grid_step: float | None = None) -> OnlineAlgorithm:
         phi=lambda w: 0.0,
         phi_sup=0.0,
         zero_crossing=crossing,
-        rebuild=lambda u2: odd_exponent(u2, grid_step=grid_step),
         descriptor={
             "family": "odd-exponent",
             "b": b,
@@ -212,26 +193,26 @@ def odd_exponent(u: Umts, grid_step: float | None = None) -> OnlineAlgorithm:
         },
         eta_variant_basis=1.0,
         local_cost_integral=local_integral,
-        probabilities_batch=probs_batch,
         symmetric_rule=True,
     )
     if b == 2:
         band = _odd_exponent_band(u, d, t, r)
-        alg.phi = lambda w: band.phi(float(w[0] - w[1]))
-        alg.phi_sup = band.sup()
-    else:
-        levels = grid_levels(n, d, grid_step)
-        sym = bool(np.abs(rates - rates[0]).max() < EPS_EQ)
-        if vi_state_count(n, levels, sym) > 400_000:
-            alg.phi_slack = math.inf
-            alg.descriptor["potential"] = "omitted (state grid too large)"
-        else:
-            est = estimate_potential(alg, u, grid_step=grid_step)
-            alg.phi = est.phi
-            alg.phi_sup = est.sup
-            alg.phi_slack = est.slack
-            alg.descriptor["potential_converged"] = est.converged
-    return alg
+        return replace(alg, phi=lambda w: band.phi(float(w[0] - w[1])), phi_sup=band.sup())
+    _, _, fits = grid_shape(alg)
+    if not fits:
+        return replace(
+            alg,
+            phi_slack=math.inf,
+            descriptor={**alg.descriptor, "potential": "omitted (state grid too large)"},
+        )
+    est = estimate_potential(alg)
+    return replace(
+        alg,
+        phi=est.phi,
+        phi_sup=est.sup,
+        phi_slack=est.slack,
+        descriptor={**alg.descriptor, "potential_converged": est.converged},
+    )
 
 
 def _odd_exponent_band(u: Umts, d: float, t: int, r: float) -> BandPotential:
@@ -338,12 +319,16 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
     def p1(y):
         return _ts_p1(y, d, z)
 
-    def probs(w):
-        p = p1(float(w[0] - w[1]))
-        return np.array([p, 1.0 - p])
+    # the closed forms stay on scalar math.exp/expm1 so every value keeps its bits
+    p1_values = np.frompyfunc(p1, 1, 1)
 
-    def probs_batch(W):
-        return np.array([probs(w) for w in W])
+    def probs(w):
+        w = np.asarray(w, dtype=float)
+        p = p1_values(w[..., 0] - w[..., 1])
+        out = np.empty(np.shape(p) + (2,))
+        out[..., 0] = p
+        out[..., 1] = 1.0 - p
+        return out
 
     def phi(w):
         y = float(np.clip(w[0] - w[1], -d, d))
@@ -358,7 +343,6 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
             return r1 * (_ts_big_p1(y + delta, d, z) - _ts_big_p1(y, d, z))
         return r2 * (delta - (_ts_big_p1(y, d, z) - _ts_big_p1(y - delta, d, z)))
 
-    # the closed forms stay on scalar math.exp/expm1 so every value keeps its bits
     local_steps = np.vectorize(local_step, otypes=[float])
 
     def local_integral(w, v, delta):
@@ -380,11 +364,9 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
         phi=phi,
         phi_sup=float(phi_sup),
         zero_crossing=crossing,
-        rebuild=two_stable,
         descriptor={"family": "two-stable", "r1": r1, "r2": r2, "s": u.s, "ratio": r},
         eta_variant_basis=2.0,
         local_cost_integral=local_integral,
-        probabilities_batch=probs_batch,
         symmetric_rule=abs(r1 - r2) < EPS_EQ,
     )
 
@@ -409,23 +391,14 @@ def rho_variant(
         raise ValueError("scaled beta exceeds 1")
     if rho == 1.0:
         return inner
-    basis = inner.eta_variant_basis if inner.eta_variant_basis is not None else inner.eta
-    return OnlineAlgorithm(
+    eta = inner.eta_variant_basis * rho
+    return replace(
+        inner,
         name=f"{rho:g}-variant {inner.name}",
         umts=u,
-        alpha=inner.alpha,
-        declared_ratio=inner.declared_ratio,
         beta=inner.beta * rho,
-        eta=basis * rho,
-        probabilities=inner.probabilities,
-        phi=inner.phi,
-        phi_sup=inner.phi_sup,
-        zero_crossing=inner.zero_crossing,
-        rebuild=lambda u2: rho_variant(family, u2, rho),
+        eta=eta,
         descriptor={"family": "rho-variant", "rho": rho, "base": inner.descriptor},
-        eta_variant_basis=basis * rho,
-        local_cost_integral=inner.local_cost_integral,
-        probabilities_batch=inner.probabilities_batch,
-        phi_slack=inner.phi_slack,
-        symmetric_rule=inner.symmetric_rule,
+        eta_variant_basis=eta,
+        parts=None,  # a combined inner rule's blocks live on the scaled system
     )

@@ -298,7 +298,7 @@ def combine(
         (a.phi_sup / rr for a, rr in zip(block_algs, hat_rates) if rr > 0),
         default=0.0,
     )
-    alg = OnlineAlgorithm(
+    return OnlineAlgorithm(
         name=name or f"combine[{qalg.name} / {'+'.join(a.name for a in block_algs)}]",
         umts=u,
         alpha=alpha,
@@ -309,16 +309,6 @@ def combine(
         phi=phi,
         phi_sup=float(phi_sup),
         zero_crossing=crossing,
-        rebuild=lambda u2: combine(
-            u2,
-            blocks,
-            [a.rebuild(block_subsystem(u2, blk)) for a, blk in zip(block_algs, blocks)],
-            quotient_builder,
-            dist_hat,
-            declared_beta,
-            declared_eta,
-            name,
-        ),
         descriptor={
             "family": "combined",
             "quotient": qalg.descriptor,
@@ -332,7 +322,6 @@ def combine(
         phi_slack=qalg.phi_slack + r * block_slack,
         parts=parts,
     )
-    return alg
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ node).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,21 +156,12 @@ def separate_hst(node: HstNode, k: float = 5.0) -> HstNode:
         e = math.ceil(math.log(v.delta) / math.log(k) - 1e-12)
         d = float(k ** e)
         kids = []
-        for c in rounded_children(v):
-            kids.append(c)
-        return HstNode(delta=d, children=tuple(kids))
-
-    def rounded_children(v: HstNode) -> list[HstNode]:
-        e = math.ceil(math.log(v.delta) / math.log(k) - 1e-12)
-        d = float(k ** e)
-        out = []
-        for c in v.children:
-            rc = rounded(c)
+        for rc in map(rounded, v.children):
             if not rc.is_leaf and rc.delta >= d * (1 - EPS_EQ):
-                out.extend(rc.children)
+                kids.extend(rc.children)
             else:
-                out.append(rc)
-        return out
+                kids.append(rc)
+        return HstNode(delta=d, children=tuple(kids))
 
     lifted = rounded(node)
     validate_hst(lifted, k)
@@ -197,23 +188,21 @@ def rhst(u: Umts, tree: HstNode, name: str | None = None):
         raise ValueError("system metric disagrees with the tree's leaf metric")
 
     alg = _rhst_node(u, tree)
-    alg.name = name or f"rhst({u.n})"
-    alg.eta = 1.0
-    alg.eta_variant_basis = 1.0
     log_np = LOG_X_FLOOR + math.log(u.n)
     bound = 200.0 * u.s * log_np * math.log(log_np)
     if (u.rates <= 1.0 + 1e-12).all() and alg.declared_ratio > bound * (1 + 1e-9):
         raise AssertionError("tree recursion exceeded its ratio budget")
-    alg.descriptor = {
-        "family": "hst-recursion",
-        "ratio_budget": bound,
-        "inner": alg.descriptor,
-    }
-    return alg
+    return replace(
+        alg,
+        name=name or f"rhst({u.n})",
+        eta=1.0,
+        eta_variant_basis=1.0,
+        descriptor={"family": "hst-recursion", "ratio_budget": bound, "inner": alg.descriptor},
+    )
 
 
 def _rhst_node(u_node: Umts, node: HstNode):
-    if node.is_leaf or len(node.children) == 0:
+    if node.is_leaf:
         return trivial_algorithm(u_node)
     if len(node.children) == 1:
         return _rhst_node(u_node, node.children[0])
@@ -288,15 +277,17 @@ def weighted_caching_algorithm(fetch_costs, s: float = 1.0, name: str | None = N
     bound = 60.0 * s * (math.log(metric.n) + 1.0 / 3.0)
     if alg.declared_ratio > bound * (1 + 1e-9):
         raise AssertionError("caching recursion exceeded its ratio budget")
-    alg.name = name or f"caching({metric.n - 1})"
-    alg.descriptor = {
-        "family": "weighted-caching",
-        "pages": metric.n,
-        "fetch_costs": [float(c) for c in costs],
-        "ratio_budget": bound,
-        "inner": alg.descriptor,
-    }
-    return alg
+    return replace(
+        alg,
+        name=name or f"caching({metric.n - 1})",
+        descriptor={
+            "family": "weighted-caching",
+            "pages": metric.n,
+            "fetch_costs": [float(c) for c in costs],
+            "ratio_budget": bound,
+            "inner": alg.descriptor,
+        },
+    )
 
 
 def _caching_node(u_node: Umts, node: HstNode):
@@ -385,11 +376,13 @@ def line_algorithm(n: int, gap: float = 1.0, s: float = 1.0, name: str | None = 
     expected = 1.0 + 4.0 * s * math.log2(n)
     if abs(alg.declared_ratio - expected) > 1e-6 * (1 + expected):
         raise AssertionError("line recursion ratio drifted from its closed form")
-    alg.name = name or f"line({n})"
-    alg.descriptor = {
-        "family": "line-hst",
-        "points": n,
-        "ratio": alg.declared_ratio,
-        "inner": alg.descriptor,
-    }
-    return alg
+    return replace(
+        alg,
+        name=name or f"line({n})",
+        descriptor={
+            "family": "line-hst",
+            "points": n,
+            "ratio": alg.declared_ratio,
+            "inner": alg.descriptor,
+        },
+    )

@@ -21,6 +21,7 @@ tail and merges the two under a contracted two-state quotient, exporting
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -87,15 +88,19 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
     100 * s * ln(x(M)) * lnln(x(M)). The block layout, per-block scales,
     and the checked budget are recorded under ``descriptor["portfolio"]``.
     """
-    final_name = name or f"combined({u.n})"
+    def export(alg: OnlineAlgorithm, descriptor: dict) -> OnlineAlgorithm:
+        return replace(
+            alg,
+            name=name or f"combined({u.n})",
+            beta=EXPORT_BETA,
+            eta=EXPORT_ETA,
+            eta_variant_basis=EXPORT_ETA,
+            descriptor=descriptor,
+        )
+
     if u.n == 1:
         alg = trivial_algorithm(u)
-        alg.name = final_name
-        alg.beta, alg.eta = EXPORT_BETA, EXPORT_ETA
-        alg.eta_variant_basis = EXPORT_ETA
-        alg.rebuild = lambda u2: combined_algorithm(u2, name)
-        alg.descriptor = {"family": "bucket-merge", "inner": alg.descriptor}
-        return alg
+        return export(alg, {"family": "bucket-merge", "inner": alg.descriptor})
     require_uniform(u)
     labels = u.metric.labels
     logs = np.array([solve_log_x(u.s, float(r)) for r in u.rates])
@@ -140,13 +145,8 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
             alg.declared_ratio <= ratio_budget(u.s, log_x) * (1 + 1e-9),
             "block ratio exceeds its scale budget",
         )
-        alg.name = final_name
-        alg.beta, alg.eta = EXPORT_BETA, EXPORT_ETA
-        alg.eta_variant_basis = EXPORT_ETA
-        alg.rebuild = lambda u2: combined_algorithm(u2, name)
         summary["inner"] = alg.descriptor
-        alg.descriptor = summary
-        return alg
+        return export(alg, summary)
 
     block_algs = []
     for idx, log_x, big in blocks:
@@ -189,7 +189,6 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
         quotient_builder=lambda q: rho_variant(two_stable, q, 0.1),
         declared_beta=EXPORT_BETA,
         declared_eta=EXPORT_ETA,
-        name=final_name,
     )
     _require(
         alg.declared_ratio <= summary["budget"] * (1 + 1e-9),
@@ -197,9 +196,7 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
     )
     summary["tail_bound"] = tail_bound
     summary["combine"] = alg.descriptor
-    alg.descriptor = summary
-    alg.rebuild = lambda u2: combined_algorithm(u2, name)
-    return alg
+    return export(alg, summary)
 
 
 def w_combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
@@ -246,12 +243,13 @@ def w_combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
         alg.declared_ratio <= bound * (1 + 1e-9) + 1e-9,
         "anchored merge ratio exceeds its closed-form bound",
     )
-    alg.descriptor = {
-        "family": "anchored-merge",
-        "bound": float(bound),
-        "anchor_rate": r1,
-        "tail_rate": r2,
-        "combine": alg.descriptor,
-    }
-    alg.rebuild = lambda u2: w_combined_algorithm(u2, name)
-    return alg
+    return replace(
+        alg,
+        descriptor={
+            "family": "anchored-merge",
+            "bound": float(bound),
+            "anchor_rate": r1,
+            "tail_rate": r2,
+            "combine": alg.descriptor,
+        },
+    )

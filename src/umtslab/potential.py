@@ -23,6 +23,8 @@ from scipy.optimize import brentq
 from umtslab.tolerances import EPS_EQ
 
 VI_TOL = 1e-7
+VI_MAX_SWEEPS = 4000
+MAX_GRID_STATES = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +161,28 @@ def _last_root(f, xs) -> float:
 # value iteration on gridded work-function differences
 
 
-def grid_levels(n: int, diameter: float, grid_step: float | None = None) -> int:
-    """Grid levels across the diameter: set by the grid step, or by default
-    16, 10 or 8 as n is at most 4, at most 6, or larger."""
+def grid_shape(alg, grid_step: float | None = None) -> tuple[int, bool, bool]:
+    """The value-iteration grid for ``alg`` on its system.
+
+    Returns the levels across the diameter (set by the grid step, or by
+    default 16, 10 or 8 as n is at most 4, at most 6, or larger); whether
+    the states are kept sorted, which a symmetric rule allows on a uniform
+    space with equal rates; and whether the grid holds at most
+    ``MAX_GRID_STATES`` states.
+    """
+    u = alg.umts
+    n, D = u.n, u.diameter()
     if grid_step is None:
-        return 16 if n <= 4 else 10 if n <= 6 else 8
-    return max(2, int(round(diameter / grid_step)))
+        levels = 16 if n <= 4 else 10 if n <= 6 else 8
+    else:
+        levels = max(2, int(round(D / grid_step)))
+    rates = np.asarray(u.rates)
+    symmetric = bool(
+        alg.symmetric_rule
+        and np.abs(u.metric.dist[~np.eye(n, dtype=bool)] - D).max() < EPS_EQ
+        and np.abs(rates - rates[0]).max() < EPS_EQ
+    )
+    return levels, symmetric, vi_state_count(n, levels, symmetric) <= MAX_GRID_STATES
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,28 +263,15 @@ def vi_state_count(n: int, levels: int, symmetric: bool) -> int:
 
 
 def _enumerate_states(n: int, levels: int, symmetric: bool) -> np.ndarray:
+    """Normalized grid states (some entry 0), in itertools order."""
     if symmetric:
-        rows = [
-            k
-            for k in itertools.combinations_with_replacement(range(levels + 1), n)
-            if k[0] == 0
-        ]
-    else:
-        rows = [
-            k
-            for k in itertools.product(range(levels + 1), repeat=n)
-            if min(k) == 0
-        ]
-    return np.array(rows, dtype=np.int64)
+        rest = itertools.combinations_with_replacement(range(levels + 1), n - 1)
+        return np.array([(0, *k) for k in rest], dtype=np.int64)
+    k = np.indices((levels + 1,) * n, dtype=np.int64).reshape(n, -1).T
+    return k[k.min(axis=1) == 0]
 
 
-def estimate_potential(
-    alg,
-    u=None,
-    grid_step: float | None = None,
-    max_sweeps: int = 4000,
-    tol: float = VI_TOL,
-) -> PotentialEstimate:
+def estimate_potential(alg, grid_step: float | None = None) -> PotentialEstimate:
     """Least valid potential by value iteration over grid-step continuations.
 
     Works on spaces whose distances are integer multiples of the grid step
@@ -275,37 +280,27 @@ def estimate_potential(
     grid states at once. Divergence is reported, not raised: it signals the
     declared ratio is below what the rule actually needs.
     """
-    u = u if u is not None else alg.umts
+    u = alg.umts
     n, D = u.n, u.diameter()
     if n == 1:
         states = np.zeros((1, 1), dtype=np.int64)
         return PotentialEstimate(
             states, np.zeros(1), 1.0, 0, False, True, False, 0, 0.0, 0.0, GridIndex(states, 0)
         )
-    levels = grid_levels(n, D, grid_step)
+    levels, symmetric, fits = grid_shape(alg, grid_step)
     h = D / levels
     steps = u.metric.dist / h
     if np.abs(steps - np.round(steps)).max() > 1e-6:
         raise ValueError("grid step must divide every pairwise distance")
     steps = np.round(steps).astype(np.int64)
-
-    rates = np.asarray(u.rates)
-    symmetric = (
-        getattr(alg, "symmetric_rule", False)
-        and np.abs(u.metric.dist[~np.eye(n, dtype=bool)] - D).max() < EPS_EQ
-        and np.abs(rates - rates[0]).max() < EPS_EQ
-    )
-    if vi_state_count(n, levels, symmetric) > 400_000:
+    if not fits:
         raise ValueError("state grid too large; coarsen grid_step or shrink the space")
     states = _enumerate_states(n, levels, symmetric)
     S = states.shape[0]
     index = GridIndex(states, levels)
 
     W = states.astype(float) * h
-    if hasattr(alg, "probabilities_batch") and alg.probabilities_batch is not None:
-        P = alg.probabilities_batch(W)
-    else:
-        P = np.array([alg.probabilities(w) for w in W])
+    P = alg.probabilities(W)
 
     r, alpha = alg.declared_ratio, np.asarray(alg.alpha)
     target = np.full((n, S), -1, dtype=np.int64)
@@ -327,7 +322,7 @@ def estimate_potential(
     table = np.zeros(S)
     blowup = 50.0 * max(r, 1.0) * D + 10.0
     sweeps, change, diverged = 0, np.inf, False
-    while sweeps < max_sweeps:
+    while sweeps < VI_MAX_SWEEPS:
         best = np.zeros(S)
         for v in range(n):
             cand = gain[v] + np.where(target[v] >= 0, table[np.maximum(target[v], 0)], 0.0)
@@ -336,12 +331,12 @@ def estimate_potential(
         change = float(np.abs(new - table).max())
         table = new
         sweeps += 1
-        if change < tol:
+        if change < VI_TOL:
             break
         if table.max() > blowup:
             diverged = True
             break
-    converged = change < tol and not diverged
+    converged = change < VI_TOL and not diverged
 
     slack = 0.0
     for v in range(n):

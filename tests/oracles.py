@@ -185,10 +185,7 @@ def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: fl
     S = states.shape[0]
     index = _row_dict(states)
     W = states.astype(float) * h
-    if getattr(alg, "probabilities_batch", None) is not None:
-        P = alg.probabilities_batch(W)
-    else:
-        P = np.array([alg.probabilities(w) for w in W])
+    P = np.array([alg.probabilities(w) for w in W])
     r, alpha = alg.declared_ratio, np.asarray(alg.alpha)
     target = np.full((n, S), -1, dtype=np.int64)
     gain = np.zeros((n, S))

@@ -282,7 +282,7 @@ def test_criterion_09_negative_controls_detected():
 
     u3 = Umts(make_uniform(3), np.ones(3), 1.0)
     bad = dataclasses.replace(odd_exponent(u3), declared_ratio=float(u3.rates.max()))
-    est = estimate_potential(bad, u3, grid_step=0.25)
+    est = estimate_potential(bad, grid_step=0.25)
     assert not est.converged
     verdict(9, "under-declared guarantees are caught by band, iteration, audit, and ratio")
 

@@ -197,3 +197,26 @@ def test_potential_bound_property():
     a = two_stable(u_uniform(2, d=3.0, rates=[2.0, 0.0]))
     assert abs(a.potential_bound - 4.0 * a.declared_ratio * 3.0) < EPS
     assert a.phi_sup <= a.potential_bound + EPS
+
+
+
+def stack_cases():
+    unequal = np.random.default_rng(5).uniform(0.5, 3.0, 8)
+    yield "trivial", lambda: trivial_algorithm(u_uniform(3, rates=[1.0, 2.0, 3.0]), "v2")
+    for b in range(2, 9):
+        yield f"odd-b{b}-equal", lambda b=b: odd_exponent(u_uniform(b))
+        yield f"odd-b{b}-unequal", lambda b=b: odd_exponent(u_uniform(b, rates=unequal[:b]))
+    yield "two-stable-equal", lambda: two_stable(u_uniform(2, rates=[1.0, 1.0]))
+    yield "two-stable-unequal", lambda: two_stable(u_uniform(2, rates=[2.0, 0.5]))
+    yield "rho-variant", lambda: rho_variant(odd_exponent, u_uniform(4, rates=[1.0, 3.0, 2.0, 0.5]), 0.5)
+
+
+@pytest.mark.parametrize("build", [pytest.param(f, id=name) for name, f in stack_cases()])
+def test_probabilities_on_a_stack_equal_the_rows(build):
+    alg = build()
+    rng = np.random.default_rng(11)
+    W = rng.uniform(0.0, 1.5 * alg.umts.diameter(), (3, 7, alg.umts.n))
+    W -= W.min(axis=-1, keepdims=True)
+    rows = np.array([[alg.probabilities(w) for w in block] for block in W])
+    assert np.array_equal(alg.probabilities(W), rows)
+    assert np.array_equal(alg.probabilities(W[0]), rows[0])

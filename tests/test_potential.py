@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import types
 
@@ -169,7 +170,7 @@ def test_estimate_matches_band_on_two_points():
     a = dataclasses.replace(odd_exponent(u), declared_ratio=2.0)
     band = BandPotential(ts_rule(1.0, 1.0, 1.0, 1.0, 2.0))
     assert band.feasible
-    est = estimate_potential(a, u, grid_step=1.0 / 16)
+    est = estimate_potential(a, grid_step=1.0 / 16)
     assert est.converged and not est.diverged
     for j in range(17):
         y = j / 16.0
@@ -192,7 +193,7 @@ def test_estimate_diverges_when_ratio_underdeclared():
     u = Umts(make_uniform(3, 1.0), np.full(3, 1.0), 1.0)
     a = odd_exponent(u)
     bad = dataclasses.replace(a, declared_ratio=float(u.rates.max()))
-    est = estimate_potential(bad, u, grid_step=0.25)
+    est = estimate_potential(bad, grid_step=0.25)
     assert not est.converged
 
 
@@ -200,7 +201,7 @@ def test_estimate_box_grid_unequal_rates():
     u = Umts(make_uniform(3, 1.0), np.array([2.0, 1.0, 0.5]), 1.0)
     a = odd_exponent(u)
     assert a.descriptor["potential_converged"]
-    est = estimate_potential(a, u, grid_step=0.125)
+    est = estimate_potential(a, grid_step=0.125)
     assert not est.symmetric
     assert est.converged
     assert abs(est.phi(np.zeros(3)) - est.table[est.index.find(np.zeros(3, dtype=np.int64))]) < 1e-12
@@ -212,7 +213,7 @@ def test_trivial_and_single_point_potentials_vanish():
     assert a.phi(np.array([5.0, 0.0, 1.0])) == 0.0
     assert a.phi_sup == 0.0
     one = Umts(make_uniform(1), np.array([2.0]), 1.0)
-    est = estimate_potential(trivial_algorithm(one), one)
+    est = estimate_potential(trivial_algorithm(one))
     assert est.converged and est.sup == 0.0
 
 
@@ -224,7 +225,7 @@ def test_estimate_rejects_incompatible_grid():
     u = Umts(m, np.full(3, 1.0), 1.0)
     a = trivial_algorithm(u)
     with pytest.raises(ValueError):
-        estimate_potential(a, u, grid_step=1.7 / 4)
+        estimate_potential(a, grid_step=1.7 / 4)
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,7 +282,7 @@ def test_estimate_table_matches_per_state_build(alg_factory, n, rates, grid_step
     a = alg_factory(u)
     if alg_factory is trivial_algorithm:
         a = dataclasses.replace(a, declared_ratio=a.declared_ratio + 1.0)
-    est = estimate_potential(a, u, grid_step=grid_step)
+    est = estimate_potential(a, grid_step=grid_step)
     states, table, sweeps, slack = reference_estimate(a, u, grid_step)
     assert np.array_equal(est.states, states)
     assert np.array_equal(est.table, table)
@@ -290,7 +291,7 @@ def test_estimate_table_matches_per_state_build(alg_factory, n, rates, grid_step
 
 def held_estimates(root) -> set[int]:
     """Ids of the PotentialEstimates reachable from an algorithm through its
-    fields, containers, closures and bound methods, but not its rebuilds."""
+    fields, containers, closures and bound methods."""
     found, seen, todo = set(), set(), [root]
     while todo:
         obj = todo.pop()
@@ -308,7 +309,7 @@ def held_estimates(root) -> set[int]:
         elif isinstance(obj, types.FunctionType):
             todo.extend(c.cell_contents for c in obj.__closure__ or ())
         elif isinstance(obj, algorithms.OnlineAlgorithm) or hasattr(obj, "__dataclass_fields__"):
-            todo.extend(v for k, v in vars(obj).items() if k != "rebuild")
+            todo.extend(vars(obj).values())
     return found
 
 
@@ -334,3 +335,13 @@ def test_each_estimate_is_built_once(monkeypatch, build):
     assert held, "the built algorithm should hold a gridded potential"
     assert len(made) == len(held)
     assert held == {id(est) for est in made}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_states_match_itertools(n):
+    levels = 16 if n <= 4 else 10
+    box = [k for k in itertools.product(range(levels + 1), repeat=n) if min(k) == 0]
+    assert np.array_equal(_enumerate_states(n, levels, False), np.array(box, dtype=np.int64))
+    rising = itertools.combinations_with_replacement(range(levels + 1), n)
+    sym = [k for k in rising if k[0] == 0]
+    assert np.array_equal(_enumerate_states(n, levels, True), np.array(sym, dtype=np.int64))
