@@ -153,12 +153,14 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         p = np.maximum(raw(np.asarray(w, dtype=float)), 0.0)
         return p / p.sum(axis=-1, keepdims=True)
 
+    rest = [np.delete(np.arange(n), v) for v in range(n)]
+
     def crossing(w, v):
         w = np.asarray(w, dtype=float)
-        if raw(w)[v] <= 1e-12:
+        if (1.0 + (((w - w[v]) / d) ** t).sum()) / b <= 1e-12:  # raw(w)[v]
             return 0.0
         head = support_headroom(u, w, v)
-        others = np.delete(w, v) - w[v]
+        others = w[rest[v]] - w[v]
 
         def q(x):
             return 1.0 + (((others - x) / d) ** t).sum()

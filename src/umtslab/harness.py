@@ -66,7 +66,11 @@ def adversary(config: AdversaryConfig):
     """Policy for :func:`simulate` that charges as the configured adversary.
 
     It stops when the step budget is spent or no occupied state has
-    headroom left, and passes on the zero crossing it computed.
+    headroom left. It computes the zero crossing only where the kind
+    needs it (at the charged state, and at every open state for
+    greedy-pressure) and passes on the one at the charged state; a charge
+    that rounds to zero, as at a state whose crossing is zero, spends one
+    step of the budget and is not made.
     """
     rng = np.random.default_rng(config.seed)
     budget = config.steps
@@ -76,27 +80,32 @@ def adversary(config: AdversaryConfig):
         if budget <= 0:
             return None
         u = alg.umts
-        cands = [v for v in range(u.n) if p[v] > EPS_EQ]
-        cross = {v: alg.zero_crossing(w, v) for v in cands}
-        caps = {v: min(cross[v], support_headroom(u, w, v)) for v in cands}
-        open_states = [v for v in cands if caps[v] > 0.0]
+        heads = {v: support_headroom(u, w, v) for v in range(u.n) if p[v] > EPS_EQ}
+        open_states = [v for v, head in heads.items() if head > 0.0]
         if not open_states:
             return None
+        cross = {}
+
+        def cap(v):
+            if v not in cross:
+                cross[v] = alg.zero_crossing(w, v)
+            return min(cross[v], heads[v])
+
         while budget > 0:
             budget -= 1
             if config.kind == "uniform-random":
                 v = open_states[rng.integers(len(open_states))]
                 fraction = rng.uniform(0.2, config.max_fraction)
             elif config.kind == "greedy-pressure":
-                v = max(open_states, key=lambda x: (p[x] * min(caps[x], 1e12), -x))
+                v = max(open_states, key=lambda x: (p[x] * min(cap(x), 1e12), -x))
                 fraction = config.max_fraction
             else:  # support-raiser
                 v = min(open_states, key=lambda x: (w[x], x))
                 fraction = config.max_fraction
-            cap = caps[v]
-            if not math.isfinite(cap):
-                cap = max(1.0, u.diameter())
-            delta = fraction * cap * (1.0 - EPS_AUDIT)
+            limit = cap(v)
+            if not math.isfinite(limit):
+                limit = max(1.0, u.diameter())
+            delta = fraction * limit * (1.0 - EPS_AUDIT)
             if delta > 0.0:
                 return v, delta, cross[v]
         return None
