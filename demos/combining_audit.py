@@ -17,7 +17,7 @@ from umtslab.core import Umts, flat_work_function
 from umtslab.metricspace import make_uniform
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 from umtslab.combiner import CombinedRun, nice_beta_eta
-from umtslab.harness import AdversaryConfig, generate_sequence, audit_run
+from umtslab.harness import AdversaryConfig, audit_run, generate_sequence, replay, simulate
 
 # 1. A four-point uniform space with well-spread rates, distance ratio 1.
 rates = np.array([6.0, 2.5, 1.0, 0.2])
@@ -45,13 +45,13 @@ bpairs = [(a.beta, a.eta) for a in parts.block_algs]
 print("\nmerge arithmetic: quotient", qpair, "blocks", bpairs)
 print("nice pair at separation 5:", nice_beta_eta(5.0, (0.5, 0.25), [(1.0, 0.5), (1.0, 0.5)]))
 
-# 3. Step the composition through an audited run. Every step re-derives the
-# per-block and quotient work functions along with the two step costs, and
-# records any identity that drifts.
+# 3. Replay an adversary sequence and let the auditor read every step of the
+# run. Each step re-derives the per-block and quotient work functions along
+# with the two step costs, and records any identity that drifts.
 run = CombinedRun(alg)
 tasks = generate_sequence(alg, AdversaryConfig(kind="support-raiser", steps=120, seed=5))
-for task in tasks:
-    run.step(task.state, task.delta)
+for rec in simulate(alg, replay(tasks)):
+    run.step(rec)
 
 print(f"\naudited run: {run.steps} steps, {len(run.issues)} issues")
 print(f"  combined cost {run.cost:.4f}  quotient cost {run.qcost:.4f}")

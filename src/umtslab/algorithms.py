@@ -56,8 +56,11 @@ class OnlineAlgorithm:
 
     def g_value(self, w) -> float:
         """<alpha, w> - phi(w) / r, the quotient charge bookkeeping value."""
+        return self.g_from(w, self.phi(w))
+
+    def g_from(self, w, pot: float) -> float:
+        """The G value at ``w`` from its potential ``pot = phi(w)``, already known."""
         base = float(np.asarray(self.alpha) @ np.asarray(w))
-        pot = self.phi(w)
         if pot == 0.0:
             return base
         return base - pot / self.declared_ratio

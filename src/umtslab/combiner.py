@@ -146,28 +146,13 @@ def block_subsystem(u: Umts, block) -> Umts:
     return Umts(induced_metric(u.metric, block), u.rates[idx], u.s, block[0])
 
 
-def restrict_sequence(tasks, block) -> list[ElementaryTask]:
-    """Project elementary tasks onto a block: outside charges become zero
-    charges at the block's first label, preserving sequence length."""
-    anchor = block[0]
-    out = []
-    for t in tasks:
-        if t.state in block:
-            out.append(ElementaryTask(t.state, t.delta))
-        else:
-            out.append(ElementaryTask(anchor, 0.0))
-    return out
-
-
 def combine(
     u: Umts,
     blocks: list[list[str]],
     block_algs: list[OnlineAlgorithm],
     quotient_builder,
-    dist_hat: np.ndarray | None = None,
     declared_beta: float | None = None,
     declared_eta: float | None = None,
-    name: str | None = None,
 ) -> OnlineAlgorithm:
     """Combine per-block algorithms under a quotient family.
 
@@ -191,7 +176,7 @@ def combine(
         if not np.allclose(a.umts.rates, sub.rates, atol=EPS_EQ) or a.umts.s != sub.s:
             raise ValueError("block algorithm rates or distance ratio disagree")
 
-    qmetric = quotient_metric(u.metric, partition, dist_hat)
+    qmetric = quotient_metric(u.metric, partition)
     dh = qmetric.dist
     hat_rates = np.array([a.declared_ratio for a in block_algs])
     init_block = next(i for i, blk in enumerate(blocks) if u.initial_state in blk)
@@ -253,9 +238,10 @@ def combine(
     def phi(w):
         w = np.asarray(w, dtype=float)
         ws = parts.split(w)
-        total = qalg.phi(parts.hat_work(w))
-        for j in range(partition.b):
-            bphi = block_algs[j].phi(ws[j])
+        bphis = [a.phi(wb) for a, wb in zip(block_algs, ws)]
+        what = np.array([a.g_from(wb, bphi) for a, wb, bphi in zip(block_algs, ws, bphis)])
+        total = qalg.phi(what)
+        for j, bphi in enumerate(bphis):
             if bphi != 0.0:
                 total += r * qalg.alpha[j] * bphi / hat_rates[j]
         return float(total)
@@ -270,7 +256,7 @@ def combine(
         xq = qalg.zero_crossing(what, j)
         if xq == math.inf:
             return xb
-        g0 = block_algs[j].g_value(wb)
+        g0 = float(what[j])
 
         def over(x):
             wb2 = wb.copy()
@@ -299,7 +285,7 @@ def combine(
         default=0.0,
     )
     return OnlineAlgorithm(
-        name=name or f"combine[{qalg.name} / {'+'.join(a.name for a in block_algs)}]",
+        name=f"combine[{qalg.name} / {'+'.join(a.name for a in block_algs)}]",
         umts=u,
         alpha=alpha,
         declared_ratio=r,
@@ -328,26 +314,12 @@ def combine(
 # auditing runs
 
 
-def translate_task(parts: CombinedParts, w_blocks: list[np.ndarray],
-                   v: int, delta: float) -> tuple[int, float, np.ndarray, float]:
-    """Quotient charge for an elementary charge at global state index v.
-
-    Returns (block index, delta_hat, new block work function, clamp size);
-    delta_hat is the increase of the block's G value, clamped at zero.
-    """
-    j = int(parts.block_of[v])
-    lv = int(parts.local_index[v])
-    a = parts.block_algs[j]
-    wb = w_blocks[j]
-    wb2 = apply_elementary(parts.block_systems[j], wb, lv, delta)
-    raw = a.g_value(wb2) - a.g_value(wb)
-    clamp = max(0.0, -raw)
-    return j, max(0.0, raw), wb2, clamp
-
-
-def trace_header(alg: OnlineAlgorithm, beta: float, p0) -> dict:
-    """Header fields every run trace carries: the system, the rule, its start distribution."""
+def trace_header(alg: OnlineAlgorithm, beta: float, p0=None) -> dict:
+    """Header fields every run trace carries: the system, the rule, its start
+    distribution ``p0`` (by default the rule's at the flat work function)."""
     u = alg.umts
+    if p0 is None:
+        p0 = alg.probabilities(flat_work_function(u))
     return {
         "kind": "header",
         "labels": list(u.labels),
@@ -386,10 +358,10 @@ def worst_issues(issues: list[AuditIssue]) -> dict[str, dict]:
 class CombinedRun:
     """Check a combined algorithm's structural identities step by step.
 
-    Reads the rule's steps (as :func:`umtslab.harness.simulate` yields them)
-    or takes them itself, one :meth:`step` at a time. It tracks the block work
-    functions and the quotient work function started at G_l(0), and steps
-    the quotient rule on the translated charges. Each step checks:
+    Reads the rule's steps as :func:`umtslab.harness.simulate` yields them,
+    one :meth:`step` at a time. It tracks the block work functions and their
+    G values, and steps the quotient rule, started at G_l(0), on the
+    translated charges. Each step checks:
     hatw (quotient values equal block G values, 1e-6), welleqw (block and
     restricted global work functions agree, 1e-9), betatagc (zero mass on
     beta-excluded states, 1e-9), samecompratio (combined step cost at most
@@ -408,9 +380,10 @@ class CombinedRun:
         self.parts = parts
         self.w = flat_work_function(parts.u)
         self.w_blocks = [np.zeros(len(idx)) for idx in parts.global_index]
-        self.what = parts.initial_hat_work()
+        # block G values of the block work functions; the quotient run starts there
+        self.g = self.what = parts.initial_hat_work()
         # the rule's start distribution comes with the first step read
-        self.p = self.p0 = None
+        self.p0 = None
         self.p_hat = parts.quotient_alg.probabilities(self.what)
         self.p_hat0 = self.p_hat.copy()
         self.qtasks: list[ElementaryTask] = []
@@ -423,8 +396,7 @@ class CombinedRun:
 
     def header(self) -> dict:
         parts = self.parts
-        p0 = self.p0 if self.p0 is not None else self.alg.probabilities(self.w)
-        return trace_header(self.alg, parts.beta, p0) | {
+        return trace_header(self.alg, parts.beta, self.p0) | {
             "blocks": [list(b) for b in parts.partition.blocks],
             "dist_hat": parts.dist_hat.tolist(),
             "hat_rates": parts.quotient_umts.rates.tolist(),
@@ -438,41 +410,37 @@ class CombinedRun:
     def _issue(self, lemma, magnitude, detail):
         self.issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
 
-    def step(self, state, delta: float, rec: Step | None = None) -> dict:
-        """Check the step charging ``delta`` at ``state`` (label or index).
+    def step(self, rec: Step) -> dict:
+        """Check the rule's step ``rec`` and return its trace row.
 
-        ``rec`` is the rule's record of that step when a run is read; without
-        one the step is taken here. Returns the step's trace row.
+        The charge moves one block's work function; the quotient charge is
+        the rise of that block's G value, clamped at zero.
         """
         parts = self.parts
         u = parts.u
-        if rec is None:
-            v = u.metric.index(state) if isinstance(state, str) else int(state)
-            if self.p is None:
-                self.p = self.alg.probabilities(self.w)
-            rec = Step(u, self.alg, self.w, self.p, v, delta)
         v, delta = rec.v, rec.delta
         if self.p0 is None:
             self.p0 = rec.p
+        j, lv = int(parts.block_of[v]), int(parts.local_index[v])
 
         # reasonableness against both crossings, before moving anything
-        xb = parts.block_algs[parts.block_of[v]].zero_crossing(
-            self.w_blocks[parts.block_of[v]], int(parts.local_index[v])
-        )
+        xb = parts.block_algs[j].zero_crossing(self.w_blocks[j], lv)
         if delta > xb + EPS_EQ:
             self._issue("resadv", delta - xb, f"charge {delta:.6g} beyond block crossing {xb:.6g}")
 
-        j, dhat, wb2, clamp = translate_task(parts, self.w_blocks, v, delta)
-        if clamp > self.dhat_tol:
-            self._issue("hatw", clamp, "negative quotient charge beyond tolerance")
+        w_blocks2 = list(self.w_blocks)
+        w_blocks2[j] = apply_elementary(parts.block_systems[j], self.w_blocks[j], lv, delta)
+        gvals = np.array([a.g_value(wb) for a, wb in zip(parts.block_algs, w_blocks2)])
+        raw = float(gvals[j] - self.g[j])
+        dhat = max(0.0, raw)
+        if -raw > self.dhat_tol:
+            self._issue("hatw", -raw, "negative quotient charge beyond tolerance")
         q = Step(parts.quotient_umts, parts.quotient_alg, self.what, self.p_hat, j, dhat)
         if dhat > q.crossing + EPS_EQ:
             detail = f"quotient charge {dhat:.6g} beyond crossing {q.crossing:.6g}"
             self._issue("resadv", dhat - q.crossing, detail)
 
         w2, what2 = rec.w2, q.w2
-        w_blocks2 = list(self.w_blocks)
-        w_blocks2[j] = wb2
 
         # welleqw: restricted global and block-local work functions agree
         for i, idx in enumerate(parts.global_index):
@@ -481,9 +449,6 @@ class CombinedRun:
                 self._issue("welleqw", gap, f"block {i} work function drifts")
 
         # hatw: quotient work function equals the block G values
-        gvals = np.array(
-            [a.g_value(wb) for a, wb in zip(parts.block_algs, w_blocks2)]
-        )
         gap = np.abs(what2 - gvals).max()
         if gap > EPS_AUDIT:
             self._issue("hatw", gap, "quotient work function detached from block G values")
@@ -501,8 +466,7 @@ class CombinedRun:
                 f"combined step cost {step_cost:.6g} exceeds quotient {qstep_cost:.6g}",
             )
 
-        self.w, self.w_blocks, self.what = w2, w_blocks2, what2
-        self.p, self.p_hat = p2, p_hat2
+        self.w, self.w_blocks, self.g, self.what, self.p_hat = w2, w_blocks2, gvals, what2, p_hat2
         self.qtasks.append(q.task)
         self.cost += step_cost
         self.qcost += qstep_cost

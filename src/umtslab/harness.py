@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from umtslab.algorithms import OnlineAlgorithm
-from umtslab.combiner import AuditIssue, CombinedRun, worst_issues
+from umtslab.combiner import AuditIssue, CombinedRun, trace_header, worst_issues
 from umtslab.core import (
     ElementaryTask,
     Step,
@@ -188,7 +188,8 @@ def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
     algorithms are checked directly: charges below the zero crossing, valid
     distributions, no mass on beta-excluded states (skipped when beta is
     zero, the single-state convention), and sensibility of each step
-    against the potential. The offline optimum is solved once per system.
+    against the potential. The offline optimum is solved once per system,
+    and the report carries the run's trace (header and step rows) as ``"trace"``.
     """
     u = alg.umts
     tasks: list[ElementaryTask] = []
@@ -196,7 +197,7 @@ def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
         run = CombinedRun(alg)
         for rec in steps:
             tasks.append(rec.task)
-            run.step(rec.v, rec.delta, rec)
+            run.step(rec)
         opt = offline_opt(u, tasks)
         report = run.report()
         qu = alg.parts.quotient_umts
@@ -220,16 +221,19 @@ def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
             }
         report.update(
             {"kind": "combined", "opt": opt, "opt_hat": opt_hat, "resadv_allow": resadv_allow,
-             "run": run}
+             "trace": [run.header()] + run.trace}
         )
         return report
 
     issues: list[AuditIssue] = []
+    trace: list[dict] = []
     cost = 0.0
     sens_allow = EPS_AUDIT + alg.phi_slack
     phi_w = None
     for i, rec in enumerate(steps):
         tasks.append(rec.task)
+        if not trace:
+            trace.append(trace_header(alg, alg.beta, rec.p))
         v, delta, p2 = rec.v, rec.delta, rec.p2
         if delta > rec.crossing + EPS_EQ:
             issues.append(AuditIssue("resadv", i, delta - rec.crossing, "charge beyond crossing"))
@@ -251,6 +255,8 @@ def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
                 issues.append(AuditIssue("sensibility", i, lhs - rhs, "step beyond its allowance"))
             phi_w = rec.phi
         cost += step_cost
+        trace.append({"kind": "step", "i": i + 1, "state": rec.task.state, "delta": delta,
+                      "w": rec.w2.tolist(), "p": p2.tolist(), "cost": step_cost})
     return {
         "kind": "atomic",
         "steps": len(tasks),
@@ -259,6 +265,7 @@ def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
         "issues": issues,
         "worst": worst_issues(issues),
         "passed": not issues,
+        "trace": trace or [trace_header(alg, alg.beta)],
     }
 
 

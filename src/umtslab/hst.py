@@ -172,7 +172,7 @@ def separate_hst(node: HstNode, k: float = 5.0) -> HstNode:
 # general recursion
 
 
-def rhst(u: Umts, tree: HstNode, name: str | None = None):
+def rhst(u: Umts, tree: HstNode):
     """Recursive algorithm on a 5-separated HST.
 
     Every internal node combines its child subtrees under a half-contracted
@@ -194,7 +194,7 @@ def rhst(u: Umts, tree: HstNode, name: str | None = None):
         raise AssertionError("tree recursion exceeded its ratio budget")
     return replace(
         alg,
-        name=name or f"rhst({u.n})",
+        name=f"rhst({u.n})",
         eta=1.0,
         eta_variant_basis=1.0,
         descriptor={"family": "hst-recursion", "ratio_budget": bound, "inner": alg.descriptor},
@@ -260,7 +260,7 @@ def star_to_hst(fetch_costs, labels=None) -> HstNode:
     return tree
 
 
-def weighted_caching_algorithm(fetch_costs, s: float = 1.0, name: str | None = None):
+def weighted_caching_algorithm(fetch_costs, s: float = 1.0):
     """Caching algorithm for K+1 pages and K cache slots.
 
     The state is the page left out of the cache; fetching it back costs its
@@ -279,7 +279,7 @@ def weighted_caching_algorithm(fetch_costs, s: float = 1.0, name: str | None = N
         raise AssertionError("caching recursion exceeded its ratio budget")
     return replace(
         alg,
-        name=name or f"caching({metric.n - 1})",
+        name=f"caching({metric.n - 1})",
         descriptor={
             "family": "weighted-caching",
             "pages": metric.n,
@@ -346,7 +346,7 @@ def line_to_binary4_hst(n: int, gap: float = 1.0, labels=None) -> HstNode:
     return tree
 
 
-def line_algorithm(n: int, gap: float = 1.0, s: float = 1.0, name: str | None = None):
+def line_algorithm(n: int, gap: float = 1.0, s: float = 1.0):
     """Recursion on the dyadic tree over an equally spaced line.
 
     Every node merges its two halves under a quarter-contracted two-state
@@ -378,7 +378,7 @@ def line_algorithm(n: int, gap: float = 1.0, s: float = 1.0, name: str | None = 
         raise AssertionError("line recursion ratio drifted from its closed form")
     return replace(
         alg,
-        name=name or f"line({n})",
+        name=f"line({n})",
         descriptor={
             "family": "line-hst",
             "points": n,

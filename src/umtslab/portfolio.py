@@ -81,7 +81,7 @@ def _require(cond: bool, msg: str) -> None:
         raise AssertionError(msg)
 
 
-def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
+def combined_algorithm(u: Umts) -> OnlineAlgorithm:
     """Bucket-and-merge portfolio on a uniform space.
 
     Exports constraint constants (1, 1/2) and a ratio within the budget
@@ -91,7 +91,7 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
     def export(alg: OnlineAlgorithm, descriptor: dict) -> OnlineAlgorithm:
         return replace(
             alg,
-            name=name or f"combined({u.n})",
+            name=f"combined({u.n})",
             beta=EXPORT_BETA,
             eta=EXPORT_ETA,
             eta_variant_basis=EXPORT_ETA,
@@ -199,7 +199,7 @@ def combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
     return export(alg, summary)
 
 
-def w_combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
+def w_combined_algorithm(u: Umts) -> OnlineAlgorithm:
     """Anchored portfolio: first state against an equal-rate tail.
 
     The first state runs a trivial algorithm, the remaining b - 1 states
@@ -232,7 +232,6 @@ def w_combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
         quotient_builder=lambda q: rho_variant(two_stable, q, 0.2),
         declared_beta=W_EXPORT_BETA,
         declared_eta=W_EXPORT_ETA,
-        name=name or f"wcombined({u.n})",
     )
     t = 30.0 * u.s
     bound = t * (
@@ -245,6 +244,7 @@ def w_combined_algorithm(u: Umts, name: str | None = None) -> OnlineAlgorithm:
     )
     return replace(
         alg,
+        name=f"wcombined({u.n})",
         descriptor={
             "family": "anchored-merge",
             "bound": float(bound),

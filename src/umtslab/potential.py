@@ -25,6 +25,8 @@ from umtslab.tolerances import EPS_EQ
 VI_TOL = 1e-7
 VI_MAX_SWEEPS = 4000
 MAX_GRID_STATES = 400_000
+# grid points over [-d, d] on which BandPotential brackets roots and extrema
+BAND_SCAN = 2001
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +100,10 @@ class BandPotential:
     exactly when the declared ratio cannot be met.
     """
 
-    def __init__(self, rule: TwoPointRule, scan: int = 2001):
+    def __init__(self, rule: TwoPointRule):
         self.rule = rule
         d = rule.d
-        ys = np.linspace(-d, d, scan)
+        ys = np.linspace(-d, d, BAND_SCAN)
         tol = 1e-12
         # active-region edges: charging v1 needs p1 > 0, charging v2 needs p1 < 1
         self.y_plus = d if rule.p1(d) > tol else _first_root(rule.p1, ys)
@@ -111,7 +113,7 @@ class BandPotential:
         gap = lambda y: rule.g_plus(y) - rule.g_minus(y)
         lo, hi = max(self.y_minus, -d), min(self.y_plus, d)
         if lo < hi:
-            zs = np.linspace(lo, hi, scan)
+            zs = np.linspace(lo, hi, BAND_SCAN)
             self.min_gap = float(min(gap(z) for z in zs))
         else:
             self.min_gap = 0.0
@@ -141,8 +143,8 @@ class BandPotential:
         y = float(np.clip(y, -self.rule.d, self.rule.d))
         return max(0.0, self._need_from_below(y), self._need_from_above(y))
 
-    def sup(self, scan: int = 2001) -> float:
-        ys = np.linspace(-self.rule.d, self.rule.d, scan)
+    def sup(self) -> float:
+        ys = np.linspace(-self.rule.d, self.rule.d, BAND_SCAN)
         extra = [self.y_minus, self.y_plus] + self._roots_minus + self._roots_plus
         return max(max(self.phi(y) for y in ys), max(self.phi(y) for y in extra))
 

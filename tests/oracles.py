@@ -7,13 +7,22 @@ gridded-potential oracles are the straightforward loops: interpolation over
 the 2^n corners one by one through a dict of state rows, and value
 iteration whose local costs come from one scalar call per state and
 direction.
+
+The combined-audit drivers at the end are shared test helpers, not
+oracles: a random reasonable adversary as a ``simulate`` policy, and a
+:class:`CombinedRun` reading the run it makes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from umtslab.combiner import CombinedRun
+from umtslab.core import support_headroom
+from umtslab.harness import simulate
 
 _TREE_CACHE: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 
@@ -223,3 +232,34 @@ def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: fl
         if ok.any():
             slack = max(slack, float(np.abs(table[target[v][ok]] - table[ok]).max()))
     return states, table, sweeps, slack
+
+
+def drive(steps: int, seed: int):
+    """Reasonable adversary as a ``simulate`` policy: for each of ``steps``
+    rounds, a random positive-probability state and a random fraction of
+    its joint crossing; a round whose cap is not positive and finite
+    charges nothing."""
+    rng = np.random.default_rng(seed)
+    budget = steps
+
+    def choose(alg, w, p):
+        nonlocal budget
+        u = alg.umts
+        while budget > 0:
+            budget -= 1
+            cands = [v for v in range(u.n) if p[v] > 1e-9]
+            v = cands[rng.integers(len(cands))]
+            cap = min(alg.zero_crossing(w, v), support_headroom(u, w, v))
+            if math.isfinite(cap) and cap > 0:
+                return v, rng.uniform(0.2, 0.999) * cap * (1.0 - 1e-6), None
+        return None
+
+    return choose
+
+
+def combined_run(alg, policy) -> CombinedRun:
+    """A :class:`CombinedRun` that has read the run ``policy`` makes against ``alg``."""
+    run = CombinedRun(alg)
+    for rec in simulate(alg, policy):
+        run.step(rec)
+    return run

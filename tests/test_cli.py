@@ -210,6 +210,23 @@ def test_run_job_simulates_once(monkeypatch):
         assert counts["offline_opt"] == systems
 
 
+def test_run_job_writes_the_audit_trace():
+    """The job's trace is the one its audit returns, atomic and combined alike."""
+    entry = {"kind": "uniform-random", "steps": 12}
+    jobs = (
+        ({"name": "u3", "kind": "uniform", "points": 3}, "odd-exponent", "atomic"),
+        ({"name": "k2", "kind": "caching", "fetch_costs": [1.0, 0.7, 1.6]}, "caching", "combined"),
+    )
+    for space, algorithm, kind in jobs:
+        alg = build_algorithm(space, algorithm)
+        config = cli._adversary_config(entry, 3)
+        report = harness.audit_steps(alg, harness.simulate(alg, harness.adversary(config)))
+        assert report["kind"] == kind and "run" not in report
+        trace = cli._run_job(space, algorithm, entry, 3)["trace"]
+        assert trace == report["trace"]
+        assert trace[0]["kind"] == "header" and len(trace) == report["steps"] + 1
+
+
 def test_verify_empty_and_malformed(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

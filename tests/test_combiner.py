@@ -1,20 +1,13 @@
 """Combination arithmetic, product rule, and structural audits."""
 
-import math
-
 import numpy as np
 import pytest
 
+from oracles import combined_run, drive
 from umtslab.algorithms import odd_exponent, rho_variant, trivial_algorithm, two_stable
-from umtslab.combiner import (
-    CombinedRun,
-    block_subsystem,
-    combine,
-    nice_beta_eta,
-    restrict_sequence,
-    translate_task,
-)
+from umtslab.combiner import block_subsystem, combine, nice_beta_eta
 from umtslab.core import ElementaryTask, Umts, support_headroom
+from umtslab.harness import replay
 from umtslab.metricspace import FiniteMetric, TreeRealization, make_uniform
 
 
@@ -56,23 +49,6 @@ def three_level_metric():
 
 def ts_var(rho):
     return lambda uu: rho_variant(two_stable, uu, rho)
-
-
-def drive(calg, steps, seed):
-    """Reasonable adversary: random positive-probability state, charge a
-    random fraction of the joint crossing."""
-    run = CombinedRun(calg)
-    rng = np.random.default_rng(seed)
-    u = calg.umts
-    for _ in range(steps):
-        p = calg.probabilities(run.w)
-        cands = [v for v in range(u.n) if p[v] > 1e-9]
-        v = cands[rng.integers(len(cands))]
-        cap = min(calg.zero_crossing(run.w, v), support_headroom(u, run.w, v))
-        if not math.isfinite(cap) or cap <= 0:
-            continue
-        run.step(v, rng.uniform(0.2, 0.999) * cap * (1.0 - 1e-6))
-    return run
 
 
 def instance_a():
@@ -170,7 +146,7 @@ def test_two_singletons_reduce_to_the_quotient_rule():
         w = np.array([max(y, 0.0), max(-y, 0.0)])
         assert np.allclose(calg.probabilities(w), direct.probabilities(w), atol=1e-12)
         assert abs(calg.zero_crossing(w, 0) - direct.zero_crossing(w, 0)) < 1e-9
-    run = drive(calg, 40, seed=3)
+    run = combined_run(calg, drive(40, seed=3))
     rep = run.report()
     assert rep["passed"], rep
     for row in run.trace:
@@ -178,26 +154,26 @@ def test_two_singletons_reduce_to_the_quotient_rule():
 
 
 def test_audits_pass_on_two_level_instance():
-    run = drive(instance_a(), 60, seed=11)
+    run = combined_run(instance_a(), drive(60, seed=11))
     rep = run.report()
     assert rep["passed"], rep
     assert rep["cost"] > 0
 
 
 def test_audits_pass_on_three_level_instance():
-    run = drive(instance_b(), 50, seed=13)
+    run = combined_run(instance_b(), drive(50, seed=13))
     rep = run.report()
     assert rep["passed"], rep
 
 
 def test_audits_pass_on_singleton_quotient_instance():
-    run = drive(instance_c(), 60, seed=17)
+    run = combined_run(instance_c(), drive(60, seed=17))
     rep = run.report()
     assert rep["passed"], rep
 
 
 def test_audits_pass_on_mixed_depth_instance():
-    run = drive(instance_d(), 50, seed=19)
+    run = combined_run(instance_d(), drive(50, seed=19))
     rep = run.report()
     assert rep["passed"], rep
 
@@ -220,27 +196,12 @@ def test_product_measure_marginals():
             w = apply_elementary(calg.umts, w, v, 0.5 * cap)
 
 
-def test_translate_task_on_singletons_is_identity():
-    calg = instance_c()
-    parts = calg.parts
-    w_blocks = [np.zeros(1) for _ in range(3)]
-    j, dhat, wb2, clamp = translate_task(parts, w_blocks, 1, 0.3)
-    assert j == 1 and abs(dhat - 0.3) < 1e-15 and clamp == 0.0
-    assert wb2[0] == 0.3
-
-
-def test_restrict_sequence_projects_outside_charges():
-    tasks = [
-        ElementaryTask("v1", 0.5),
-        ElementaryTask("v3", 0.2),
-        ElementaryTask("v2", 0.1),
-    ]
-    out = restrict_sequence(tasks, ("v1", "v2"))
-    assert [(t.state, t.delta) for t in out] == [
-        ("v1", 0.5),
-        ("v1", 0.0),
-        ("v2", 0.1),
-    ]
+def test_singleton_block_charge_translates_as_is():
+    run = combined_run(instance_c(), replay([ElementaryTask("v2", 0.3)]))
+    row = run.trace[0]
+    assert row["block"] == 1 and abs(row["delta_hat"] - 0.3) < 1e-15
+    assert row["w_blocks"][1] == [0.3]
+    assert not [issue for issue in run.issues if issue.lemma == "hatw"]
 
 
 def test_single_block_passthrough():

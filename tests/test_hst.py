@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import combined_run, drive
+from umtslab import algorithms
 from umtslab.algorithms import two_stable_ratio
-from umtslab.combiner import CombinedRun
-from umtslab.core import Umts, support_headroom
+from umtslab.core import Umts
 from umtslab.hst import (
     HstNode,
     hst_from_json,
@@ -23,21 +24,6 @@ from umtslab.hst import (
     weighted_caching_algorithm,
 )
 from umtslab.metricspace import make_star
-
-
-def drive(calg, steps, seed):
-    run = CombinedRun(calg)
-    rng = np.random.default_rng(seed)
-    u = calg.umts
-    for _ in range(steps):
-        p = calg.probabilities(run.w)
-        cands = [v for v in range(u.n) if p[v] > 1e-9]
-        v = cands[rng.integers(len(cands))]
-        cap = min(calg.zero_crossing(run.w, v), support_headroom(u, run.w, v))
-        if not math.isfinite(cap) or cap <= 0:
-            continue
-        run.step(v, rng.uniform(0.2, 0.999) * cap * (1.0 - 1e-6))
-    return run
 
 
 def two_level_tree():
@@ -120,7 +106,7 @@ def test_rhst_structure_and_run():
     assert alg.declared_ratio <= alg.descriptor["ratio_budget"]
     p = alg.probabilities(np.zeros(5))
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    run = drive(alg, 50, seed=2)
+    run = combined_run(alg, drive(50, seed=2))
     assert run.report()["passed"], run.report()["issues"]
 
 
@@ -168,7 +154,7 @@ def test_caching_equal_costs_ratio():
 def test_caching_weighted_costs_run():
     alg = weighted_caching_algorithm(np.array([8.0, 1.0, 1.0, 0.9]))
     assert alg.declared_ratio <= alg.descriptor["ratio_budget"]
-    run = drive(alg, 50, seed=9)
+    run = combined_run(alg, drive(50, seed=9))
     assert run.report()["passed"], run.report()["issues"]
 
 
@@ -190,7 +176,22 @@ def test_line_algorithm_ratio_chain():
     )
 
 
+def test_line_phi_reads_each_block_potential_once(monkeypatch):
+    alg = line_algorithm(16)
+    calls = []
+    phi_raw = algorithms._ts_phi_raw
+
+    def counted(*args):
+        calls.append(args)
+        return phi_raw(*args)
+
+    monkeypatch.setattr(algorithms, "_ts_phi_raw", counted)
+    alg.phi(np.linspace(0.0, 3.0, 16))
+    # one two-state quotient potential per internal node of the 16-leaf tree
+    assert len(calls) == 15
+
+
 def test_line_algorithm_run():
     alg = line_algorithm(8)
-    run = drive(alg, 50, seed=4)
+    run = combined_run(alg, drive(50, seed=4))
     assert run.report()["passed"], run.report()["issues"]

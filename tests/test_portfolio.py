@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import combined_run, drive
 from umtslab.algorithms import two_stable_ratio
-from umtslab.combiner import CombinedRun
-from umtslab.core import Umts, support_headroom
+from umtslab.core import Umts
 from umtslab.metricspace import make_line, make_uniform
 from umtslab.portfolio import (
     LOG_X_FLOOR,
@@ -17,21 +17,6 @@ from umtslab.portfolio import (
     solve_log_x,
     w_combined_algorithm,
 )
-
-
-def drive(calg, steps, seed):
-    run = CombinedRun(calg)
-    rng = np.random.default_rng(seed)
-    u = calg.umts
-    for _ in range(steps):
-        p = calg.probabilities(run.w)
-        cands = [v for v in range(u.n) if p[v] > 1e-9]
-        v = cands[rng.integers(len(cands))]
-        cap = min(calg.zero_crossing(run.w, v), support_headroom(u, run.w, v))
-        if not math.isfinite(cap) or cap <= 0:
-            continue
-        run.step(v, rng.uniform(0.2, 0.999) * cap * (1.0 - 1e-6))
-    return run
 
 
 def merge_bound(s, x1, x2):
@@ -119,7 +104,7 @@ def test_combined_all_singletons_structure_and_ratio():
 def test_combined_all_singletons_audit_run():
     u = Umts(make_uniform(4), np.array([3.0, 1.0, 2.0, 0.5]), 1.0)
     alg = combined_algorithm(u)
-    run = drive(alg, 40, seed=11)
+    run = combined_run(alg, drive(40, seed=11))
     report = run.report()
     assert report["steps"] == 40
     assert report["passed"], report["issues"]
@@ -167,7 +152,7 @@ def test_combined_bucket_plus_outlier():
         two_stable_ratio(10.0, hat_bucket, r_hi), rel=1e-12
     )
     assert alg.declared_ratio <= info["budget"]
-    run = drive(alg, 5, seed=3)
+    run = combined_run(alg, drive(5, seed=3))
     assert run.report()["passed"], run.report()["issues"]
 
 
@@ -192,7 +177,7 @@ def test_anchored_merge_five_states():
     )
     assert alg.declared_ratio <= bound
     assert alg.descriptor["bound"] == pytest.approx(bound)
-    run = drive(alg, 40, seed=7)
+    run = combined_run(alg, drive(40, seed=7))
     assert run.report()["passed"], run.report()["issues"]
 
 
