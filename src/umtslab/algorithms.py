@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from umtslab.core import Umts, support_headroom
+from umtslab.core import Umts, support_headrooms
 from umtslab.metricspace import scale_metric
 from umtslab.potential import BandPotential, TwoPointRule, estimate_potential, grid_shape
 from umtslab.tolerances import EPS_EQ
@@ -31,7 +31,9 @@ class OnlineAlgorithm:
     one distribution per leading index.
     ``phi(w)`` is a potential certifying the declared ratio;
     ``zero_crossing(w, v)`` is the largest charge at state ``v`` that keeps
-    the run reasonable (probability positive throughout).
+    the run reasonable (probability positive throughout); given a 1-D
+    integer array ``v`` it returns one value per listed state, from one
+    pass over ``w``.
     ``local_cost_integral(w, v, delta)`` is the local cost of raising
     ``w[..., v]`` by ``delta`` for work functions of shape ``(..., n)``, one
     value per leading index.
@@ -46,7 +48,7 @@ class OnlineAlgorithm:
     probabilities: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[np.ndarray], float]
     phi_sup: float
-    zero_crossing: Callable[[np.ndarray, int], float]
+    zero_crossing: Callable[[np.ndarray, int | np.ndarray], float | np.ndarray]
     descriptor: dict
     eta_variant_basis: float
     local_cost_integral: Callable[[np.ndarray, int, float], np.ndarray] | None = None
@@ -76,6 +78,11 @@ def probabilities(a: OnlineAlgorithm, w) -> np.ndarray:
     return a.probabilities(np.asarray(w, dtype=float))
 
 
+def _per_state(values: np.ndarray, v):
+    """``values[v]``: a float for one state index, an array for an array of them."""
+    return values[v] if np.ndim(v) else float(values[v])
+
+
 def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
     """Sit on one state forever; ratio equals that state's cost ratio.
 
@@ -88,6 +95,8 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
     alpha = np.zeros(u.n)
     alpha[v] = 1.0
     rate = float(u.rates[v])
+    crossings = np.zeros(u.n)
+    crossings[v] = math.inf
 
     def probs(w):
         p = np.zeros(np.shape(w))
@@ -98,7 +107,7 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
         return 0.0
 
     def crossing(w, j):
-        return math.inf if j == v else 0.0
+        return _per_state(crossings, j)
 
     def local_integral(w, j, delta):
         return np.full(np.shape(w)[:-1], rate * delta if j == v else 0.0)
@@ -156,25 +165,31 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         p = np.maximum(raw(np.asarray(w, dtype=float)), 0.0)
         return p / p.sum(axis=-1, keepdims=True)
 
-    rest = [np.delete(np.arange(n), v) for v in range(n)]
+    # rest[v]: the other states, in order
+    rest = np.array([np.delete(np.arange(n), v) for v in range(n)])
 
     def crossing(w, v):
         w = np.asarray(w, dtype=float)
-        if (1.0 + (((w - w[v]) / d) ** t).sum()) / b <= 1e-12:  # raw(w)[v]
-            return 0.0
-        head = support_headroom(u, w, v)
-        others = w[rest[v]] - w[v]
-
-        def q(x):
-            return 1.0 + (((others - x) / d) ** t).sum()
-
-        if q(head) > 0.0:
-            return head
-        return float(brentq(q, 0.0, head, xtol=1e-12))
+        vs = np.atleast_1d(v)
+        wv = w[vs, None]
+        dead = (1.0 + (((w - wv) / d) ** t).sum(axis=-1)) / b <= 1e-12  # raw(w)[v]
+        heads = support_headrooms(u, w)[vs]
+        others = w[rest[vs]] - wv
+        if t in CLOSED_FORM_EXPONENTS:
+            # the polynomial falls strictly: its root, capped by the headroom
+            roots = [odd_crossing_closed(o, d, t) for o in others.tolist()]
+            x = np.minimum(np.maximum(roots, 0.0), heads)
+        else:
+            x = heads.copy()
+            at_head = 1.0 + (((others - heads[:, None]) / d) ** t).sum(axis=-1)
+            for k in np.flatnonzero(~dead & ~(at_head > 0.0)):
+                x[k] = odd_crossing_bracketed(others[k], heads[k], d, t)
+        x = np.where(dead, 0.0, x)
+        return x if np.ndim(v) else float(x[0])
 
     def local_integral(w, v, delta):
         w = np.asarray(w, dtype=float)
-        a = (np.delete(w, v, axis=-1) - w[..., v, None]) / d
+        a = (w[..., rest[v]] - w[..., v, None]) / d
         poly = (d / (t + 1)) * (a ** (t + 1) - (a - delta / d) ** (t + 1)).sum(axis=-1)
         return rates[v] * (delta + poly) / b
 
@@ -218,6 +233,43 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         phi_slack=est.slack,
         descriptor={**alg.descriptor, "potential_converged": est.converged},
     )
+
+
+# odd exponents whose zero crossing is solved in closed form, which covers
+# every b <= 20; larger exponents bracket it with brentq
+CLOSED_FORM_EXPONENTS = (1, 3)
+
+
+def odd_crossing_closed(others, d: float, t: int) -> float:
+    """Root x of 1 + sum_i ((o_i - x) / d)^t for the values o of ``others``, t = 1 or 3.
+
+    With m values, t = 1 has the linear root (d + sum o) / m. At t = 3,
+    shifting x by the mean of o leaves the depressed cubic
+    z^3 + 3 p z - 2 h = 0 with p >= 0, whose one real root is taken in the
+    cancellation-free Cardano form z = 2 h / (c^2 + p + (p / c)^2), where
+    c^3 = h + sign(h) sqrt(h^2 + p^3) is the cube of larger magnitude.
+    Scalar float arithmetic: the crossing asks for one or a few roots per
+    call, which numpy's per-call overhead would dominate.
+    """
+    m = len(others)
+    if t == 1:
+        return (d + sum(others)) / m
+    mu = sum(others) / m
+    dev = [o - mu for o in others]
+    p = sum(e * e for e in dev) / m
+    h = (d**3 + sum(e * e * e for e in dev)) / (2 * m)
+    c3 = h + math.copysign(math.sqrt(h * h + p * p * p), h)
+    c = math.copysign(abs(c3) ** (1.0 / 3.0), c3)
+    return mu + 2.0 * h / (c * c + p + (p / c) ** 2)
+
+
+def odd_crossing_bracketed(others: np.ndarray, head: float, d: float, t: int) -> float:
+    """Root in [0, head] of 1 + sum_i ((o_i - x) / d)^t, by brentq to 1e-12."""
+
+    def q(x):
+        return 1.0 + (((others - x) / d) ** t).sum()
+
+    return float(brentq(q, 0.0, head, xtol=1e-12))
 
 
 def _odd_exponent_band(u: Umts, d: float, t: int, r: float) -> BandPotential:
@@ -329,6 +381,9 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
 
     def probs(w):
         w = np.asarray(w, dtype=float)
+        if w.ndim == 1:
+            p = _ts_p1(w[0] - w[1], d, z)
+            return np.array([p, 1.0 - p])
         p = p1_values(w[..., 0] - w[..., 1])
         out = np.empty(np.shape(p) + (2,))
         out[..., 0] = p
@@ -336,12 +391,12 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
         return out
 
     def phi(w):
-        y = float(np.clip(w[0] - w[1], -d, d))
+        y = min(max(float(w[0] - w[1]), -d), d)
         return max(0.0, _ts_phi_raw(y, d, z, r1, r2) - phi_floor)
 
     def crossing(w, v):
         y = float(w[0] - w[1])
-        return max(0.0, d - y) if v == 0 else max(0.0, d + y)
+        return _per_state(np.array([max(0.0, d - y), max(0.0, d + y)]), v)
 
     def local_step(y, v, delta):
         if v == 0:

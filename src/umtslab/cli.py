@@ -34,7 +34,7 @@ from umtslab.core import (
 )
 from umtslab.harness import AdversaryConfig, adversary, audit_steps, ratio_report, simulate
 from umtslab.hst import line_algorithm, weighted_caching_algorithm
-from umtslab.metricspace import FiniteMetric, make_uniform
+from umtslab.metricspace import FiniteMetric, make_uniform, validate
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 
@@ -277,7 +277,9 @@ def cmd_run(args) -> int:
 def _verify(head, rows):
     """Replay a trace from its own numbers; returns (exit code, message).
 
-    Composition traces (the header lists ``blocks``) also replay the blocks and the quotient.
+    The header ``dist`` must be a metric. Composition traces (the header
+    lists ``blocks``) also replay the blocks and the quotient, and each step
+    must name the block of its state.
     """
     u = Umts(
         FiniteMetric(tuple(head["labels"]), np.asarray(head["dist"], dtype=float)),
@@ -285,9 +287,13 @@ def _verify(head, rows):
         float(head["s"]),
         str(head.get("initial", "")),
     )
+    problems = validate(u.metric)
+    if problems:
+        return 1, f"metric violated in the header: {problems[0]}"
     combined = "blocks" in head
     if combined:
         blocks = [[u.metric.index(m) for m in b] for b in head["blocks"]]
+        block_of = {v: b for b, idx in enumerate(blocks) for v in idx}
         qlabels = tuple(f"B{i}" for i in range(len(blocks)))
         qu = Umts(
             FiniteMetric(qlabels, np.asarray(head["dist_hat"], dtype=float)),
@@ -317,7 +323,12 @@ def _verify(head, rows):
                 f"from the recomputed chain by {gap:.3g}"
             )
         if combined:
-            j = int(row["block"])
+            j = block_of[v]
+            if row["block"] != j:
+                return 1, (
+                    f"block violated at step {i}: state {row['state']} lies in "
+                    f"block {j}, the row names {row['block']!r}"
+                )
             dhat = float(row["delta_hat"])
             for b, idx in enumerate(blocks):
                 bgap = float(np.abs(stored_w[idx] - np.asarray(row["w_blocks"][b])).max())
@@ -375,9 +386,9 @@ def _verify(head, rows):
                 )
             what, ph_prev = stored_what, ph2
         w, p_prev = stored_w, p2
-    checks = "hatw, distribution, betatagc, samecompratio" if combined else (
+    checks = "block, hatw, distribution, betatagc, samecompratio" if combined else (
         "distribution, betatagc, stepcost")
-    return 0, f"ok: {len(rows)} steps verified (welleqw, {checks})"
+    return 0, f"ok: {len(rows)} steps verified (metric, welleqw, {checks})"
 
 
 def cmd_verify(args) -> int:

@@ -141,6 +141,36 @@ class CombinedParts:
         return self.hat_work(np.zeros(self.u.n))
 
 
+def _crossing_at(a: OnlineAlgorithm, wb: np.ndarray, lv: int, g0: float, xb: float,
+                 xq: float) -> float:
+    """Combined zero crossing at local state ``lv`` of a block with rule ``a``.
+
+    The charge stays within the block crossing ``xb`` and keeps the rise of
+    the block's G value, from ``g0`` at ``wb``, within the quotient crossing
+    ``xq``.
+    """
+    if xq == math.inf:
+        return xb
+
+    def over(x):
+        wb2 = wb.copy()
+        wb2[lv] += x
+        return a.g_value(wb2) - g0 - xq
+
+    if math.isfinite(xb) and over(xb) <= 0.0:
+        return xb
+    hi = max(xq, 1e-6)
+    cap = 1e9 * (1.0 + xq) + 1.0
+    while over(hi) < 0.0 and hi < cap:
+        hi *= 2.0
+    if over(hi) < 0.0:
+        return xb
+    if over(0.0) >= 0.0:
+        return 0.0
+    x = float(brentq(over, 0.0, hi, xtol=1e-12))
+    return min(x, xb) if math.isfinite(xb) else x
+
+
 def block_subsystem(u: Umts, block) -> Umts:
     idx = [u.metric.index(x) for x in block]
     return Umts(induced_metric(u.metric, block), u.rates[idx], u.s, block[0])
@@ -248,33 +278,18 @@ def combine(
 
     def crossing(w, v):
         w = np.asarray(w, dtype=float)
-        j = int(block_of[v])
-        lv = int(local_index[v])
-        wb = parts.split(w)[j]
-        xb = block_algs[j].zero_crossing(wb, lv)
-        what = parts.hat_work(w)
-        xq = qalg.zero_crossing(what, j)
-        if xq == math.inf:
-            return xb
-        g0 = float(what[j])
-
-        def over(x):
-            wb2 = wb.copy()
-            wb2[lv] += x
-            return block_algs[j].g_value(wb2) - g0 - xq
-
-        if math.isfinite(xb) and over(xb) <= 0.0:
-            return xb
-        hi = max(xq, 1e-6)
-        cap = 1e9 * (1.0 + xq) + 1.0
-        while over(hi) < 0.0 and hi < cap:
-            hi *= 2.0
-        if over(hi) < 0.0:
-            return xb
-        if over(0.0) >= 0.0:
-            return 0.0
-        x = float(brentq(over, 0.0, hi, xtol=1e-12))
-        return min(x, xb) if math.isfinite(xb) else x
+        vs = np.atleast_1d(v)
+        ws, what = parts.split(w), parts.hat_work(w)
+        js = block_of[vs]
+        xqs = qalg.zero_crossing(what, js)
+        xbs = np.empty(len(vs))
+        for j in np.unique(js):
+            xbs[js == j] = block_algs[j].zero_crossing(ws[j], local_index[vs[js == j]])
+        out = [
+            _crossing_at(block_algs[j], ws[j], int(lv), float(what[j]), xb, xq)
+            for j, lv, xb, xq in zip(js, local_index[vs], xbs.tolist(), xqs.tolist())
+        ]
+        return np.array(out) if np.ndim(v) else out[0]
 
     block_slack = max(
         (a.phi_slack / rr for a, rr in zip(block_algs, hat_rates) if rr > 0),

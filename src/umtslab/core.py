@@ -137,6 +137,13 @@ def support_headroom(u: Umts, w: np.ndarray, v: int) -> float:
     return _support_level(u, w, v) - w[v]
 
 
+def support_headrooms(u: Umts, w: np.ndarray) -> np.ndarray:
+    """:func:`support_headroom` at every state, from one array minimum."""
+    reach = w[:, None] + u.metric.dist
+    reach.flat[:: len(w) + 1] = np.inf
+    return reach.min(axis=0) - w
+
+
 def is_supported(u: Umts, w: np.ndarray, state) -> bool:
     """True iff some other state pins w at this one: w(v) = w(x) + dist(x, v)."""
     v = u.metric.index(state) if isinstance(state, str) else int(state)

@@ -30,7 +30,7 @@ from umtslab.core import (
     flat_work_function,
     initial_work_function,
     opt_cost,
-    support_headroom,
+    support_headrooms,
 )
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ, EPS_TIE
 
@@ -66,11 +66,12 @@ def adversary(config: AdversaryConfig):
     """Policy for :func:`simulate` that charges as the configured adversary.
 
     It stops when the step budget is spent or no occupied state has
-    headroom left. It computes the zero crossing only where the kind
-    needs it (at the charged state, and at every open state for
-    greedy-pressure) and passes on the one at the charged state; a charge
-    that rounds to zero, as at a state whose crossing is zero, spends one
-    step of the budget and is not made.
+    headroom left. It takes the support headroom of every state in one
+    array pass, and computes the zero crossing only where the kind needs
+    it: at the charged state, or in one call for every open state for
+    greedy-pressure. It passes on the crossing at the charged state; a
+    charge that rounds to zero, as at a state whose crossing is zero,
+    spends one step of the budget and is not made.
     """
     rng = np.random.default_rng(config.seed)
     budget = config.steps
@@ -79,12 +80,13 @@ def adversary(config: AdversaryConfig):
         nonlocal budget
         if budget <= 0:
             return None
-        u = alg.umts
-        heads = {v: support_headroom(u, w, v) for v in range(u.n) if p[v] > EPS_EQ}
-        open_states = [v for v, head in heads.items() if head > 0.0]
+        heads = support_headrooms(alg.umts, w)
+        open_states = np.flatnonzero((p > EPS_EQ) & (heads > 0.0)).tolist()
         if not open_states:
             return None
         cross = {}
+        if config.kind == "greedy-pressure":
+            cross = dict(zip(open_states, alg.zero_crossing(w, np.array(open_states)).tolist()))
 
         def cap(v):
             if v not in cross:
@@ -104,7 +106,7 @@ def adversary(config: AdversaryConfig):
                 fraction = config.max_fraction
             limit = cap(v)
             if not math.isfinite(limit):
-                limit = max(1.0, u.diameter())
+                limit = max(1.0, alg.umts.diameter())
             delta = fraction * limit * (1.0 - EPS_AUDIT)
             if delta > 0.0:
                 return v, delta, cross[v]

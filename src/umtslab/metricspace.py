@@ -93,14 +93,12 @@ def validate(m: FiniteMetric, tol: float = EPS_EQ) -> list[str]:
                 report.append(
                     f"non-positive distance at ({m.labels[i]},{m.labels[j]}): {d[i, j]}"
                 )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i, j] > d[i, k] + d[k, j] + tol:
-                    report.append(
-                        f"triangle violation: d({m.labels[i]},{m.labels[j]}) > "
-                        f"d(.,{m.labels[k]}) sum by {d[i, j] - d[i, k] - d[k, j]:.3g}"
-                    )
+    # (i, j, k) with d(i, j) > d(i, k) + d(k, j) + tol, in loop order
+    for i, j, k in np.argwhere(d[:, :, None] > d[:, None, :] + d.T[None, :, :] + tol):
+        report.append(
+            f"triangle violation: d({m.labels[i]},{m.labels[j]}) > "
+            f"d(.,{m.labels[k]}) sum by {d[i, j] - d[i, k] - d[k, j]:.3g}"
+        )
     return report
 
 

@@ -11,6 +11,7 @@ iteration is itself a meaningful signal (the declared ratio is too small).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -98,6 +99,12 @@ class BandPotential:
     antiderivative of g_minus and backward from that of g_plus. ``feasible``
     is False when the band is empty (min gap below -1e-9), which happens
     exactly when the declared ratio cannot be met.
+
+    The floor each side subtracts is the least antiderivative value over
+    its active edge, the critical points between that edge and y, and y
+    itself. The values at the edge and the critical points are computed
+    once, as running minima, so ``phi`` evaluates one antiderivative per
+    side.
     """
 
     def __init__(self, rule: TwoPointRule):
@@ -120,27 +127,32 @@ class BandPotential:
         self.feasible = self.min_gap >= -1e-9
         self._roots_minus = sorted(_sign_change_roots(rule.g_minus, ys))
         self._roots_plus = sorted(_sign_change_roots(rule.g_plus, ys))
+        # from below: the edge y_minus and the roots above it, ascending, with
+        # prefix minima of big_g_minus; from above: the roots below y_plus and
+        # the edge, ascending, with suffix minima of big_g_plus
+        self._knots_minus = [self.y_minus] + [z for z in self._roots_minus if z >= self.y_minus]
+        self._floor_minus = list(
+            itertools.accumulate(map(rule.big_g_minus, self._knots_minus), min)
+        )
+        self._knots_plus = [z for z in self._roots_plus if z <= self.y_plus] + [self.y_plus]
+        self._floor_plus = list(
+            itertools.accumulate(map(rule.big_g_plus, reversed(self._knots_plus)), min)
+        )[::-1]
 
     def _need_from_below(self, y: float) -> float:
-        r = self.rule
         if y < self.y_minus:
             return 0.0
-        cands = [self.y_minus, y]
-        cands += [z for z in self._roots_minus if self.y_minus <= z <= y]
-        floor = min(r.big_g_minus(z) for z in cands)
-        return r.big_g_minus(y) - floor
+        g = self.rule.big_g_minus(y)
+        return g - min(self._floor_minus[bisect.bisect_right(self._knots_minus, y) - 1], g)
 
     def _need_from_above(self, y: float) -> float:
-        r = self.rule
         if y > self.y_plus:
             return 0.0
-        cands = [self.y_plus, y]
-        cands += [z for z in self._roots_plus if y <= z <= self.y_plus]
-        floor = min(r.big_g_plus(z) for z in cands)
-        return r.big_g_plus(y) - floor
+        g = self.rule.big_g_plus(y)
+        return g - min(self._floor_plus[bisect.bisect_left(self._knots_plus, y)], g)
 
     def phi(self, y: float) -> float:
-        y = float(np.clip(y, -self.rule.d, self.rule.d))
+        y = min(max(float(y), -self.rule.d), self.rule.d)
         return max(0.0, self._need_from_below(y), self._need_from_above(y))
 
     def sup(self) -> float:

@@ -6,7 +6,8 @@ all state paths; the line oracle uses the cumulative-mass formula. The
 gridded-potential oracles are the straightforward loops: interpolation over
 the 2^n corners one by one through a dict of state rows, and value
 iteration whose local costs come from one scalar call per state and
-direction.
+direction. The band oracle takes each floor of the two-point band potential
+as the minimum over a candidate list rebuilt on every call.
 
 The combined-audit drivers at the end are shared test helpers, not
 oracles: a random reasonable adversary as a ``simulate`` policy, and a
@@ -169,6 +170,21 @@ def reference_phi(est, w) -> float:
         if row is not None:
             total += weight * est.table[row]
     return float(total)
+
+
+def band_phi_candidates(band, y) -> float:
+    """The band potential at gap ``y``, each floor the minimum of the
+    antiderivative over the active edge, ``y`` and the roots between them."""
+    r = band.rule
+    y = float(np.clip(y, -r.d, r.d))
+    below = above = 0.0
+    if y >= band.y_minus:
+        cands = [band.y_minus, y] + [z for z in band._roots_minus if band.y_minus <= z <= y]
+        below = r.big_g_minus(y) - min(r.big_g_minus(z) for z in cands)
+    if y <= band.y_plus:
+        cands = [band.y_plus, y] + [z for z in band._roots_plus if y <= z <= band.y_plus]
+        above = r.big_g_plus(y) - min(r.big_g_plus(z) for z in cands)
+    return max(0.0, below, above)
 
 
 def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: float = 1e-7):

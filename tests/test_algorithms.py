@@ -1,11 +1,16 @@
 """Algorithm families: rules, ratios, crossings, variants."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from umtslab.algorithms import (
+    odd_crossing_bracketed,
+    odd_crossing_closed,
     odd_exponent,
     probabilities,
     rho_variant,
@@ -15,6 +20,7 @@ from umtslab.algorithms import (
 )
 from umtslab.core import Umts, support_headroom
 from umtslab.metricspace import make_uniform
+from umtslab.portfolio import combined_algorithm
 
 EPS = 1e-9
 
@@ -220,3 +226,55 @@ def test_probabilities_on_a_stack_equal_the_rows(build):
     rows = np.array([[alg.probabilities(w) for w in block] for block in W])
     assert np.array_equal(alg.probabilities(W), rows)
     assert np.array_equal(alg.probabilities(W[0]), rows[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(2, 20),
+    st.sampled_from([0.5, 1.0, 2.5]),
+    st.data(),
+)
+def test_closed_form_crossing_matches_brentq(b, d, data):
+    t = max(1, math.ceil(math.log(b)))
+    t += t % 2 == 0
+    # a 1-Lipschitz work function on the uniform space: all gaps at most d
+    w = np.array(data.draw(st.lists(st.floats(0.0, d), min_size=b, max_size=b)))
+    v = data.draw(st.integers(0, b - 1))
+    others = np.delete(w, v) - w[v]
+    head = float((np.delete(w, v) + d).min() - w[v])
+    assume(1.0 + ((others / d) ** t).sum() > 1e-12 * b)  # the rule holds mass at v
+    closed = min(max(odd_crossing_closed(others.tolist(), d, t), 0.0), head)
+    if 1.0 + (((others - head) / d) ** t).sum() > 0.0:  # rounding keeps it above 0 at head
+        assert abs(closed - head) <= 1e-12
+    else:
+        assert abs(closed - odd_crossing_bracketed(others, head, d, t)) <= 1e-12
+
+
+CROSSING_RULES = {
+    "trivial": lambda: trivial_algorithm(u_uniform(3, rates=[1.0, 2.0, 3.0]), "v2"),
+    "two-stable": lambda: two_stable(u_uniform(2, rates=[2.0, 0.5])),
+    "odd-b2": lambda: odd_exponent(u_uniform(2)),
+    "odd-b4": lambda: odd_exponent(u_uniform(4)),
+    "odd-b21": lambda: odd_exponent(u_uniform(21)),  # brentq crossings, potential omitted
+    "rho-variant": lambda: rho_variant(odd_exponent, u_uniform(3, rates=[1.0, 3.0, 2.0]), 0.5),
+    "combined": lambda: combined_algorithm(u_uniform(4, rates=[3.0, 1.0, 2.0, 0.5])),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def crossing_rule(name):
+    return CROSSING_RULES[name]()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(CROSSING_RULES)), st.data())
+def test_zero_crossing_on_an_array_equals_the_states(name, data):
+    alg = crossing_rule(name)
+    n, d = alg.umts.n, alg.umts.diameter()
+    w = np.array(data.draw(st.lists(st.floats(0.0, d), min_size=n, max_size=n)))
+    # a prefix of the states in any order, followed by up to two repeats
+    vs = data.draw(st.permutations(range(n))) + data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+    vs = np.array(vs[: data.draw(st.integers(1, len(vs)))])
+    one_by_one = [alg.zero_crossing(w, int(v)) for v in vs]
+    assert all(type(x) is float for x in one_by_one)
+    assert np.array_equal(alg.zero_crossing(w, vs), one_by_one)

@@ -174,6 +174,30 @@ def test_verify_flags_corrupted_atomic_cost_and_distribution(tmp_path, capsys):
         assert f"{check} violated at step 7" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_bad_header_metric_or_block(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    lines = next((out / "traces").glob("*combined*.jsonl")).read_text().splitlines()
+
+    def diagonal(head, rows):
+        head["dist"][1][1] = 0.001
+
+    def asymmetric(head, rows):
+        head["dist"][0][2] *= 1.001
+
+    def block(head, rows):
+        rows[4]["block"] += 0.002
+
+    for change, check in ((diagonal, "metric"), (asymmetric, "metric"), (block, "block")):
+        head, rows = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+        change(head, rows)
+        doctored = tmp_path / f"{change.__name__}.jsonl"
+        doctored.write_text("".join(json.dumps(x) + "\n" for x in [head, *rows]))
+        assert main(["verify", str(doctored)]) == 1
+        assert f"{check} violated" in capsys.readouterr().out
+
+
 def test_run_job_simulates_once(monkeypatch):
     """One job makes one pass: k + 1 rule evaluations, one optimum per system."""
     counts = {"probabilities": 0, "offline_opt": 0}

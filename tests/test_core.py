@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import offline_exhaustive, random_metric
 from umtslab.core import (
@@ -17,6 +19,7 @@ from umtslab.core import (
     online_step_cost,
     opt_cost,
     support_headroom,
+    support_headrooms,
     task_charges,
 )
 from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
@@ -120,6 +123,15 @@ def test_supported_states():
     assert is_supported(line, w, "v3")
 
     assert support_headroom(u, np.array([0.0, 0.25]), 1) == pytest.approx(0.75)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+def test_support_headrooms_equal_the_states(n, seed, spread):
+    rng = np.random.default_rng(seed)
+    u = Umts(FiniteMetric(tuple(f"v{i}" for i in range(n)), random_metric(rng, n)), np.ones(n), 1.0)
+    w = rng.uniform(0.0, spread, n)
+    assert np.array_equal(support_headrooms(u, w), [support_headroom(u, w, v) for v in range(n)])
 
 
 def test_moving_cost_scales_by_s():

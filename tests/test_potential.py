@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import reference_estimate, reference_phi
+from oracles import band_phi_candidates, reference_estimate, reference_phi
 from umtslab import algorithms
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import Umts, moving_cost
@@ -77,6 +77,36 @@ def test_band_detects_underdeclared_ratio():
     band = BandPotential(halved)
     assert not band.feasible
     assert band.min_gap < -1e-6
+
+
+# (rates, exponent, ratio) of polynomial bands on two points at distance 1.5;
+# the low ratios put critical points inside the band, or make it empty
+POLY_BANDS = [
+    ((1.0, 1.0), 1, 1.0 + 6.0 * math.log(2)),
+    ((3.0, 0.5), 1, 5.0),
+    ((0.2, 2.5), 1, 2.5 + 6.0 * math.log(2)),
+    ((1.0, 1.0), 3, 2.0),
+    ((3.0, 0.5), 3, 3.0),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def band_case(k: int) -> BandPotential:
+    if k < len(POLY_BANDS):
+        rates, t, r = POLY_BANDS[k]
+        return algorithms._odd_exponent_band(Umts(make_uniform(2, 1.5), np.array(rates), 1.0), 1.5, t, r)
+    true_r = algorithms.two_stable_ratio(1.0, 4.0, 1.0)
+    return BandPotential(ts_rule(1.0, 1.0, 4.0, 1.0, [true_r, true_r / 2.0][k - len(POLY_BANDS)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(POLY_BANDS) + 1), st.data())
+def test_band_phi_matches_candidate_list(k, data):
+    band = band_case(k)
+    knots = [band.y_minus, band.y_plus, *band._roots_minus, *band._roots_plus]
+    d = band.rule.d
+    y = data.draw(st.one_of(st.sampled_from(knots), st.floats(-1.5 * d, 1.5 * d)))
+    assert band.phi(y) == band_phi_candidates(band, y)
 
 
 def test_band_odd_exponent_two_points_feasible_and_bounded():
