@@ -34,7 +34,13 @@ from umtslab.core import (
 )
 from umtslab.harness import AdversaryConfig, adversary, audit_steps, ratio_report, simulate
 from umtslab.hst import line_algorithm, weighted_caching_algorithm
-from umtslab.metricspace import FiniteMetric, make_uniform, validate
+from umtslab.metricspace import (
+    FiniteMetric,
+    make_partition,
+    make_uniform,
+    quotient_metric,
+    validate,
+)
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 
@@ -125,9 +131,29 @@ def _adversary_config(entry, seed) -> AdversaryConfig:
         raise ConfigError(f"bad adversary {entry!r}: {exc}") from exc
 
 
+# the rules this process has built while ``cmd_run`` runs its jobs, by
+# (space spec, algorithm); None at any other time
+_rules: dict | None = None
+
+
+def _share_rules(on: bool = True) -> None:
+    """Start or end one shared build per rule in this process; rules are immutable."""
+    global _rules
+    _rules = {} if on else None
+
+
+def _rule(space_spec, algorithm: str):
+    if _rules is None:
+        return build_algorithm(space_spec, algorithm)
+    key = (json.dumps(space_spec, sort_keys=True), algorithm)
+    if key not in _rules:
+        _rules[key] = build_algorithm(space_spec, algorithm)
+    return _rules[key]
+
+
 def _run_job(space_spec, algorithm, adversary_spec, seed):
     """Simulate one job once; the audit, optimum, ratio and trace all read that run."""
-    alg = build_algorithm(space_spec, algorithm)
+    alg = _rule(space_spec, algorithm)
     config = _adversary_config(adversary_spec, seed)
     # make the whole run, then audit it: interleaving the two ran ~10% slower
     report = audit_steps(alg, list(simulate(alg, adversary(config))))
@@ -209,11 +235,17 @@ def cmd_run(args) -> int:
     ]
 
     workers = 1 if args.deterministic else max(1, args.jobs)
-    if workers == 1:
-        results = [_run_job_star(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job_star, jobs))
+    # every job of a (space, algorithm) pair reads one build per process;
+    # the jobs are not grouped by pair, which would cost --jobs parallelism
+    _share_rules()
+    try:
+        if workers == 1:
+            results = [_run_job_star(job) for job in jobs]
+        else:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_share_rules) as pool:
+                results = list(pool.map(_run_job_star, jobs))
+    finally:
+        _share_rules(False)
 
     out_dir = Path(args.out)
     traces_dir = out_dir / "traces"
@@ -278,7 +310,8 @@ def _verify(head, rows):
     """Replay a trace from its own numbers; returns (exit code, message).
 
     The header ``dist`` must be a metric. Composition traces (the header
-    lists ``blocks``) also replay the blocks and the quotient, and each step
+    lists ``blocks``) also replay the blocks and the quotient: ``dist_hat``
+    must be the largest cross-block distances of ``dist``, and each step
     must name the block of its state.
     """
     u = Umts(
@@ -292,11 +325,21 @@ def _verify(head, rows):
         return 1, f"metric violated in the header: {problems[0]}"
     combined = "blocks" in head
     if combined:
-        blocks = [[u.metric.index(m) for m in b] for b in head["blocks"]]
+        dist_hat = np.asarray(head["dist_hat"], dtype=float)
+        partition = make_partition(u.metric, head["blocks"])
+        expected = quotient_metric(u.metric, partition).dist
+        same_shape = dist_hat.shape == expected.shape
+        gap = float(np.abs(dist_hat - expected).max()) if same_shape else math.inf
+        if not gap <= EPS_EQ:  # NaN fails too
+            return 1, (
+                f"dist_hat violated in the header: deviates from the largest "
+                f"cross-block distances by {gap:.3g}"
+            )
+        blocks = [[u.metric.index(m) for m in b] for b in partition.blocks]
         block_of = {v: b for b, idx in enumerate(blocks) for v in idx}
         qlabels = tuple(f"B{i}" for i in range(len(blocks)))
         qu = Umts(
-            FiniteMetric(qlabels, np.asarray(head["dist_hat"], dtype=float)),
+            FiniteMetric(qlabels, dist_hat),
             np.asarray(head["hat_rates"], dtype=float),
             float(head["s"]),
         )
@@ -386,9 +429,13 @@ def _verify(head, rows):
                 )
             what, ph_prev = stored_what, ph2
         w, p_prev = stored_w, p2
-    checks = "block, hatw, distribution, betatagc, samecompratio" if combined else (
-        "distribution, betatagc, stepcost")
-    return 0, f"ok: {len(rows)} steps verified (metric, welleqw, {checks})"
+    if combined:
+        checks = "metric, dist_hat, welleqw, block, hatw, distribution, betatagc, samecompratio"
+        unchecked = "ratio, beta, alpha, tol, dhat_tol"
+    else:
+        checks, unchecked = "metric, welleqw, distribution, betatagc, stepcost", "ratio, beta"
+    # these header fields come from the rule, which verify does not rebuild
+    return 0, f"ok: {len(rows)} steps verified ({checks}); not recomputed: {unchecked}"
 
 
 def cmd_verify(args) -> int:

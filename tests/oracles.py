@@ -7,7 +7,9 @@ gridded-potential oracles are the straightforward loops: interpolation over
 the 2^n corners one by one through a dict of state rows, and value
 iteration whose local costs come from one scalar call per state and
 direction. The band oracle takes each floor of the two-point band potential
-as the minimum over a candidate list rebuilt on every call.
+as the minimum over a candidate list rebuilt on every call. The
+odd-exponent oracles take every integer power with numpy's ``**``, where
+the rule multiplies.
 
 The combined-audit drivers at the end are shared test helpers, not
 oracles: a random reasonable adversary as a ``simulate`` policy, and a
@@ -20,7 +22,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
+from umtslab.algorithms import odd_crossing_closed
 from umtslab.combiner import CombinedRun
 from umtslab.core import support_headroom
 from umtslab.harness import simulate
@@ -185,6 +189,44 @@ def band_phi_candidates(band, y) -> float:
         cands = [band.y_plus, y] + [z for z in band._roots_plus if y <= z <= band.y_plus]
         above = r.big_g_plus(y) - min(r.big_g_plus(z) for z in cands)
     return max(0.0, below, above)
+
+
+def odd_raw_pow(w, d: float, t: int) -> np.ndarray:
+    """The odd-exponent rule's unclipped mass at every state of ``w``, by ``**``."""
+    w = np.asarray(w, dtype=float)
+    diffs = (w[None, :] - w[:, None]) / d
+    return (1.0 + (diffs**t).sum(axis=-1)) / len(w)
+
+
+def odd_local_integral_pow(w, v: int, delta: float, d: float, t: int, rate: float) -> float:
+    """The odd-exponent rule's local cost of raising w(v) by ``delta``, by ``**``."""
+    w = np.asarray(w, dtype=float)
+    a = (np.delete(w, v) - w[v]) / d
+    poly = (d / (t + 1)) * (a ** (t + 1) - (a - delta / d) ** (t + 1)).sum()
+    return float(rate * (delta + poly) / len(w))
+
+
+def odd_dead_pow(w, v: int, d: float, t: int) -> bool:
+    """The odd-exponent crossing's test that the rule holds no mass at v, by ``**``."""
+    w = np.asarray(w, dtype=float)
+    return bool((1.0 + (((w - w[v]) / d) ** t).sum()) / len(w) <= 1e-12)
+
+
+def odd_crossing_pow(w, v: int, d: float, t: int) -> float:
+    """The odd-exponent zero crossing at v, with every power taken by ``**``:
+    0 where the rule holds no mass, the closed-form root for t <= 3 (which
+    takes no power of an array), and otherwise the headroom or the brentq
+    root below it."""
+    w = np.asarray(w, dtype=float)
+    if odd_dead_pow(w, v, d, t):
+        return 0.0
+    others = np.delete(w, v) - w[v]
+    head = float((np.delete(w, v) + d).min() - w[v])
+    if t <= 3:
+        return min(max(odd_crossing_closed(others.tolist(), d, t), 0.0), head)
+    if 1.0 + (((others - head) / d) ** t).sum() > 0.0:
+        return head
+    return float(brentq(lambda x: 1.0 + (((others - x) / d) ** t).sum(), 0.0, head, xtol=1e-12))
 
 
 def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: float = 1e-7):

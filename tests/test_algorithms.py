@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import odd_crossing_pow, odd_local_integral_pow, odd_raw_pow
 
 from umtslab.algorithms import (
     odd_crossing_bracketed,
@@ -248,6 +249,40 @@ def test_closed_form_crossing_matches_brentq(b, d, data):
         assert abs(closed - head) <= 1e-12
     else:
         assert abs(closed - odd_crossing_bracketed(others, head, d, t)) <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def odd_rule(b, d):
+    # unequal rates leave the potential out from b = 6 on, which keeps the builds short
+    return odd_exponent(u_uniform(b, d, rates=np.linspace(0.5, 2.0, b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 24), st.sampled_from([0.5, 1.0, 2.5]), st.data())
+def test_odd_exponent_products_match_the_power_forms(b, d, data):
+    """b = 2..24 covers t = 1, 3 and 5; each value within 1e-14 of the ``**``
+    form, relative to the size of the terms it sums."""
+    alg = odd_rule(b, d)
+    t = alg.descriptor["t"]
+    w = np.array(data.draw(st.lists(st.floats(0.0, d), min_size=b, max_size=b)))
+    v = data.draw(st.integers(0, b - 1))
+    delta = data.draw(st.floats(0.0, d))
+
+    p = alg.probabilities(w)
+    raw = np.maximum(odd_raw_pow(w, d, t), 0.0)
+    assert np.abs(p - raw / raw.sum()).max() <= 1e-14  # a distribution: total mass 1
+
+    rate = float(alg.umts.rates[v])
+    a = (np.delete(w, v) - w[v]) / d
+    terms = np.abs(a) ** (t + 1) + np.abs(a - delta / d) ** (t + 1)
+    scale = rate * (delta + d / (t + 1) * terms.sum()) / b
+    local = alg.local_cost_integral(w, v, delta)
+    assert abs(local - odd_local_integral_pow(w, v, delta, d, t, rate)) <= 1e-14 * scale
+
+    x = alg.zero_crossing(w, np.arange(b))
+    x_pow = np.array([odd_crossing_pow(w, k, d, t) for k in range(b)])
+    assert np.abs(x - x_pow).max() <= 1e-14 * d  # crossings lie in [0, d]
+    assert (x[p > 1e-12] > 0.0).all()
 
 
 CROSSING_RULES = {

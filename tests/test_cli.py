@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -116,7 +119,43 @@ def test_verify_accepts_written_traces(tmp_path, capsys):
     assert len(traces) == 2
     for trace in traces:
         assert main(["verify", str(trace)]) == 0
-    assert "ok:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "ok:" in out
+    assert "dist_hat" in out and "not recomputed: ratio, beta, alpha, tol, dhat_tol" in out
+    assert "not recomputed: ratio, beta\n" in out
+
+
+def test_verify_recomputes_dist_hat(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        spaces=[{"name": "k3", "kind": "caching", "fetch_costs": [1.0, 0.7, 1.6, 2.0]}],
+        algorithms=["caching"],
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    lines = next((out / "traces").glob("*.jsonl")).read_text().splitlines()
+    head = json.loads(lines[0])
+    assert len(head["dist_hat"]) > 1
+    head["dist_hat"][0][1] += 1e-3
+    doctored = tmp_path / "doctored.jsonl"
+    doctored.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+    assert main(["verify", str(doctored)]) == 1
+    assert "dist_hat violated in the header" in capsys.readouterr().out
+
+
+def test_python_m_umtslab_verifies_a_trace(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    trace = next((out / "traces").glob("*.jsonl"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "umtslab", "verify", str(trace)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok:")
 
 
 def test_verify_flags_corrupted_quotient_charge(tmp_path, capsys):
@@ -232,6 +271,43 @@ def test_run_job_simulates_once(monkeypatch):
         assert k == 15
         assert counts["probabilities"] <= k + 1
         assert counts["offline_opt"] == systems
+
+
+def test_run_builds_each_rule_once(tmp_path, monkeypatch):
+    """2 spaces x 1 algorithm x 3 adversaries x 2 seeds make 2 builds per run."""
+    config = write_config(
+        tmp_path,
+        seeds=[0, 1],
+        spaces=[
+            {"name": "u3", "kind": "uniform", "points": 3},
+            {"name": "u2", "kind": "uniform", "points": 2, "rates": [3.0, 1.0]},
+        ],
+        algorithms=["odd-exponent"],
+        adversaries=[
+            {"kind": "uniform-random", "steps": 8},
+            {"kind": "greedy-pressure", "steps": 8},
+            {"kind": "support-raiser", "steps": 8},
+        ],
+    )
+    built = []
+    build = cli.build_algorithm
+
+    def counted_build(space, algorithm):
+        built.append((space["name"], algorithm))
+        return build(space, algorithm)
+
+    monkeypatch.setattr(cli, "build_algorithm", counted_build)
+    serial = tmp_path / "serial"
+    assert main(["run", str(config), "--deterministic", "--out", str(serial)]) == 0
+    assert sorted(built) == [("u2", "odd-exponent"), ("u3", "odd-exponent")]
+    # the next run in the same process builds both rules again
+    assert main(["run", str(config), "--deterministic", "--out", str(tmp_path / "again")]) == 0
+    assert len(built) == 4
+    parallel = tmp_path / "parallel"
+    assert main(["run", str(config), "--jobs", "2", "--out", str(parallel)]) == 0
+    csv_text = (serial / "results.csv").read_text()
+    assert len(csv_text.splitlines()) == 1 + 12
+    assert (parallel / "results.csv").read_text() == csv_text
 
 
 def test_run_job_writes_the_audit_trace():
