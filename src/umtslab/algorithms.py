@@ -36,7 +36,8 @@ class OnlineAlgorithm:
     pass over ``w``.
     ``local_cost_integral(w, v, delta)`` is the local cost of raising
     ``w[..., v]`` by ``delta`` for work functions of shape ``(..., n)``, one
-    value per leading index.
+    value per leading index; ``delta`` is one charge or an array of them
+    aligned with the leading axes.
     """
 
     name: str
@@ -51,7 +52,7 @@ class OnlineAlgorithm:
     zero_crossing: Callable[[np.ndarray, int | np.ndarray], float | np.ndarray]
     descriptor: dict
     eta_variant_basis: float
-    local_cost_integral: Callable[[np.ndarray, int, float], np.ndarray] | None = None
+    local_cost_integral: Callable[[np.ndarray, int, float | np.ndarray], np.ndarray] | None = None
     phi_slack: float = 0.0
     symmetric_rule: bool = False
     parts: object | None = None
@@ -191,7 +192,7 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         w = np.asarray(w, dtype=float)
         a = (w[..., rest[v]] - w[..., v, None]) / d
         poly = _int_power(a, t + 1)
-        poly -= _int_power(a - delta / d, t + 1)
+        poly -= _int_power(a - np.asarray(delta / d)[..., None], t + 1)
         poly *= d / (t + 1)
         return rates[v] * (delta + poly.sum(axis=-1)) / b
 

@@ -150,16 +150,31 @@ def is_supported(u: Umts, w: np.ndarray, state) -> bool:
     return support_headroom(u, w, v) <= EPS_EQ
 
 
-def moving_cost(u: Umts, p, q) -> float:
-    """s times the optimal-transport cost between the two distributions."""
+def moving_cost(u: Umts, p, q):
+    """s times the optimal-transport cost between the two distributions
+    (one per leading index for stacks of shape (..., n))."""
     return u.s * mcost_metric(u.metric, p, q)
 
 
-def online_step_cost(u: Umts, p_before, p_after, task) -> float:
-    """Transport cost plus charge paid at the post-move probabilities."""
-    c = task_charges(u, task)
-    local = float(np.asarray(p_after) @ (c * u.rates))
-    return moving_cost(u, p_before, p_after) + local
+def online_step_cost(u: Umts, p_before, p_after, task):
+    """Transport cost plus charge paid at the post-move probabilities.
+
+    For distributions of shape (..., n), ``task`` holds one elementary task
+    per leading index, in C order, and the result one cost per leading
+    index, each equal to the one-row call. An elementary charge of delta at
+    v is paid as ``p_after[v] * (delta * rate[v])``.
+    """
+    p_after = np.asarray(p_after, dtype=float)
+    moving = moving_cost(u, p_before, p_after)
+    if p_after.ndim > 1:
+        v = np.array([u.metric.index(t.state) for t in task], dtype=np.int64)
+        delta = np.array([t.delta for t in task], dtype=float)
+        paid = p_after.reshape(-1, u.n)[np.arange(len(v)), v] * (delta * u.rates[v])
+        return moving + paid.reshape(p_after.shape[:-1])
+    if isinstance(task, ElementaryTask):
+        v = u.metric.index(task.state)
+        return moving + float(p_after[v] * (task.delta * u.rates[v]))
+    return moving + float(p_after @ (task_charges(u, task) * u.rates))
 
 
 def alpha_opt_cost(alpha, w) -> float:
@@ -172,18 +187,33 @@ def opt_cost(w) -> float:
     return float(np.asarray(w).min())
 
 
-def beta_excluded_mass(u: Umts, beta: float, w, p) -> list[tuple[int, float]]:
+def beta_excluded_mass(u: Umts, beta: float, w, p) -> list:
     """(state, mass) for every state that holds mass although beta excludes it.
 
     State x is excluded when some other state y has
     w(x) >= w(y) + beta * dist(y, x), ties within EPS_TIE included; mass
     counts above EPS_EQ. A rule satisfying the beta constraint returns [].
+    For ``w`` and ``p`` of shape (k, n) it returns one such list per row,
+    each equal to the one-row call, from one pass over the n states y
+    that never holds a (k, n, n) array.
     """
     w, p = np.asarray(w, dtype=float), np.asarray(p, dtype=float)
-    gap = w[None, :] - w[:, None] - beta * u.metric.dist
-    np.fill_diagonal(gap, -np.inf)
-    hit = (gap.max(axis=0) >= -EPS_TIE) & (p > EPS_EQ)
-    return [(int(x), float(p[x])) for x in np.flatnonzero(hit)]
+    if w.ndim == 1:
+        gap = w[None, :] - w[:, None] - beta * u.metric.dist
+        np.fill_diagonal(gap, -np.inf)
+        hit = (gap.max(axis=0) >= -EPS_TIE) & (p > EPS_EQ)
+        return [(int(x), float(p[x])) for x in np.flatnonzero(hit)]
+    # nearest[:, x]: the largest w(x) - w(y) - beta * dist(y, x) over y != x
+    nearest = np.full(w.shape, -np.inf)
+    for y in range(u.n):
+        gap = w - w[:, y, None] - beta * u.metric.dist[y]
+        gap[:, y] = -np.inf
+        np.maximum(nearest, gap, out=nearest)
+    hit = (nearest >= -EPS_TIE) & (p > EPS_EQ)
+    rows = [[] for _ in range(len(w))]
+    for i, x in zip(*np.nonzero(hit)):
+        rows[i].append((int(x), float(p[i, x])))
+    return rows
 
 
 class Step:

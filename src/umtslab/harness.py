@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -29,10 +30,12 @@ from umtslab.core import (
     beta_excluded_mass,
     flat_work_function,
     initial_work_function,
+    online_step_cost,
     opt_cost,
     support_headrooms,
 )
-from umtslab.tolerances import EPS_AUDIT, EPS_EQ, EPS_TIE
+from umtslab.tolerances import EPS_AUDIT, EPS_EQ
+from umtslab.transport import not_distribution
 
 ADVERSARY_KINDS = ("uniform-random", "greedy-pressure", "support-raiser")
 
@@ -187,11 +190,9 @@ def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
     Combined algorithms get the full structural audit (:class:`CombinedRun`)
     plus the check that the translated quotient adversary is no harder than
     the original one, up to the static offset of the translation. Atomic
-    algorithms are checked directly: charges below the zero crossing, valid
-    distributions, no mass on beta-excluded states (skipped when beta is
-    zero, the single-state convention), and sensibility of each step
-    against the potential. The offline optimum is solved once per system,
-    and the report carries the run's trace (header and step rows) as ``"trace"``.
+    algorithms are checked by :func:`_audit_atomic`. The offline optimum is
+    solved once per system, and the report carries the run's trace (header
+    and step rows) as ``"trace"``.
     """
     u = alg.umts
     tasks: list[ElementaryTask] = []
@@ -227,56 +228,107 @@ def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
         )
         return report
 
+    return _audit_atomic(alg, list(steps))
+
+
+def _run_arrays(steps: list[Step]) -> tuple[np.ndarray, np.ndarray]:
+    """The (k + 1, n) work functions and distributions a run of k >= 1 steps
+    passes through, its start first."""
+    w = np.array([steps[0].w] + [rec.w2 for rec in steps])
+    p = np.array([steps[0].p] + [rec.p2 for rec in steps])
+    return w, p
+
+
+def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
+    """Check an atomic rule's finished run, each check over all steps at once.
+
+    The run is stacked into (steps + 1, n) arrays of work functions and
+    distributions. The checks are: charges below the zero crossing
+    (resadv), valid distributions (distribution), no mass on beta-excluded
+    states (betatagc, skipped when beta is zero, the single-state
+    convention) and sensibility of each step against the potential.
+    Distributions are checked before any step is priced, the start one
+    included, and a step that reads a failing one keeps a NaN cost. The
+    issues come ordered by step, and within a step in that order of checks.
+    """
+    u = alg.umts
+    tasks = [rec.task for rec in steps]
+    opt = offline_opt(u, tasks)
+    if not steps:
+        return {"kind": "atomic", "steps": 0, "cost": 0.0, "opt": opt, "issues": [],
+                "worst": {}, "passed": True, "trace": [trace_header(alg, alg.beta)]}
+    k = len(steps)
+    w, p = _run_arrays(steps)
+    w1, w2, p1, p2 = w[:-1], w[1:], p[:-1], p[1:]
+    rows = np.arange(k)
+    v = np.array([rec.v for rec in steps])
+    delta = np.array([rec.delta for rec in steps])
+    crossing = np.array([rec.crossing for rec in steps])
     issues: list[AuditIssue] = []
-    trace: list[dict] = []
-    cost = 0.0
-    sens_allow = EPS_AUDIT + alg.phi_slack
-    phi_w = None
-    for i, rec in enumerate(steps):
-        tasks.append(rec.task)
-        if not trace:
-            trace.append(trace_header(alg, alg.beta, rec.p))
-        v, delta, p2 = rec.v, rec.delta, rec.p2
-        if delta > rec.crossing + EPS_EQ:
-            issues.append(AuditIssue("resadv", i, delta - rec.crossing, "charge beyond crossing"))
-        if abs(p2.sum() - 1.0) > EPS_EQ or p2.min() < -EPS_TIE:
-            issues.append(AuditIssue("distribution", i, abs(p2.sum() - 1.0), "not a distribution"))
-        if alg.beta > 0.0:
-            for x, mass in beta_excluded_mass(u, alg.beta, rec.w2, p2):
+
+    for i in np.flatnonzero(delta > crossing + EPS_EQ).tolist():
+        magnitude = float(delta[i] - crossing[i])
+        issues.append(AuditIssue("resadv", i, magnitude, "charge beyond crossing"))
+
+    faulty = not_distribution(p)
+    off = np.abs(p.sum(axis=-1) - 1.0).tolist()
+    if faulty[0]:
+        issues.append(AuditIssue("distribution", 0, off[0], "start is not a distribution"))
+    for i in np.flatnonzero(faulty[1:]).tolist():
+        issues.append(AuditIssue("distribution", i, off[i + 1], "not a distribution"))
+
+    if alg.beta > 0.0:
+        for i, excluded in enumerate(beta_excluded_mass(u, alg.beta, w2, p2)):
+            for x, mass in excluded:
                 detail = f"mass on excluded state {u.labels[x]}"
                 issues.append(AuditIssue("betatagc", i, mass, detail))
-        step_cost = rec.cost
-        if math.isfinite(sens_allow):
-            if phi_w is None:
-                phi_w = alg.phi(rec.w)
-            moving = step_cost - float(p2[v] * u.rates[v] * delta)
-            lhs = moving + alg.local_cost_integral(rec.w, v, delta)
-            lhs += rec.phi - phi_w
-            rhs = alg.declared_ratio * float(np.asarray(alg.alpha) @ (rec.w2 - rec.w))
-            if lhs > rhs + sens_allow:
-                issues.append(AuditIssue("sensibility", i, lhs - rhs, "step beyond its allowance"))
-            phi_w = rec.phi
-        cost += step_cost
-        trace.append({"kind": "step", "i": i + 1, "state": rec.task.state, "delta": delta,
-                      "w": rec.w2.tolist(), "p": p2.tolist(), "cost": step_cost})
+
+    cost = np.full(k, np.nan)
+    priced = ~(faulty[:-1] | faulty[1:])
+    if priced.any():
+        cost[priced] = online_step_cost(u, p1[priced], p2[priced], list(compress(tasks, priced)))
+
+    sens_allow = EPS_AUDIT + alg.phi_slack
+    if math.isfinite(sens_allow):
+        phi = np.array([alg.phi(x) for x in w])
+        local = np.empty(k)
+        for x in np.unique(v).tolist():
+            at = v == x
+            local[at] = alg.local_cost_integral(w1[at], x, delta[at])
+        lhs = cost - p2[rows, v] * u.rates[v] * delta + local
+        lhs += phi[1:] - phi[:-1]
+        alpha = np.asarray(alg.alpha)[v]
+        rhs = alg.declared_ratio * (alpha * (w2[rows, v] - w1[rows, v]))
+        for i in np.flatnonzero(lhs > rhs + sens_allow).tolist():
+            magnitude = float(lhs[i] - rhs[i])
+            issues.append(AuditIssue("sensibility", i, magnitude, "step beyond its allowance"))
+
+    issues.sort(key=lambda issue: issue.step)
+    trace = [trace_header(alg, alg.beta, steps[0].p)]
+    for i, (rec, wi, pi, ci) in enumerate(zip(steps, w2.tolist(), p2.tolist(), cost.tolist())):
+        trace.append({"kind": "step", "i": i + 1, "state": rec.task.state, "delta": rec.delta,
+                      "w": wi, "p": pi, "cost": ci})
     return {
         "kind": "atomic",
-        "steps": len(tasks),
-        "cost": cost,
-        "opt": offline_opt(u, tasks),
+        "steps": k,
+        "cost": float(np.cumsum(cost)[-1]),
+        "opt": opt,
         "issues": issues,
         "worst": worst_issues(issues),
         "passed": not issues,
-        "trace": trace or [trace_header(alg, alg.beta)],
+        "trace": trace,
     }
 
 
 def run_cost(alg: OnlineAlgorithm, tasks) -> float:
-    """Total online cost of the run (endpoint charge convention)."""
-    total = 0.0
-    for rec in simulate(alg, replay(tasks)):
-        total += rec.cost
-    return total
+    """Total online cost of the run (endpoint charge convention): every step
+    priced in one call over the stacked run, summed left to right."""
+    steps = list(simulate(alg, replay(tasks)))
+    if not steps:
+        return 0.0
+    _, p = _run_arrays(steps)
+    cost = online_step_cost(alg.umts, p[:-1], p[1:], [rec.task for rec in steps])
+    return float(np.cumsum(cost)[-1])
 
 
 def empirical_ratio(alg: OnlineAlgorithm, tasks) -> dict:

@@ -368,4 +368,4 @@ def _uniform_or_transport_batch(u, P, Q, D) -> np.ndarray:
         return D * 0.5 * np.abs(P - Q).sum(axis=1)
     from umtslab.transport import mcost_metric
 
-    return np.array([mcost_metric(u.metric, p, q) for p, q in zip(P, Q)])
+    return mcost_metric(u.metric, P, Q)

@@ -25,6 +25,18 @@ def _tree_flow_cost(tree: TreeRealization, diff: np.ndarray) -> float:
     return cost
 
 
+def _tree_flow_rows(tree: TreeRealization, diff: np.ndarray) -> np.ndarray:
+    """:func:`_tree_flow_cost` of each row of ``diff``, one vertex at a time."""
+    net = np.zeros((len(tree.parent), len(diff)))
+    for j, v in enumerate(tree.point_vertex):
+        net[v] += diff[:, j]
+    cost = np.zeros(len(diff))
+    for i in range(len(tree.parent) - 1, 0, -1):
+        cost += tree.edge_weight[i] * np.abs(net[i])
+        net[tree.parent[i]] += net[i]
+    return cost
+
+
 def _star_arms_3pt(d: np.ndarray) -> np.ndarray:
     # every 3-point metric is realized by a star; arm i carries point i
     a = np.array(
@@ -64,13 +76,31 @@ def _require_distribution(p: np.ndarray) -> None:
         raise ValueError(f"not a distribution: entries sum to {total}")
 
 
-def mcost_metric(metric: FiniteMetric, p, q) -> float:
-    """Minimal transport cost between distributions p and q under the metric."""
+def not_distribution(p) -> np.ndarray:
+    """True for each row of ``p`` (shape (..., n)) that :func:`mcost_metric`
+    rejects: an entry below -1e-12, or entries whose left-to-right sum, the
+    one :func:`_require_distribution` takes, is off 1 by more than EPS_EQ."""
+    p = np.asarray(p, dtype=float)
+    total = np.zeros(p.shape[:-1])
+    for j in range(p.shape[-1]):
+        total += p[..., j]
+    return (p < -1e-12).any(axis=-1) | ~(np.abs(total - 1.0) <= EPS_EQ)
+
+
+def mcost_metric(metric: FiniteMetric, p, q):
+    """Minimal transport cost between distributions p and q under the metric.
+
+    ``p`` and ``q`` have shape (..., n): a float for one pair of
+    distributions, and for stacks one cost per leading index, each equal to
+    the one-row call. Every row must be a distribution.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     n = metric.n
     if p.shape != (n,) or q.shape != (n,):
-        raise ValueError("distribution length does not match the space")
+        if p.shape[-1:] != (n,) or q.shape != p.shape:
+            raise ValueError("distribution length does not match the space")
+        return _mcost_rows(metric, p, q)
     _require_distribution(p)
     _require_distribution(q)
     diff = p - q
@@ -86,6 +116,38 @@ def mcost_metric(metric: FiniteMetric, p, q) -> float:
     if off.max() - off.min() <= EPS_EQ:
         return float(off[0] * np.abs(diff).sum() / 2.0)
     return _lp_cost(metric.dist, p, q)
+
+
+def _mcost_rows(metric: FiniteMetric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`mcost_metric` of every row pair: the one-row call's closed form
+    taken on columns, so each cost keeps its bits; the 3-point form and the
+    LP stay one call per row."""
+    n = metric.n
+    lead = p.shape[:-1]
+    p, q = p.reshape(-1, n), q.reshape(-1, n)
+    bad = not_distribution(p) | not_distribution(q)
+    if bad.any():
+        row = int(np.argmax(bad))
+        _require_distribution(p[row])
+        _require_distribution(q[row])
+    diff = p - q
+    moved = np.abs(diff).max(axis=-1, initial=0.0) > 1e-15
+    off = metric.dist[~np.eye(n, dtype=bool)]
+    if n <= 1:
+        cost = np.zeros(len(p))
+    elif metric.tree is not None:
+        cost = _tree_flow_rows(metric.tree, diff)
+    elif n == 2:
+        cost = metric.dist[0, 1] * np.abs(diff[:, 0])
+    elif n == 3:
+        arms = _star_arms_3pt(metric.dist)
+        cost = np.array([arms @ a for a in np.abs(diff)])
+    elif off.max() - off.min() <= EPS_EQ:
+        cost = off[0] * np.abs(diff).sum(axis=-1) / 2.0
+    else:
+        rows = zip(p, q, moved.tolist())
+        cost = np.array([_lp_cost(metric.dist, a, b) if m else 0.0 for a, b, m in rows])
+    return np.where(moved, cost, 0.0).reshape(lead)
 
 
 def as_probability(vec, tol: float = EPS_EQ) -> np.ndarray:

@@ -11,6 +11,9 @@ as the minimum over a candidate list rebuilt on every call. The
 odd-exponent oracles take every integer power with numpy's ``**``, where
 the rule multiplies.
 
+The atomic audit oracle walks a run one step at a time with one-row
+calls, as the audit did before it checked whole runs in array passes.
+
 The combined-audit drivers at the end are shared test helpers, not
 oracles: a random reasonable adversary as a ``simulate`` policy, and a
 :class:`CombinedRun` reading the run it makes.
@@ -25,9 +28,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 from umtslab.algorithms import odd_crossing_closed
-from umtslab.combiner import CombinedRun
-from umtslab.core import support_headroom
-from umtslab.harness import simulate
+from umtslab.combiner import AuditIssue, CombinedRun, trace_header, worst_issues
+from umtslab.core import beta_excluded_mass, support_headroom
+from umtslab.harness import offline_opt, simulate
+from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
+from umtslab.tolerances import EPS_AUDIT, EPS_EQ
+from umtslab.transport import mcost_metric
 
 _TREE_CACHE: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 
@@ -147,6 +153,37 @@ def random_metric(rng: np.random.Generator, n: int) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
     return d
+
+
+# metric kinds that mcost_metric prices by each of its closed forms, and by
+# the LP ("lp")
+METRIC_KINDS = ("uniform-tree", "line", "star", "two-point", "three-point", "uniform", "lp")
+
+
+def metric_of(kind: str, n: int, rng: np.random.Generator) -> FiniteMetric:
+    """A metric of the kind on n points (2 or 3 for the fixed-size kinds);
+    the last three kinds carry no tree."""
+    if kind == "uniform-tree":
+        return make_uniform(n, float(rng.uniform(0.5, 2.0)))
+    if kind == "line":
+        return make_line(n, float(rng.uniform(0.5, 2.0)))
+    if kind == "star":
+        return make_star(rng.uniform(0.5, 3.0, n))
+    n = {"two-point": 2, "three-point": 3, "lp": max(n, 4)}.get(kind, n)
+    labels = tuple(f"x{i}" for i in range(n))
+    if kind == "uniform":
+        d = np.full((n, n), float(rng.uniform(0.5, 2.0)))
+        np.fill_diagonal(d, 0.0)
+        return FiniteMetric(labels, d)
+    return FiniteMetric(labels, random_metric(rng, n))
+
+
+def random_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """k distributions on n points; some hold a point mass."""
+    rows = np.array([random_prob(rng, n) for _ in range(k)])
+    for i in np.flatnonzero(rng.random(k) < 0.25):
+        rows[i] = np.eye(n)[rng.integers(n)]
+    return rows
 
 
 def _row_dict(states) -> dict:
@@ -290,6 +327,72 @@ def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: fl
         if ok.any():
             slack = max(slack, float(np.abs(table[target[v][ok]] - table[ok]).max()))
     return states, table, sweeps, slack
+
+
+def _rejected(u, p) -> bool:
+    """True when transport pricing refuses ``p`` as a distribution."""
+    try:
+        mcost_metric(u.metric, p, p)
+    except ValueError:
+        return True
+    return False
+
+
+def reference_atomic_audit(alg, steps) -> dict:
+    """The atomic audit step by step: per step the checks resadv,
+    distribution (the start distribution at step 0 first), betatagc and
+    sensibility, then the step's price from one-row calls; a step that reads
+    a distribution pricing refuses costs NaN."""
+    u = alg.umts
+    tasks, issues, trace = [], [], []
+    cost = 0.0
+    sens_allow = EPS_AUDIT + alg.phi_slack
+    phi_w = None
+    for i, rec in enumerate(steps):
+        tasks.append(rec.task)
+        if not trace:
+            trace.append(trace_header(alg, alg.beta, rec.p))
+        v, delta, p2 = rec.v, rec.delta, rec.p2
+        if delta > rec.crossing + EPS_EQ:
+            magnitude = float(delta - rec.crossing)
+            issues.append(AuditIssue("resadv", i, magnitude, "charge beyond crossing"))
+        start_bad = _rejected(u, rec.p)
+        if i == 0 and start_bad:
+            magnitude = float(abs(rec.p.sum() - 1.0))
+            issues.append(AuditIssue("distribution", 0, magnitude, "start is not a distribution"))
+        end_bad = _rejected(u, p2)
+        if end_bad:
+            magnitude = float(abs(p2.sum() - 1.0))
+            issues.append(AuditIssue("distribution", i, magnitude, "not a distribution"))
+        if alg.beta > 0.0:
+            for x, mass in beta_excluded_mass(u, alg.beta, rec.w2, p2):
+                detail = f"mass on excluded state {u.labels[x]}"
+                issues.append(AuditIssue("betatagc", i, mass, detail))
+        step_cost = math.nan if start_bad or end_bad else float(rec.cost)
+        if math.isfinite(sens_allow):
+            if phi_w is None:
+                phi_w = alg.phi(rec.w)
+            moving = step_cost - float(p2[v] * u.rates[v] * delta)
+            lhs = moving + alg.local_cost_integral(rec.w, v, delta)
+            lhs += rec.phi - phi_w
+            rhs = alg.declared_ratio * float(np.asarray(alg.alpha) @ (rec.w2 - rec.w))
+            if lhs > rhs + sens_allow:
+                magnitude = float(lhs - rhs)
+                issues.append(AuditIssue("sensibility", i, magnitude, "step beyond its allowance"))
+            phi_w = rec.phi
+        cost += step_cost
+        trace.append({"kind": "step", "i": i + 1, "state": rec.task.state, "delta": delta,
+                      "w": rec.w2.tolist(), "p": p2.tolist(), "cost": step_cost})
+    return {
+        "kind": "atomic",
+        "steps": len(tasks),
+        "cost": cost,
+        "opt": offline_opt(u, tasks),
+        "issues": issues,
+        "worst": worst_issues(issues),
+        "passed": not issues,
+        "trace": trace or [trace_header(alg, alg.beta)],
+    }
 
 
 def drive(steps: int, seed: int):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import offline_exhaustive, random_metric
+from oracles import METRIC_KINDS, metric_of, offline_exhaustive, random_metric, random_rows
 from umtslab.core import (
     ElementaryTask,
     GeneralTask,
     Umts,
     alpha_opt_cost,
     apply_task,
+    beta_excluded_mass,
     flat_work_function,
     initial_work_function,
     is_supported,
@@ -149,6 +150,57 @@ def test_online_step_cost_examples():
     u22 = Umts(make_uniform(2, 2.0), np.ones(2), 1.0)
     got = online_step_cost(u22, np.array([1.0, 0.0]), np.array([0.0, 1.0]), GeneralTask(np.zeros(2)))
     assert got == pytest.approx(2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(METRIC_KINDS), st.integers(2, 4), st.integers(1, 5), st.integers(0, 2**32 - 1)
+)
+def test_stacked_step_costs_equal_one_row_calls(kind, n, k, seed):
+    rng = np.random.default_rng(seed)
+    m = metric_of(kind, n, rng)
+    u = Umts(m, rng.uniform(0.0, 3.0, m.n), float(rng.uniform(0.5, 2.0)))
+    p, q = random_rows(rng, k, m.n), random_rows(rng, k, m.n)
+    charged = rng.integers(m.n, size=k)
+    tasks = [ElementaryTask(m.labels[v], float(rng.uniform(0.0, 2.0))) for v in charged]
+    got = online_step_cost(u, p, q, tasks)
+    rows = [online_step_cost(u, a, b, t) for a, b, t in zip(p, q, tasks)]
+    if kind == "lp":
+        np.testing.assert_allclose(got, rows, rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(got, rows)
+    # one row pays the charge as the dot product with the charge vector did
+    for a, b, t, cost in zip(p, q, tasks, rows):
+        assert cost == moving_cost(u, a, b) + float(b @ (task_charges(u, t) * u.rates))
+
+
+def excluded_by_pairs(u, beta, w, p):
+    """The beta exclusion of one work function from the full pair matrix."""
+    gap = w[None, :] - w[:, None] - beta * u.metric.dist
+    np.fill_diagonal(gap, -np.inf)
+    hit = (gap.max(axis=0) >= -1e-12) & (p > 1e-9)
+    return [(int(x), float(p[x])) for x in np.flatnonzero(hit)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(METRIC_KINDS),
+    st.integers(2, 5),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.25, 0.5, 1.0]),
+)
+def test_stacked_beta_exclusion_equals_one_row_calls(kind, n, k, seed, beta):
+    rng = np.random.default_rng(seed)
+    m = metric_of(kind, n, rng)
+    u = Umts(m, np.ones(m.n), 1.0)
+    # work functions on a coarse grid of the distances, so that ties happen
+    w = rng.integers(0, 3, (k, m.n)) * (beta * m.diameter() / 2.0)
+    p = random_rows(rng, k, m.n)
+    p[rng.random((k, m.n)) < 0.3] = 0.0
+    got = beta_excluded_mass(u, beta, w, p)
+    assert got == [beta_excluded_mass(u, beta, a, b) for a, b in zip(w, p)]
+    assert got == [excluded_by_pairs(u, beta, a, b) for a, b in zip(w, p)]
 
 
 def test_alpha_opt_cost():

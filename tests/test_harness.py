@@ -4,9 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import offline_exhaustive, random_metric
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
-from umtslab.core import ElementaryTask, Umts, apply_elementary, flat_work_function, support_headroom
+from umtslab.core import (
+    ElementaryTask,
+    GeneralTask,
+    Umts,
+    apply_elementary,
+    flat_work_function,
+    support_headroom,
+)
 from umtslab.harness import (
     AdversaryConfig,
     audit_run,
@@ -16,7 +26,7 @@ from umtslab.harness import (
     offline_opt,
     run_cost,
 )
-from umtslab.metricspace import make_uniform
+from umtslab.metricspace import FiniteMetric, make_uniform
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 
 
@@ -73,6 +83,23 @@ def test_offline_opt_two_point():
     assert offline_opt(u, [ElementaryTask("v1", 10.0)]) == pytest.approx(1.0, abs=1e-12)
     both = [ElementaryTask("v1", 10.0), ElementaryTask("v2", 10.0)]
     assert offline_opt(u, both) == pytest.approx(2.0, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_offline_opt_equals_exhaustive_search(n, horizon, seed):
+    rng = np.random.default_rng(seed)
+    d = random_metric(rng, n)
+    u = Umts(FiniteMetric(tuple(f"x{i}" for i in range(n)), d), np.ones(n), 1.0)
+    rows = [rng.random(n) * (rng.random(n) < 0.6) for _ in range(horizon)]
+    tasks = []
+    for row in rows:
+        charged = np.flatnonzero(row)
+        if len(charged) == 1:
+            tasks.append(ElementaryTask(u.labels[charged[0]], float(row[charged[0]])))
+        else:
+            tasks.append(GeneralTask(row))
+    assert offline_opt(u, tasks) == pytest.approx(offline_exhaustive(d, 0, rows), abs=1e-9)
 
 
 def test_elementarize_slices_round_robin():

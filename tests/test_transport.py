@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import line_cdf_cost, random_metric, random_prob, transport_bruteforce
+from oracles import (
+    METRIC_KINDS,
+    line_cdf_cost,
+    metric_of,
+    random_metric,
+    random_prob,
+    random_rows,
+    transport_bruteforce,
+)
 from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
-from umtslab.transport import as_probability, mcost_metric
-
+from umtslab.transport import as_probability, mcost_metric, not_distribution
 
 def test_identity_costs_nothing():
     m = make_uniform(3, 1.0)
@@ -107,3 +116,78 @@ def test_mcost_accepts_rounding_noise():
     p = [0.5 + 1e-13, 0.5, -1e-13]
     q = [0.5, 0.5 - 5e-10, 5e-10 + 1e-10]
     assert mcost_metric(m, p, q) == pytest.approx(0.0, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(METRIC_KINDS), st.integers(2, 4), st.integers(1, 5), st.integers(0, 2**32 - 1)
+)
+def test_stacked_transport_equals_one_row_calls(kind, n, k, seed):
+    rng = np.random.default_rng(seed)
+    m = metric_of(kind, n, rng)
+    p, q = random_rows(rng, k, m.n), random_rows(rng, k, m.n)
+    q[0] = p[0]  # a row that does not move
+    got = mcost_metric(m, p, q)
+    rows = np.array([mcost_metric(m, a, b) for a, b in zip(p, q)])
+    assert got.shape == (k,)
+    if kind == "lp":
+        np.testing.assert_allclose(got, rows, rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(got, rows)
+    i = k - 1  # the bruteforce oracle takes ~0.1 s at n = 4, so one row
+    assert got[i] == pytest.approx(transport_bruteforce(m.dist, p[i], q[i]), abs=1e-9)
+
+
+def test_stacked_transport_keeps_the_leading_shape():
+    rng = np.random.default_rng(12)
+    m = make_line(4, 1.0)
+    p, q = random_rows(rng, 6, 4).reshape(2, 3, 4), random_rows(rng, 6, 4).reshape(2, 3, 4)
+    got = mcost_metric(m, p, q)
+    assert got.shape == (2, 3)
+    assert got[1, 2] == mcost_metric(m, p[1, 2], q[1, 2])
+    with pytest.raises(ValueError, match="length"):
+        mcost_metric(m, p, q[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(METRIC_KINDS),
+    st.integers(2, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["sum", "negative", "nan", "inf"]),
+    st.booleans(),
+)
+def test_stacked_transport_rejects_one_bad_row(kind, n, k, seed, fault, in_p):
+    rng = np.random.default_rng(seed)
+    m = metric_of(kind, n, rng)
+    p, q = random_rows(rng, k, m.n), random_rows(rng, k, m.n)
+    bad = p if in_p else q
+    row = int(rng.integers(k))
+    if fault == "sum":
+        bad[row] *= 1.01
+    elif fault == "negative":
+        shift = bad[row, 0] + 1e-9  # entry 0 ends at -1e-9, the sum stays 1
+        bad[row, 0] -= shift
+        bad[row, 1] += shift
+    else:
+        bad[row, 0] = np.nan if fault == "nan" else np.inf
+    with pytest.raises(ValueError, match="not a distribution"):
+        mcost_metric(m, p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_row_check_agrees_with_the_one_row_check_at_its_threshold(n, k, seed):
+    rng = np.random.default_rng(seed)
+    # sums within a few ulps of 1 +- 1e-9, where the summation order decides
+    off = rng.choice([-1.0, 1.0], (k, 1)) * rng.uniform(0.9e-9, 1.1e-9, (k, 1))
+    rows = random_rows(rng, k, n) * (1.0 + off)
+    m = make_uniform(n, 1.0)
+    for row, rejected in zip(rows, not_distribution(rows)):
+        try:
+            mcost_metric(m, row, row)
+        except ValueError:
+            assert rejected
+        else:
+            assert not rejected
