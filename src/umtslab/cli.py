@@ -43,6 +43,7 @@ from umtslab.metricspace import (
 )
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
+from umtslab.transport import not_distribution
 
 RUN_SCHEMA = "umtslab-run-v1"
 SUMMARY_SCHEMA = "umtslab-summary-v1"
@@ -306,6 +307,10 @@ def cmd_run(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _simplex_summary(p: np.ndarray) -> str:
+    return f"probabilities sum to {float(p.sum()):.12g}, smallest {float(p.min()):.3g}"
+
+
 def _verify(head, rows):
     """Replay a trace from its own numbers; returns (exit code, message).
 
@@ -353,6 +358,8 @@ def _verify(head, rows):
     cost_check = "samecompratio" if combined else "stepcost"
     w = flat_work_function(u)
     p_prev = np.asarray(head["p0"], dtype=float)
+    if not_distribution(p_prev):
+        return 1, f"distribution violated at step 0: {_simplex_summary(p_prev)}"
     for row in rows:
         i = int(row["i"])
         v = u.metric.index(row["state"])
@@ -395,9 +402,8 @@ def _verify(head, rows):
                     f"from the block G values by {ggap:.3g}"
                 )
         p2 = np.asarray(row["p"], dtype=float)
-        total = float(p2.sum())
-        if not abs(total - 1.0) <= EPS_EQ:  # NaN fails too
-            return 1, f"distribution violated at step {i}: probabilities sum to {total:.12g}"
+        if not_distribution(p2):
+            return 1, f"distribution violated at step {i}: {_simplex_summary(p2)}"
         # a single-state rule declares beta = 0 and is exempt
         excluded = beta_excluded_mass(u, beta, stored_w, p2) if combined or beta > 0.0 else []
         if excluded:

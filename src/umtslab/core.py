@@ -161,8 +161,9 @@ def online_step_cost(u: Umts, p_before, p_after, task):
 
     For distributions of shape (..., n), ``task`` holds one elementary task
     per leading index, in C order, and the result one cost per leading
-    index, each equal to the one-row call. An elementary charge of delta at
-    v is paid as ``p_after[v] * (delta * rate[v])``.
+    index. A stack pays a charge of delta at v as
+    ``p_after[v] * (delta * rate[v])``, the one nonzero term of the one-row
+    dot product, so each cost equals the one-row call.
     """
     p_after = np.asarray(p_after, dtype=float)
     moving = moving_cost(u, p_before, p_after)
@@ -171,9 +172,6 @@ def online_step_cost(u: Umts, p_before, p_after, task):
         delta = np.array([t.delta for t in task], dtype=float)
         paid = p_after.reshape(-1, u.n)[np.arange(len(v)), v] * (delta * u.rates[v])
         return moving + paid.reshape(p_after.shape[:-1])
-    if isinstance(task, ElementaryTask):
-        v = u.metric.index(task.state)
-        return moving + float(p_after[v] * (task.delta * u.rates[v]))
     return moving + float(p_after @ (task_charges(u, task) * u.rates))
 
 
@@ -199,6 +197,8 @@ def beta_excluded_mass(u: Umts, beta: float, w, p) -> list:
     """
     w, p = np.asarray(w, dtype=float), np.asarray(p, dtype=float)
     if w.ndim == 1:
+        # one row takes the (n, n) pair matrix: the loop over y below costs
+        # a few times as much on a single row, more so as n grows
         gap = w[None, :] - w[:, None] - beta * u.metric.dist
         np.fill_diagonal(gap, -np.inf)
         hit = (gap.max(axis=0) >= -EPS_TIE) & (p > EPS_EQ)

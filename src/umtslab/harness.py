@@ -290,7 +290,7 @@ def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
 
     sens_allow = EPS_AUDIT + alg.phi_slack
     if math.isfinite(sens_allow):
-        phi = np.array([alg.phi(x) for x in w])
+        phi = np.array([alg.phi(steps[0].w)] + [rec.phi for rec in steps])
         local = np.empty(k)
         for x in np.unique(v).tolist():
             at = v == x

@@ -13,26 +13,16 @@ from umtslab.metricspace import FiniteMetric, TreeRealization
 from umtslab.tolerances import EPS_EQ
 
 
-def _tree_flow_cost(tree: TreeRealization, diff: np.ndarray) -> float:
-    nv = len(tree.parent)
-    net = np.zeros(nv)
+def _tree_flow_cost(tree: TreeRealization, diff: np.ndarray):
+    """Flow cost of ``diff`` over the tree's edges: each vertex pushes its net
+    mass to its parent. ``diff`` holds one entry per point on its first
+    axis, so a (n, k) ``diff`` gives the k costs of its columns."""
+    net = np.zeros((len(tree.parent),) + diff.shape[1:])
     for j, v in enumerate(tree.point_vertex):
         net[v] += diff[j]
     cost = 0.0
-    for i in range(nv - 1, 0, -1):
+    for i in range(len(net) - 1, 0, -1):
         cost += tree.edge_weight[i] * abs(net[i])
-        net[tree.parent[i]] += net[i]
-    return cost
-
-
-def _tree_flow_rows(tree: TreeRealization, diff: np.ndarray) -> np.ndarray:
-    """:func:`_tree_flow_cost` of each row of ``diff``, one vertex at a time."""
-    net = np.zeros((len(tree.parent), len(diff)))
-    for j, v in enumerate(tree.point_vertex):
-        net[v] += diff[:, j]
-    cost = np.zeros(len(diff))
-    for i in range(len(tree.parent) - 1, 0, -1):
-        cost += tree.edge_weight[i] * np.abs(net[i])
         net[tree.parent[i]] += net[i]
     return cost
 
@@ -63,12 +53,12 @@ def _lp_cost(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     return float(res.fun)
 
 
-def _require_distribution(p: np.ndarray) -> None:
-    """Reject p unless its entries are at least -1e-12 and sum to 1 within
-    EPS_EQ. This runs on every step, so it makes one pass over the entries;
-    a NaN or infinite entry leaves the sum off 1."""
+def _require_distribution(row: list[float]) -> None:
+    """Reject ``row`` unless its entries are at least -1e-12 and sum to 1
+    within EPS_EQ. This runs on every step, so it makes one pass over the
+    entries; a NaN or infinite entry leaves the sum off 1."""
     total = 0.0
-    for x in p.tolist():
+    for x in row:
         if x < -1e-12:
             raise ValueError(f"not a distribution: negative entry {x}")
         total += x
@@ -76,15 +66,20 @@ def _require_distribution(p: np.ndarray) -> None:
         raise ValueError(f"not a distribution: entries sum to {total}")
 
 
+def _is_distribution(row: list[float]) -> bool:
+    try:
+        _require_distribution(row)
+    except ValueError:
+        return False
+    return True
+
+
 def not_distribution(p) -> np.ndarray:
-    """True for each row of ``p`` (shape (..., n)) that :func:`mcost_metric`
-    rejects: an entry below -1e-12, or entries whose left-to-right sum, the
-    one :func:`_require_distribution` takes, is off 1 by more than EPS_EQ."""
+    """True for each row of ``p`` (shape (..., n)) that is not a
+    distribution, by the check :func:`mcost_metric` applies to every row."""
     p = np.asarray(p, dtype=float)
-    total = np.zeros(p.shape[:-1])
-    for j in range(p.shape[-1]):
-        total += p[..., j]
-    return (p < -1e-12).any(axis=-1) | ~(np.abs(total - 1.0) <= EPS_EQ)
+    rows = p.reshape(-1, p.shape[-1]).tolist()
+    return ~np.array([_is_distribution(row) for row in rows], dtype=bool).reshape(p.shape[:-1])
 
 
 def mcost_metric(metric: FiniteMetric, p, q):
@@ -101,53 +96,50 @@ def mcost_metric(metric: FiniteMetric, p, q):
         if p.shape[-1:] != (n,) or q.shape != p.shape:
             raise ValueError("distribution length does not match the space")
         return _mcost_rows(metric, p, q)
-    _require_distribution(p)
-    _require_distribution(q)
+    # one pair stays on Python floats up to the closed form: the stacked
+    # path's array steps cost a few times a one-row call at k = 1
+    _require_distribution(p.tolist())
+    _require_distribution(q.tolist())
     diff = p - q
-    if np.abs(diff).max(initial=0.0) <= 1e-15 or n <= 1:
+    if max(map(abs, diff.tolist()), default=0.0) <= 1e-15 or n <= 1:
         return 0.0
-    if metric.tree is not None:
-        return _tree_flow_cost(metric.tree, diff)
-    if n == 2:
-        return float(metric.dist[0, 1] * abs(diff[0]))
-    if n == 3:
-        return float(_star_arms_3pt(metric.dist) @ np.abs(diff))
-    off = metric.dist[~np.eye(n, dtype=bool)]
-    if off.max() - off.min() <= EPS_EQ:
-        return float(off[0] * np.abs(diff).sum() / 2.0)
-    return _lp_cost(metric.dist, p, q)
+    return float(_transport_cost(metric, p, q, diff))
 
 
 def _mcost_rows(metric: FiniteMetric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`mcost_metric` of every row pair: the one-row call's closed form
-    taken on columns, so each cost keeps its bits; the 3-point form and the
-    LP stay one call per row."""
+    """:func:`mcost_metric` of every row pair: a row that moves no mass costs
+    0.0, and the others are priced together by :func:`_transport_cost`."""
     n = metric.n
     lead = p.shape[:-1]
     p, q = p.reshape(-1, n), q.reshape(-1, n)
-    bad = not_distribution(p) | not_distribution(q)
-    if bad.any():
-        row = int(np.argmax(bad))
-        _require_distribution(p[row])
-        _require_distribution(q[row])
+    for row in p.tolist() + q.tolist():
+        _require_distribution(row)
     diff = p - q
     moved = np.abs(diff).max(axis=-1, initial=0.0) > 1e-15
+    cost = np.zeros(len(p))
+    if n > 1:
+        cost[moved] = _transport_cost(metric, p[moved], q[moved], diff[moved])
+    return cost.reshape(lead)
+
+
+def _transport_cost(metric: FiniteMetric, p, q, diff):
+    """Transport cost of ``p`` to ``q`` (shape (n,) or (k, n), ``diff = p - q``)
+    by the metric's closed form, which works along the last axis, or one LP
+    per row. Each row's cost has the bits of the one-row call."""
+    n = diff.shape[-1]
+    if metric.tree is not None:
+        return _tree_flow_cost(metric.tree, diff.T)
+    if n == 2:
+        return metric.dist[0, 1] * abs(diff.T[0])
+    if n == 3:
+        # one dot per row: a matrix-vector product sums the terms in another order
+        arms, dev = _star_arms_3pt(metric.dist), np.abs(diff)
+        return arms @ dev if dev.ndim == 1 else np.array([arms @ a for a in dev])
     off = metric.dist[~np.eye(n, dtype=bool)]
-    if n <= 1:
-        cost = np.zeros(len(p))
-    elif metric.tree is not None:
-        cost = _tree_flow_rows(metric.tree, diff)
-    elif n == 2:
-        cost = metric.dist[0, 1] * np.abs(diff[:, 0])
-    elif n == 3:
-        arms = _star_arms_3pt(metric.dist)
-        cost = np.array([arms @ a for a in np.abs(diff)])
-    elif off.max() - off.min() <= EPS_EQ:
-        cost = off[0] * np.abs(diff).sum(axis=-1) / 2.0
-    else:
-        rows = zip(p, q, moved.tolist())
-        cost = np.array([_lp_cost(metric.dist, a, b) if m else 0.0 for a, b, m in rows])
-    return np.where(moved, cost, 0.0).reshape(lead)
+    if off.max() - off.min() <= EPS_EQ:
+        return off[0] * np.abs(diff).sum(axis=-1) / 2.0
+    pairs = zip(p.reshape(-1, n), q.reshape(-1, n))
+    return np.array([_lp_cost(metric.dist, a, b) for a, b in pairs]).reshape(diff.shape[:-1])
 
 
 def as_probability(vec, tol: float = EPS_EQ) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 
 from oracles import reference_atomic_audit
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
+from umtslab.cli import main
 from umtslab.core import ElementaryTask, Umts
 from umtslab.harness import (
     ADVERSARY_KINDS,
@@ -129,3 +130,16 @@ def test_start_off_the_simplex_leaves_only_the_first_step_unpriced():
     assert [(i.lemma, i.step) for i in report["issues"]] == [("distribution", 0)]
     costs = [row["cost"] for row in report["trace"][1:]]
     assert math.isnan(costs[0]) and not any(map(math.isnan, costs[1:]))
+
+
+def test_verify_fails_a_trace_whose_start_is_off_the_simplex(tmp_path, capsys):
+    base = rule("two-stable")
+    def probabilities(w):
+        return base.probabilities(w) * (1.01 if not np.any(w) else 1.0)
+
+    alg = replace(base, probabilities=probabilities)
+    report = audit_steps(alg, list(simulate(alg, adversary(AdversaryConfig(steps=30, seed=5)))))
+    trace = tmp_path / "start.jsonl"
+    trace.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in report["trace"]))
+    assert main(["verify", str(trace)]) == 1
+    assert "distribution violated at step 0" in capsys.readouterr().out
