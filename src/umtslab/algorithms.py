@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from umtslab.core import Umts, support_headrooms
+from umtslab.core import Umts
 from umtslab.metricspace import scale_metric
 from umtslab.potential import BandPotential, TwoPointRule, estimate_potential, grid_shape
 from umtslab.tolerances import EPS_EQ
@@ -168,14 +168,18 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
 
     # rest[v]: the other states, in order
     rest = np.array([np.delete(np.arange(n), v) for v in range(n)])
+    dist = u.metric.dist
 
     def crossing(w, v):
         w = np.asarray(w, dtype=float)
         vs = np.atleast_1d(v)
         wv = w[vs, None]
         dead = (1.0 + _int_power((w - wv) / d, t).sum(axis=-1)) / b <= 1e-12  # raw(w)[v]
-        heads = support_headrooms(u, w)[vs]
-        others = w[rest[vs]] - wv
+        idx = rest[vs]
+        w_rest = w[idx]
+        # the support headroom of each requested state, as core.support_headrooms
+        heads = (w_rest + dist[idx, vs[:, None]]).min(axis=-1) - w[vs]
+        others = w_rest - wv
         if t in CLOSED_FORM_EXPONENTS:
             # the polynomial falls strictly: its root, capped by the headroom
             roots = [odd_crossing_closed(o, d, t) for o in others.tolist()]

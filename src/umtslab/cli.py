@@ -156,8 +156,9 @@ def _run_job(space_spec, algorithm, adversary_spec, seed):
     """Simulate one job once; the audit, optimum, ratio and trace all read that run."""
     alg = _rule(space_spec, algorithm)
     config = _adversary_config(adversary_spec, seed)
-    # make the whole run, then audit it: interleaving the two ran ~10% slower
-    report = audit_steps(alg, list(simulate(alg, adversary(config))))
+    # a combined audit reads each step as it is made, while its block
+    # potentials are still in the memos; an atomic audit stacks the whole run
+    report = audit_steps(alg, simulate(alg, adversary(config)))
     ratio = ratio_report(alg, report["cost"], report["opt"])
     passed = bool(report["passed"]) and ratio["passed"] is not False
     row = {

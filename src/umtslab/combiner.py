@@ -43,6 +43,7 @@ from umtslab.metricspace import (
     quotient_metric,
 )
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
+from umtslab.transport import not_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +112,43 @@ def nice_beta_eta(k: float, quotient_pair: tuple[float, float],
 # ---------------------------------------------------------------------------
 # construction
 
+# work functions each block's potential memo keeps
+MEMO_SIZE = 8
+
+
+class PotentialMemo:
+    """The potential and G value of one rule at its latest work functions.
+
+    Keyed by the bytes of the float64 work function, it keeps the
+    ``MEMO_SIZE`` latest and drops the oldest first. An entry holds the two
+    floats ``phi(w)`` and ``g_from(w, phi(w))`` as the rule computes them,
+    so a hit returns exactly what a miss would.
+    """
+
+    def __init__(self, alg: OnlineAlgorithm):
+        self.alg = alg
+        self.entries: dict[bytes, tuple[float, float]] = {}
+
+    def __call__(self, w: np.ndarray) -> tuple[float, float]:
+        key = w.tobytes()
+        hit = self.entries.get(key)
+        if hit is None:
+            pot = self.alg.phi(w)
+            hit = (pot, self.alg.g_from(w, pot))
+            if len(self.entries) >= MEMO_SIZE:
+                del self.entries[next(iter(self.entries))]
+            self.entries[key] = hit
+        return hit
+
 
 @dataclass
 class CombinedParts:
-    """Everything a combined algorithm and its auditor need to run."""
+    """Everything a combined algorithm and its auditor need to run.
+
+    Every reader of a block's potential or G value goes through that
+    block's memo in ``memos``, and the combined potential reads the
+    quotient's through ``quotient_memo``.
+    """
 
     u: Umts
     partition: Partition
@@ -128,22 +162,27 @@ class CombinedParts:
     dist_hat: np.ndarray
     beta: float
     eta: float
+    memos: list[PotentialMemo] = field(init=False, repr=False)
+    quotient_memo: PotentialMemo = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.memos = [PotentialMemo(a) for a in self.block_algs]
+        self.quotient_memo = PotentialMemo(self.quotient_alg)
 
     def split(self, w: np.ndarray) -> list[np.ndarray]:
         return [w[idx] for idx in self.global_index]
 
     def hat_work(self, w: np.ndarray) -> np.ndarray:
-        return np.array(
-            [a.g_value(wb) for a, wb in zip(self.block_algs, self.split(w))]
-        )
+        return np.array([memo(wb)[1] for memo, wb in zip(self.memos, self.split(w))])
 
     def initial_hat_work(self) -> np.ndarray:
         return self.hat_work(np.zeros(self.u.n))
 
 
-def _crossing_at(a: OnlineAlgorithm, wb: np.ndarray, lv: int, g0: float, xb: float,
+def _crossing_at(memo: PotentialMemo, wb: np.ndarray, lv: int, g0: float, xb: float,
                  xq: float) -> float:
-    """Combined zero crossing at local state ``lv`` of a block with rule ``a``.
+    """Combined zero crossing at local state ``lv`` of a block whose G values
+    ``memo`` gives.
 
     The charge stays within the block crossing ``xb`` and keeps the rise of
     the block's G value, from ``g0`` at ``wb``, within the quotient crossing
@@ -155,7 +194,7 @@ def _crossing_at(a: OnlineAlgorithm, wb: np.ndarray, lv: int, g0: float, xb: flo
     def over(x):
         wb2 = wb.copy()
         wb2[lv] += x
-        return a.g_value(wb2) - g0 - xq
+        return memo(wb2)[1] - g0 - xq
 
     if math.isfinite(xb) and over(xb) <= 0.0:
         return xb
@@ -267,11 +306,9 @@ def combine(
 
     def phi(w):
         w = np.asarray(w, dtype=float)
-        ws = parts.split(w)
-        bphis = [a.phi(wb) for a, wb in zip(block_algs, ws)]
-        what = np.array([a.g_from(wb, bphi) for a, wb, bphi in zip(block_algs, ws, bphis)])
-        total = qalg.phi(what)
-        for j, bphi in enumerate(bphis):
+        values = [memo(wb) for memo, wb in zip(parts.memos, parts.split(w))]
+        total = parts.quotient_memo(np.array([g for _, g in values]))[0]
+        for j, (bphi, _) in enumerate(values):
             if bphi != 0.0:
                 total += r * qalg.alpha[j] * bphi / hat_rates[j]
         return float(total)
@@ -286,7 +323,7 @@ def combine(
         for j in np.unique(js):
             xbs[js == j] = block_algs[j].zero_crossing(ws[j], local_index[vs[js == j]])
         out = [
-            _crossing_at(block_algs[j], ws[j], int(lv), float(what[j]), xb, xq)
+            _crossing_at(parts.memos[j], ws[j], int(lv), float(what[j]), xb, xq)
             for j, lv, xb, xq in zip(js, local_index[vs], xbs.tolist(), xqs.tolist())
         ]
         return np.array(out) if np.ndim(v) else out[0]
@@ -380,8 +417,10 @@ class CombinedRun:
     hatw (quotient values equal block G values, 1e-6), welleqw (block and
     restricted global work functions agree, 1e-9), betatagc (zero mass on
     beta-excluded states, 1e-9), samecompratio (combined step cost at most
-    the quotient step cost, 1e-6 plus any gridded-potential slack), and
-    reasonableness of the charge against both crossings.
+    the quotient step cost, 1e-6 plus any gridded-potential slack),
+    reasonableness of the charge against both crossings, and valid
+    distributions, the start one included: a step that reads a failing
+    one keeps a NaN cost.
     """
 
     alg: OnlineAlgorithm
@@ -399,6 +438,7 @@ class CombinedRun:
         self.g = self.what = parts.initial_hat_work()
         # the rule's start distribution comes with the first step read
         self.p0 = None
+        self.p_ok = True
         self.p_hat = parts.quotient_alg.probabilities(self.what)
         self.p_hat0 = self.p_hat.copy()
         self.qtasks: list[ElementaryTask] = []
@@ -425,6 +465,12 @@ class CombinedRun:
     def _issue(self, lemma, magnitude, detail):
         self.issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
 
+    def _distribution_ok(self, p, detail) -> bool:
+        if not not_distribution(p):
+            return True
+        self._issue("distribution", abs(p.sum() - 1.0), detail)
+        return False
+
     def step(self, rec: Step) -> dict:
         """Check the rule's step ``rec`` and return its trace row.
 
@@ -436,6 +482,7 @@ class CombinedRun:
         v, delta = rec.v, rec.delta
         if self.p0 is None:
             self.p0 = rec.p
+            self.p_ok = self._distribution_ok(rec.p, "start is not a distribution")
         j, lv = int(parts.block_of[v]), int(parts.local_index[v])
 
         # reasonableness against both crossings, before moving anything
@@ -445,7 +492,9 @@ class CombinedRun:
 
         w_blocks2 = list(self.w_blocks)
         w_blocks2[j] = apply_elementary(parts.block_systems[j], self.w_blocks[j], lv, delta)
-        gvals = np.array([a.g_value(wb) for a, wb in zip(parts.block_algs, w_blocks2)])
+        # the other blocks did not move, so their G values stand
+        gvals = self.g.copy()
+        gvals[j] = parts.memos[j](w_blocks2[j])[1]
         raw = float(gvals[j] - self.g[j])
         dhat = max(0.0, raw)
         if -raw > self.dhat_tol:
@@ -469,10 +518,12 @@ class CombinedRun:
             self._issue("hatw", gap, "quotient work function detached from block G values")
 
         p2, p_hat2 = rec.p2, q.p2
+        p2_ok = self._distribution_ok(p2, "not a distribution")
         for x, mass in beta_excluded_mass(u, parts.beta, w2, p2):
             self._issue("betatagc", mass, f"mass {mass:.3g} on excluded state {u.labels[x]}")
 
-        step_cost, qstep_cost = rec.cost, q.cost
+        step_cost = rec.cost if self.p_ok and p2_ok else math.nan
+        qstep_cost = q.cost
         slack_allow = EPS_AUDIT + self.alg.phi_slack if math.isfinite(self.alg.phi_slack) else math.inf
         if step_cost > qstep_cost + slack_allow:
             self._issue(
@@ -482,6 +533,7 @@ class CombinedRun:
             )
 
         self.w, self.w_blocks, self.g, self.what, self.p_hat = w2, w_blocks2, gvals, what2, p_hat2
+        self.p_ok = p2_ok
         self.qtasks.append(q.task)
         self.cost += step_cost
         self.qcost += qstep_cost

@@ -1,13 +1,25 @@
 """Combination arithmetic, product rule, and structural audits."""
 
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import combined_run, drive
 from umtslab.algorithms import odd_exponent, rho_variant, trivial_algorithm, two_stable
-from umtslab.combiner import block_subsystem, combine, nice_beta_eta
+from umtslab.combiner import MEMO_SIZE, block_subsystem, combine, nice_beta_eta
 from umtslab.core import ElementaryTask, Umts, support_headroom
-from umtslab.harness import replay
+from umtslab.harness import (
+    ADVERSARY_KINDS,
+    AdversaryConfig,
+    adversary,
+    audit_steps,
+    replay,
+    simulate,
+)
+from umtslab.hst import line_algorithm, weighted_caching_algorithm
 from umtslab.metricspace import FiniteMetric, TreeRealization, make_uniform
 
 
@@ -208,3 +220,89 @@ def test_single_block_passthrough():
     u = Umts(make_uniform(2, 1.0), np.array([1.0, 1.0]), 1.0)
     a = two_stable(u)
     assert combine(u, [["v1", "v2"]], [a], ts_var(0.5)) is a
+
+
+RULES = {
+    "line": lambda: line_algorithm(16),
+    "caching": lambda: weighted_caching_algorithm(np.random.default_rng(5).uniform(0.5, 2.0, 4)),
+}
+
+
+def all_memos(alg):
+    """Every potential memo of a combined rule, those of nested rules included."""
+    parts = alg.parts
+    if parts is None:
+        return []
+    found = [*parts.memos, parts.quotient_memo]
+    for a in [*parts.block_algs, parts.quotient_alg]:
+        found += all_memos(a)
+    return found
+
+
+def assert_memos_bounded(alg):
+    assert all(len(memo.entries) <= MEMO_SIZE for memo in all_memos(alg))
+
+
+def value_bits(alg, w):
+    """phi, probabilities and the zero crossing of every state at ``w``, as bytes."""
+    values = (alg.phi(w), alg.probabilities(w), alg.zero_crossing(w, np.arange(alg.umts.n)))
+    return [np.asarray(x, dtype=float).tobytes() for x in values]
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_memo_hits_return_what_a_fresh_rule_computes(name):
+    alg = RULES[name]()
+    ws = [np.zeros(alg.umts.n)]
+    for rec in simulate(alg, adversary(AdversaryConfig(steps=25, seed=3))):
+        ws.append(rec.w2)
+        assert_memos_bounded(alg)
+    assert len(ws) > 10 and all_memos(alg)
+    fresh = RULES[name]()
+    want = []
+    for w in ws:
+        for memo in all_memos(fresh):
+            memo.entries.clear()
+        want.append(value_bits(fresh, w))
+    order = list(reversed(range(len(ws))))
+    order += np.random.default_rng(0).permutation(len(ws)).tolist()
+    for i in order:
+        assert value_bits(alg, ws[i]) == want[i]
+        assert_memos_bounded(alg)
+
+
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_combined_audit_reads_a_generator_as_a_list(name, kind):
+    config = AdversaryConfig(kind=kind, steps=15, seed=4)
+    texts = []
+    for materialise in (list, iter):  # iter leaves the generator as it is
+        alg = RULES[name]()
+        report = audit_steps(alg, materialise(simulate(alg, adversary(config))))
+        assert report["kind"] == "combined" and report["steps"] > 0
+        texts.append(json.dumps(report, default=vars, sort_keys=True))
+    assert texts[0] == texts[1]
+
+
+def test_combined_rule_off_the_simplex_fails_distribution():
+    base = weighted_caching_algorithm(np.array([1.0, 0.7, 1.6]))
+    alg = replace(base, probabilities=lambda w: 1.01 * base.probabilities(w))
+    report = audit_steps(alg, simulate(alg, adversary(AdversaryConfig(steps=20, seed=5))))
+    assert report["passed"] is False
+    assert report["worst"]["distribution"]["step"] == 0
+    assert math.isnan(report["cost"])
+    assert all(math.isnan(row["cost"]) for row in report["trace"][1:])
+
+
+def test_combined_start_off_the_simplex_leaves_only_the_first_step_unpriced():
+    base = weighted_caching_algorithm(np.array([1.0, 0.7, 1.6]))
+
+    def probabilities(w):
+        return base.probabilities(w) * (1.01 if not np.any(w) else 1.0)
+
+    alg = replace(base, probabilities=probabilities)
+    report = audit_steps(alg, simulate(alg, adversary(AdversaryConfig(steps=20, seed=5))))
+    assert report["issues"] == 1
+    worst = report["worst"]["distribution"]
+    assert (worst["step"], worst["detail"]) == (0, "start is not a distribution")
+    costs = [row["cost"] for row in report["trace"][1:]]
+    assert math.isnan(costs[0]) and not any(map(math.isnan, costs[1:]))

@@ -177,7 +177,8 @@ def test_line_algorithm_ratio_chain():
 
 
 def test_line_phi_reads_each_block_potential_once(monkeypatch):
-    alg = line_algorithm(16)
+    alg, fresh = line_algorithm(16), line_algorithm(16)
+    w = np.linspace(0.0, 3.0, 16)
     calls = []
     phi_raw = algorithms._ts_phi_raw
 
@@ -186,8 +187,13 @@ def test_line_phi_reads_each_block_potential_once(monkeypatch):
         return phi_raw(*args)
 
     monkeypatch.setattr(algorithms, "_ts_phi_raw", counted)
-    alg.phi(np.linspace(0.0, 3.0, 16))
+    alg.phi(w)
     # one two-state quotient potential per internal node of the 16-leaf tree
+    assert len(calls) == 15
+    calls.clear()
+    # phi reads the block potentials probabilities computed, at every level
+    fresh.probabilities(w)
+    fresh.phi(w)
     assert len(calls) == 15
 
 
