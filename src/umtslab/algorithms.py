@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from umtslab.core import Umts
 from umtslab.metricspace import scale_metric
 from umtslab.potential import BandPotential, TwoPointRule, estimate_potential, grid_shape
+from umtslab.rootfind import brentq
 from umtslab.tolerances import EPS_EQ
 
 

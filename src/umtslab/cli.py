@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from umtslab.core import (
     online_step_cost,
 )
 from umtslab.harness import AdversaryConfig, adversary, audit_steps, ratio_report, simulate
-from umtslab.hst import line_algorithm, weighted_caching_algorithm
+from umtslab.hst import line_algorithm, weighted_caching_algorithm, with_hst_realization
 from umtslab.metricspace import (
     FiniteMetric,
     make_partition,
@@ -315,10 +316,11 @@ def _simplex_summary(p: np.ndarray) -> str:
 def _verify(head, rows):
     """Replay a trace from its own numbers; returns (exit code, message).
 
-    The header ``dist`` must be a metric. Composition traces (the header
-    lists ``blocks``) also replay the blocks and the quotient: ``dist_hat``
-    must be the largest cross-block distances of ``dist``, and each step
-    must name the block of its state.
+    The header ``dist`` must be a metric; an ultrametric one is priced on
+    its HST, as the run priced it, and any other by the transport LP.
+    Composition traces (the header lists ``blocks``) also replay the blocks
+    and the quotient: ``dist_hat`` must be the largest cross-block distances
+    of ``dist``, and each step must name the block of its state.
     """
     u = Umts(
         FiniteMetric(tuple(head["labels"]), np.asarray(head["dist"], dtype=float)),
@@ -329,6 +331,7 @@ def _verify(head, rows):
     problems = validate(u.metric)
     if problems:
         return 1, f"metric violated in the header: {problems[0]}"
+    u = replace(u, metric=with_hst_realization(u.metric))
     combined = "blocks" in head
     if combined:
         dist_hat = np.asarray(head["dist_hat"], dtype=float)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from umtslab.algorithms import OnlineAlgorithm
 from umtslab.core import (
@@ -42,6 +41,7 @@ from umtslab.metricspace import (
     min_cross_distance,
     quotient_metric,
 )
+from umtslab.rootfind import brentq
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 from umtslab.transport import not_distribution
 
@@ -320,7 +320,7 @@ def combine(
         js = block_of[vs]
         xqs = qalg.zero_crossing(what, js)
         xbs = np.empty(len(vs))
-        for j in np.unique(js):
+        for j in sorted(set(js.tolist())):  # np.unique would import numpy.ma on first use
             xbs[js == j] = block_algs[j].zero_crossing(ws[j], local_index[vs[js == j]])
         out = [
             _crossing_at(parts.memos[j], ws[j], int(lv), float(what[j]), xb, xq)

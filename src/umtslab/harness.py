@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
+# loaded with the package: numpy imports numpy.random on first use, which a
+# run forked after the package import would otherwise pay for itself
+from numpy.random import default_rng
 
 from umtslab.algorithms import OnlineAlgorithm
 from umtslab.combiner import AuditIssue, CombinedRun, trace_header, worst_issues
@@ -76,7 +79,7 @@ def adversary(config: AdversaryConfig):
     charge that rounds to zero, as at a state whose crossing is zero,
     spends one step of the budget and is not made.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     budget = config.steps
 
     def choose(alg: OnlineAlgorithm, w, p):
@@ -292,7 +295,7 @@ def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
     if math.isfinite(sens_allow):
         phi = np.array([alg.phi(steps[0].w)] + [rec.phi for rec in steps])
         local = np.empty(k)
-        for x in np.unique(v).tolist():
+        for x in sorted(set(v.tolist())):  # np.unique would import numpy.ma on first use
             at = v == x
             local[at] = alg.local_cost_integral(w1[at], x, delta[at])
         lhs = cost - p2[rows, v] * u.rates[v] * delta + local

@@ -143,6 +143,46 @@ def hst_metric(node: HstNode) -> FiniteMetric:
     return FiniteMetric(names, dist, tree)
 
 
+def with_hst_realization(metric: FiniteMetric) -> FiniteMetric:
+    """``metric`` with an HST as its tree realization, if it is an ultrametric.
+
+    The HST is grown top-down: a node's label is the largest distance among
+    its points, and its children are the classes of points closer than
+    that to the class's first point. The realization is attached only when
+    the HST's leaf metric reproduces ``dist`` exactly; any other metric
+    comes back as it is.
+    """
+    d = metric.dist
+
+    def build(idx: list[int]) -> HstNode | None:
+        if len(idx) == 1:
+            return leaf(metric.labels[idx[0]])
+        delta = float(d[np.ix_(idx, idx)].max())
+        groups: list[list[int]] = []
+        for i in idx:
+            group = next((g for g in groups if d[g[0], i] < delta), None)
+            if group is None:
+                groups.append([i])
+            else:
+                group.append(i)
+        if len(groups) == 1:  # not an ultrametric
+            return None
+        children = [build(g) for g in groups]
+        if any(c is None for c in children):
+            return None
+        return HstNode(delta=delta, children=tuple(children))
+
+    node = build(list(range(metric.n)))
+    if node is None:
+        return metric
+    ref = hst_metric(node)
+    order = [ref.index(x) for x in metric.labels]
+    if not np.array_equal(ref.dist[np.ix_(order, order)], d):
+        return metric
+    tree = replace(ref.tree, point_vertex=tuple(ref.tree.point_vertex[k] for k in order))
+    return FiniteMetric(metric.labels, d, tree)
+
+
 def separate_hst(node: HstNode, k: float = 5.0) -> HstNode:
     """Lift any HST to k-separation by rounding labels up to powers of k
     and contracting edges whose labels collide. Distances never shrink and

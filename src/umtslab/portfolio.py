@@ -24,7 +24,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from umtslab.algorithms import (
     OnlineAlgorithm,
@@ -71,6 +70,19 @@ def solve_log_x(s: float, rate: float) -> float:
     return hi
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array of finite floats, in the arithmetic of
+    scipy.special.logsumexp: the m entries equal to the max are taken out,
+    the others shifted by the max and summed to s in place, and the result
+    is log1p(s / m) + log(m) + max."""
+    top = a.max(keepdims=True)
+    at_top = a == top
+    m = at_top.sum(dtype=float, keepdims=True)
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum(keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return float((np.log1p(s) + np.log(m) + top)[0])
+
+
 def bucket_index(log_x: float) -> int:
     """Bucket number ell with e^(ell-1) <= x < e^ell, ties pushed upward."""
     return int(math.floor(log_x)) + 1
@@ -104,7 +116,7 @@ def combined_algorithm(u: Umts) -> OnlineAlgorithm:
     require_uniform(u)
     labels = u.metric.labels
     logs = np.array([solve_log_x(u.s, float(r)) for r in u.rates])
-    log_x_total = float(logsumexp(logs))
+    log_x_total = _logsumexp(logs)
 
     by_bucket: dict[int, list[int]] = {}
     for i, lv in enumerate(logs):
@@ -113,7 +125,7 @@ def combined_algorithm(u: Umts) -> OnlineAlgorithm:
     for ell in sorted(by_bucket):
         members = by_bucket[ell]
         if len(members) >= log_x_total:
-            blocks.append((members, float(logsumexp(logs[members])), True))
+            blocks.append((members, _logsumexp(logs[members]), True))
         else:
             for i in members:
                 blocks.append(([i], float(logs[i]), False))

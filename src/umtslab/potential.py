@@ -19,13 +19,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from umtslab.rootfind import brentq
 from umtslab.tolerances import EPS_EQ
 
 VI_TOL = 1e-7
 VI_MAX_SWEEPS = 4000
 MAX_GRID_STATES = 400_000
+# grid states per probabilities call: a rule's intermediates can grow with
+# states * n^2 (odd_exponent's pairwise differences), and rows are independent
+PROB_BLOCK_ROWS = 2048
 # grid points over [-d, d] on which BandPotential brackets roots and extrema
 BAND_SCAN = 2001
 
@@ -285,6 +288,14 @@ def _enumerate_states(n: int, levels: int, symmetric: bool) -> np.ndarray:
     return k[k.min(axis=1) == 0]
 
 
+def grid_probabilities(alg, W: np.ndarray) -> np.ndarray:
+    """``alg.probabilities(W)`` of the rows of ``W``, in blocks of
+    ``PROB_BLOCK_ROWS`` rows, so a large grid's intermediates stay bounded."""
+    return np.concatenate(
+        [alg.probabilities(W[i : i + PROB_BLOCK_ROWS]) for i in range(0, len(W), PROB_BLOCK_ROWS)]
+    )
+
+
 def estimate_potential(alg, grid_step: float | None = None) -> PotentialEstimate:
     """Least valid potential by value iteration over grid-step continuations.
 
@@ -314,7 +325,7 @@ def estimate_potential(alg, grid_step: float | None = None) -> PotentialEstimate
     index = GridIndex(states, levels)
 
     W = states.astype(float) * h
-    P = alg.probabilities(W)
+    P = grid_probabilities(alg, W)
 
     r, alpha = alg.declared_ratio, np.asarray(alg.alpha)
     target = np.full((n, S), -1, dtype=np.int64)

@@ -7,7 +7,6 @@ any 2- or 3-point metric); everything else goes through an LP solve.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from umtslab.metricspace import FiniteMetric, TreeRealization
 from umtslab.tolerances import EPS_EQ
@@ -40,6 +39,9 @@ def _star_arms_3pt(d: np.ndarray) -> np.ndarray:
 
 
 def _lp_cost(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    # imported here: scipy's start-up cost is paid only by runs that need an LP
+    from scipy.optimize import linprog
+
     n = d.shape[0]
     c = d.reshape(-1)
     a_eq = np.zeros((2 * n, n * n))

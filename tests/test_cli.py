@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from umtslab import cli, harness
+from umtslab import cli, harness, transport
 from umtslab.cli import build_algorithm, main
 
 
@@ -235,6 +235,35 @@ def test_verify_rejects_a_bad_header_metric_or_block(tmp_path, capsys):
         doctored.write_text("".join(json.dumps(x) + "\n" for x in [head, *rows]))
         assert main(["verify", str(doctored)]) == 1
         assert f"{check} violated" in capsys.readouterr().out
+
+
+def test_verify_prices_an_hst_trace_on_its_tree(tmp_path, capsys, monkeypatch):
+    config = write_config(
+        tmp_path,
+        spaces=[{"name": "line8", "kind": "line", "points": 8, "gap": 1.0, "s": 1.0}],
+        algorithms=["line"],
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    lines = next((out / "traces").glob("*.jsonl")).read_text().splitlines()
+    assert len(lines) > 10
+    lp_calls = []
+
+    def counted_lp(*args):
+        lp_calls.append(args)
+        return lp_cost(*args)
+
+    lp_cost = transport._lp_cost
+    monkeypatch.setattr(transport, "_lp_cost", counted_lp)
+    trace = tmp_path / "line8.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(trace)]) == 0
+    row = json.loads(lines[6])
+    row["cost"] += 0.01
+    trace.write_text("\n".join(lines[:6] + [json.dumps(row)] + lines[7:]) + "\n")
+    assert main(["verify", str(trace)]) == 1
+    assert "samecompratio violated at step 6" in capsys.readouterr().out
+    assert lp_calls == []
 
 
 def test_run_job_simulates_once(monkeypatch):

@@ -22,8 +22,10 @@ from umtslab.hst import (
     star_to_hst,
     validate_hst,
     weighted_caching_algorithm,
+    with_hst_realization,
 )
-from umtslab.metricspace import make_star
+from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
+from umtslab.transport import _lp_cost, mcost_metric
 
 
 def two_level_tree():
@@ -47,6 +49,35 @@ def test_hst_metric_distances_and_realization():
     # the realization reproduces the same distances (validated on build),
     # and the diameter is the root label
     assert m.diameter() == 10.0
+
+
+def test_ultrametrics_get_an_hst_realization():
+    rng = np.random.default_rng(3)
+    ref = hst_metric(line_to_binary4_hst(16))
+    order = rng.permutation(16)
+    labels = tuple(ref.labels[i] for i in order)
+    bare = FiniteMetric(labels, ref.dist[np.ix_(order, order)])
+    found = with_hst_realization(bare)
+    assert found.tree is not None and found.labels == labels
+    assert np.array_equal(found.dist, bare.dist)
+    for _ in range(20):
+        p, q = rng.dirichlet(np.ones(16)), rng.dirichlet(np.ones(16))
+        cost = mcost_metric(found, p, q)
+        assert cost == pytest.approx(mcost_metric(ref, p[np.argsort(order)], q[np.argsort(order)]),
+                                     abs=1e-12)
+        assert cost == pytest.approx(_lp_cost(bare.dist, p, q), abs=1e-9)
+    assert with_hst_realization(FiniteMetric(("a", "b", "c", "d"), make_uniform(4).dist)).tree
+
+
+def test_other_metrics_keep_the_lp():
+    near = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
+    near[0, 2] = near[2, 0] = np.nextafter(2.0, 3.0)  # an ultrametric but for one bit
+    for metric in (
+        make_line(4),
+        FiniteMetric(("a", "b", "c"), make_star([1.0, 2.0, 3.0]).dist),
+        FiniteMetric(("a", "b", "c"), near),
+    ):
+        assert with_hst_realization(metric) is metric
 
 
 def test_validate_hst_rejects_weak_separation():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from oracles import combined_run, drive
 from umtslab.algorithms import two_stable_ratio
@@ -11,12 +14,31 @@ from umtslab.core import Umts
 from umtslab.metricspace import make_line, make_uniform
 from umtslab.portfolio import (
     LOG_X_FLOOR,
+    _logsumexp,
     bucket_index,
     combined_algorithm,
     ratio_budget,
     solve_log_x,
     w_combined_algorithm,
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=1, max_size=40),
+    st.lists(st.integers(0, 39), max_size=8),
+)
+def test_logsumexp_matches_scipy(values, ties):
+    a = np.array(values)
+    for i in ties:  # ties at the max are taken out together
+        a[i % len(a)] = a.max()
+    assert _logsumexp(a) == float(logsumexp(a))
+
+
+def test_logsumexp_on_scales_of_the_bucket_merge():
+    logs = np.array([solve_log_x(1.0, r) for r in (1.0, 3.0, 3.0, 50.0, 9e3, 9e3)])
+    for members in ([0], [1, 2], [0, 1, 2], [3, 4, 5], list(range(6))):
+        assert _logsumexp(logs[members]) == float(logsumexp(logs[members]))
 
 
 def merge_bound(s, x1, x2):

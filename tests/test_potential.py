@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import band_phi_candidates, reference_estimate, reference_phi
-from umtslab import algorithms
+from umtslab import algorithms, potential
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import Umts, moving_cost
 from umtslab.hst import weighted_caching_algorithm
@@ -26,6 +26,7 @@ from umtslab.potential import (
     TwoPointRule,
     _enumerate_states,
     estimate_potential,
+    grid_probabilities,
     vi_state_count,
 )
 
@@ -317,6 +318,16 @@ def test_estimate_table_matches_per_state_build(alg_factory, n, rates, grid_step
     assert np.array_equal(est.states, states)
     assert np.array_equal(est.table, table)
     assert (est.sweeps, est.slack) == (sweeps, slack)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 500, potential.PROB_BLOCK_ROWS])
+def test_blocked_grid_probabilities_equal_one_call(monkeypatch, rows):
+    monkeypatch.setattr(potential, "PROB_BLOCK_ROWS", rows)
+    # 6435 and 9031 grid states: more than one default block each
+    for n, rates, levels in ((8, [1.0] * 8, 8), (5, [1.0, 3.0, 2.0, 1.0, 0.5], 6)):
+        alg = odd_exponent(Umts(make_uniform(n, 1.0), np.array(rates), 1.0))
+        W = _enumerate_states(n, levels, rates == [1.0] * n) / levels
+        assert np.array_equal(grid_probabilities(alg, W), alg.probabilities(W))
 
 
 def held_estimates(root) -> set[int]:
