@@ -44,7 +44,7 @@ from umtslab.metricspace import (
 )
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
-from umtslab.transport import not_distribution
+from umtslab.transport import needs_lp, not_distribution
 
 RUN_SCHEMA = "umtslab-run-v1"
 SUMMARY_SCHEMA = "umtslab-summary-v1"
@@ -316,8 +316,9 @@ def _simplex_summary(p: np.ndarray) -> str:
 def _verify(head, rows):
     """Replay a trace from its own numbers; returns (exit code, message).
 
-    The header ``dist`` must be a metric; an ultrametric one is priced on
-    its HST, as the run priced it, and any other by the transport LP.
+    The header ``dist`` must be a metric. One that would go to the
+    transport LP is priced on its HST instead when it is an ultrametric, as
+    the run priced it.
     Composition traces (the header lists ``blocks``) also replay the blocks
     and the quotient: ``dist_hat`` must be the largest cross-block distances
     of ``dist``, and each step must name the block of its state.
@@ -331,7 +332,8 @@ def _verify(head, rows):
     problems = validate(u.metric)
     if problems:
         return 1, f"metric violated in the header: {problems[0]}"
-    u = replace(u, metric=with_hst_realization(u.metric))
+    if needs_lp(u.metric):
+        u = replace(u, metric=with_hst_realization(u.metric))
     combined = "blocks" in head
     if combined:
         dist_hat = np.asarray(head["dist_hat"], dtype=float)

@@ -75,12 +75,11 @@ def _logsumexp(a: np.ndarray) -> float:
     scipy.special.logsumexp: the m entries equal to the max are taken out,
     the others shifted by the max and summed to s in place, and the result
     is log1p(s / m) + log(m) + max."""
-    top = a.max(keepdims=True)
+    top = a.max()
     at_top = a == top
-    m = at_top.sum(dtype=float, keepdims=True)
-    s = np.exp(np.where(at_top, -np.inf, a) - top).sum(keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    return float((np.log1p(s) + np.log(m) + top)[0])
+    m = float(at_top.sum())
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
 
 
 def bucket_index(log_x: float) -> int:

@@ -1,40 +1,30 @@
 """Brent's root finder on a sign-changing bracket, in plain float arithmetic.
 
 This is the classic method of Brent (1973, *Algorithms for Minimization
-without Derivatives*, ch. 4) in the form of scipy's ``brentq`` (its C
-routine and the Python checks around it), step for step: the same
-iterates, the same root and the same errors for the same arguments. The
-package only needs this one solver, so it carries it instead of importing
-``scipy.optimize`` into every run.
+without Derivatives*, ch. 4) in the form of scipy's ``brentq`` at its
+default ``rtol`` and ``maxiter`` (its C routine and the sign and NaN checks
+around it), step for step: the same iterates, the same root and the same
+errors for the same function, bracket and ``xtol``. The package only needs
+this one solver, so it carries it instead of importing ``scipy.optimize``
+into every run.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
-XTOL = 2e-12
 RTOL = 4 * sys.float_info.epsilon
 MAXITER = 100
 
 
-def brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER) -> float:
+def brentq(f, a, b, xtol: float) -> float:
     """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
 
-    The root is found to within ``xtol + rtol * |x|``. Raises ValueError
-    for a bad tolerance or iteration count, for f(a) and f(b) of one sign,
-    and for a NaN function value; RuntimeError when ``maxiter`` iterations
-    do not converge.
+    The root is found to within ``xtol + RTOL * |x|``. Raises ValueError
+    for f(a) and f(b) of one sign and for a NaN function value;
+    RuntimeError when ``MAXITER`` iterations do not converge.
     """
-    maxiter = operator.index(maxiter)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-    xtol, rtol = float(xtol), float(rtol)
 
     def value(x: float) -> float:
         fx = f(x)
@@ -51,7 +41,7 @@ def brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER) -> float:
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -59,7 +49,7 @@ def brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER) -> float:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -88,4 +78,4 @@ def brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations.")

@@ -124,6 +124,17 @@ def _mcost_rows(metric: FiniteMetric, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return cost.reshape(lead)
 
 
+def _is_uniform(d: np.ndarray) -> bool:
+    off = d[~np.eye(len(d), dtype=bool)]
+    return bool(off.max() - off.min() <= EPS_EQ)
+
+
+def needs_lp(metric: FiniteMetric) -> bool:
+    """Whether transport on ``metric`` goes to the LP: no tree realization,
+    more than three points and not uniform."""
+    return metric.tree is None and metric.n > 3 and not _is_uniform(metric.dist)
+
+
 def _transport_cost(metric: FiniteMetric, p, q, diff):
     """Transport cost of ``p`` to ``q`` (shape (n,) or (k, n), ``diff = p - q``)
     by the metric's closed form, which works along the last axis, or one LP
@@ -137,9 +148,8 @@ def _transport_cost(metric: FiniteMetric, p, q, diff):
         # one dot per row: a matrix-vector product sums the terms in another order
         arms, dev = _star_arms_3pt(metric.dist), np.abs(diff)
         return arms @ dev if dev.ndim == 1 else np.array([arms @ a for a in dev])
-    off = metric.dist[~np.eye(n, dtype=bool)]
-    if off.max() - off.min() <= EPS_EQ:
-        return off[0] * np.abs(diff).sum(axis=-1) / 2.0
+    if _is_uniform(metric.dist):
+        return metric.dist[0, 1] * np.abs(diff).sum(axis=-1) / 2.0
     pairs = zip(p.reshape(-1, n), q.reshape(-1, n))
     return np.array([_lp_cost(metric.dist, a, b) for a, b in pairs]).reshape(diff.shape[:-1])
 

@@ -13,7 +13,7 @@ from oracles import (
     transport_bruteforce,
 )
 from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
-from umtslab.transport import as_probability, mcost_metric, not_distribution
+from umtslab.transport import as_probability, mcost_metric, needs_lp, not_distribution
 
 def test_identity_costs_nothing():
     m = make_uniform(3, 1.0)
@@ -58,6 +58,16 @@ def test_tree_realizations_match_bruteforce():
             assert mcost_metric(m, p, q) == pytest.approx(
                 transport_bruteforce(m.dist, p, q), abs=1e-9
             )
+
+
+def test_needs_lp_only_without_a_closed_form():
+    def bare(m):
+        return FiniteMetric(m.labels, m.dist)
+
+    assert needs_lp(bare(make_line(4)))
+    assert not needs_lp(make_line(4))  # its tree realization
+    assert not needs_lp(bare(make_uniform(5, 2.0)))
+    assert not needs_lp(bare(make_star([1.0, 2.0, 5.0])))
 
 
 def test_line_cdf_agrees_everywhere():
