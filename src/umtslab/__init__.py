@@ -19,11 +19,9 @@ from umtslab.core import (
     ElementaryTask,
     GeneralTask,
     Umts,
-    alpha_opt_cost,
     apply_task,
     flat_work_function,
     initial_work_function,
-    is_supported,
     moving_cost,
     online_step_cost,
     opt_cost,
@@ -69,11 +67,9 @@ __all__ = [
     "ElementaryTask",
     "GeneralTask",
     "Umts",
-    "alpha_opt_cost",
     "apply_task",
     "flat_work_function",
     "initial_work_function",
-    "is_supported",
     "moving_cost",
     "online_step_cost",
     "opt_cost",

@@ -10,6 +10,7 @@ the work function; all randomness lives in the probability vector itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -17,7 +18,14 @@ import numpy as np
 
 from umtslab.core import Umts
 from umtslab.metricspace import scale_metric
-from umtslab.potential import BandPotential, TwoPointRule, estimate_potential, grid_shape
+from umtslab.potential import (
+    BandPotential,
+    TwoPointRule,
+    by_rows,
+    estimate_potential,
+    grid_shape,
+    zero_potential,
+)
 from umtslab.rootfind import brentq
 from umtslab.tolerances import EPS_EQ
 
@@ -29,7 +37,9 @@ class OnlineAlgorithm:
     ``probabilities(w)`` maps a work function to a distribution over states;
     the atomic families take work functions of shape ``(..., n)`` and return
     one distribution per leading index.
-    ``phi(w)`` is a potential certifying the declared ratio;
+    ``phi(w)`` is a potential certifying the declared ratio, a float for
+    one work function and one value per leading index for a stack of
+    shape ``(..., n)``;
     ``zero_crossing(w, v)`` is the largest charge at state ``v`` that keeps
     the run reasonable (probability positive throughout); given a 1-D
     integer array ``v`` it returns one value per listed state, from one
@@ -47,7 +57,7 @@ class OnlineAlgorithm:
     beta: float
     eta: float
     probabilities: Callable[[np.ndarray], np.ndarray]
-    phi: Callable[[np.ndarray], float]
+    phi: Callable[[np.ndarray], float | np.ndarray]
     phi_sup: float
     zero_crossing: Callable[[np.ndarray, int | np.ndarray], float | np.ndarray]
     descriptor: dict
@@ -104,9 +114,6 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
         p[..., v] = 1.0
         return p
 
-    def phi(w):
-        return 0.0
-
     def crossing(w, j):
         return _per_state(crossings, j)
 
@@ -121,7 +128,7 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
         beta=0.0,
         eta=0.0,
         probabilities=probs,
-        phi=phi,
+        phi=zero_potential,
         phi_sup=0.0,
         zero_crossing=crossing,
         descriptor={"family": "trivial", "state": label, "ratio": rate},
@@ -166,31 +173,34 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         p = np.maximum(raw(np.asarray(w, dtype=float)), 0.0)
         return p / p.sum(axis=-1, keepdims=True)
 
-    # rest[v]: the other states, in order
-    rest = np.array([np.delete(np.arange(n), v) for v in range(n)])
-    dist = u.metric.dist
+    # rest[v]: the other states, in order; cols[v][x]: dist(x, v)
+    rest = [[x for x in range(n) if x != v] for v in range(n)]
+    cols = u.metric.dist_columns
 
-    def crossing(w, v):
-        w = np.asarray(w, dtype=float)
-        vs = np.atleast_1d(v)
-        wv = w[vs, None]
-        dead = (1.0 + _int_power((w - wv) / d, t).sum(axis=-1)) / b <= 1e-12  # raw(w)[v]
-        idx = rest[vs]
-        w_rest = w[idx]
-        # the support headroom of each requested state, as core.support_headrooms
-        heads = (w_rest + dist[idx, vs[:, None]]).min(axis=-1) - w[vs]
-        others = w_rest - wv
+    def crossing_at(values: list, v: int) -> float:
+        wv = values[v]
+        # raw(w)[v], its terms summed as numpy sums them
+        if (1.0 + numpy_sum(_float_powers([(x - wv) / d for x in values], t))) / b <= 1e-12:
+            return 0.0
+        # the support headroom, as core.support_headroom computes it
+        reach = list(map(operator.add, values, cols[v]))
+        reach[v] = math.inf
+        head = min(reach) - wv
+        others = [values[x] - wv for x in rest[v]]
         if t in CLOSED_FORM_EXPONENTS:
             # the polynomial falls strictly: its root, capped by the headroom
-            roots = [odd_crossing_closed(o, d, t) for o in others.tolist()]
-            x = np.minimum(np.maximum(roots, 0.0), heads)
-        else:
-            x = heads.copy()
-            at_head = 1.0 + _int_power((others - heads[:, None]) / d, t).sum(axis=-1)
-            for k in np.flatnonzero(~dead & ~(at_head > 0.0)):
-                x[k] = odd_crossing_bracketed(others[k], heads[k], d, t)
-        x = np.where(dead, 0.0, x)
-        return x if np.ndim(v) else float(x[0])
+            return min(max(odd_crossing_closed(others, d, t), 0.0), head)
+        if 1.0 + numpy_sum(_float_powers([(o - head) / d for o in others], t)) > 0.0:
+            return head
+        return odd_crossing_bracketed(np.array(others), head, d, t)
+
+    def crossing(w, v):
+        # a run asks about one state, or a few, of a work function of a few
+        # entries, so each state is worked through on Python floats
+        values = np.asarray(w, dtype=float).tolist()
+        if np.ndim(v):
+            return np.array([crossing_at(values, x) for x in np.asarray(v).tolist()])
+        return crossing_at(values, int(v))
 
     def local_integral(w, v, delta):
         w = np.asarray(w, dtype=float)
@@ -208,7 +218,7 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         beta=1.0,
         eta=1.0,
         probabilities=probs,
-        phi=lambda w: 0.0,
+        phi=zero_potential,
         phi_sup=0.0,
         zero_crossing=crossing,
         descriptor={
@@ -224,7 +234,8 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
     )
     if b == 2:
         band = _odd_exponent_band(u, d, t, r)
-        return replace(alg, phi=lambda w: band.phi(float(w[0] - w[1])), phi_sup=band.sup())
+        band_phi = by_rows(lambda w: band.phi(float(w[0] - w[1])))
+        return replace(alg, phi=band_phi, phi_sup=band.sup())
     _, _, fits = grid_shape(alg)
     if not fits:
         return replace(
@@ -255,6 +266,50 @@ def _int_power(x: np.ndarray, k: int) -> np.ndarray:
     for _ in range(k - 2):
         out *= x
     return out
+
+
+def _float_powers(xs: list, k: int) -> list:
+    """x ** k of each float x of ``xs`` for a positive integer k, as the
+    products of :func:`_int_power`."""
+    if k == 1:
+        return xs
+    if k == 3:
+        return [x * x * x for x in xs]
+    out = [x * x for x in xs]
+    for _ in range(k - 2):
+        out = [o * x for o, x in zip(out, xs)]
+    return out
+
+
+def numpy_sum(values: list) -> float:
+    """The sum numpy's ``add.reduce`` gives for the floats ``values`` as one
+    contiguous row, bit for bit.
+
+    Below 8 terms numpy adds left to right. Up to 128 it keeps 8
+    accumulators, the k-th summing terms k, k + 8, ..., combines them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the tail
+    past the last multiple of 8 left to right; longer rows are split in two
+    at a multiple of 8 and summed recursively.
+    """
+    m = len(values)
+    if m < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if m > 128:
+        half = m // 2
+        half -= half % 8
+        return numpy_sum(values[:half]) + numpy_sum(values[half:])
+    r = values[:8]
+    end = m - m % 8
+    for i in range(8, end, 8):
+        for k in range(8):
+            r[k] += values[i + k]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in values[end:]:
+        total += x
+    return total
 
 
 # odd exponents whose zero crossing is solved in closed form, which covers
@@ -443,7 +498,7 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
         beta=1.0,
         eta=4.0,
         probabilities=probs,
-        phi=phi,
+        phi=by_rows(phi),
         phi_sup=float(phi_sup),
         zero_crossing=crossing,
         descriptor={"family": "two-stable", "r1": r1, "r2": r2, "s": u.s, "ratio": r},

@@ -62,6 +62,8 @@ CSV_COLUMNS = (
     "declared",
     "passed",
 )
+# one encoder for every trace line: json.dumps builds a new one per call
+TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class ConfigError(Exception):
@@ -226,6 +228,8 @@ def cmd_run(args) -> int:
     algorithms = config.get("algorithms")
     if not spaces or not algorithms:
         raise ConfigError("config needs non-empty 'spaces' and 'algorithms' lists")
+    if not isinstance(spaces, list) or not all(isinstance(space, dict) for space in spaces):
+        raise ConfigError("config 'spaces' must be a list of objects")
     adversaries = config.get("adversaries") or [{"kind": "uniform-random", "steps": 100}]
     for entry in adversaries:
         _adversary_config(entry, seeds[0])  # reject a bad entry before any job runs
@@ -268,7 +272,7 @@ def cmd_run(args) -> int:
         trace_path = traces_dir / f"{name}.jsonl"
         with trace_path.open("w") as fh:
             for line in result["trace"]:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+                fh.write(TRACE_ENCODER.encode(line) + "\n")
         srow = dict(row)
         srow["trace"] = str(trace_path.relative_to(out_dir))
         if isinstance(srow["ratio"], float) and math.isnan(srow["ratio"]):
@@ -366,8 +370,9 @@ def _verify(head, rows):
     p_prev = np.asarray(head["p0"], dtype=float)
     if not_distribution(p_prev):
         return 1, f"distribution violated at step 0: {_simplex_summary(p_prev)}"
-    for row in rows:
-        i = int(row["i"])
+    for i, row in enumerate(rows, 1):
+        if row["i"] != i:
+            return 1, f"numbering violated at step {i}: the row is numbered {row['i']!r}"
         v = u.metric.index(row["state"])
         delta = float(row["delta"])
         stored_w = np.asarray(row["w"], dtype=float)
@@ -442,10 +447,14 @@ def _verify(head, rows):
             what, ph_prev = stored_what, ph2
         w, p_prev = stored_w, p2
     if combined:
-        checks = "metric, dist_hat, welleqw, block, hatw, distribution, betatagc, samecompratio"
+        checks = (
+            "metric, dist_hat, numbering, welleqw, block, hatw, distribution, betatagc, "
+            "samecompratio"
+        )
         unchecked = "ratio, beta, alpha, tol, dhat_tol"
     else:
-        checks, unchecked = "metric, welleqw, distribution, betatagc, stepcost", "ratio, beta"
+        checks = "metric, numbering, welleqw, distribution, betatagc, stepcost"
+        unchecked = "ratio, beta"
     # these header fields come from the rule, which verify does not rebuild
     return 0, f"ok: {len(rows)} steps verified ({checks}); not recomputed: {unchecked}"
 

@@ -41,6 +41,7 @@ from umtslab.metricspace import (
     min_cross_distance,
     quotient_metric,
 )
+from umtslab.potential import by_rows
 from umtslab.rootfind import brentq
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 from umtslab.transport import not_distribution
@@ -344,7 +345,7 @@ def combine(
         beta=beta,
         eta=eta,
         probabilities=probs,
-        phi=phi,
+        phi=by_rows(phi),
         phi_sup=float(phi_sup),
         zero_crossing=crossing,
         descriptor={

@@ -17,6 +17,7 @@ competitive bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,9 +128,11 @@ def apply_elementary(u: Umts, w: np.ndarray, v: int, delta: float) -> np.ndarray
 
 
 def _support_level(u: Umts, w: np.ndarray, v: int) -> float:
-    reach = w + u.metric.dist[:, v]
-    reach[v] = np.inf
-    return float(reach.min()) if u.n > 1 else np.inf
+    """min over x != v of w(x) + dist(x, v) (inf on one point), on Python
+    floats: at n <= 8 numpy's per-call overhead would dominate the minimum."""
+    reach = w.tolist()
+    reach[v] = math.inf
+    return min(map(operator.add, reach, u.metric.dist_columns[v]))
 
 
 def support_headroom(u: Umts, w: np.ndarray, v: int) -> float:
@@ -142,12 +145,6 @@ def support_headrooms(u: Umts, w: np.ndarray) -> np.ndarray:
     reach = w[:, None] + u.metric.dist
     reach.flat[:: len(w) + 1] = np.inf
     return reach.min(axis=0) - w
-
-
-def is_supported(u: Umts, w: np.ndarray, state) -> bool:
-    """True iff some other state pins w at this one: w(v) = w(x) + dist(x, v)."""
-    v = u.metric.index(state) if isinstance(state, str) else int(state)
-    return support_headroom(u, w, v) <= EPS_EQ
 
 
 def moving_cost(u: Umts, p, q):
@@ -173,12 +170,6 @@ def online_step_cost(u: Umts, p_before, p_after, task):
         paid = p_after.reshape(-1, u.n)[np.arange(len(v)), v] * (delta * u.rates[v])
         return moving + paid.reshape(p_after.shape[:-1])
     return moving + float(p_after @ (task_charges(u, task) * u.rates))
-
-
-def alpha_opt_cost(alpha, w) -> float:
-    """Weighted offline cost <alpha, w>; at most min(w) + diam for weights on
-    a 1-Lipschitz work function."""
-    return float(np.asarray(alpha) @ np.asarray(w))
 
 
 def opt_cost(w) -> float:
@@ -221,9 +212,9 @@ class Step:
     ``alg`` on system ``u`` from work function ``w`` and distribution ``p``
     to ``w2`` and ``p2 = alg.probabilities(w2)``.
 
-    The step cost, the zero crossing at ``v`` before the charge and the
-    potential of ``w2`` are evaluated on first use, so a reader pays only
-    for what it reads; a caller that knows the crossing passes it in.
+    The step cost and the zero crossing at ``v`` before the charge are
+    evaluated on first use, so a reader pays only for what it reads; a
+    caller that knows the crossing passes it in.
     """
 
     def __init__(self, u: Umts, alg, w, p, v: int, delta: float, crossing=None):
@@ -242,7 +233,3 @@ class Step:
     @cached_property
     def crossing(self) -> float:
         return self.alg.zero_crossing(self.w, self.v)
-
-    @cached_property
-    def phi(self) -> float:
-        return self.alg.phi(self.w2)

@@ -86,8 +86,11 @@ def adversary(config: AdversaryConfig):
         nonlocal budget
         if budget <= 0:
             return None
-        heads = support_headrooms(alg.umts, w)
-        open_states = np.flatnonzero((p > EPS_EQ) & (heads > 0.0)).tolist()
+        # the open states, picked on Python floats: n is small and numpy's
+        # per-call overhead would dominate
+        heads = support_headrooms(alg.umts, w).tolist()
+        mass = p.tolist()
+        open_states = [x for x in range(len(mass)) if mass[x] > EPS_EQ and heads[x] > 0.0]
         if not open_states:
             return None
         cross = {}
@@ -246,7 +249,8 @@ def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
     """Check an atomic rule's finished run, each check over all steps at once.
 
     The run is stacked into (steps + 1, n) arrays of work functions and
-    distributions. The checks are: charges below the zero crossing
+    distributions, and the potential is evaluated in one call on the
+    stacked work functions. The checks are: charges below the zero crossing
     (resadv), valid distributions (distribution), no mass on beta-excluded
     states (betatagc, skipped when beta is zero, the single-state
     convention) and sensibility of each step against the potential.
@@ -293,7 +297,7 @@ def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
 
     sens_allow = EPS_AUDIT + alg.phi_slack
     if math.isfinite(sens_allow):
-        phi = np.array([alg.phi(steps[0].w)] + [rec.phi for rec in steps])
+        phi = alg.phi(w)
         local = np.empty(k)
         for x in sorted(set(v.tolist())):  # np.unique would import numpy.ma on first use
             at = v == x

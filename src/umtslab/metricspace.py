@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,12 @@ class FiniteMetric:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
+
+    @cached_property
+    def dist_columns(self) -> tuple[list[float], ...]:
+        """``dist[:, v]`` of every state ``v`` as a list of floats, made once:
+        the one-state queries of a run read them on Python floats."""
+        return tuple(self.dist.T.tolist())
 
     def min_positive(self) -> float:
         """Smallest off-diagonal distance (0 for a single point)."""

@@ -31,6 +31,12 @@ MAX_GRID_STATES = 400_000
 PROB_BLOCK_ROWS = 2048
 # grid points over [-d, d] on which BandPotential brackets roots and extrema
 BAND_SCAN = 2001
+# corner terms per block of rows in PotentialEstimate.phi, a row taking 2^n:
+# an 80-step b = 8 audit's allocations peak at 0.14 MiB with 2^9, as row by
+# row, and at 0.24 and 0.46 MiB with 2^10 and 2^12, which raised a run's
+# peak resident memory by about 0.1 MiB; a b = 4 audit's 1001 rows still go
+# in 32 calls
+PHI_BLOCK_TERMS = 2**9
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +181,31 @@ def _last_root(f, xs) -> float:
 
 
 # ---------------------------------------------------------------------------
+# potentials on stacks of work functions
+
+
+def zero_potential(w):
+    """The identically zero potential: 0.0 at one work function, one zero
+    per leading index of a stack of shape (..., n)."""
+    shape = np.shape(w)[:-1]
+    return np.zeros(shape) if shape else 0.0
+
+
+def by_rows(phi: Callable[[np.ndarray], float]) -> Callable:
+    """``phi`` of one work function, extended to stacks of shape (..., n)
+    by one call per row."""
+
+    def stacked(w):
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 1:
+            return phi(w)
+        values = [phi(row) for row in w.reshape(-1, w.shape[-1])]
+        return np.array(values, dtype=float).reshape(w.shape[:-1])
+
+    return stacked
+
+
+# ---------------------------------------------------------------------------
 # value iteration on gridded work-function differences
 
 
@@ -204,9 +235,9 @@ def grid_shape(alg, grid_step: float | None = None) -> tuple[int, bool, bool]:
 
 @functools.lru_cache(maxsize=None)
 def _corners(n: int) -> np.ndarray:
-    """The 2^n corners of the unit cube, in itertools.product order."""
+    """The 2^n corners of the unit cube, in itertools.product order, as booleans."""
     bits = np.arange(n - 1, -1, -1)
-    return (np.arange(2**n)[:, None] >> bits[None, :]) & 1
+    return ((np.arange(2**n)[:, None] >> bits[None, :]) & 1).astype(bool)
 
 
 class GridIndex:
@@ -250,26 +281,42 @@ class PotentialEstimate:
     def sup(self) -> float:
         return float(self.table.max(initial=0.0))
 
-    def phi(self, w) -> float:
-        """Multilinear interpolation at a (possibly off-grid) work function.
+    def phi(self, w):
+        """Multilinear interpolation at (possibly off-grid) work functions.
 
-        The 2^n corner terms are summed in corner order, one after another,
-        so the value does not depend on how the corners are batched.
+        Takes one work function, for a float, or a stack of shape (..., n),
+        for one value per leading index. The rows go in blocks of at most
+        ``PHI_BLOCK_TERMS`` corner terms. The 2^n corner terms of a row are
+        summed in corner order, one after another, so its value does not
+        depend on how corners or rows are batched.
         """
         w = np.asarray(w, dtype=float)
-        x = (w - w.min()) / self.h
-        x = np.clip(x, 0.0, float(self.levels))
+        if w.ndim == 1:
+            return float(self._interpolate(w[None])[0])
+        rows = w.reshape(-1, w.shape[-1])
+        block = max(1, PHI_BLOCK_TERMS >> rows.shape[1])
+        out = np.empty(len(rows))
+        for i in range(0, len(rows), block):
+            out[i : i + block] = self._interpolate(rows[i : i + block])
+        return out.reshape(w.shape[:-1])
+
+    def _interpolate(self, w: np.ndarray) -> np.ndarray:
+        """The interpolated potential of each row of ``w`` (shape (k, n))."""
+        # x >= 0, so clipping it to [0, levels] takes only the upper bound
+        x = np.minimum((w - w.min(axis=1, keepdims=True)) / self.h, float(self.levels))
         lo = np.floor(x).astype(np.int64)
-        frac = x - lo
-        corners = _corners(len(x))
-        keys = np.minimum(lo + corners, self.levels)
-        keys -= keys.min(axis=1, keepdims=True)
+        frac = (x - lo)[:, None, :]
+        corners = _corners(w.shape[1])
+        # one (k, 2^n, n) array at a time: the weights, then the keys in place
+        weights = np.where(corners, frac, 1.0 - frac).prod(axis=2)
+        keys = lo[:, None, :] + corners
+        np.minimum(keys, self.levels, out=keys)
+        keys -= keys.min(axis=2, keepdims=True)
         if self.symmetric:
-            keys.sort(axis=1)
-        weights = np.where(corners == 1, frac, 1.0 - frac).prod(axis=1)
+            keys.sort(axis=2)
         # every clipped, normalized corner is a grid state, so each is found
         terms = weights * self.table[self.index.find(keys)]
-        return float(np.cumsum(terms)[-1])
+        return terms.cumsum(axis=1)[:, -1]
 
 
 def vi_state_count(n: int, levels: int, symmetric: bool) -> int:

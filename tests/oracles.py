@@ -9,7 +9,10 @@ iteration whose local costs come from one scalar call per state and
 direction. The band oracle takes each floor of the two-point band potential
 as the minimum over a candidate list rebuilt on every call. The
 odd-exponent oracles take every integer power with numpy's ``**``, where
-the rule multiplies.
+the rule multiplies. The support-level and odd-exponent crossing
+references are the numpy array passes the library ran before it answered
+one-state queries on Python floats; the library must equal them bit for
+bit.
 
 The atomic audit oracle walks a run one step at a time with one-row
 calls, as the audit did before it checked whole runs in array passes.
@@ -27,7 +30,12 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from umtslab.algorithms import odd_crossing_closed
+from umtslab.algorithms import (
+    CLOSED_FORM_EXPONENTS,
+    _int_power,
+    odd_crossing_bracketed,
+    odd_crossing_closed,
+)
 from umtslab.combiner import AuditIssue, CombinedRun, trace_header, worst_issues
 from umtslab.core import beta_excluded_mass, support_headroom
 from umtslab.harness import offline_opt, simulate
@@ -266,6 +274,40 @@ def odd_crossing_pow(w, v: int, d: float, t: int) -> float:
     return float(brentq(lambda x: 1.0 + (((others - x) / d) ** t).sum(), 0.0, head, xtol=1e-12))
 
 
+def reference_support_level(u, w, v: int) -> float:
+    """min over x != v of w(x) + dist(x, v), in one numpy pass (inf on one point)."""
+    reach = np.asarray(w, dtype=float) + u.metric.dist[:, v]
+    reach[v] = np.inf
+    return float(reach.min()) if u.n > 1 else np.inf
+
+
+def reference_odd_crossing(alg, w, v):
+    """The odd-exponent zero crossing in numpy array passes, one row per
+    requested state: a float for one state, an array for a 1-D array of them."""
+    u, t = alg.umts, alg.descriptor["t"]
+    n, d = u.n, u.diameter()
+    rest = np.array([np.delete(np.arange(n), x) for x in range(n)])
+    dist = u.metric.dist
+    w = np.asarray(w, dtype=float)
+    vs = np.atleast_1d(v)
+    wv = w[vs, None]
+    dead = (1.0 + _int_power((w - wv) / d, t).sum(axis=-1)) / n <= 1e-12
+    idx = rest[vs]
+    w_rest = w[idx]
+    heads = (w_rest + dist[idx, vs[:, None]]).min(axis=-1) - w[vs]
+    others = w_rest - wv
+    if t in CLOSED_FORM_EXPONENTS:
+        roots = [odd_crossing_closed(o, d, t) for o in others.tolist()]
+        x = np.minimum(np.maximum(roots, 0.0), heads)
+    else:
+        x = heads.copy()
+        at_head = 1.0 + _int_power((others - heads[:, None]) / d, t).sum(axis=-1)
+        for k in np.flatnonzero(~dead & ~(at_head > 0.0)):
+            x[k] = odd_crossing_bracketed(others[k], heads[k], d, t)
+    x = np.where(dead, 0.0, x)
+    return x if np.ndim(v) else float(x[0])
+
+
 def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: float = 1e-7):
     """Value iteration with one local_cost_integral call per state and direction.
 
@@ -374,12 +416,13 @@ def reference_atomic_audit(alg, steps) -> dict:
                 phi_w = alg.phi(rec.w)
             moving = step_cost - float(p2[v] * u.rates[v] * delta)
             lhs = moving + alg.local_cost_integral(rec.w, v, delta)
-            lhs += rec.phi - phi_w
+            phi_w2 = alg.phi(rec.w2)
+            lhs += phi_w2 - phi_w
             rhs = alg.declared_ratio * float(np.asarray(alg.alpha) @ (rec.w2 - rec.w))
             if lhs > rhs + sens_allow:
                 magnitude = float(lhs - rhs)
                 issues.append(AuditIssue("sensibility", i, magnitude, "step beyond its allowance"))
-            phi_w = rec.phi
+            phi_w = phi_w2
         cost += step_cost
         trace.append({"kind": "step", "i": i + 1, "state": rec.task.state, "delta": delta,
                       "w": rec.w2.tolist(), "p": p2.tolist(), "cost": step_cost})

@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import odd_crossing_pow, odd_local_integral_pow, odd_raw_pow
+from oracles import (
+    odd_crossing_pow,
+    odd_local_integral_pow,
+    odd_raw_pow,
+    reference_odd_crossing,
+)
 
 from umtslab.algorithms import (
+    numpy_sum,
     odd_crossing_bracketed,
     odd_crossing_closed,
     odd_exponent,
@@ -313,3 +319,69 @@ def test_zero_crossing_on_an_array_equals_the_states(name, data):
     one_by_one = [alg.zero_crossing(w, int(v)) for v in vs]
     assert all(type(x) is float for x in one_by_one)
     assert np.array_equal(alg.zero_crossing(w, vs), one_by_one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([1e-300, 1e-3, 1.0, 1e300]), st.integers(0, 2**32 - 1))
+def test_numpy_sum_equals_numpy(m, scale, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(m) ** 3 * scale
+    assert numpy_sum(values.tolist()) == values.sum()
+    assert numpy_sum(values.tolist()) == np.tile(values, (3, 1)).sum(axis=-1)[1]
+
+
+def odd_work_function(rng, b, d):
+    """A work function with spread up to 2 d: some states pinned one
+    distance above the minimum (their mass dies), some on a quarter grid
+    (ties), so crossings come out dead, capped by the headroom and rooted."""
+    w = rng.uniform(0.0, rng.choice([0.5, 1.0, 1.5, 2.0]) * d, b)
+    if rng.random() < 0.5:
+        w[rng.integers(0, b, rng.integers(0, b))] = w.min() + d
+    if rng.random() < 0.3:
+        w = np.round(w * 4.0 / d) * d / 4.0
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16, 21]),
+    st.sampled_from([0.5, 1.0, 2.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_odd_crossing_equals_the_numpy_passes(b, d, seed):
+    """One state or an array of them, the float crossing equals the numpy
+    array passes bit for bit at t = 1 (b = 2), 3 (b = 3..20) and 5 (b = 21)."""
+    alg = odd_rule(b, d)
+    rng = np.random.default_rng(seed)
+    w = odd_work_function(rng, b, d)
+    for v in range(b):
+        x = alg.zero_crossing(w, v)
+        assert type(x) is float
+        assert x == reference_odd_crossing(alg, w, v)
+    for vs in (np.arange(b), rng.integers(0, b, rng.integers(0, 2 * b))):
+        assert np.array_equal(alg.zero_crossing(w, vs), reference_odd_crossing(alg, w, vs))
+
+
+@pytest.mark.parametrize(
+    "b, w, v, kind",
+    [
+        (4, [1.0, 0.0, 0.0, 0.0], 0, "dead"),
+        (21, [1.0] + [0.0] * 20, 0, "dead"),
+        (4, [0.0, 0.25, 1.5, 1.75], 1, "capped"),
+        (4, [0.5, 0.0, 0.0, 0.0], 0, "root"),
+        (21, [0.0] + [0.5] * 10 + [0.0] * 10, 0, "root"),
+    ],
+)
+def test_odd_crossing_dead_capped_and_rooted(b, w, v, kind):
+    alg = odd_rule(b, 1.0)
+    w = np.array(w)
+    x = alg.zero_crossing(w, v)
+    assert x == reference_odd_crossing(alg, w, v)
+    head = support_headroom(alg.umts, w, v)
+    if kind == "dead":
+        assert probabilities(alg, w)[v] == 0.0 and x == 0.0
+    elif kind == "capped":
+        others = (np.delete(w, v) - w[v]).tolist()
+        assert x == head < odd_crossing_closed(others, 1.0, alg.descriptor["t"])
+    else:
+        assert 0.0 < x < head

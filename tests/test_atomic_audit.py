@@ -65,6 +65,23 @@ def test_audit_equals_the_step_by_step_oracle(name, kind):
     assert report["steps"] == len(steps) > 0
 
 
+@pytest.mark.parametrize("name", ["odd-b2", "odd-b4", "two-stable", "trivial"])
+def test_audit_evaluates_the_potential_in_one_call(name):
+    calls = []
+    base = rule(name)
+
+    def counted(w):
+        calls.append(np.shape(w))
+        return base.phi(w)
+
+    alg = replace(base, phi=counted)
+    config = AdversaryConfig(kind="uniform-random", steps=40, seed=2)
+    steps = list(simulate(alg, adversary(config)))
+    report = audit_steps(alg, steps)
+    assert calls == [(len(steps) + 1, alg.umts.n)]
+    assert as_text(report) == as_text(audit_steps(base, steps))
+
+
 def test_empty_run_equals_the_oracle():
     assert_same_report(rule("odd-b4"), [])
 

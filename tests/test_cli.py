@@ -86,6 +86,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "spaces",
+    [
+        {"u3": {"kind": "uniform", "points": 3}},
+        [{"name": "u3", "kind": "uniform", "points": 3}, "u2"],
+    ],
+    ids=["spaces-object", "space-entry-not-object"],
+)
+def test_malformed_spaces_exit_2(tmp_path, capsys, spaces):
+    config = write_config(tmp_path, spaces=spaces, algorithms=["trivial"])
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "'spaces' must be a list of objects" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_env_overrides_config(tmp_path, monkeypatch):
     config = write_config(tmp_path, seeds=[0, 1, 2], algorithms=["trivial"])
     monkeypatch.setenv("UMTSLAB_SEED", "5")
@@ -190,6 +205,27 @@ def test_verify_flags_corrupted_work_function(tmp_path, capsys):
     trace.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(trace)]) == 1
     assert "welleqw violated at step 5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("number", [99, 4, 6, 5.5, "5"])
+def test_verify_checks_step_numbering(tmp_path, capsys, number):
+    config = write_config(
+        tmp_path,
+        spaces=[{"name": "u4", "kind": "uniform", "points": 4}],
+        algorithms=["odd-exponent"],
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    trace = next((out / "traces").glob("*.jsonl"))
+    lines = trace.read_text().splitlines()
+    assert main(["verify", str(trace)]) == 0
+    assert "ok: 20 steps verified (metric, numbering," in capsys.readouterr().out
+    row = json.loads(lines[5])
+    row["i"] = number
+    lines[5] = json.dumps(row, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(trace)]) == 1
+    assert f"numbering violated at step 5: the row is numbered {number!r}" in capsys.readouterr().out
 
 
 def test_verify_flags_corrupted_atomic_cost_and_distribution(tmp_path, capsys):

@@ -5,17 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import METRIC_KINDS, metric_of, offline_exhaustive, random_metric, random_rows
+from oracles import (
+    METRIC_KINDS,
+    metric_of,
+    offline_exhaustive,
+    random_metric,
+    random_rows,
+    reference_support_level,
+)
 from umtslab.core import (
     ElementaryTask,
+    _support_level,
+    apply_elementary,
     GeneralTask,
     Umts,
-    alpha_opt_cost,
     apply_task,
     beta_excluded_mass,
     flat_work_function,
     initial_work_function,
-    is_supported,
     moving_cost,
     online_step_cost,
     opt_cost,
@@ -112,16 +119,16 @@ def test_work_function_stays_lipschitz():
 
 def test_supported_states():
     u = u2()
-    assert is_supported(u, np.array([0.0, 1.0]), "v2")
-    assert not is_supported(u, np.array([0.0, 1.0]), "v1")
-    assert not is_supported(u, np.array([0.0, 0.5]), "v1")
-    assert not is_supported(u, np.array([0.0, 0.5]), "v2")
+    assert support_headroom(u, np.array([0.0, 1.0]), 1) == 0.0
+    assert support_headroom(u, np.array([0.0, 1.0]), 0) == 2.0
+    assert support_headroom(u, np.array([0.0, 0.5]), 0) == 1.5
+    assert support_headroom(u, np.array([0.0, 0.5]), 1) == 0.5
 
     line = Umts(make_line(3, 1.0), np.ones(3), 1.0)
     w = np.array([0.0, 1.0, 2.0])
-    assert not is_supported(line, w, "v1")
-    assert is_supported(line, w, "v2")
-    assert is_supported(line, w, "v3")
+    assert support_headroom(line, w, 0) == 2.0
+    assert support_headroom(line, w, 1) == 0.0
+    assert support_headroom(line, w, 2) == 0.0
 
     assert support_headroom(u, np.array([0.0, 0.25]), 1) == pytest.approx(0.75)
 
@@ -133,6 +140,25 @@ def test_support_headrooms_equal_the_states(n, seed, spread):
     u = Umts(FiniteMetric(tuple(f"v{i}" for i in range(n)), random_metric(rng, n)), np.ones(n), 1.0)
     w = rng.uniform(0.0, spread, n)
     assert np.array_equal(support_headrooms(u, w), [support_headroom(u, w, v) for v in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(METRIC_KINDS), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0), st.floats(0.0, 2.0))
+def test_support_level_equals_the_numpy_pass(kind, n, seed, spread, delta):
+    """The float support level, and the step built on it, equal one numpy pass bit for bit."""
+    rng = np.random.default_rng(seed)
+    if kind in ("two-point", "three-point", "lp") and n == 1:
+        n = 2
+    m = metric_of(kind, n, rng)
+    u = Umts(m, np.ones(m.n), 1.0)
+    w = rng.uniform(0.0, spread, m.n)
+    for v in range(m.n):
+        level = _support_level(u, w, v)
+        assert type(level) is float and level == reference_support_level(u, w, v)
+        stepped = w.copy()
+        stepped[v] = min(w[v] + delta, reference_support_level(u, w, v))
+        assert np.array_equal(apply_elementary(u, w, v, delta), stepped)
 
 
 def test_moving_cost_scales_by_s():
@@ -201,22 +227,6 @@ def test_stacked_beta_exclusion_equals_one_row_calls(kind, n, k, seed, beta):
     got = beta_excluded_mass(u, beta, w, p)
     assert got == [beta_excluded_mass(u, beta, a, b) for a, b in zip(w, p)]
     assert got == [excluded_by_pairs(u, beta, a, b) for a, b in zip(w, p)]
-
-
-def test_alpha_opt_cost():
-    w = np.array([0.0, 1.0])
-    assert alpha_opt_cost(np.array([1.0, 0.0]), w) == 0.0
-    assert alpha_opt_cost(np.array([0.5, 0.5]), w) == 0.5
-
-    rng = np.random.default_rng(5)
-    u = Umts(make_uniform(3, 1.0), np.ones(3), 1.0)
-    w = initial_work_function(u)
-    for _ in range(20):
-        v = int(rng.integers(0, 3))
-        w = apply_task(u, w, ElementaryTask(u.labels[v], float(rng.random())))
-        a = rng.random(3)
-        a /= a.sum()
-        assert alpha_opt_cost(a, w) <= opt_cost(w) + u.diameter() + 1e-9
 
 
 def test_dp_matches_exhaustive_offline():

@@ -297,6 +297,57 @@ def test_phi_matches_corner_loop(case):
     assert est.phi(w) == reference_phi(est, w)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.booleans(), st.data())
+def test_stacked_phi_equals_the_rows(n, symmetric, data):
+    """A stack of work functions, in blocks of PHI_BLOCK_TERMS corner terms,
+    gives each row's one-row value bit for bit, on either side of a block."""
+    top = max(l for l in range(2, 17) if vi_state_count(n, l, symmetric) <= 20_000)
+    levels = data.draw(st.integers(2, top))
+    h = data.draw(st.sampled_from([0.125, 0.3, 1.0]))
+    states = grid_states(n, levels, symmetric)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    est = PotentialEstimate(
+        states, rng.uniform(0.0, 10.0, states.shape[0]), h, levels, symmetric,
+        True, False, 1, 0.0, 0.0, GridIndex(states, levels),
+    )
+    block = potential.PHI_BLOCK_TERMS >> n
+    rows = data.draw(st.sampled_from([1, 5, block - 1, block, block + 1, 2 * block + 3]))
+    W = rng.uniform(0.0, 1.3 * levels * h, (rows, n))
+    W[rng.random(rows) < 0.3] = rng.integers(0, levels + 1, n) * h  # on the grid
+    got = est.phi(W)
+    assert got.shape == (rows,)
+    assert np.array_equal(got, [est.phi(w) for w in W])
+    assert np.array_equal(est.phi(W[None, :3]), got[None, :3])
+
+
+U4 = Umts(make_uniform(4), np.array([3.0, 1.0, 2.0, 0.5]), 1.0)
+STACK_RULES = {
+    "trivial": lambda: trivial_algorithm(U4),
+    "odd-b2-band": lambda: odd_exponent(Umts(make_uniform(2), np.ones(2), 1.0)),
+    "odd-b4-grid": lambda: odd_exponent(Umts(make_uniform(4), np.ones(4), 1.0)),
+    # unequal rates leave the b = 7 potential out
+    "odd-b7-omitted": lambda: odd_exponent(
+        Umts(make_uniform(7), np.linspace(0.5, 2.0, 7), 1.0)
+    ),
+    "two-stable": lambda: two_stable(Umts(make_uniform(2), np.array([2.0, 0.5]), 1.0)),
+    "combined": lambda: combined_algorithm(U4),
+    "rho-variant-combined": lambda: algorithms.rho_variant(combined_algorithm, U4, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_RULES))
+def test_every_potential_takes_stacks(name):
+    alg = STACK_RULES[name]()
+    n = alg.umts.n
+    rng = np.random.default_rng(3)
+    W = rng.uniform(0.0, alg.umts.diameter(), (2, 3, n))
+    want = np.array([[alg.phi(w) for w in rows] for rows in W])
+    assert all(type(alg.phi(w)) is float for w in W[0])
+    assert np.array_equal(alg.phi(W), want)
+    assert np.array_equal(alg.phi(W[0]), want[0])
+
+
 @pytest.mark.parametrize(
     "alg_factory, n, rates, grid_step",
     [
