@@ -46,12 +46,15 @@ print("\nmerge arithmetic: quotient", qpair, "blocks", bpairs)
 print("nice pair at separation 5:", nice_beta_eta(5.0, (0.5, 0.25), [(1.0, 0.5), (1.0, 0.5)]))
 
 # 3. Replay an adversary sequence and let the auditor read every step of the
-# run. Each step re-derives the per-block and quotient work functions along
-# with the two step costs, and records any identity that drifts.
+# run. Each step moves the per-block and quotient work functions and checks
+# them against each other and against both zero crossings; report() then
+# checks the distributions, prices both runs in one pass each and fills in
+# the issues and the two costs.
 run = CombinedRun(alg)
 tasks = generate_sequence(alg, AdversaryConfig(kind="support-raiser", steps=120, seed=5))
 for rec in simulate(alg, replay(tasks)):
     run.step(rec)
+run.report()
 
 print(f"\naudited run: {run.steps} steps, {len(run.issues)} issues")
 print(f"  combined cost {run.cost:.4f}  quotient cost {run.qcost:.4f}")

@@ -159,8 +159,8 @@ def _run_job(space_spec, algorithm, adversary_spec, seed):
     """Simulate one job once; the audit, optimum, ratio and trace all read that run."""
     alg = _rule(space_spec, algorithm)
     config = _adversary_config(adversary_spec, seed)
-    # a combined audit reads each step as it is made, while its block
-    # potentials are still in the memos; an atomic audit stacks the whole run
+    # a combined audit reads each step as it is made, while its block and
+    # quotient values are still in the memos; an atomic audit stacks the whole run
     report = audit_steps(alg, simulate(alg, adversary(config)))
     ratio = ratio_report(alg, report["cost"], report["opt"])
     passed = bool(report["passed"]) and ratio["passed"] is not False
@@ -325,7 +325,8 @@ def _verify(head, rows):
     the run priced it.
     Composition traces (the header lists ``blocks``) also replay the blocks
     and the quotient: ``dist_hat`` must be the largest cross-block distances
-    of ``dist``, and each step must name the block of its state.
+    of ``dist``, and each step must name the block of its state. Every gap
+    and cost test reads ``not gap <= tol``, so a NaN fails it.
     """
     u = Umts(
         FiniteMetric(tuple(head["labels"]), np.asarray(head["dist"], dtype=float)),
@@ -370,6 +371,8 @@ def _verify(head, rows):
     p_prev = np.asarray(head["p0"], dtype=float)
     if not_distribution(p_prev):
         return 1, f"distribution violated at step 0: {_simplex_summary(p_prev)}"
+    if combined and not_distribution(ph_prev):
+        return 1, f"distribution violated at step 0: quotient {_simplex_summary(ph_prev)}"
     for i, row in enumerate(rows, 1):
         if row["i"] != i:
             return 1, f"numbering violated at step {i}: the row is numbered {row['i']!r}"
@@ -378,7 +381,7 @@ def _verify(head, rows):
         stored_w = np.asarray(row["w"], dtype=float)
         w2 = apply_elementary(u, w, v, delta)
         gap = float(np.abs(w2 - stored_w).max())
-        if gap > EPS_EQ:
+        if not gap <= EPS_EQ:
             return 1, (
                 f"welleqw violated at step {i}: stored work function deviates "
                 f"from the recomputed chain by {gap:.3g}"
@@ -393,7 +396,7 @@ def _verify(head, rows):
             dhat = float(row["delta_hat"])
             for b, idx in enumerate(blocks):
                 bgap = float(np.abs(stored_w[idx] - np.asarray(row["w_blocks"][b])).max())
-                if bgap > EPS_EQ:
+                if not bgap <= EPS_EQ:
                     return 1, (
                         f"welleqw violated at step {i}: block {b} work function "
                         f"drifts from the restricted global one by {bgap:.3g}"
@@ -401,13 +404,13 @@ def _verify(head, rows):
             stored_what = np.asarray(row["what"], dtype=float)
             what2 = apply_elementary(qu, what, j, dhat)
             hgap = float(np.abs(what2 - stored_what).max())
-            if hgap > EPS_EQ:
+            if not hgap <= EPS_EQ:
                 return 1, (
                     f"hatw violated at step {i}: quotient work function detaches "
                     f"from its charges by {hgap:.3g}"
                 )
             ggap = float(np.abs(stored_what - np.asarray(row["g"], dtype=float)).max())
-            if ggap > EPS_AUDIT:
+            if not ggap <= EPS_AUDIT:
                 return 1, (
                     f"hatw violated at step {i}: quotient work function differs "
                     f"from the block G values by {ggap:.3g}"
@@ -415,6 +418,10 @@ def _verify(head, rows):
         p2 = np.asarray(row["p"], dtype=float)
         if not_distribution(p2):
             return 1, f"distribution violated at step {i}: {_simplex_summary(p2)}"
+        if combined:
+            ph2 = np.asarray(row["p_hat"], dtype=float)
+            if not_distribution(ph2):
+                return 1, f"distribution violated at step {i}: quotient {_simplex_summary(ph2)}"
         # a single-state rule declares beta = 0 and is exempt
         excluded = beta_excluded_mass(u, beta, stored_w, p2) if combined or beta > 0.0 else []
         if excluded:
@@ -431,15 +438,14 @@ def _verify(head, rows):
                 f"disagrees with the transport recomputation by {abs(cexp - cost):.3g}"
             )
         if combined:
-            ph2 = np.asarray(row["p_hat"], dtype=float)
             qcost = float(row["qcost"])
             qexp = online_step_cost(qu, ph_prev, ph2, ElementaryTask(qlabels[j], dhat))
-            if abs(qexp - qcost) > EPS_AUDIT:
+            if not abs(qexp - qcost) <= EPS_AUDIT:
                 return 1, (
                     f"samecompratio violated at step {i}: stored quotient cost "
                     f"disagrees with the transport recomputation by {abs(qexp - qcost):.3g}"
                 )
-            if cost > qcost + cost_allow:
+            if not cost <= qcost + cost_allow:
                 return 1, (
                     f"samecompratio violated at step {i}: step cost {cost:.6g} "
                     f"exceeds the quotient step cost {qcost:.6g}"

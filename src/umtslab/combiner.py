@@ -33,6 +33,7 @@ from umtslab.core import (
     apply_elementary,
     beta_excluded_mass,
     flat_work_function,
+    step_costs,
 )
 from umtslab.metricspace import (
     Partition,
@@ -113,42 +114,66 @@ def nice_beta_eta(k: float, quotient_pair: tuple[float, float],
 # ---------------------------------------------------------------------------
 # construction
 
-# work functions each block's potential memo keeps
+# work functions each rule's memo keeps
 MEMO_SIZE = 8
 
 
 class PotentialMemo:
-    """The potential and G value of one rule at its latest work functions.
-
-    Keyed by the bytes of the float64 work function, it keeps the
-    ``MEMO_SIZE`` latest and drops the oldest first. An entry holds the two
-    floats ``phi(w)`` and ``g_from(w, phi(w))`` as the rule computes them,
-    so a hit returns exactly what a miss would.
+    """What one rule has been asked at the ``MEMO_SIZE`` work functions
+    asked about last, keyed by their float64 bytes; the least recently asked
+    is dropped first. An entry holds what the rule computed there:
+    ``phi(w)`` with ``g_from(w, phi(w))``, the distribution (read-only) and
+    the zero crossing of each requested state, so a hit returns exactly
+    what a miss would.
     """
 
     def __init__(self, alg: OnlineAlgorithm):
         self.alg = alg
-        self.entries: dict[bytes, tuple[float, float]] = {}
+        self.entries: dict[bytes, dict] = {}
 
-    def __call__(self, w: np.ndarray) -> tuple[float, float]:
+    def _entry(self, w: np.ndarray) -> dict:
         key = w.tobytes()
-        hit = self.entries.get(key)
-        if hit is None:
-            pot = self.alg.phi(w)
-            hit = (pot, self.alg.g_from(w, pot))
+        entry = self.entries.pop(key, None)
+        if entry is None:
             if len(self.entries) >= MEMO_SIZE:
                 del self.entries[next(iter(self.entries))]
-            self.entries[key] = hit
-        return hit
+            entry = {"crossings": {}}
+        self.entries[key] = entry
+        return entry
+
+    def __call__(self, w: np.ndarray) -> tuple[float, float]:
+        """``phi(w)`` and the G value from it."""
+        entry = self._entry(w)
+        if "phi" not in entry:
+            pot = self.alg.phi(w)
+            entry["phi"] = (pot, self.alg.g_from(w, pot))
+        return entry["phi"]
+
+    def probabilities(self, w: np.ndarray) -> np.ndarray:
+        entry = self._entry(w)
+        if "p" not in entry:
+            entry["p"] = self.alg.probabilities(w)
+            entry["p"].setflags(write=False)
+        return entry["p"]
+
+    def zero_crossing(self, w: np.ndarray, v):
+        """The crossing at state ``v``, or one per state of a 1-D array ``v``;
+        the states not asked at ``w`` before go to the rule in one call."""
+        known = self._entry(w)["crossings"]
+        states = np.atleast_1d(v).tolist()
+        missing = list(dict.fromkeys(x for x in states if x not in known))
+        if missing:
+            known.update(zip(missing, self.alg.zero_crossing(w, np.array(missing)).tolist()))
+        return np.array([known[x] for x in states]) if np.ndim(v) else known[states[0]]
 
 
 @dataclass
 class CombinedParts:
     """Everything a combined algorithm and its auditor need to run.
 
-    Every reader of a block's potential or G value goes through that
-    block's memo in ``memos``, and the combined potential reads the
-    quotient's through ``quotient_memo``.
+    Every reader of a block rule's values (potential, G value, distribution,
+    zero crossing) goes through that block's memo in ``memos``, and every
+    reader of the quotient rule's through ``quotient_memo``.
     """
 
     u: Umts
@@ -299,10 +324,10 @@ def combine(
     def probs(w):
         w = np.asarray(w, dtype=float)
         ws = parts.split(w)
-        p_hat = qalg.probabilities(parts.hat_work(w))
+        p_hat = parts.quotient_memo.probabilities(parts.hat_work(w))
         p = np.zeros(n)
         for j, idx in enumerate(global_index):
-            p[idx] = p_hat[j] * block_algs[j].probabilities(ws[j])
+            p[idx] = p_hat[j] * parts.memos[j].probabilities(ws[j])
         return p
 
     def phi(w):
@@ -319,10 +344,10 @@ def combine(
         vs = np.atleast_1d(v)
         ws, what = parts.split(w), parts.hat_work(w)
         js = block_of[vs]
-        xqs = qalg.zero_crossing(what, js)
+        xqs = parts.quotient_memo.zero_crossing(what, js)
         xbs = np.empty(len(vs))
         for j in sorted(set(js.tolist())):  # np.unique would import numpy.ma on first use
-            xbs[js == j] = block_algs[j].zero_crossing(ws[j], local_index[vs[js == j]])
+            xbs[js == j] = parts.memos[j].zero_crossing(ws[j], local_index[vs[js == j]])
         out = [
             _crossing_at(parts.memos[j], ws[j], int(lv), float(what[j]), xb, xq)
             for j, lv, xb, xq in zip(js, local_index[vs], xbs.tolist(), xqs.tolist())
@@ -409,19 +434,18 @@ def worst_issues(issues: list[AuditIssue]) -> dict[str, dict]:
 
 @dataclass
 class CombinedRun:
-    """Check a combined algorithm's structural identities step by step.
+    """Check a combined algorithm's structural identities on one run.
 
-    Reads the rule's steps as :func:`umtslab.harness.simulate` yields them,
-    one :meth:`step` at a time. It tracks the block work functions and their
-    G values, and steps the quotient rule, started at G_l(0), on the
-    translated charges. Each step checks:
-    hatw (quotient values equal block G values, 1e-6), welleqw (block and
-    restricted global work functions agree, 1e-9), betatagc (zero mass on
-    beta-excluded states, 1e-9), samecompratio (combined step cost at most
-    the quotient step cost, 1e-6 plus any gridded-potential slack),
-    reasonableness of the charge against both crossings, and valid
-    distributions, the start one included: a step that reads a failing
-    one keeps a NaN cost.
+    :meth:`step` reads each step as :func:`umtslab.harness.simulate` yields
+    it, while the values the run used are still in the memos: it moves the
+    block work functions and the quotient one, started at G_l(0), and checks
+    resadv (the charge against both crossings), hatw (quotient values equal
+    block G values, 1e-6) and welleqw (block and restricted global work
+    functions agree, 1e-9). :meth:`report` checks the whole run for valid
+    distributions of the rule and the quotient, betatagc (1e-9) and
+    samecompratio (step cost at most the quotient's, 1e-6 plus any gridded
+    slack), prices both runs in one call each (NaN where a step reads a
+    failing distribution), and fills in ``issues``, ``cost`` and ``qcost``.
     """
 
     alg: OnlineAlgorithm
@@ -439,10 +463,11 @@ class CombinedRun:
         self.g = self.what = parts.initial_hat_work()
         # the rule's start distribution comes with the first step read
         self.p0 = None
-        self.p_ok = True
-        self.p_hat = parts.quotient_alg.probabilities(self.what)
-        self.p_hat0 = self.p_hat.copy()
+        self.p_hat0 = parts.quotient_memo.probabilities(self.what)
+        self.tasks: list[ElementaryTask] = []
         self.qtasks: list[ElementaryTask] = []
+        # issues of the checks made while reading the steps
+        self.read_issues: list[AuditIssue] = []
         self.steps, self.cost, self.qcost = 0, 0.0, 0.0
         self.dhat_tol = max(
             EPS_EQ,
@@ -464,16 +489,11 @@ class CombinedRun:
         }
 
     def _issue(self, lemma, magnitude, detail):
-        self.issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
-
-    def _distribution_ok(self, p, detail) -> bool:
-        if not not_distribution(p):
-            return True
-        self._issue("distribution", abs(p.sum() - 1.0), detail)
-        return False
+        self.read_issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
 
     def step(self, rec: Step) -> dict:
-        """Check the rule's step ``rec`` and return its trace row.
+        """Read the rule's step ``rec`` and return its trace row, whose costs
+        :meth:`report` fills in.
 
         The charge moves one block's work function; the quotient charge is
         the rise of that block's G value, clamped at zero.
@@ -483,11 +503,11 @@ class CombinedRun:
         v, delta = rec.v, rec.delta
         if self.p0 is None:
             self.p0 = rec.p
-            self.p_ok = self._distribution_ok(rec.p, "start is not a distribution")
         j, lv = int(parts.block_of[v]), int(parts.local_index[v])
+        memo, qmemo = parts.memos[j], parts.quotient_memo
 
         # reasonableness against both crossings, before moving anything
-        xb = parts.block_algs[j].zero_crossing(self.w_blocks[j], lv)
+        xb = memo.zero_crossing(self.w_blocks[j], lv)
         if delta > xb + EPS_EQ:
             self._issue("resadv", delta - xb, f"charge {delta:.6g} beyond block crossing {xb:.6g}")
 
@@ -495,17 +515,17 @@ class CombinedRun:
         w_blocks2[j] = apply_elementary(parts.block_systems[j], self.w_blocks[j], lv, delta)
         # the other blocks did not move, so their G values stand
         gvals = self.g.copy()
-        gvals[j] = parts.memos[j](w_blocks2[j])[1]
+        gvals[j] = memo(w_blocks2[j])[1]
         raw = float(gvals[j] - self.g[j])
         dhat = max(0.0, raw)
         if -raw > self.dhat_tol:
             self._issue("hatw", -raw, "negative quotient charge beyond tolerance")
-        q = Step(parts.quotient_umts, parts.quotient_alg, self.what, self.p_hat, j, dhat)
-        if dhat > q.crossing + EPS_EQ:
-            detail = f"quotient charge {dhat:.6g} beyond crossing {q.crossing:.6g}"
-            self._issue("resadv", dhat - q.crossing, detail)
+        xq = qmemo.zero_crossing(self.what, j)
+        if dhat > xq + EPS_EQ:
+            self._issue("resadv", dhat - xq, f"quotient charge {dhat:.6g} beyond crossing {xq:.6g}")
 
-        w2, what2 = rec.w2, q.w2
+        w2 = rec.w2
+        what2 = apply_elementary(parts.quotient_umts, self.what, j, dhat)
 
         # welleqw: restricted global and block-local work functions agree
         for i, idx in enumerate(parts.global_index):
@@ -518,52 +538,60 @@ class CombinedRun:
         if gap > EPS_AUDIT:
             self._issue("hatw", gap, "quotient work function detached from block G values")
 
-        p2, p_hat2 = rec.p2, q.p2
-        p2_ok = self._distribution_ok(p2, "not a distribution")
-        for x, mass in beta_excluded_mass(u, parts.beta, w2, p2):
-            self._issue("betatagc", mass, f"mass {mass:.3g} on excluded state {u.labels[x]}")
-
-        step_cost = rec.cost if self.p_ok and p2_ok else math.nan
-        qstep_cost = q.cost
-        slack_allow = EPS_AUDIT + self.alg.phi_slack if math.isfinite(self.alg.phi_slack) else math.inf
-        if step_cost > qstep_cost + slack_allow:
-            self._issue(
-                "samecompratio",
-                step_cost - qstep_cost,
-                f"combined step cost {step_cost:.6g} exceeds quotient {qstep_cost:.6g}",
-            )
-
-        self.w, self.w_blocks, self.g, self.what, self.p_hat = w2, w_blocks2, gvals, what2, p_hat2
-        self.p_ok = p2_ok
-        self.qtasks.append(q.task)
-        self.cost += step_cost
-        self.qcost += qstep_cost
+        self.tasks.append(rec.task)
+        self.qtasks.append(ElementaryTask(parts.quotient_umts.labels[j], dhat))
+        self.w, self.w_blocks, self.g, self.what = w2, w_blocks2, gvals, what2
         self.steps += 1
-        row = {
-            "kind": "step",
-            "i": self.steps,
-            "state": u.labels[v],
-            "delta": delta,
-            "block": j,
-            "delta_hat": dhat,
-            "w": w2.tolist(),
-            "w_blocks": [wb.tolist() for wb in w_blocks2],
-            "what": what2.tolist(),
-            "g": gvals.tolist(),
-            "p": p2.tolist(),
-            "p_hat": p_hat2.tolist(),
-            "cost": step_cost,
-            "qcost": qstep_cost,
-        }
+        row = {"kind": "step", "i": self.steps, "state": u.labels[v], "delta": delta,
+               "block": j, "delta_hat": dhat, "w": w2.tolist(),
+               "w_blocks": [wb.tolist() for wb in w_blocks2], "what": what2.tolist(),
+               "g": gvals.tolist(), "p": rec.p2.tolist(),
+               "p_hat": qmemo.probabilities(what2).tolist()}
         self.trace.append(row)
         return row
 
     def report(self) -> dict:
+        """Check and price the run read so far, each check in one pass. Issues
+        come by step, then by check: the start distributions, the checks made
+        while reading, the rule's and the quotient's distributions, betatagc
+        and samecompratio."""
+        parts, u, k = self.parts, self.parts.u, self.steps
+        issues: list[AuditIssue] = []
+        cost = qcost = np.zeros(1)
+        if k:
+            w2 = np.array([row["w"] for row in self.trace])
+            p = np.array([self.p0.tolist()] + [row["p"] for row in self.trace])
+            p_hat = np.array([self.p_hat0.tolist()] + [row["p_hat"] for row in self.trace])
+            bad, qbad = not_distribution(p), not_distribution(p_hat)
+            checks = [("", bad, np.abs(p.sum(axis=-1) - 1.0).tolist()),
+                      ("quotient ", qbad, np.abs(p_hat.sum(axis=-1) - 1.0).tolist())]
+            issues = [AuditIssue("distribution", 0, off[0], f"{name}start is not a distribution")
+                      for name, faulty, off in checks if faulty[0]] + self.read_issues
+            for name, faulty, off in checks:
+                issues += [AuditIssue("distribution", i, off[i + 1], f"{name}not a distribution")
+                           for i in np.flatnonzero(faulty[1:]).tolist()]
+            for i, excluded in enumerate(beta_excluded_mass(u, parts.beta, w2, p[1:])):
+                for x, mass in excluded:
+                    detail = f"mass {mass:.3g} on excluded state {u.labels[x]}"
+                    issues.append(AuditIssue("betatagc", i, mass, detail))
+            cost = step_costs(u, p, self.tasks, bad)
+            qcost = step_costs(parts.quotient_umts, p_hat, self.qtasks, qbad)
+            slack = self.alg.phi_slack
+            allow = EPS_AUDIT + slack if math.isfinite(slack) else math.inf
+            for i in np.flatnonzero(cost > qcost + allow).tolist():
+                c, qc = float(cost[i]), float(qcost[i])
+                detail = f"combined step cost {c:.6g} exceeds quotient {qc:.6g}"
+                issues.append(AuditIssue("samecompratio", i, c - qc, detail))
+            issues.sort(key=lambda issue: issue.step)
+            for row, c, qc in zip(self.trace, cost.tolist(), qcost.tolist()):
+                row["cost"], row["qcost"] = c, qc
+        self.issues = issues
+        self.cost, self.qcost = float(np.cumsum(cost)[-1]), float(np.cumsum(qcost)[-1])
         return {
-            "steps": self.steps,
+            "steps": k,
             "cost": self.cost,
             "quotient_cost": self.qcost,
-            "issues": len(self.issues),
-            "worst": worst_issues(self.issues),
-            "passed": not self.issues,
+            "issues": len(issues),
+            "worst": worst_issues(issues),
+            "passed": not issues,
         }

@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -172,6 +173,18 @@ def online_step_cost(u: Umts, p_before, p_after, task):
     return moving + float(p_after @ (task_charges(u, task) * u.rates))
 
 
+def step_costs(u: Umts, p: np.ndarray, tasks, faulty: np.ndarray) -> np.ndarray:
+    """The cost of each step of a run through the (k + 1, n) distributions
+    ``p``, its start first, priced in one :func:`online_step_cost` call;
+    NaN where a step reads a row that ``faulty`` marks."""
+    cost = np.full(len(tasks), np.nan)
+    priced = ~(faulty[:-1] | faulty[1:])
+    if priced.any():
+        cost[priced] = online_step_cost(u, p[:-1][priced], p[1:][priced],
+                                        list(compress(tasks, priced)))
+    return cost
+
+
 def opt_cost(w) -> float:
     return float(np.asarray(w).min())
 
@@ -212,9 +225,9 @@ class Step:
     ``alg`` on system ``u`` from work function ``w`` and distribution ``p``
     to ``w2`` and ``p2 = alg.probabilities(w2)``.
 
-    The step cost and the zero crossing at ``v`` before the charge are
-    evaluated on first use, so a reader pays only for what it reads; a
-    caller that knows the crossing passes it in.
+    The zero crossing at ``v`` before the charge is evaluated on first
+    use, unless the caller knows it and passes it in. The audits price
+    whole runs with :func:`step_costs`.
     """
 
     def __init__(self, u: Umts, alg, w, p, v: int, delta: float, crossing=None):
@@ -225,10 +238,6 @@ class Step:
         self.p2 = alg.probabilities(self.w2)
         if crossing is not None:
             self.crossing = crossing
-
-    @cached_property
-    def cost(self) -> float:
-        return online_step_cost(self.u, self.p, self.p2, self.task)
 
     @cached_property
     def crossing(self) -> float:

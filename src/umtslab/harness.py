@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 # loaded with the package: numpy imports numpy.random on first use, which a
@@ -35,6 +34,7 @@ from umtslab.core import (
     initial_work_function,
     online_step_cost,
     opt_cost,
+    step_costs,
     support_headrooms,
 )
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
@@ -266,7 +266,7 @@ def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
                 "worst": {}, "passed": True, "trace": [trace_header(alg, alg.beta)]}
     k = len(steps)
     w, p = _run_arrays(steps)
-    w1, w2, p1, p2 = w[:-1], w[1:], p[:-1], p[1:]
+    w1, w2, p2 = w[:-1], w[1:], p[1:]
     rows = np.arange(k)
     v = np.array([rec.v for rec in steps])
     delta = np.array([rec.delta for rec in steps])
@@ -290,10 +290,7 @@ def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
                 detail = f"mass on excluded state {u.labels[x]}"
                 issues.append(AuditIssue("betatagc", i, mass, detail))
 
-    cost = np.full(k, np.nan)
-    priced = ~(faulty[:-1] | faulty[1:])
-    if priced.any():
-        cost[priced] = online_step_cost(u, p1[priced], p2[priced], list(compress(tasks, priced)))
+    cost = step_costs(u, p, tasks, faulty)
 
     sens_allow = EPS_AUDIT + alg.phi_slack
     if math.isfinite(sens_allow):

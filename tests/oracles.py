@@ -15,7 +15,11 @@ one-state queries on Python floats; the library must equal them bit for
 bit.
 
 The atomic audit oracle walks a run one step at a time with one-row
-calls, as the audit did before it checked whole runs in array passes.
+calls, as the audit did before it checked whole runs in array passes. The
+combined audit oracle does the same for combined rules: it steps the
+quotient rule beside the run, asks the block and quotient rules directly
+instead of through the memos, and checks and prices every step as it
+reads it.
 
 The combined-audit drivers at the end are shared test helpers, not
 oracles: a random reasonable adversary as a ``simulate`` policy, and a
@@ -37,7 +41,13 @@ from umtslab.algorithms import (
     odd_crossing_closed,
 )
 from umtslab.combiner import AuditIssue, CombinedRun, trace_header, worst_issues
-from umtslab.core import beta_excluded_mass, support_headroom
+from umtslab.core import (
+    Step,
+    apply_elementary,
+    beta_excluded_mass,
+    online_step_cost,
+    support_headroom,
+)
 from umtslab.harness import offline_opt, simulate
 from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
@@ -410,7 +420,8 @@ def reference_atomic_audit(alg, steps) -> dict:
             for x, mass in beta_excluded_mass(u, alg.beta, rec.w2, p2):
                 detail = f"mass on excluded state {u.labels[x]}"
                 issues.append(AuditIssue("betatagc", i, mass, detail))
-        step_cost = math.nan if start_bad or end_bad else float(rec.cost)
+        step_cost = math.nan if start_bad or end_bad else float(
+            online_step_cost(u, rec.p, p2, rec.task))
         if math.isfinite(sens_allow):
             if phi_w is None:
                 phi_w = alg.phi(rec.w)
@@ -436,6 +447,128 @@ def reference_atomic_audit(alg, steps) -> dict:
         "passed": not issues,
         "trace": trace or [trace_header(alg, alg.beta)],
     }
+
+
+class ReferenceCombinedRun:
+    """The combined audit step by step: :class:`CombinedRun` as it was before
+    it checked and priced whole runs, plus the check of the quotient
+    distributions. Each step checks, in this order: the start distributions
+    (step 0 only, the rule's then the quotient's), the charge against the
+    block crossing, a negative quotient charge, the quotient charge against
+    the quotient crossing, welleqw per block, hatw, the rule's and then the
+    quotient's distribution, betatagc and samecompratio."""
+
+    def __init__(self, alg):
+        parts = alg.parts
+        self.alg, self.parts = alg, parts
+        self.w_blocks = [np.zeros(len(idx)) for idx in parts.global_index]
+        self.g = self.what = np.array(
+            [a.g_value(np.zeros(a.umts.n)) for a in parts.block_algs])
+        self.p0 = None
+        self.p_ok = self.q_ok = True
+        self.p_hat = self.p_hat0 = parts.quotient_alg.probabilities(self.what)
+        self.issues, self.trace, self.qtasks = [], [], []
+        self.steps, self.cost, self.qcost = 0, 0.0, 0.0
+        self.dhat_tol = max(
+            EPS_EQ,
+            max((a.phi_slack for a in parts.block_algs if math.isfinite(a.phi_slack)),
+                default=0.0),
+        )
+
+    def _issue(self, lemma, magnitude, detail):
+        self.issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
+
+    def _distribution_ok(self, u, p, detail) -> bool:
+        if not _rejected(u, p):
+            return True
+        self._issue("distribution", abs(p.sum() - 1.0), detail)
+        return False
+
+    def header(self) -> dict:
+        parts, alg = self.parts, self.alg
+        tol = EPS_AUDIT + alg.phi_slack if math.isfinite(alg.phi_slack) else None
+        return trace_header(alg, parts.beta, self.p0) | {
+            "blocks": [list(b) for b in parts.partition.blocks],
+            "dist_hat": parts.dist_hat.tolist(),
+            "hat_rates": parts.quotient_umts.rates.tolist(),
+            "hat_init": parts.initial_hat_work().tolist(),
+            "alpha": np.asarray(alg.alpha).tolist(),
+            "tol": tol,
+            "dhat_tol": self.dhat_tol,
+            "p_hat0": self.p_hat0.tolist(),
+        }
+
+    def step(self, rec):
+        parts = self.parts
+        u, qu = parts.u, parts.quotient_umts
+        v, delta = rec.v, rec.delta
+        if self.p0 is None:
+            self.p0 = rec.p
+            self.p_ok = self._distribution_ok(u, rec.p, "start is not a distribution")
+            detail = "quotient start is not a distribution"
+            self.q_ok = self._distribution_ok(qu, self.p_hat, detail)
+        j, lv = int(parts.block_of[v]), int(parts.local_index[v])
+        balg = parts.block_algs[j]
+        xb = balg.zero_crossing(self.w_blocks[j], lv)
+        if delta > xb + EPS_EQ:
+            self._issue("resadv", delta - xb, f"charge {delta:.6g} beyond block crossing {xb:.6g}")
+        w_blocks2 = list(self.w_blocks)
+        w_blocks2[j] = apply_elementary(parts.block_systems[j], self.w_blocks[j], lv, delta)
+        gvals = self.g.copy()
+        gvals[j] = balg.g_value(w_blocks2[j])
+        raw = float(gvals[j] - self.g[j])
+        dhat = max(0.0, raw)
+        if -raw > self.dhat_tol:
+            self._issue("hatw", -raw, "negative quotient charge beyond tolerance")
+        q = Step(qu, parts.quotient_alg, self.what, self.p_hat, j, dhat)
+        if dhat > q.crossing + EPS_EQ:
+            detail = f"quotient charge {dhat:.6g} beyond crossing {q.crossing:.6g}"
+            self._issue("resadv", dhat - q.crossing, detail)
+        w2 = rec.w2
+        for i, idx in enumerate(parts.global_index):
+            gap = np.abs(w2[idx] - w_blocks2[i]).max()
+            if gap > EPS_EQ:
+                self._issue("welleqw", gap, f"block {i} work function drifts")
+        gap = np.abs(q.w2 - gvals).max()
+        if gap > EPS_AUDIT:
+            self._issue("hatw", gap, "quotient work function detached from block G values")
+        p2_ok = self._distribution_ok(u, rec.p2, "not a distribution")
+        q2_ok = self._distribution_ok(qu, q.p2, "quotient not a distribution")
+        for x, mass in beta_excluded_mass(u, parts.beta, w2, rec.p2):
+            self._issue("betatagc", mass, f"mass {mass:.3g} on excluded state {u.labels[x]}")
+        step_cost = (online_step_cost(u, rec.p, rec.p2, rec.task) if self.p_ok and p2_ok
+                     else math.nan)
+        qstep_cost = online_step_cost(qu, q.p, q.p2, q.task) if self.q_ok and q2_ok else math.nan
+        phi_slack = self.alg.phi_slack
+        slack_allow = EPS_AUDIT + phi_slack if math.isfinite(phi_slack) else math.inf
+        if step_cost > qstep_cost + slack_allow:
+            self._issue(
+                "samecompratio",
+                step_cost - qstep_cost,
+                f"combined step cost {step_cost:.6g} exceeds quotient {qstep_cost:.6g}",
+            )
+        self.w_blocks, self.g, self.what, self.p_hat = w_blocks2, gvals, q.w2, q.p2
+        self.p_ok, self.q_ok = p2_ok, q2_ok
+        self.qtasks.append(q.task)
+        self.cost += step_cost
+        self.qcost += qstep_cost
+        self.steps += 1
+        self.trace.append({
+            "kind": "step", "i": self.steps, "state": u.labels[v], "delta": delta, "block": j,
+            "delta_hat": dhat, "w": w2.tolist(), "w_blocks": [wb.tolist() for wb in w_blocks2],
+            "what": q.w2.tolist(), "g": gvals.tolist(), "p": rec.p2.tolist(),
+            "p_hat": q.p2.tolist(), "cost": step_cost, "qcost": qstep_cost,
+        })
+
+    def report(self) -> dict:
+        return {
+            "steps": self.steps,
+            "cost": self.cost,
+            "quotient_cost": self.qcost,
+            "issues": len(self.issues),
+            "worst": worst_issues(self.issues),
+            "passed": not self.issues,
+        }
 
 
 def drive(steps: int, seed: int):

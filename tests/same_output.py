@@ -8,15 +8,19 @@ instance a ``git archive`` of the parent commit. The script runs the
 bundled configs and the four demos of this tree, once with the package from
 PARENT_SRC and once with this tree's ``src/``, each side in a temporary
 directory of its own. It compares the exit codes, the standard output and
-error, and every file of the output trees byte for byte, prints each
-difference and exits 1 on any. A run takes a few minutes, so this is a
-one-off check and not part of the test suite.
+error, and every file of the output trees byte for byte. It also runs
+this tree's ``umtslab verify`` on every trace either side writes. It
+prints each difference and each rejected trace and exits 1 on any. A run
+takes a few minutes, so this is a one-off check and not part of the test
+suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -71,6 +75,19 @@ def outcome(src: Path, work: Path, name: str, argv: list[str]) -> dict[str, byte
     return out
 
 
+def rejected_traces(umtslab, tree: Path) -> list[str]:
+    """Each trace under ``tree`` that ``umtslab(["verify", trace])`` rejects,
+    with its exit code and message."""
+    out = []
+    for trace in sorted(tree.rglob("*.jsonl")):
+        shown = io.StringIO()
+        with contextlib.redirect_stdout(shown), contextlib.redirect_stderr(shown):
+            code = umtslab(["verify", str(trace)])
+        if code != 0:
+            out.append(f"{trace.relative_to(tree)}: exit {code}: {shown.getvalue().strip()}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", help="src/ directory of the tree to compare against")
@@ -78,9 +95,12 @@ def main(argv=None) -> int:
     sides = {"parent": Path(args.parent_src).resolve(), "this": ROOT / "src"}
     if not (sides["parent"] / "umtslab").is_dir():
         parser.error(f"no umtslab package under {sides['parent']}")
+    sys.path.insert(0, str(sides["this"]))
+    from umtslab.cli import main as umtslab
+
     cases = configs()
     runs = commands(cases)
-    differences = 0
+    differences = rejected = 0
     with tempfile.TemporaryDirectory() as tmp:
         works = {side: Path(tmp) / side for side in sides}
         for work in works.values():
@@ -95,8 +115,13 @@ def main(argv=None) -> int:
             for key in found:
                 print(f"  {name}: {key} differs")
             differences += len(found)
-    print(f"{len(runs)} runs compared, {differences} differences")
-    return 1 if differences else 0
+            for side, work in works.items():
+                for line in rejected_traces(umtslab, work / "out" / name):
+                    print(f"  {name}: {side} {line}")
+                    rejected += 1
+    print(f"{len(runs)} runs compared, {differences} differences, "
+          f"{rejected} traces rejected by verify")
+    return 1 if differences or rejected else 0
 
 
 if __name__ == "__main__":

@@ -249,6 +249,61 @@ def test_verify_flags_corrupted_atomic_cost_and_distribution(tmp_path, capsys):
         assert f"{check} violated at step 7" in capsys.readouterr().out
 
 
+CACHING_K3 = {"name": "caching-k3", "kind": "caching", "fetch_costs": [1.0, 1.0, 2.0, 0.1]}
+TWO_STABLE = {"name": "u2", "kind": "uniform", "points": 2, "rates": [3.0, 1.0]}
+
+
+def written_trace(tmp_path, space, algorithm) -> list[str]:
+    config = write_config(tmp_path, spaces=[space], algorithms=[algorithm])
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    return next((out / "traces").glob("*.jsonl")).read_text().splitlines()
+
+
+def set_nan(row, key):
+    value = row[key]
+    if not isinstance(value, list):
+        row[key] = math.nan
+    elif isinstance(value[0], list):
+        value[-1][0] = math.nan
+    else:
+        value[0] = math.nan
+
+
+@pytest.mark.parametrize(
+    "space, algorithm, key, check",
+    [
+        (TWO_STABLE, "two-stable", "w", "welleqw"),
+        (CACHING_K3, "caching", "w_blocks", "welleqw"),
+        (CACHING_K3, "caching", "what", "hatw"),
+        (CACHING_K3, "caching", "g", "hatw"),
+        (CACHING_K3, "caching", "qcost", "samecompratio"),
+    ],
+)
+def test_verify_rejects_nan(tmp_path, capsys, space, algorithm, key, check):
+    lines = written_trace(tmp_path, space, algorithm)
+    row = json.loads(lines[5])
+    set_nan(row, key)
+    doctored = tmp_path / "doctored.jsonl"
+    doctored.write_text("\n".join(lines[:5] + [json.dumps(row)] + lines[6:]) + "\n")
+    assert main(["verify", str(doctored)]) == 1
+    assert f"{check} violated at step 5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("at", [0, 5])
+def test_verify_flags_a_quotient_distribution(tmp_path, capsys, at):
+    lines = written_trace(tmp_path, CACHING_K3, "caching")
+    row = json.loads(lines[at])
+    key = "p_hat0" if at == 0 else "p_hat"
+    row[key] = [1.01 * x for x in row[key]]
+    lines[at] = json.dumps(row)
+    doctored = tmp_path / "doctored.jsonl"
+    doctored.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(doctored)]) == 1
+    assert f"distribution violated at step {at}: quotient probabilities sum to 1.01" in (
+        capsys.readouterr().out)
+
+
 def test_verify_rejects_a_bad_header_metric_or_block(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "out"

@@ -210,6 +210,7 @@ def test_product_measure_marginals():
 
 def test_singleton_block_charge_translates_as_is():
     run = combined_run(instance_c(), replay([ElementaryTask("v2", 0.3)]))
+    run.report()
     row = run.trace[0]
     assert row["block"] == 1 and abs(row["delta_hat"] - 0.3) < 1e-15
     assert row["w_blocks"][1] == [0.3]
@@ -249,25 +250,69 @@ def value_bits(alg, w):
     return [np.asarray(x, dtype=float).tobytes() for x in values]
 
 
+def memo_answers(memo, w, order, singles_first):
+    """The memo's distribution at ``w`` and its crossings of all states in
+    state order. The crossings are asked state by state and as the array
+    ``order``, in either order, then as the reversed array: each ask must
+    agree, hit or miss."""
+    p = memo.probabilities(w)
+    assert not p.flags.writeable
+
+    def as_array(states):
+        x = np.empty(len(states))
+        x[states] = memo.zero_crossing(w, states)
+        return x.tobytes()
+
+    def singly():
+        return np.array([memo.zero_crossing(w, v) for v in range(len(order))]).tobytes()
+
+    asks = [singly(), as_array(order)] if singles_first else [as_array(order), singly()]
+    asks.append(as_array(order[::-1]))
+    assert asks == asks[:1] * 3
+    assert memo.probabilities(w) is p
+    return [p.tobytes(), asks[0]]
+
+
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_memo_hits_return_what_a_fresh_rule_computes(name):
     alg = RULES[name]()
+    memos = all_memos(alg)
     ws = [np.zeros(alg.umts.n)]
+    # every work function each memo has held, in the order it first held it
+    seen = [{} for _ in memos]
     for rec in simulate(alg, adversary(AdversaryConfig(steps=25, seed=3))):
         ws.append(rec.w2)
+        for memo, keys in zip(memos, seen):
+            keys.update(dict.fromkeys(memo.entries))
         assert_memos_bounded(alg)
-    assert len(ws) > 10 and all_memos(alg)
+    assert len(ws) > 10 and memos
     fresh = RULES[name]()
-    want = []
-    for w in ws:
-        for memo in all_memos(fresh):
+    fresh_memos = all_memos(fresh)
+
+    def fresh_values(f):
+        for memo in fresh_memos:
             memo.entries.clear()
-        want.append(value_bits(fresh, w))
+        return f()
+
+    want = [fresh_values(lambda: value_bits(fresh, w)) for w in ws]
     order = list(reversed(range(len(ws))))
     order += np.random.default_rng(0).permutation(len(ws)).tolist()
     for i in order:
         assert value_bits(alg, ws[i]) == want[i]
         assert_memos_bounded(alg)
+
+    # block and quotient memos: the latest work functions are hits, the
+    # older ones misses; each ask in a shuffled state order
+    rng = np.random.default_rng(1)
+    for memo, fmemo, keys in zip(memos, fresh_memos, seen):
+        rule, n = fmemo.alg, fmemo.alg.umts.n
+        for i, key in enumerate(list(keys)[-MEMO_SIZE - 4:]):
+            w = np.frombuffer(key)
+            got = memo_answers(memo, w, rng.permutation(n), i % 2 == 0)
+            p = fresh_values(lambda: rule.probabilities(w))
+            x = [fresh_values(lambda: rule.zero_crossing(w, v)) for v in range(n)]
+            assert got == [p.tobytes(), np.array(x, dtype=float).tobytes()]
+            assert_memos_bounded(alg)
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
