@@ -16,12 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from umtslab.core import Umts
+from umtslab.core import FLOAT_STATES, Umts
 from umtslab.metricspace import scale_metric
 from umtslab.potential import (
     BandPotential,
     TwoPointRule,
-    by_rows,
     estimate_potential,
     grid_shape,
     zero_potential,
@@ -170,7 +169,15 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         return (1.0 + _int_power(diffs, t).sum(axis=-1)) / b
 
     def probs(w):
-        p = np.maximum(raw(np.asarray(w, dtype=float)), 0.0)
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 1 and n <= FLOAT_STATES:
+            # raw(w) on Python floats, row after row, each summed as numpy sums it
+            values = w.tolist()
+            terms = _float_powers([(x - wv) / d for wv in values for x in values], t)
+            p = [max((1.0 + numpy_sum(terms[i:i + n])) / b, 0.0) for i in range(0, n * n, n)]
+            total = numpy_sum(p)
+            return np.array([x / total for x in p])
+        p = np.maximum(raw(w), 0.0)
         return p / p.sum(axis=-1, keepdims=True)
 
     # rest[v]: the other states, in order; cols[v][x]: dist(x, v)
@@ -234,8 +241,7 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
     )
     if b == 2:
         band = _odd_exponent_band(u, d, t, r)
-        band_phi = by_rows(lambda w: band.phi(float(w[0] - w[1])))
-        return replace(alg, phi=band_phi, phi_sup=band.sup())
+        return replace(alg, phi=_gap_potential(band.phi), phi_sup=band.sup())
     _, _, fits = grid_shape(alg)
     if not fits:
         return replace(
@@ -251,6 +257,21 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         phi_slack=est.slack,
         descriptor={**alg.descriptor, "potential_converged": est.converged},
     )
+
+
+def _gap_potential(phi: Callable[[float], float]) -> Callable:
+    """The potential ``phi(w[0] - w[1])`` of a two-state work function, a
+    float for one and one value per leading index for a stack of shape
+    (..., 2), whose gaps are taken in one array subtraction."""
+
+    def stacked(w):
+        w = np.asarray(w, dtype=float)
+        gaps = w[..., 0] - w[..., 1]
+        if gaps.ndim == 0:
+            return phi(float(gaps))
+        return np.array(list(map(phi, gaps.ravel().tolist())), dtype=float).reshape(gaps.shape)
+
+    return stacked
 
 
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -467,8 +488,8 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
         out[..., 1] = 1.0 - p
         return out
 
-    def phi(w):
-        y = min(max(float(w[0] - w[1]), -d), d)
+    def phi(y):
+        y = min(max(y, -d), d)
         return max(0.0, _ts_phi_raw(y, d, z, r1, r2) - phi_floor)
 
     def crossing(w, v):
@@ -498,7 +519,7 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
         beta=1.0,
         eta=4.0,
         probabilities=probs,
-        phi=by_rows(phi),
+        phi=_gap_potential(phi),
         phi_sup=float(phi_sup),
         zero_crossing=crossing,
         descriptor={"family": "two-stable", "r1": r1, "r2": r2, "s": u.s, "ratio": r},

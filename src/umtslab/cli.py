@@ -20,6 +20,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +71,20 @@ class ConfigError(Exception):
     """The run config or invocation cannot be executed."""
 
 
+def _integral(value, what: str) -> int:
+    """A config count or seed: a JSON number with an integral value, as an
+    int. A boolean, a string or a number with a fraction is a ConfigError
+    instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_uniform_space(spec) -> Umts:
     try:
-        points = int(spec["points"])
+        points = _integral(spec["points"], "'points'")
     except KeyError:
         raise ConfigError("uniform space needs a 'points' count") from None
     distance = float(spec.get("distance", 1.0))
@@ -114,7 +126,7 @@ def build_algorithm(space_spec, algorithm: str):
             if algorithm != "line":
                 raise ConfigError(f"algorithm {algorithm!r} does not run on a line space")
             return line_algorithm(
-                int(space_spec["points"]),
+                _integral(space_spec["points"], "'points'"),
                 gap=float(space_spec.get("gap", 1.0)),
                 s=float(space_spec.get("s", 1.0)),
             )
@@ -127,7 +139,7 @@ def _adversary_config(entry, seed) -> AdversaryConfig:
     try:
         return AdversaryConfig(
             kind=entry.get("kind", "uniform-random"),
-            steps=int(entry.get("steps", 100)),
+            steps=_integral(entry.get("steps", 100), "'steps'"),
             seed=int(seed),
             max_fraction=float(entry.get("max_fraction", 0.999)),
         )
@@ -165,7 +177,7 @@ def _run_job(space_spec, algorithm, adversary_spec, seed):
     ratio = ratio_report(alg, report["cost"], report["opt"])
     passed = bool(report["passed"]) and ratio["passed"] is not False
     row = {
-        "space": str(space_spec.get("name", space_spec.get("kind", "uniform"))),
+        "space": _space_label(space_spec),
         "algorithm": algorithm,
         "adversary": config.kind,
         "seed": config.seed,
@@ -210,15 +222,24 @@ def _seeds(config) -> list[int]:
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from None
     seeds = config.get("seeds", [0])
+    if not isinstance(seeds, list):
+        raise ConfigError(f"config 'seeds' must be a list, got {seeds!r}")
     if not seeds:
         raise ConfigError("config lists no seeds")
-    try:
-        out = [int(s) for s in seeds]
-        if min(out) < 0:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"seeds must be non-negative integers, got {seeds!r}") from None
+    out = [_integral(s, "seeds") for s in seeds]
+    if min(out) < 0:
+        raise ConfigError(f"seeds must be non-negative integers, got {seeds!r}")
     return out
+
+
+def _space_label(space) -> str:
+    return str(space.get("name", space.get("kind", "uniform")))
+
+
+def _trace_name(space, algorithm: str, kind: str, seed: int) -> str:
+    """The file name of one job's trace under ``traces/``."""
+    parts = [_slug(_space_label(space)), _slug(algorithm), _slug(kind), f"seed{seed}"]
+    return "--".join(parts) + ".jsonl"
 
 
 def cmd_run(args) -> int:
@@ -230,16 +251,26 @@ def cmd_run(args) -> int:
         raise ConfigError("config needs non-empty 'spaces' and 'algorithms' lists")
     if not isinstance(spaces, list) or not all(isinstance(space, dict) for space in spaces):
         raise ConfigError("config 'spaces' must be a list of objects")
-    adversaries = config.get("adversaries") or [{"kind": "uniform-random", "steps": 100}]
-    for entry in adversaries:
-        _adversary_config(entry, seeds[0])  # reject a bad entry before any job runs
-    jobs = [
-        (space, algorithm, entry, seed)
-        for space in spaces
-        for algorithm in algorithms
-        for entry in adversaries
-        for seed in seeds
-    ]
+    if not isinstance(algorithms, list) or not all(isinstance(a, str) for a in algorithms):
+        raise ConfigError(f"config 'algorithms' must be a list of names, got {algorithms!r}")
+    adversaries = config.get("adversaries")
+    if adversaries is not None and not isinstance(adversaries, list):
+        raise ConfigError(f"config 'adversaries' must be a list, got {adversaries!r}")
+    adversaries = adversaries or [{"kind": "uniform-random", "steps": 100}]
+    # reject a bad entry before any job runs
+    kinds = [_adversary_config(entry, seeds[0]).kind for entry in adversaries]
+    jobs, names = [], {}
+    for space, algorithm, (entry, kind), seed in product(
+        spaces, algorithms, zip(adversaries, kinds), seeds
+    ):
+        name = _trace_name(space, algorithm, kind, seed)
+        if name in names:
+            raise ConfigError(
+                f"jobs {names[name] + 1} and {len(jobs) + 1} would both write "
+                f"the trace traces/{name}"
+            )
+        names[name] = len(jobs)
+        jobs.append((space, algorithm, entry, seed))
 
     workers = 1 if args.deterministic else max(1, args.jobs)
     # every job of a (space, algorithm) pair reads one build per process;
@@ -259,17 +290,9 @@ def cmd_run(args) -> int:
     traces_dir.mkdir(parents=True, exist_ok=True)
 
     summary_rows = []
-    for result in results:
+    for result, name in zip(results, names):
         row = result["row"]
-        name = "--".join(
-            [
-                _slug(row["space"]),
-                _slug(row["algorithm"]),
-                _slug(row["adversary"]),
-                f"seed{row['seed']}",
-            ]
-        )
-        trace_path = traces_dir / f"{name}.jsonl"
+        trace_path = traces_dir / name
         with trace_path.open("w") as fh:
             for line in result["trace"]:
                 fh.write(TRACE_ENCODER.encode(line) + "\n")

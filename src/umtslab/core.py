@@ -29,6 +29,12 @@ from umtslab.tolerances import EPS_EQ, EPS_TIE
 from umtslab.transport import mcost_metric
 
 
+# one work function of at most this many states is worked through on Python
+# floats, where numpy's per-call overhead would dominate; above it numpy's
+# array passes are faster
+FLOAT_STATES = 4
+
+
 @dataclass(frozen=True)
 class Umts:
     """Metric space plus cost ratios (r_u) and distance ratio s."""
@@ -142,7 +148,17 @@ def support_headroom(u: Umts, w: np.ndarray, v: int) -> float:
 
 
 def support_headrooms(u: Umts, w: np.ndarray) -> np.ndarray:
-    """:func:`support_headroom` at every state, from one array minimum."""
+    """:func:`support_headroom` at every state: on Python floats for at most
+    ``FLOAT_STATES`` states, from one array minimum above that."""
+    if len(w) <= FLOAT_STATES:
+        values = w.tolist()
+        heads = []
+        for v, col in enumerate(u.metric.dist_columns):
+            # _support_level at v, with w(v) set aside in place of a copy
+            wv, values[v] = values[v], math.inf
+            heads.append(min(map(operator.add, values, col)) - wv)
+            values[v] = wv
+        return np.array(heads)
     reach = w[:, None] + u.metric.dist
     reach.flat[:: len(w) + 1] = np.inf
     return reach.min(axis=0) - w

@@ -14,6 +14,7 @@ the best fixed schedule.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ from umtslab.core import (
     flat_work_function,
     initial_work_function,
     online_step_cost,
-    opt_cost,
     step_costs,
     support_headrooms,
 )
@@ -73,11 +73,15 @@ def adversary(config: AdversaryConfig):
 
     It stops when the step budget is spent or no occupied state has
     headroom left. It takes the support headroom of every state in one
-    array pass, and computes the zero crossing only where the kind needs
-    it: at the charged state, or in one call for every open state for
-    greedy-pressure. It passes on the crossing at the charged state; a
-    charge that rounds to zero, as at a state whose crossing is zero,
-    spends one step of the budget and is not made.
+    :func:`support_headrooms` call (on Python floats up to
+    ``core.FLOAT_STATES`` states) and reads the work function, the distribution
+    and the headrooms as lists of Python floats. It computes the zero
+    crossing only where the kind needs it: at the charged state, or, for
+    greedy-pressure, at the states whose pressure bound
+    ``mass * min(headroom, 1e12)`` can still win (:func:`_greediest`). It
+    passes on the crossing at the charged state; a charge that rounds to
+    zero, as at a state whose crossing is zero, spends one step of the
+    budget and is not made.
     """
     rng = default_rng(config.seed)
     budget = config.steps
@@ -86,16 +90,12 @@ def adversary(config: AdversaryConfig):
         nonlocal budget
         if budget <= 0:
             return None
-        # the open states, picked on Python floats: n is small and numpy's
-        # per-call overhead would dominate
         heads = support_headrooms(alg.umts, w).tolist()
         mass = p.tolist()
         open_states = [x for x in range(len(mass)) if mass[x] > EPS_EQ and heads[x] > 0.0]
         if not open_states:
             return None
         cross = {}
-        if config.kind == "greedy-pressure":
-            cross = dict(zip(open_states, alg.zero_crossing(w, np.array(open_states)).tolist()))
 
         def cap(v):
             if v not in cross:
@@ -108,10 +108,11 @@ def adversary(config: AdversaryConfig):
                 v = open_states[rng.integers(len(open_states))]
                 fraction = rng.uniform(0.2, config.max_fraction)
             elif config.kind == "greedy-pressure":
-                v = max(open_states, key=lambda x: (p[x] * min(cap(x), 1e12), -x))
+                v = _greediest(alg, w, mass, heads, open_states, cross)
                 fraction = config.max_fraction
             else:  # support-raiser
-                v = min(open_states, key=lambda x: (w[x], x))
+                values = w.tolist()
+                v = min(open_states, key=lambda x: (values[x], x))
                 fraction = config.max_fraction
             limit = cap(v)
             if not math.isfinite(limit):
@@ -122,6 +123,34 @@ def adversary(config: AdversaryConfig):
         return None
 
     return choose
+
+
+def _greediest(alg: OnlineAlgorithm, w, mass: list, heads: list, open_states: list,
+               cross: dict) -> int:
+    """The open state of largest pressure ``mass * min(crossing, headroom,
+    1e12)``, the lowest index among equal pressures; the crossings it asks
+    for go into ``cross``.
+
+    No state's pressure exceeds its bound ``mass * min(headroom, 1e12)``. So
+    the crossing of the state of largest bound comes first, in one
+    ``zero_crossing`` call, and one more call takes the crossings of every
+    state whose bound can still beat that state's pressure; no other state
+    can win.
+    """
+
+    def pressure(x):
+        return mass[x] * min(cross[x], heads[x], 1e12), -x
+
+    bound = {x: (mass[x] * min(heads[x], 1e12), -x) for x in open_states}
+    top = max(open_states, key=bound.__getitem__)
+    if top not in cross:
+        cross[top] = alg.zero_crossing(w, top)
+    best = pressure(top)
+    rivals = [x for x in open_states if x != top and bound[x] > best]
+    missing = [x for x in rivals if x not in cross]
+    if missing:
+        cross.update(zip(missing, alg.zero_crossing(w, np.array(missing)).tolist()))
+    return max([top] + rivals, key=pressure)
 
 
 def replay(tasks):
@@ -157,11 +186,22 @@ def generate_sequence(alg: OnlineAlgorithm, config: AdversaryConfig) -> list[Ele
 
 
 def offline_opt(u: Umts, tasks) -> float:
-    """Fair offline optimum: min of the work function from dist(init, .)."""
-    w = initial_work_function(u)
+    """Fair offline optimum: min of the work function from dist(init, .).
+
+    The work function is kept as a list of Python floats, which an
+    elementary task updates in place as :func:`apply_elementary` does; a
+    general task goes through :func:`apply_task`.
+    """
+    w = initial_work_function(u).tolist()
+    cols = u.metric.dist_columns
     for t in tasks:
-        w = apply_task(u, w, t)
-    return opt_cost(w)
+        if isinstance(t, ElementaryTask):
+            v = u.metric.index(t.state)
+            wv, w[v] = w[v], math.inf
+            w[v] = min(wv + t.delta, min(map(operator.add, w, cols[v])))
+        else:
+            w = apply_task(u, np.array(w), t).tolist()
+    return min(w)
 
 
 def elementarize(u: Umts, charges, eps: float) -> list[ElementaryTask]:

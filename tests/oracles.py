@@ -9,10 +9,13 @@ iteration whose local costs come from one scalar call per state and
 direction. The band oracle takes each floor of the two-point band potential
 as the minimum over a candidate list rebuilt on every call. The
 odd-exponent oracles take every integer power with numpy's ``**``, where
-the rule multiplies. The support-level and odd-exponent crossing
-references are the numpy array passes the library ran before it answered
-one-state queries on Python floats; the library must equal them bit for
-bit.
+the rule multiplies. The support-level, support-headroom, odd-exponent
+crossing and one-row odd-exponent distribution references are the numpy
+array passes the library ran before it answered small queries on Python
+floats; the library must equal them bit for bit. The greedy-pressure
+reference asks for the crossing of every open state, as the adversary did
+before it pruned by the pressure bound, and the offline-optimum reference
+steps a numpy work function through ``apply_task``.
 
 The atomic audit oracle walks a run one step at a time with one-row
 calls, as the audit did before it checked whole runs in array passes. The
@@ -44,8 +47,11 @@ from umtslab.combiner import AuditIssue, CombinedRun, trace_header, worst_issues
 from umtslab.core import (
     Step,
     apply_elementary,
+    apply_task,
     beta_excluded_mass,
+    initial_work_function,
     online_step_cost,
+    opt_cost,
     support_headroom,
 )
 from umtslab.harness import offline_opt, simulate
@@ -289,6 +295,45 @@ def reference_support_level(u, w, v: int) -> float:
     reach = np.asarray(w, dtype=float) + u.metric.dist[:, v]
     reach[v] = np.inf
     return float(reach.min()) if u.n > 1 else np.inf
+
+
+def reference_support_headrooms(u, w) -> np.ndarray:
+    """Every state's support headroom from one (n, n) array minimum, as
+    ``core.support_headrooms`` takes it above ``FLOAT_STATES`` states."""
+    reach = w[:, None] + u.metric.dist
+    reach.flat[:: len(w) + 1] = np.inf
+    return reach.min(axis=0) - w
+
+
+def reference_odd_probabilities(alg, w) -> np.ndarray:
+    """The odd-exponent distribution at one work function in numpy array
+    passes, as the rule takes it above ``FLOAT_STATES`` states."""
+    u, t = alg.umts, alg.descriptor["t"]
+    w = np.asarray(w, dtype=float)
+    diffs = (w[None, :] - w[:, None]) / u.diameter()
+    p = np.maximum((1.0 + _int_power(diffs, t).sum(axis=-1)) / u.n, 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def reference_greedy_pick(alg, w, p):
+    """The state greedy-pressure charges at ``w`` and ``p``, by exhaustive
+    search: the zero crossing of every open state in one call, then the
+    largest ``p * min(crossing, headroom, 1e12)``, the lowest index among
+    equal pressures; None when no state is open."""
+    heads = reference_support_headrooms(alg.umts, w).tolist()
+    open_states = [x for x in range(len(p)) if p[x] > EPS_EQ and heads[x] > 0.0]
+    if not open_states:
+        return None
+    cross = dict(zip(open_states, alg.zero_crossing(w, np.array(open_states)).tolist()))
+    return max(open_states, key=lambda x: (p[x] * min(min(cross[x], heads[x]), 1e12), -x))
+
+
+def reference_offline_opt(u, tasks) -> float:
+    """The offline optimum through the chain of ``apply_task`` calls on arrays."""
+    w = initial_work_function(u)
+    for t in tasks:
+        w = apply_task(u, w, t)
+    return opt_cost(w)
 
 
 def reference_odd_crossing(alg, w, v):

@@ -4,8 +4,9 @@
 
 PARENT_SRC is the ``src/`` directory of the tree to compare against, for
 instance a ``git archive`` of the parent commit. The script runs the
-``bench/workloads.py`` configs of every workload at seeds 0 and 7, both
-bundled configs and the four demos of this tree, once with the package from
+``bench/workloads.py`` configs of every workload at seeds 0 and 7, its
+own configs (:func:`own_configs`), both bundled configs and the four
+demos of this tree, once with the package from
 PARENT_SRC and once with this tree's ``src/``, each side in a temporary
 directory of its own. It compares the exit codes, the standard output and
 error, and every file of the output trees byte for byte. It also runs
@@ -40,14 +41,43 @@ def load_workloads():
     return module
 
 
+def own_configs() -> list[tuple[str, dict]]:
+    """(name, config) of the runs the workloads leave out: odd-exponent at
+    every b from 2 to 8 under all three adversary kinds, 300 steps each, so
+    that both sides of the 4-state float cutoff run, and a caching and a
+    wcombined rule under greedy-pressure, whose combined crossings the
+    greedy pick asks for."""
+    kinds = ("uniform-random", "greedy-pressure", "support-raiser")
+
+    def config(spaces, algorithm, adversaries):
+        return {"schema": "umtslab-run-v1", "seeds": [0], "spaces": spaces,
+                "algorithms": [algorithm], "adversaries": adversaries}
+
+    out = []
+    for b in range(2, 9):
+        space = {"name": f"u{b}", "kind": "uniform", "points": b, "distance": 1.0,
+                 "rate": 1.0, "s": 1.0}
+        out.append((f"own-odd-b{b}", config([space], "odd-exponent",
+                                            [{"kind": k, "steps": 300} for k in kinds])))
+    greedy = [{"kind": "greedy-pressure", "steps": 150}]
+    caching = {"name": "k3", "kind": "caching", "fetch_costs": [1.0, 0.6, 1.7, 1.2], "s": 1.0}
+    out.append(("own-caching-k3", config([caching], "caching", greedy)))
+    anchored = {"name": "w6", "kind": "uniform", "points": 6,
+                "rates": [3.0, 1.0, 1.0, 1.0, 1.0, 1.0], "s": 1.0}
+    out.append(("own-wcombined-n6", config([anchored], "wcombined", greedy)))
+    return out
+
+
 def configs() -> list[tuple[str, dict]]:
-    """(name, config) of every workload config at each seed, then the bundled ones."""
+    """(name, config) of every workload config at each seed, then this
+    script's own configs and the bundled ones."""
     workloads = load_workloads()
     out = []
     for workload in workloads.NAMES:
         for seed in SEEDS:
             for name, config in workloads.make_configs(workload, seed):
                 out.append((f"{workload}-{name}-seed{seed}", config))
+    out += own_configs()
     for path in sorted((ROOT / "src" / "umtslab" / "configs").glob("*.json")):
         out.append((f"bundled-{path.stem}", json.loads(path.read_text())))
     return out

@@ -12,6 +12,7 @@ from oracles import (
     odd_local_integral_pow,
     odd_raw_pow,
     reference_odd_crossing,
+    reference_odd_probabilities,
 )
 
 from umtslab.algorithms import (
@@ -360,6 +361,32 @@ def test_odd_crossing_equals_the_numpy_passes(b, d, seed):
         assert x == reference_odd_crossing(alg, w, v)
     for vs in (np.arange(b), rng.integers(0, b, rng.integers(0, 2 * b))):
         assert np.array_equal(alg.zero_crossing(w, vs), reference_odd_crossing(alg, w, vs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([0.5, 1.0, 2.5]), st.integers(0, 2**32 - 1))
+def test_one_row_odd_probabilities_equal_the_numpy_pass(b, d, seed):
+    """On Python floats up to FLOAT_STATES states and in numpy above, one row's
+    distribution equals the numpy pass bit for bit, ties and dead states included."""
+    alg = odd_rule(b, d)
+    w = odd_work_function(np.random.default_rng(seed), b, d)
+    p = alg.probabilities(w)
+    assert p.dtype == np.float64 and p.shape == (b,)
+    assert p.tobytes() == reference_odd_probabilities(alg, w).tobytes()
+    assert p.tobytes() == alg.probabilities(w[None])[0].tobytes()
+
+
+@pytest.mark.parametrize("b", range(2, 9))
+def test_one_row_odd_probabilities_on_ties_and_dead_states(b):
+    """Equal values at every state, and states one distance above the
+    minimum whose mass dies, on both sides of the FLOAT_STATES cutoff."""
+    alg = odd_rule(b, 1.0)
+    dead = np.zeros(b)
+    dead[: b // 2] = 1.0
+    for w in (np.zeros(b), np.full(b, 0.25), dead):
+        p = alg.probabilities(w)
+        assert p.tobytes() == reference_odd_probabilities(alg, w).tobytes()
+    assert (alg.probabilities(dead)[: b // 2] == 0.0).all()
 
 
 @pytest.mark.parametrize(

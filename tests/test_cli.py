@@ -87,6 +87,81 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "overrides, colliding",
+    [
+        ({"adversaries": [{"kind": "uniform-random", "steps": 3},
+                          {"kind": "uniform-random", "steps": 5}]},
+         "u2--trivial--uniform-random--seed0.jsonl"),
+        ({"spaces": [{"name": "u", "kind": "uniform", "points": 2},
+                     {"name": "u", "kind": "uniform", "points": 3}]},
+         "u--trivial--uniform-random--seed0.jsonl"),
+        ({"seeds": [4, 4]}, "u2--trivial--uniform-random--seed4.jsonl"),
+        # names that differ only in characters a file name replaces
+        ({"spaces": [{"name": "a b", "kind": "uniform", "points": 2},
+                     {"name": "a/b", "kind": "uniform", "points": 2}]},
+         "a-b--trivial--uniform-random--seed0.jsonl"),
+    ],
+    ids=["adversary-kind", "space-name", "seed", "slug"],
+)
+def test_colliding_traces_exit_2(tmp_path, capsys, overrides, colliding):
+    config = write_config(
+        tmp_path,
+        **{"spaces": [{"name": "u2", "kind": "uniform", "points": 2}], "algorithms": ["trivial"],
+           "adversaries": [{"kind": "uniform-random", "steps": 3}], **overrides},
+    )
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"traces/{colliding}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"seeds": "12"}, "'seeds' must be a list"),
+        ({"seeds": [1.7]}, "seeds must be an integer, got 1.7"),
+        ({"seeds": [True]}, "seeds must be an integer, got True"),
+        ({"seeds": ["1"]}, "seeds must be an integer, got '1'"),
+        ({"seeds": [-1]}, "seeds must be non-negative integers"),
+        ({"algorithms": "trivial"}, "'algorithms' must be a list of names"),
+        ({"algorithms": [["trivial"]]}, "'algorithms' must be a list of names"),
+        ({"adversaries": {"kind": "uniform-random"}}, "'adversaries' must be a list"),
+        ({"adversaries": [{"kind": "uniform-random", "steps": 2.9}]},
+         "'steps' must be an integer, got 2.9"),
+        ({"adversaries": [{"kind": "uniform-random", "steps": "3"}]},
+         "'steps' must be an integer, got '3'"),
+        ({"adversaries": [{"kind": "uniform-random", "steps": False}]},
+         "'steps' must be an integer, got False"),
+        ({"spaces": [{"name": "u", "kind": "uniform", "points": 2.7}]},
+         "'points' must be an integer, got 2.7"),
+        ({"spaces": [{"name": "u", "kind": "uniform", "points": "3"}]},
+         "'points' must be an integer, got '3'"),
+        ({"spaces": [{"name": "l", "kind": "line", "points": 4.5}], "algorithms": ["line"]},
+         "'points' must be an integer, got 4.5"),
+    ],
+)
+def test_config_values_are_not_reinterpreted(tmp_path, capsys, overrides, message):
+    config = write_config(tmp_path, **{"algorithms": ["trivial"], **overrides})
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_floats_are_counts(tmp_path):
+    """A JSON number with an integral value is taken as that integer."""
+    config = write_config(
+        tmp_path,
+        seeds=[2.0],
+        spaces=[{"name": "u", "kind": "uniform", "points": 2.0}],
+        algorithms=["trivial"],
+        adversaries=[{"kind": "uniform-random", "steps": 4.0}],
+    )
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 0
+    row = json.loads((tmp_path / "o" / "summary.json").read_text())["rows"][0]
+    assert (row["seed"], row["steps"], row["trace"]) == (
+        2, 4, "traces/u--trivial--uniform-random--seed2.jsonl")
+
+
+@pytest.mark.parametrize(
     "spaces",
     [
         {"u3": {"kind": "uniform", "points": 3}},

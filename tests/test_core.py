@@ -11,6 +11,7 @@ from oracles import (
     offline_exhaustive,
     random_metric,
     random_rows,
+    reference_support_headrooms,
     reference_support_level,
 )
 from umtslab.core import (
@@ -140,6 +141,26 @@ def test_support_headrooms_equal_the_states(n, seed, spread):
     u = Umts(FiniteMetric(tuple(f"v{i}" for i in range(n)), random_metric(rng, n)), np.ones(n), 1.0)
     w = rng.uniform(0.0, spread, n)
     assert np.array_equal(support_headrooms(u, w), [support_headroom(u, w, v) for v in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(METRIC_KINDS), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0), st.booleans())
+def test_support_headrooms_equal_the_numpy_pass(kind, n, seed, spread, ties):
+    """On Python floats up to FLOAT_STATES states and in numpy above, the
+    headrooms equal one numpy pass bit for bit; ``ties`` puts the work
+    function on a quarter grid, so that several states reach one level."""
+    rng = np.random.default_rng(seed)
+    if kind in ("two-point", "three-point", "lp") and n == 1:
+        n = 2
+    m = metric_of(kind, n, rng)
+    u = Umts(m, np.ones(m.n), 1.0)
+    w = rng.uniform(0.0, spread, m.n)
+    if ties:
+        w = np.round(w * 4.0) / 4.0
+    heads = support_headrooms(u, w)
+    assert heads.dtype == np.float64 and heads.shape == (m.n,)
+    assert heads.tobytes() == reference_support_headrooms(u, w).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

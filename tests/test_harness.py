@@ -1,13 +1,20 @@
 """Adversary generators, offline optimum, and run audits."""
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import offline_exhaustive, random_metric
+from oracles import (
+    offline_exhaustive,
+    random_metric,
+    reference_greedy_pick,
+    reference_offline_opt,
+)
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import (
     ElementaryTask,
@@ -16,18 +23,23 @@ from umtslab.core import (
     apply_elementary,
     flat_work_function,
     support_headroom,
+    support_headrooms,
 )
 from umtslab.harness import (
     AdversaryConfig,
+    _greediest,
+    adversary,
     audit_run,
     elementarize,
     empirical_ratio,
     generate_sequence,
     offline_opt,
     run_cost,
+    simulate,
 )
 from umtslab.metricspace import FiniteMetric, make_uniform
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
+from umtslab.tolerances import EPS_EQ
 
 
 def uniform_umts(rates, s=1.0, d=1.0):
@@ -100,6 +112,106 @@ def test_offline_opt_equals_exhaustive_search(n, horizon, seed):
         else:
             tasks.append(GeneralTask(row))
     assert offline_opt(u, tasks) == pytest.approx(offline_exhaustive(d, 0, rows), abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_offline_opt_equals_the_apply_task_chain(n, horizon, seed):
+    """Elementary and general tasks mixed, the list-stepped optimum equals
+    the chain of ``apply_task`` calls bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = 2 * n
+    u = Umts(FiniteMetric(tuple(f"x{i}" for i in range(n)), random_metric(rng, n)),
+             np.ones(n), 1.0, f"x{rng.integers(n)}")
+    tasks = []
+    for _ in range(horizon):
+        if rng.random() < 0.3:
+            tasks.append(GeneralTask(rng.random(n) * (rng.random(n) < 0.6)))
+        else:
+            tasks.append(ElementaryTask(f"x{rng.integers(n)}", float(rng.uniform(0.0, 2.0))))
+    opt = offline_opt(u, tasks)
+    assert type(opt) is float and opt == reference_offline_opt(u, tasks)
+
+
+GREEDY_RULES = {
+    "odd-b2": lambda: odd_exponent(uniform_umts([1.0, 1.0])),
+    "odd-b4": lambda: odd_exponent(uniform_umts([1.0] * 4)),
+    "odd-b5": lambda: odd_exponent(uniform_umts([1.0] * 5)),
+    "two-stable": lambda: two_stable(uniform_umts([2.0, 0.5])),
+    "trivial": lambda: trivial_algorithm(uniform_umts([1.0, 2.0, 3.0])),
+    "combined": lambda: combined_algorithm(uniform_umts([3.0, 1.0, 2.0, 0.5])),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def greedy_rule(name):
+    return GREEDY_RULES[name]()
+
+
+def counting_crossings(alg):
+    """``alg`` with a ``zero_crossing`` that records the states of each call."""
+    calls = []
+
+    def crossing(w, v):
+        calls.append(np.atleast_1d(v).tolist())
+        return alg.zero_crossing(w, v)
+
+    return replace(alg, zero_crossing=crossing), calls
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_RULES))
+def test_greedy_pressure_charges_the_exhaustive_pick(name):
+    """Every state greedy-pressure charges is the exhaustive search's, and
+    each pick asks for crossings in at most two calls."""
+    alg, calls = counting_crossings(greedy_rule(name))
+    policy = adversary(AdversaryConfig(kind="greedy-pressure", steps=60, seed=1))
+    steps = 0
+    for rec in simulate(alg, policy):
+        assert len(calls) <= 2
+        assert rec.v == reference_greedy_pick(greedy_rule(name), rec.w, rec.p)
+        calls.clear()
+        steps += 1
+    assert steps > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(GREEDY_RULES)), st.data())
+def test_pruned_greedy_equals_the_exhaustive_search(name, data):
+    """On work functions with a quarter grid of values, so that pressures
+    and bounds tie, the pruned pick equals the exhaustive one."""
+    alg = greedy_rule(name)
+    n, d = alg.umts.n, alg.umts.diameter()
+    w = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))) * d / 4.0
+    p = alg.probabilities(w)
+    heads = support_headrooms(alg.umts, w).tolist()
+    mass = p.tolist()
+    open_states = [x for x in range(n) if mass[x] > EPS_EQ and heads[x] > 0.0]
+    assume(open_states)
+    cross = {}
+    assert _greediest(alg, w, mass, heads, open_states, cross) == reference_greedy_pick(alg, w, p)
+    assert all(cross[x] == alg.zero_crossing(w, x) for x in cross)
+
+
+@pytest.mark.parametrize(
+    "name, asked",
+    [
+        # the crossing is the headroom: state 0's pressure meets every bound
+        ("odd-b2", [[0]]),
+        ("two-stable", [[0]]),
+        # the crossing lies below the headroom: every bound beats state 0's pressure
+        ("odd-b4", [[0], [1, 2, 3]]),
+        ("odd-b5", [[0], [1, 2, 3, 4]]),
+    ],
+)
+def test_greedy_pressure_breaks_ties_by_the_lowest_index(name, asked):
+    """At the flat work function every state has the same pressure."""
+    alg, calls = counting_crossings(greedy_rule(name))
+    w = np.zeros(alg.umts.n)
+    p = alg.probabilities(w)
+    heads = support_headrooms(alg.umts, w).tolist()
+    v = _greediest(alg, w, p.tolist(), heads, list(range(alg.umts.n)), {})
+    assert calls == asked
+    assert v == reference_greedy_pick(greedy_rule(name), w, p) == 0
 
 
 def test_elementarize_slices_round_robin():
