@@ -14,7 +14,7 @@ import numpy as np
 from umtslab.core import Umts, ElementaryTask, flat_work_function, apply_task
 from umtslab.metricspace import make_uniform
 from umtslab.algorithms import trivial_algorithm, two_stable, two_stable_ratio
-from umtslab.harness import AdversaryConfig, generate_sequence, audit_run, empirical_ratio
+from umtslab.harness import AdversaryConfig, adversary, audit, play, ratio_report
 
 rng = np.random.default_rng(7)
 
@@ -42,13 +42,13 @@ for i, (state, delta) in enumerate([("v1", 0.3), ("v1", 0.3), ("v2", 0.8)], star
 # The work function never detaches from its lower envelope: each entry stays
 # within one diameter of the other, and mass drains from the pressured state.
 
-# 4. An adversary run, audited. Random reasonable charges already separate
-# the two players: the online side pays the inflated rates while the offline
+# 4. An adversary run, played once and then audited and priced from its
+# record. Random reasonable charges already separate the two players: the online side pays the inflated rates while the offline
 # side settles wherever the accumulated charge is lightest.
 cfg = AdversaryConfig(kind="uniform-random", steps=400, seed=3)
-tasks = generate_sequence(alg, cfg)
-report = audit_run(alg, tasks)
-ratio = empirical_ratio(alg, tasks)
+run = play(alg, adversary(cfg))
+report = audit(run)
+ratio = ratio_report(run)
 print(f"\nuniform-random adversary, {cfg.steps} steps")
 print(f"  audit passed: {report['passed']}  (checks: resadv, distribution, betatagc, sensibility)")
 print(f"  online cost {ratio['cost']:.4f}  offline optimum {ratio['opt']:.4f}")
@@ -64,9 +64,9 @@ w0 = flat_work_function(u)
 print(f"\nbaseline point-mass rule at {base.descriptor.get('state', u.labels[0])}: "
       f"declared {base.declared_ratio:.4f}")
 print(f"  allowed charge at v1: {base.zero_crossing(w0, 0)}   at v2: {base.zero_crossing(w0, 1)}")
-base_tasks = generate_sequence(base, AdversaryConfig(kind="uniform-random", steps=400, seed=11))
-base_ratio = empirical_ratio(base, base_tasks)
-print(f"  against its own reasonable sequences ({len(base_tasks)} tasks before the"
+base_run = play(base, adversary(AdversaryConfig(kind="uniform-random", steps=400, seed=11)))
+base_ratio = ratio_report(base_run)
+print(f"  against its own reasonable sequences ({len(base_run.tasks)} tasks before the"
       f" headroom runs out):")
 print(f"  cost {base_ratio['cost']:.4f}  opt {base_ratio['opt']:.4f}  "
       f"empirical {base_ratio['ratio']:.4f}, within declared: {base_ratio['passed']}")

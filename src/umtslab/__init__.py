@@ -43,17 +43,15 @@ from umtslab.hst import (
     hst_metric,
     line_algorithm,
     rhst,
-    separate_hst,
     weighted_caching_algorithm,
 )
 from umtslab.harness import (
     AdversaryConfig,
-    audit_run,
-    elementarize,
-    empirical_ratio,
-    generate_sequence,
+    Run,
+    audit,
     offline_opt,
-    run_cost,
+    play,
+    ratio_report,
 )
 
 __all__ = [
@@ -92,15 +90,13 @@ __all__ = [
     "hst_metric",
     "line_algorithm",
     "rhst",
-    "separate_hst",
     "weighted_caching_algorithm",
     "AdversaryConfig",
-    "audit_run",
-    "elementarize",
-    "empirical_ratio",
-    "generate_sequence",
+    "Run",
+    "audit",
     "offline_opt",
-    "run_cost",
+    "play",
+    "ratio_report",
 ]
 
 __version__ = "0.1.0"

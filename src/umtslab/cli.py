@@ -34,7 +34,7 @@ from umtslab.core import (
     flat_work_function,
     online_step_cost,
 )
-from umtslab.harness import AdversaryConfig, adversary, audit_steps, ratio_report, simulate
+from umtslab.harness import AdversaryConfig, adversary, audit, play, ratio_report
 from umtslab.hst import line_algorithm, weighted_caching_algorithm, with_hst_realization
 from umtslab.metricspace import (
     FiniteMetric,
@@ -168,22 +168,21 @@ def _rule(space_spec, algorithm: str):
 
 
 def _run_job(space_spec, algorithm, adversary_spec, seed):
-    """Simulate one job once; the audit, optimum, ratio and trace all read that run."""
+    """Play one job once; the audit, optimum, ratio and trace all read that run."""
     alg = _rule(space_spec, algorithm)
     config = _adversary_config(adversary_spec, seed)
-    # a combined audit reads each step as it is made, while its block and
-    # quotient values are still in the memos; an atomic audit stacks the whole run
-    report = audit_steps(alg, simulate(alg, adversary(config)))
-    ratio = ratio_report(alg, report["cost"], report["opt"])
+    run = play(alg, adversary(config))
+    report = audit(run)
+    ratio = ratio_report(run)
     passed = bool(report["passed"]) and ratio["passed"] is not False
     row = {
         "space": _space_label(space_spec),
         "algorithm": algorithm,
         "adversary": config.kind,
         "seed": config.seed,
-        "steps": report["steps"],
-        "cost": report["cost"],
-        "opt": ratio["opt"],
+        "steps": len(run.steps),
+        "cost": run.cost,
+        "opt": run.opt,
         "ratio": ratio["ratio"],
         "declared": alg.declared_ratio,
         "passed": passed,

@@ -12,10 +12,10 @@ of delta_hat = G_l(w_l + step) - G_l(w_l). The exported constraint pair
 (beta, eta) follows the combination arithmetic below and the potential is
 Phi_hat(w_hat) + r * sum_l alpha_hat(z_l) Phi_l(w_l) / r_l.
 
-:class:`CombinedRun` checks a run step by step for the four structural
-identities the construction relies on (hatw, welleqw, betatagc,
-samecompratio) plus reasonableness of the induced sequences, at the
-tolerances each identity supports.
+:class:`CombinedRun` checks a run step by step for the structural
+identities the construction relies on (hatw, welleqw, samecompratio; the
+audit in :mod:`umtslab.harness` adds betatagc) plus reasonableness of the
+induced sequences, at the tolerances each identity supports.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from umtslab.core import (
     Step,
     Umts,
     apply_elementary,
-    beta_excluded_mass,
-    flat_work_function,
     step_costs,
+    total_cost,
 )
 from umtslab.metricspace import (
     Partition,
@@ -392,12 +391,10 @@ def combine(
 # auditing runs
 
 
-def trace_header(alg: OnlineAlgorithm, beta: float, p0=None) -> dict:
-    """Header fields every run trace carries: the system, the rule, its start
-    distribution ``p0`` (by default the rule's at the flat work function)."""
+def trace_header(alg: OnlineAlgorithm, beta: float, p0: np.ndarray) -> dict:
+    """Header fields every run trace carries: the system, the rule and its
+    start distribution ``p0``."""
     u = alg.umts
-    if p0 is None:
-        p0 = alg.probabilities(flat_work_function(u))
     return {
         "kind": "header",
         "labels": list(u.labels),
@@ -432,6 +429,20 @@ def worst_issues(issues: list[AuditIssue]) -> dict[str, dict]:
     return worst
 
 
+def distribution_issues(p: np.ndarray, faulty: np.ndarray, name: str = "") -> tuple[list, list]:
+    """The distribution issues of a run through the (k + 1, n) distributions
+    ``p``, its start first, whose rows ``faulty`` marks as failing: the
+    start's, then one per failing step, each as far off as its sum is from 1.
+    ``name`` prefixes the details."""
+    off = np.abs(p.sum(axis=-1) - 1.0).tolist()
+    start = []
+    if faulty[0]:
+        start.append(AuditIssue("distribution", 0, off[0], f"{name}start is not a distribution"))
+    steps = [AuditIssue("distribution", i, off[i + 1], f"{name}not a distribution")
+             for i in np.flatnonzero(faulty[1:]).tolist()]
+    return start, steps
+
+
 @dataclass
 class CombinedRun:
     """Check a combined algorithm's structural identities on one run.
@@ -441,11 +452,12 @@ class CombinedRun:
     block work functions and the quotient one, started at G_l(0), and checks
     resadv (the charge against both crossings), hatw (quotient values equal
     block G values, 1e-6) and welleqw (block and restricted global work
-    functions agree, 1e-9). :meth:`report` checks the whole run for valid
-    distributions of the rule and the quotient, betatagc (1e-9) and
+    functions agree, 1e-9). :meth:`report` finishes the audit of the
+    recorded run: it takes the rule's own distribution and betatagc issues
+    and step costs from the audit, checks the quotient's distributions and
     samecompratio (step cost at most the quotient's, 1e-6 plus any gridded
-    slack), prices both runs in one call each (NaN where a step reads a
-    failing distribution), and fills in ``issues``, ``cost`` and ``qcost``.
+    slack), prices the quotient run in one call (NaN where a step reads a
+    failing distribution), and fills in ``issues`` and ``qcost``.
     """
 
     alg: OnlineAlgorithm
@@ -457,27 +469,24 @@ class CombinedRun:
         if parts is None:
             raise ValueError("algorithm was not built by combine()")
         self.parts = parts
-        self.w = flat_work_function(parts.u)
         self.w_blocks = [np.zeros(len(idx)) for idx in parts.global_index]
         # block G values of the block work functions; the quotient run starts there
         self.g = self.what = parts.initial_hat_work()
-        # the rule's start distribution comes with the first step read
-        self.p0 = None
         self.p_hat0 = parts.quotient_memo.probabilities(self.what)
-        self.tasks: list[ElementaryTask] = []
         self.qtasks: list[ElementaryTask] = []
         # issues of the checks made while reading the steps
         self.read_issues: list[AuditIssue] = []
-        self.steps, self.cost, self.qcost = 0, 0.0, 0.0
+        self.steps, self.qcost = 0, 0.0
         self.dhat_tol = max(
             EPS_EQ,
             max((a.phi_slack for a in parts.block_algs if math.isfinite(a.phi_slack)),
                 default=0.0),
         )
 
-    def header(self) -> dict:
+    def header(self, p0: np.ndarray) -> dict:
+        """The trace header of a run that starts at the rule's distribution ``p0``."""
         parts = self.parts
-        return trace_header(self.alg, parts.beta, self.p0) | {
+        return trace_header(self.alg, parts.beta, p0) | {
             "blocks": [list(b) for b in parts.partition.blocks],
             "dist_hat": parts.dist_hat.tolist(),
             "hat_rates": parts.quotient_umts.rates.tolist(),
@@ -491,8 +500,8 @@ class CombinedRun:
     def _issue(self, lemma, magnitude, detail):
         self.read_issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
 
-    def step(self, rec: Step) -> dict:
-        """Read the rule's step ``rec`` and return its trace row, whose costs
+    def step(self, rec: Step) -> None:
+        """Read the rule's step ``rec`` and add its trace row, whose costs
         :meth:`report` fills in.
 
         The charge moves one block's work function; the quotient charge is
@@ -501,8 +510,6 @@ class CombinedRun:
         parts = self.parts
         u = parts.u
         v, delta = rec.v, rec.delta
-        if self.p0 is None:
-            self.p0 = rec.p
         j, lv = int(parts.block_of[v]), int(parts.local_index[v])
         memo, qmemo = parts.memos[j], parts.quotient_memo
 
@@ -538,58 +545,43 @@ class CombinedRun:
         if gap > EPS_AUDIT:
             self._issue("hatw", gap, "quotient work function detached from block G values")
 
-        self.tasks.append(rec.task)
         self.qtasks.append(ElementaryTask(parts.quotient_umts.labels[j], dhat))
-        self.w, self.w_blocks, self.g, self.what = w2, w_blocks2, gvals, what2
+        self.w_blocks, self.g, self.what = w_blocks2, gvals, what2
         self.steps += 1
-        row = {"kind": "step", "i": self.steps, "state": u.labels[v], "delta": delta,
-               "block": j, "delta_hat": dhat, "w": w2.tolist(),
-               "w_blocks": [wb.tolist() for wb in w_blocks2], "what": what2.tolist(),
-               "g": gvals.tolist(), "p": rec.p2.tolist(),
-               "p_hat": qmemo.probabilities(what2).tolist()}
-        self.trace.append(row)
-        return row
+        self.trace.append({
+            "kind": "step", "i": self.steps, "state": u.labels[v], "delta": delta, "block": j,
+            "delta_hat": dhat, "w": w2.tolist(), "w_blocks": [wb.tolist() for wb in w_blocks2],
+            "what": what2.tolist(), "g": gvals.tolist(), "p": rec.p2.tolist(),
+            "p_hat": qmemo.probabilities(what2).tolist(),
+        })
 
-    def report(self) -> dict:
-        """Check and price the run read so far, each check in one pass. Issues
-        come by step, then by check: the start distributions, the checks made
-        while reading, the rule's and the quotient's distributions, betatagc
-        and samecompratio."""
-        parts, u, k = self.parts, self.parts.u, self.steps
-        issues: list[AuditIssue] = []
-        cost = qcost = np.zeros(1)
-        if k:
-            w2 = np.array([row["w"] for row in self.trace])
-            p = np.array([self.p0.tolist()] + [row["p"] for row in self.trace])
-            p_hat = np.array([self.p_hat0.tolist()] + [row["p_hat"] for row in self.trace])
-            bad, qbad = not_distribution(p), not_distribution(p_hat)
-            checks = [("", bad, np.abs(p.sum(axis=-1) - 1.0).tolist()),
-                      ("quotient ", qbad, np.abs(p_hat.sum(axis=-1) - 1.0).tolist())]
-            issues = [AuditIssue("distribution", 0, off[0], f"{name}start is not a distribution")
-                      for name, faulty, off in checks if faulty[0]] + self.read_issues
-            for name, faulty, off in checks:
-                issues += [AuditIssue("distribution", i, off[i + 1], f"{name}not a distribution")
-                           for i in np.flatnonzero(faulty[1:]).tolist()]
-            for i, excluded in enumerate(beta_excluded_mass(u, parts.beta, w2, p[1:])):
-                for x, mass in excluded:
-                    detail = f"mass {mass:.3g} on excluded state {u.labels[x]}"
-                    issues.append(AuditIssue("betatagc", i, mass, detail))
-            cost = step_costs(u, p, self.tasks, bad)
-            qcost = step_costs(parts.quotient_umts, p_hat, self.qtasks, qbad)
-            slack = self.alg.phi_slack
-            allow = EPS_AUDIT + slack if math.isfinite(slack) else math.inf
-            for i in np.flatnonzero(cost > qcost + allow).tolist():
-                c, qc = float(cost[i]), float(qcost[i])
-                detail = f"combined step cost {c:.6g} exceeds quotient {qc:.6g}"
-                issues.append(AuditIssue("samecompratio", i, c - qc, detail))
-            issues.sort(key=lambda issue: issue.step)
-            for row, c, qc in zip(self.trace, cost.tolist(), qcost.tolist()):
-                row["cost"], row["qcost"] = c, qc
-        self.issues = issues
-        self.cost, self.qcost = float(np.cumsum(cost)[-1]), float(np.cumsum(qcost)[-1])
+    def report(self, run, start: list, distribution: list, betatagc: list) -> dict:
+        """Finish the audit of ``run``, the :class:`umtslab.harness.Run`
+        whose steps this checker read, each check in one pass. ``start``,
+        ``distribution`` and ``betatagc`` are the rule's own issues, and
+        ``run.costs`` its step costs. Issues come by step, then by check: the
+        start distributions, the checks made while reading, the rule's and
+        the quotient's distributions, betatagc and samecompratio."""
+        p_hat = np.array([self.p_hat0.tolist()] + [row["p_hat"] for row in self.trace])
+        qbad = not_distribution(p_hat)
+        qstart, qdistribution = distribution_issues(p_hat, qbad, "quotient ")
+        qcost = step_costs(self.parts.quotient_umts, p_hat, self.qtasks, qbad)
+        slack = self.alg.phi_slack
+        allow = EPS_AUDIT + slack if math.isfinite(slack) else math.inf
+        samecompratio = []
+        for i in np.flatnonzero(run.costs > qcost + allow).tolist():
+            c, qc = float(run.costs[i]), float(qcost[i])
+            detail = f"combined step cost {c:.6g} exceeds quotient {qc:.6g}"
+            samecompratio.append(AuditIssue("samecompratio", i, c - qc, detail))
+        issues = (start + qstart + self.read_issues + distribution + qdistribution + betatagc
+                  + samecompratio)
+        issues.sort(key=lambda issue: issue.step)
+        for row, c, qc in zip(self.trace, run.costs.tolist(), qcost.tolist()):
+            row["cost"], row["qcost"] = c, qc
+        self.issues, self.qcost = issues, total_cost(qcost)
         return {
-            "steps": k,
-            "cost": self.cost,
+            "steps": self.steps,
+            "cost": run.cost,
             "quotient_cost": self.qcost,
             "issues": len(issues),
             "worst": worst_issues(issues),

@@ -201,6 +201,11 @@ def step_costs(u: Umts, p: np.ndarray, tasks, faulty: np.ndarray) -> np.ndarray:
     return cost
 
 
+def total_cost(costs: np.ndarray) -> float:
+    """The sum of a run's step costs from left to right; 0.0 for no steps."""
+    return float(np.cumsum(costs)[-1]) if len(costs) else 0.0
+
+
 def opt_cost(w) -> float:
     return float(np.asarray(w).min())
 
@@ -242,8 +247,8 @@ class Step:
     to ``w2`` and ``p2 = alg.probabilities(w2)``.
 
     The zero crossing at ``v`` before the charge is evaluated on first
-    use, unless the caller knows it and passes it in. The audits price
-    whole runs with :func:`step_costs`.
+    use, unless the caller knows it and passes it in.
+    ``umtslab.harness.play`` prices whole runs with :func:`step_costs`.
     """
 
     def __init__(self, u: Umts, alg, w, p, v: int, delta: float, crossing=None):

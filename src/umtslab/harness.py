@@ -1,9 +1,10 @@
 """Adversaries, offline optimum, and empirical audits for online runs.
 
 Every run goes through one engine, :func:`simulate`: a policy (an adversary
-or a replayed task list) picks each charge, and every reader (generation,
-audit, cost, trace) reads the same stream of steps. Sequences are generated on the algorithm's own channel (the all-zero work
-function) and stay reasonable by construction: every charge targets a
+or a replayed task list) picks each charge. :func:`play` runs it once and
+records the run (:class:`Run`), and every reader (the audit, the ratio, the
+trace) reads that record. Sequences are generated on the algorithm's own
+channel (the all-zero work function) and stay reasonable by construction: every charge targets a
 state the algorithm currently occupies with positive probability and stays
 strictly below both the probability zero crossing and the support
 headroom. The offline optimum is the minimum of the work function started
@@ -14,6 +15,7 @@ the best fixed schedule.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -24,7 +26,13 @@ import numpy as np
 from numpy.random import default_rng
 
 from umtslab.algorithms import OnlineAlgorithm
-from umtslab.combiner import AuditIssue, CombinedRun, trace_header, worst_issues
+from umtslab.combiner import (
+    AuditIssue,
+    CombinedRun,
+    distribution_issues,
+    trace_header,
+    worst_issues,
+)
 from umtslab.core import (
     ElementaryTask,
     Step,
@@ -33,9 +41,9 @@ from umtslab.core import (
     beta_excluded_mass,
     flat_work_function,
     initial_work_function,
-    online_step_cost,
     step_costs,
     support_headrooms,
+    total_cost,
 )
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 from umtslab.transport import not_distribution
@@ -64,8 +72,13 @@ class AdversaryConfig:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if not 0.0 < self.max_fraction < 1.0:
             raise ValueError("max_fraction must lie strictly between 0 and 1")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
+        for name in ("steps", "seed"):
+            value = getattr(self, name)
+            # a bool is an Integral too, but no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def adversary(config: AdversaryConfig):
@@ -180,11 +193,6 @@ def simulate(alg: OnlineAlgorithm, policy) -> Iterator[Step]:
         w, p = rec.w2, rec.p2
 
 
-def generate_sequence(alg: OnlineAlgorithm, config: AdversaryConfig) -> list[ElementaryTask]:
-    """Reasonable task sequence for the algorithm under the given adversary."""
-    return [rec.task for rec in simulate(alg, adversary(config))]
-
-
 def offline_opt(u: Umts, tasks) -> float:
     """Fair offline optimum: min of the work function from dist(init, .).
 
@@ -204,142 +212,134 @@ def offline_opt(u: Umts, tasks) -> float:
     return min(w)
 
 
-def elementarize(u: Umts, charges, eps: float) -> list[ElementaryTask]:
-    """Slice a general charge vector into elementary tasks of size eps.
+@dataclass
+class Run:
+    """One run of a rule, as :func:`play` records it.
 
-    Slice j charges every state whose remaining charge is at least j * eps,
-    so large charges are spread across slices instead of being served in
-    one block. Remainders below eps are dropped.
+    ``w`` and ``p`` are the (k + 1, n) work functions and distributions the
+    k steps pass through, the start first. ``faulty`` marks the rows of
+    ``p`` that are not distributions, ``costs`` holds the cost of each step
+    (NaN where a step reads a faulty row) and ``cost`` their sum, left to
+    right. ``opt`` is the offline optimum of the run's tasks. For a
+    combined rule, ``combined`` is the :class:`CombinedRun` that read each
+    step as it was made.
     """
-    if eps <= 0:
-        raise ValueError("slice size must be positive")
-    c = np.asarray(charges, dtype=float)
-    if c.shape != (u.n,):
-        raise ValueError("one charge per state required")
-    out: list[ElementaryTask] = []
-    counts = np.floor(c / eps + 1e-12).astype(int)
-    for j in range(1, int(counts.max(initial=0)) + 1):
-        for v in range(u.n):
-            if counts[v] >= j:
-                out.append(ElementaryTask(u.labels[v], eps))
-    return out
+
+    alg: OnlineAlgorithm
+    steps: list[Step]
+    tasks: list[ElementaryTask]
+    w: np.ndarray
+    p: np.ndarray
+    faulty: np.ndarray
+    costs: np.ndarray
+    cost: float
+    opt: float
+    combined: CombinedRun | None
 
 
-def audit_run(alg: OnlineAlgorithm, tasks) -> dict:
-    """Run the sequence and check the declared per-step contracts."""
-    return audit_steps(alg, simulate(alg, replay(tasks)))
+def play(alg: OnlineAlgorithm, policy) -> Run:
+    """Run the rule once against ``policy`` and record the run.
 
-
-def audit_steps(alg: OnlineAlgorithm, steps) -> dict:
-    """Check the declared per-step contracts on the steps of one run.
-
-    Combined algorithms get the full structural audit (:class:`CombinedRun`)
-    plus the check that the translated quotient adversary is no harder than
-    the original one, up to the static offset of the translation. Atomic
-    algorithms are checked by :func:`_audit_atomic`. The offline optimum is
-    solved once per system, and the report carries the run's trace (header
-    and step rows) as ``"trace"``.
+    The run is stacked once, every step priced in one :func:`step_costs`
+    call and the offline optimum solved once. A combined rule's
+    :class:`CombinedRun` reads each step as :func:`simulate` makes it,
+    while the block and quotient values the step used are still in the
+    memos.
     """
     u = alg.umts
-    tasks: list[ElementaryTask] = []
-    if alg.parts is not None:
-        run = CombinedRun(alg)
-        for rec in steps:
-            tasks.append(rec.task)
-            run.step(rec)
-        opt = offline_opt(u, tasks)
-        report = run.report()
-        qu = alg.parts.quotient_umts
-        opt_hat = offline_opt(qu, run.qtasks)
-        # The translated adversary can exceed the original optimum only by
-        # the static offset of the translation: the gap between the two
-        # quotient start vectors plus the largest block diameter (the G
-        # values sit at most one block diameter above the block minimum).
-        parts = alg.parts
-        start_gap = float(np.max(initial_work_function(qu) - parts.initial_hat_work()))
-        block_diam = max(
-            float(u.metric.dist[np.ix_(idx, idx)].max()) for idx in parts.global_index
-        )
-        resadv_allow = max(0.0, start_gap) + block_diam + EPS_AUDIT + run.steps * run.dhat_tol
-        if opt_hat > opt + resadv_allow:
-            report["passed"] = False
-            report.setdefault("worst", {})["resadv"] = {
-                "magnitude": opt_hat - opt - resadv_allow,
-                "step": run.steps,
-                "detail": "quotient adversary is harder than the original",
-            }
-        report.update(
-            {"kind": "combined", "opt": opt, "opt_hat": opt_hat, "resadv_allow": resadv_allow,
-             "trace": [run.header()] + run.trace}
-        )
-        return report
-
-    return _audit_atomic(alg, list(steps))
-
-
-def _run_arrays(steps: list[Step]) -> tuple[np.ndarray, np.ndarray]:
-    """The (k + 1, n) work functions and distributions a run of k >= 1 steps
-    passes through, its start first."""
-    w = np.array([steps[0].w] + [rec.w2 for rec in steps])
-    p = np.array([steps[0].p] + [rec.p2 for rec in steps])
-    return w, p
-
-
-def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
-    """Check an atomic rule's finished run, each check over all steps at once.
-
-    The run is stacked into (steps + 1, n) arrays of work functions and
-    distributions, and the potential is evaluated in one call on the
-    stacked work functions. The checks are: charges below the zero crossing
-    (resadv), valid distributions (distribution), no mass on beta-excluded
-    states (betatagc, skipped when beta is zero, the single-state
-    convention) and sensibility of each step against the potential.
-    Distributions are checked before any step is priced, the start one
-    included, and a step that reads a failing one keeps a NaN cost. The
-    issues come ordered by step, and within a step in that order of checks.
-    """
-    u = alg.umts
+    combined = CombinedRun(alg) if alg.parts is not None else None
+    steps = []
+    for rec in simulate(alg, policy):
+        steps.append(rec)
+        if combined is not None:
+            combined.step(rec)
     tasks = [rec.task for rec in steps]
-    opt = offline_opt(u, tasks)
-    if not steps:
-        return {"kind": "atomic", "steps": 0, "cost": 0.0, "opt": opt, "issues": [],
-                "worst": {}, "passed": True, "trace": [trace_header(alg, alg.beta)]}
+    w = np.array([flat_work_function(u)] + [rec.w2 for rec in steps])
+    p = np.array([steps[0].p if steps else alg.probabilities(w[0])] + [rec.p2 for rec in steps])
+    faulty = not_distribution(p)
+    costs = step_costs(u, p, tasks, faulty)
+    return Run(alg, steps, tasks, w, p, faulty, costs, total_cost(costs), offline_opt(u, tasks),
+               combined)
+
+
+def audit(run: Run) -> dict:
+    """Check the declared per-step contracts on a recorded run.
+
+    The rule's own checks are made here, once, over the whole run: valid
+    distributions, the start one included, and betatagc (skipped when an
+    atomic rule's beta is zero, the single-state convention). An atomic
+    rule's run then goes to :func:`_audit_atomic`. A combined rule's goes to
+    :meth:`CombinedRun.report`, plus the check that the translated quotient
+    adversary is no harder than the original one, up to the static offset
+    of the translation. The report carries the run's trace (header and step
+    rows) as ``"trace"``.
+    """
+    alg, u = run.alg, run.alg.umts
+    start, distribution = distribution_issues(run.p, run.faulty)
+    beta = alg.beta if alg.parts is None else alg.parts.beta
+    betatagc = []
+    if alg.parts is not None or beta > 0.0:
+        for i, excluded in enumerate(beta_excluded_mass(u, beta, run.w[1:], run.p[1:])):
+            betatagc += [AuditIssue("betatagc", i, mass, f"mass on excluded state {u.labels[x]}")
+                         for x, mass in excluded]
+    if run.combined is None:
+        return _audit_atomic(run, start + distribution + betatagc)
+
+    combined, parts = run.combined, alg.parts
+    report = combined.report(run, start, distribution, betatagc)
+    qu = parts.quotient_umts
+    opt_hat = offline_opt(qu, combined.qtasks)
+    # The translated adversary can exceed the original optimum only by
+    # the static offset of the translation: the gap between the two
+    # quotient start vectors plus the largest block diameter (the G
+    # values sit at most one block diameter above the block minimum).
+    start_gap = float(np.max(initial_work_function(qu) - parts.initial_hat_work()))
+    block_diam = max(
+        float(u.metric.dist[np.ix_(idx, idx)].max()) for idx in parts.global_index
+    )
+    resadv_allow = (max(0.0, start_gap) + block_diam + EPS_AUDIT
+                    + combined.steps * combined.dhat_tol)
+    if opt_hat > run.opt + resadv_allow:
+        report["passed"] = False
+        report["worst"]["resadv"] = {
+            "magnitude": opt_hat - run.opt - resadv_allow,
+            "step": combined.steps,
+            "detail": "quotient adversary is harder than the original",
+        }
+    report.update(
+        {"kind": "combined", "opt": run.opt, "opt_hat": opt_hat, "resadv_allow": resadv_allow,
+         "trace": [combined.header(run.p[0])] + combined.trace}
+    )
+    return report
+
+
+def _audit_atomic(run: Run, rule_issues: list[AuditIssue]) -> dict:
+    """Finish the audit of an atomic rule's run, each check over all steps
+    at once: charges below the zero crossing (resadv) and sensibility of
+    each step against the potential, evaluated in one call on the stacked
+    work functions. ``rule_issues`` are the rule's distribution and
+    betatagc issues. The issues come ordered by step, and within a step in
+    the order resadv, distribution, betatagc, sensibility.
+    """
+    alg, u, steps, w, p = run.alg, run.alg.umts, run.steps, run.w, run.p
     k = len(steps)
-    w, p = _run_arrays(steps)
     w1, w2, p2 = w[:-1], w[1:], p[1:]
     rows = np.arange(k)
-    v = np.array([rec.v for rec in steps])
-    delta = np.array([rec.delta for rec in steps])
-    crossing = np.array([rec.crossing for rec in steps])
-    issues: list[AuditIssue] = []
-
-    for i in np.flatnonzero(delta > crossing + EPS_EQ).tolist():
-        magnitude = float(delta[i] - crossing[i])
-        issues.append(AuditIssue("resadv", i, magnitude, "charge beyond crossing"))
-
-    faulty = not_distribution(p)
-    off = np.abs(p.sum(axis=-1) - 1.0).tolist()
-    if faulty[0]:
-        issues.append(AuditIssue("distribution", 0, off[0], "start is not a distribution"))
-    for i in np.flatnonzero(faulty[1:]).tolist():
-        issues.append(AuditIssue("distribution", i, off[i + 1], "not a distribution"))
-
-    if alg.beta > 0.0:
-        for i, excluded in enumerate(beta_excluded_mass(u, alg.beta, w2, p2)):
-            for x, mass in excluded:
-                detail = f"mass on excluded state {u.labels[x]}"
-                issues.append(AuditIssue("betatagc", i, mass, detail))
-
-    cost = step_costs(u, p, tasks, faulty)
+    v = np.array([rec.v for rec in steps], dtype=int)
+    delta = np.array([rec.delta for rec in steps], dtype=float)
+    crossing = np.array([rec.crossing for rec in steps], dtype=float)
+    issues = [AuditIssue("resadv", i, float(delta[i] - crossing[i]), "charge beyond crossing")
+              for i in np.flatnonzero(delta > crossing + EPS_EQ).tolist()]
+    issues += rule_issues
 
     sens_allow = EPS_AUDIT + alg.phi_slack
-    if math.isfinite(sens_allow):
+    if math.isfinite(sens_allow) and k:
         phi = alg.phi(w)
         local = np.empty(k)
         for x in sorted(set(v.tolist())):  # np.unique would import numpy.ma on first use
             at = v == x
             local[at] = alg.local_cost_integral(w1[at], x, delta[at])
-        lhs = cost - p2[rows, v] * u.rates[v] * delta + local
+        lhs = run.costs - p2[rows, v] * u.rates[v] * delta + local
         lhs += phi[1:] - phi[:-1]
         alpha = np.asarray(alg.alpha)[v]
         rhs = alg.declared_ratio * (alpha * (w2[rows, v] - w1[rows, v]))
@@ -348,15 +348,15 @@ def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
             issues.append(AuditIssue("sensibility", i, magnitude, "step beyond its allowance"))
 
     issues.sort(key=lambda issue: issue.step)
-    trace = [trace_header(alg, alg.beta, steps[0].p)]
-    for i, (rec, wi, pi, ci) in enumerate(zip(steps, w2.tolist(), p2.tolist(), cost.tolist())):
+    trace = [trace_header(alg, alg.beta, p[0])]
+    for i, (rec, wi, pi, ci) in enumerate(zip(steps, w2.tolist(), p2.tolist(), run.costs.tolist())):
         trace.append({"kind": "step", "i": i + 1, "state": rec.task.state, "delta": rec.delta,
                       "w": wi, "p": pi, "cost": ci})
     return {
         "kind": "atomic",
         "steps": k,
-        "cost": float(np.cumsum(cost)[-1]),
-        "opt": opt,
+        "cost": run.cost,
+        "opt": run.opt,
         "issues": issues,
         "worst": worst_issues(issues),
         "passed": not issues,
@@ -364,29 +364,15 @@ def _audit_atomic(alg: OnlineAlgorithm, steps: list[Step]) -> dict:
     }
 
 
-def run_cost(alg: OnlineAlgorithm, tasks) -> float:
-    """Total online cost of the run (endpoint charge convention): every step
-    priced in one call over the stacked run, summed left to right."""
-    steps = list(simulate(alg, replay(tasks)))
-    if not steps:
-        return 0.0
-    _, p = _run_arrays(steps)
-    cost = online_step_cost(alg.umts, p[:-1], p[1:], [rec.task for rec in steps])
-    return float(np.cumsum(cost)[-1])
-
-
-def empirical_ratio(alg: OnlineAlgorithm, tasks) -> dict:
-    """Cost against the offline optimum, net of the additive allowance."""
-    return ratio_report(alg, run_cost(alg, tasks), offline_opt(alg.umts, tasks))
-
-
-def ratio_report(alg: OnlineAlgorithm, cost: float, opt: float) -> dict:
+def ratio_report(run: Run) -> dict:
     """Net ratio of a run's cost against its offline optimum.
 
     The guarantee has the form cost <= ratio * opt + c with
     c = (1 + eta) * ratio * diam + sup(potential); runs whose offline
-    optimum is at most EPS_EQ cannot witness a ratio and are skipped.
+    optimum is at most EPS_EQ cannot witness a ratio and are skipped. A
+    NaN cost, from a step that read a failing distribution, fails.
     """
+    alg, cost, opt = run.alg, run.cost, run.opt
     sup = alg.phi_sup if math.isfinite(alg.phi_slack) else alg.potential_bound
     overhead = (1.0 + alg.eta) * alg.declared_ratio * alg.umts.diameter() + sup
     out = {

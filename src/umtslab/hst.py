@@ -183,31 +183,6 @@ def with_hst_realization(metric: FiniteMetric) -> FiniteMetric:
     return FiniteMetric(metric.labels, d, tree)
 
 
-def separate_hst(node: HstNode, k: float = 5.0) -> HstNode:
-    """Lift any HST to k-separation by rounding labels up to powers of k
-    and contracting edges whose labels collide. Distances never shrink and
-    grow by less than a factor k."""
-    if k <= 1:
-        raise ValueError("separation factor must exceed 1")
-
-    def rounded(v: HstNode) -> HstNode:
-        if v.is_leaf:
-            return v
-        e = math.ceil(math.log(v.delta) / math.log(k) - 1e-12)
-        d = float(k ** e)
-        kids = []
-        for rc in map(rounded, v.children):
-            if not rc.is_leaf and rc.delta >= d * (1 - EPS_EQ):
-                kids.extend(rc.children)
-            else:
-                kids.append(rc)
-        return HstNode(delta=d, children=tuple(kids))
-
-    lifted = rounded(node)
-    validate_hst(lifted, k)
-    return lifted
-
-
 # ---------------------------------------------------------------------------
 # general recursion
 

@@ -153,14 +153,3 @@ def _transport_cost(metric: FiniteMetric, p, q, diff):
     pairs = zip(p.reshape(-1, n), q.reshape(-1, n))
     return np.array([_lp_cost(metric.dist, a, b) for a, b in pairs]).reshape(diff.shape[:-1])
 
-
-def as_probability(vec, tol: float = EPS_EQ) -> np.ndarray:
-    """Clamp negative rounding noise and verify normalization."""
-    p = np.asarray(vec, dtype=float)
-    if (p < -1e-12).any():
-        raise ValueError(f"negative probability entry: {p.min()}")
-    p = np.maximum(p, 0.0)
-    total = p.sum()
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return p

@@ -24,9 +24,8 @@ quotient rule beside the run, asks the block and quotient rules directly
 instead of through the memos, and checks and prices every step as it
 reads it.
 
-The combined-audit drivers at the end are shared test helpers, not
-oracles: a random reasonable adversary as a ``simulate`` policy, and a
-:class:`CombinedRun` reading the run it makes.
+The combined-audit driver at the end is a shared test helper, not an
+oracle: a random reasonable adversary as a ``simulate`` policy.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from umtslab.algorithms import (
     odd_crossing_bracketed,
     odd_crossing_closed,
 )
-from umtslab.combiner import AuditIssue, CombinedRun, trace_header, worst_issues
+from umtslab.combiner import AuditIssue, trace_header, worst_issues
 from umtslab.core import (
     Step,
     apply_elementary,
@@ -54,7 +53,7 @@ from umtslab.core import (
     opt_cost,
     support_headroom,
 )
-from umtslab.harness import offline_opt, simulate
+from umtslab.harness import offline_opt
 from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 from umtslab.transport import mcost_metric
@@ -490,7 +489,7 @@ def reference_atomic_audit(alg, steps) -> dict:
         "issues": issues,
         "worst": worst_issues(issues),
         "passed": not issues,
-        "trace": trace or [trace_header(alg, alg.beta)],
+        "trace": trace or [trace_header(alg, alg.beta, alg.probabilities(np.zeros(u.n)))],
     }
 
 
@@ -532,7 +531,8 @@ class ReferenceCombinedRun:
     def header(self) -> dict:
         parts, alg = self.parts, self.alg
         tol = EPS_AUDIT + alg.phi_slack if math.isfinite(alg.phi_slack) else None
-        return trace_header(alg, parts.beta, self.p0) | {
+        p0 = alg.probabilities(np.zeros(parts.u.n)) if self.p0 is None else self.p0
+        return trace_header(alg, parts.beta, p0) | {
             "blocks": [list(b) for b in parts.partition.blocks],
             "dist_hat": parts.dist_hat.tolist(),
             "hat_rates": parts.quotient_umts.rates.tolist(),
@@ -580,7 +580,7 @@ class ReferenceCombinedRun:
         p2_ok = self._distribution_ok(u, rec.p2, "not a distribution")
         q2_ok = self._distribution_ok(qu, q.p2, "quotient not a distribution")
         for x, mass in beta_excluded_mass(u, parts.beta, w2, rec.p2):
-            self._issue("betatagc", mass, f"mass {mass:.3g} on excluded state {u.labels[x]}")
+            self._issue("betatagc", mass, f"mass on excluded state {u.labels[x]}")
         step_cost = (online_step_cost(u, rec.p, rec.p2, rec.task) if self.p_ok and p2_ok
                      else math.nan)
         qstep_cost = online_step_cost(qu, q.p, q.p2, q.task) if self.q_ok and q2_ok else math.nan
@@ -638,10 +638,3 @@ def drive(steps: int, seed: int):
 
     return choose
 
-
-def combined_run(alg, policy) -> CombinedRun:
-    """A :class:`CombinedRun` that has read the run ``policy`` makes against ``alg``."""
-    run = CombinedRun(alg)
-    for rec in simulate(alg, policy):
-        run.step(rec)
-    return run

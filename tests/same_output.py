@@ -5,10 +5,11 @@
 PARENT_SRC is the ``src/`` directory of the tree to compare against, for
 instance a ``git archive`` of the parent commit. The script runs the
 ``bench/workloads.py`` configs of every workload at seeds 0 and 7, its
-own configs (:func:`own_configs`), both bundled configs and the four
-demos of this tree, once with the package from
-PARENT_SRC and once with this tree's ``src/``, each side in a temporary
-directory of its own. It compares the exit codes, the standard output and
+own configs (:func:`own_configs`) and both bundled configs, once with the
+package from PARENT_SRC and once with this tree's ``src/``, each side in a
+temporary directory of its own. Each side also runs the demos of its own
+tree (``demos/`` next to its ``src/``), which call the package's API of
+that tree. It compares the exit codes, the standard output and
 error, and every file of the output trees byte for byte. It also runs
 this tree's ``umtslab verify`` on every trace either side writes. It
 prints each difference and each rejected trace and exits 1 on any. A run
@@ -83,12 +84,13 @@ def configs() -> list[tuple[str, dict]]:
     return out
 
 
-def commands(cases) -> list[tuple[str, list[str]]]:
-    """(name, argv) of every run, relative to a side's working directory."""
-    out = [(name, ["-m", "umtslab", "run", f"cfg/{name}.json", "--deterministic",
-                   "--out", f"out/{name}"]) for name, _ in cases]
-    for demo in sorted((ROOT / "demos").glob("*.py")):
-        out.append((f"demo-{demo.stem}", [str(demo)]))
+def commands(cases, root: Path) -> dict[str, list[str]]:
+    """The argv of every run by name, relative to a side's working
+    directory; the demos are those of the tree at ``root``."""
+    out = {name: ["-m", "umtslab", "run", f"cfg/{name}.json", "--deterministic",
+                  "--out", f"out/{name}"] for name, _ in cases}
+    for demo in sorted((root / "demos").glob("*.py")):
+        out[f"demo-{demo.stem}"] = [str(demo)]
     return out
 
 
@@ -129,7 +131,8 @@ def main(argv=None) -> int:
     from umtslab.cli import main as umtslab
 
     cases = configs()
-    runs = commands(cases)
+    runs = {side: commands(cases, src.parent) for side, src in sides.items()}
+    names = list(dict.fromkeys([*runs["this"], *runs["parent"]]))
     differences = rejected = 0
     with tempfile.TemporaryDirectory() as tmp:
         works = {side: Path(tmp) / side for side in sides}
@@ -137,8 +140,10 @@ def main(argv=None) -> int:
             (work / "cfg").mkdir(parents=True)
             for name, config in cases:
                 (work / "cfg" / f"{name}.json").write_text(json.dumps(config))
-        for name, argv in runs:
-            got = {side: outcome(src, works[side], name, argv) for side, src in sides.items()}
+        for name in names:
+            got = {side: outcome(src, works[side], name, runs[side][name])
+                   if name in runs[side] else {"run": b"missing"}
+                   for side, src in sides.items()}
             parent, this = got["parent"], got["this"]
             found = sorted(k for k in parent.keys() | this.keys() if parent.get(k) != this.get(k))
             print(f"{name}: {f'{len(found)} differences' if found else 'same'}", flush=True)
@@ -149,7 +154,7 @@ def main(argv=None) -> int:
                 for line in rejected_traces(umtslab, work / "out" / name):
                     print(f"  {name}: {side} {line}")
                     rejected += 1
-    print(f"{len(runs)} runs compared, {differences} differences, "
+    print(f"{len(names)} runs compared, {differences} differences, "
           f"{rejected} traces rejected by verify")
     return 1 if differences or rejected else 0
 

@@ -28,13 +28,7 @@ from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable, two_
 from umtslab.cli import main as cli_main
 from umtslab.combiner import nice_beta_eta
 from umtslab.core import ElementaryTask, GeneralTask, Umts
-from umtslab.harness import (
-    AdversaryConfig,
-    audit_run,
-    empirical_ratio,
-    generate_sequence,
-    offline_opt,
-)
+from umtslab.harness import AdversaryConfig, adversary, audit, offline_opt, play, ratio_report
 from umtslab.hst import (
     HstNode,
     hst_metric,
@@ -109,8 +103,8 @@ def test_criterion_03_odd_exponent_guarantee_on_uniform():
         assert alg.declared_ratio <= bound + 1e-12
         kinds = ["greedy-pressure", "support-raiser"] + ["uniform-random"] * (count - 2)
         for seed, kind in enumerate(kinds):
-            tasks = generate_sequence(alg, AdversaryConfig(kind=kind, steps=1000, seed=seed))
-            out = empirical_ratio(alg, tasks)
+            run = play(alg, adversary(AdversaryConfig(kind=kind, steps=1000, seed=seed)))
+            out = ratio_report(run)
             assert out["passed"] is True, (b, kind, seed, out)
             assert out["ratio"] <= bound + 1e-9
     assert time.monotonic() - start < 60.0
@@ -144,10 +138,7 @@ def test_criterion_04_two_stable_forms_and_sensibility():
         r1, r2 = rng.uniform(0.0, 15.0, 2)
         u = Umts(make_uniform(2, d=float(rng.uniform(0.5, 2.0))), np.array([r1, r2]), s)
         alg = two_stable(u)
-        tasks = generate_sequence(
-            alg, AdversaryConfig(kind=kinds[i % 3], steps=150, seed=i)
-        )
-        report = audit_run(alg, tasks)
+        report = audit(play(alg, adversary(AdversaryConfig(kind=kinds[i % 3], steps=150, seed=i))))
         assert report["passed"], (i, r1, r2, s, report["worst"])
     verdict(4, "two-state closed forms hold and 100 runs keep sensibility slack above -1e-6")
 
@@ -189,10 +180,8 @@ def test_criterion_06_combination_audits_and_arithmetic():
 
     def audited(alg, steps, seed):
         nonlocal runs
-        tasks = generate_sequence(
-            alg, AdversaryConfig(kind=kinds[seed % 3], steps=steps, seed=seed)
-        )
-        report = audit_run(alg, tasks)
+        config = AdversaryConfig(kind=kinds[seed % 3], steps=steps, seed=seed)
+        report = audit(play(alg, adversary(config)))
         assert report["passed"], (alg.name, seed, report["worst"])
         runs += 1
 
@@ -237,10 +226,8 @@ def test_criterion_07_weighted_caching_bound():
             assert alg.declared_ratio <= bound + 1e-9
         for i in range(count):
             alg = algs[i % 2]
-            tasks = generate_sequence(
-                alg, AdversaryConfig(kind=kinds[i % 3], steps=100, seed=i)
-            )
-            out = empirical_ratio(alg, tasks)
+            run = play(alg, adversary(AdversaryConfig(kind=kinds[i % 3], steps=100, seed=i)))
+            out = ratio_report(run)
             assert out["passed"] is not False, (K, i, out)
             if out["passed"] is True:
                 assert out["ratio"] <= bound + 1e-9
@@ -255,10 +242,8 @@ def test_criterion_08_line_metric_bound():
         assert abs(alg.declared_ratio - expected) <= 1e-6 * expected
         assert alg.declared_ratio <= 8.0 * math.log(n) + 1e-9
         for seed in (0, 1):
-            tasks = generate_sequence(
-                alg, AdversaryConfig(kind="uniform-random", steps=80, seed=seed)
-            )
-            out = empirical_ratio(alg, tasks)
+            run = play(alg, adversary(AdversaryConfig(kind="uniform-random", steps=80, seed=seed)))
+            out = ratio_report(run)
             assert out["passed"] is not False, (n, seed, out)
     verdict(8, "line rule meets 1 + 4 s log2 n, below 8 ln n, on n in {2,4,8,16}")
 
@@ -267,10 +252,10 @@ def test_criterion_09_negative_controls_detected():
     u = Umts(make_uniform(2), np.array([5.0, 1.0]), 1.0)
     alg = trivial_algorithm(u)
     alg.declared_ratio = 5.0 / 3.0
-    tasks = generate_sequence(alg, AdversaryConfig(kind="uniform-random", steps=60, seed=9))
-    report = audit_run(alg, tasks)
+    run = play(alg, adversary(AdversaryConfig(kind="uniform-random", steps=60, seed=9)))
+    report = audit(run)
     assert not report["passed"] and "sensibility" in report["worst"]
-    out = empirical_ratio(alg, tasks)
+    out = ratio_report(run)
     assert out["passed"] is False
 
     true_r = 10.0 + 6.0 * math.log(2.0)

@@ -18,11 +18,10 @@ from umtslab.harness import (
     ADVERSARY_KINDS,
     AdversaryConfig,
     adversary,
-    audit_run,
-    audit_steps,
+    audit,
+    play,
+    ratio_report,
     replay,
-    run_cost,
-    simulate,
 )
 from umtslab.metricspace import make_uniform
 
@@ -48,9 +47,9 @@ def as_text(report: dict) -> str:
     return json.dumps(report, default=vars, sort_keys=True)
 
 
-def assert_same_report(alg, steps):
-    got = audit_steps(alg, steps)
-    want = reference_atomic_audit(alg, steps)
+def assert_same_report(run):
+    got = audit(run)
+    want = reference_atomic_audit(run.alg, run.steps)
     assert as_text(got) == as_text(want)
     return got
 
@@ -58,11 +57,10 @@ def assert_same_report(alg, steps):
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
 @pytest.mark.parametrize("name", ["odd-b2", "odd-b4", "odd-b8", "two-stable", "trivial"])
 def test_audit_equals_the_step_by_step_oracle(name, kind):
-    alg = rule(name)
-    steps = list(simulate(alg, adversary(AdversaryConfig(kind=kind, steps=120, seed=11))))
-    report = assert_same_report(alg, steps)
+    run = play(rule(name), adversary(AdversaryConfig(kind=kind, steps=120, seed=11)))
+    report = assert_same_report(run)
     assert report["passed"], report["worst"]
-    assert report["steps"] == len(steps) > 0
+    assert report["steps"] == len(run.steps) > 0
 
 
 @pytest.mark.parametrize("name", ["odd-b2", "odd-b4", "two-stable", "trivial"])
@@ -76,14 +74,14 @@ def test_audit_evaluates_the_potential_in_one_call(name):
 
     alg = replace(base, phi=counted)
     config = AdversaryConfig(kind="uniform-random", steps=40, seed=2)
-    steps = list(simulate(alg, adversary(config)))
-    report = audit_steps(alg, steps)
-    assert calls == [(len(steps) + 1, alg.umts.n)]
-    assert as_text(report) == as_text(audit_steps(base, steps))
+    run = play(alg, adversary(config))
+    report = audit(run)
+    assert calls == [(len(run.steps) + 1, alg.umts.n)]
+    assert as_text(report) == as_text(audit(replace(run, alg=base)))
 
 
 def test_empty_run_equals_the_oracle():
-    assert_same_report(rule("odd-b4"), [])
+    assert_same_report(play(rule("odd-b4"), replay([])))
 
 
 @pytest.mark.parametrize(
@@ -95,8 +93,7 @@ def test_empty_run_equals_the_oracle():
     ids=["trivial", "two-stable"],
 )
 def test_under_declared_rule_fails_sensibility(alg):
-    steps = list(simulate(alg, adversary(AdversaryConfig(steps=60, seed=4))))
-    report = assert_same_report(alg, steps)
+    report = assert_same_report(play(alg, adversary(AdversaryConfig(steps=60, seed=4))))
     assert not report["passed"]
     assert set(report["worst"]) == {"sensibility"}
 
@@ -107,7 +104,7 @@ def test_charge_beyond_the_crossing_fails_resadv(name, excess):
     alg = rule(name)
     cross = alg.zero_crossing(np.zeros(alg.umts.n), 1)
     tasks = [ElementaryTask("v2", cross + excess), ElementaryTask("v1", 0.1)]
-    report = assert_same_report(alg, list(simulate(alg, replay(tasks))))
+    report = assert_same_report(play(alg, replay(tasks)))
     assert report["worst"]["resadv"]["step"] == 0
     assert report["worst"]["resadv"]["magnitude"] == pytest.approx(excess, rel=1e-6)
 
@@ -115,7 +112,7 @@ def test_charge_beyond_the_crossing_fails_resadv(name, excess):
 def test_mass_on_an_excluded_state_fails_betatagc():
     alg = replace(rule("two-stable"), probabilities=lambda w: np.full(np.shape(w), 0.5))
     tasks = [ElementaryTask("v1", 5.0), ElementaryTask("v2", 0.3), ElementaryTask("v1", 5.0)]
-    report = assert_same_report(alg, list(simulate(alg, replay(tasks))))
+    report = assert_same_report(play(alg, replay(tasks)))
     assert report["worst"]["betatagc"]["step"] == 0
     assert report["worst"]["betatagc"]["detail"] == "mass on excluded state v1"
 
@@ -124,16 +121,17 @@ def test_mass_on_an_excluded_state_fails_betatagc():
 def test_rule_off_the_simplex_fails_distribution(name):
     base = rule(name)
     alg = replace(base, probabilities=lambda w: 1.01 * base.probabilities(w))
-    tasks = [t.task for t in simulate(base, adversary(AdversaryConfig(steps=30, seed=5)))]
-    steps = list(simulate(alg, replay(tasks)))
-    report = assert_same_report(alg, steps)
+    tasks = play(base, adversary(AdversaryConfig(steps=30, seed=5))).tasks
+    run = play(alg, replay(tasks))
+    report = assert_same_report(run)
     assert report["passed"] is False
     assert report["worst"]["distribution"]["step"] == 0
     assert math.isnan(report["cost"])
     assert all(math.isnan(row["cost"]) for row in report["trace"][1:])
-    assert audit_run(alg, tasks)["passed"] is False
-    with pytest.raises(ValueError, match="not a distribution"):
-        run_cost(alg, tasks)
+    # the record prices no step that reads a failing distribution, so its
+    # cost is NaN and the ratio check fails
+    assert math.isnan(run.cost)
+    assert ratio_report(run)["passed"] is False
 
 
 def test_start_off_the_simplex_leaves_only_the_first_step_unpriced():
@@ -142,8 +140,7 @@ def test_start_off_the_simplex_leaves_only_the_first_step_unpriced():
         return base.probabilities(w) * (1.01 if not np.any(w) else 1.0)
 
     alg = replace(base, probabilities=probabilities)
-    steps = list(simulate(alg, adversary(AdversaryConfig(steps=30, seed=5))))
-    report = assert_same_report(alg, steps)
+    report = assert_same_report(play(alg, adversary(AdversaryConfig(steps=30, seed=5))))
     assert [(i.lemma, i.step) for i in report["issues"]] == [("distribution", 0)]
     costs = [row["cost"] for row in report["trace"][1:]]
     assert math.isnan(costs[0]) and not any(map(math.isnan, costs[1:]))
@@ -155,7 +152,7 @@ def test_verify_fails_a_trace_whose_start_is_off_the_simplex(tmp_path, capsys):
         return base.probabilities(w) * (1.01 if not np.any(w) else 1.0)
 
     alg = replace(base, probabilities=probabilities)
-    report = audit_steps(alg, list(simulate(alg, adversary(AdversaryConfig(steps=30, seed=5)))))
+    report = audit(play(alg, adversary(AdversaryConfig(steps=30, seed=5))))
     trace = tmp_path / "start.jsonl"
     trace.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in report["trace"]))
     assert main(["verify", str(trace)]) == 1

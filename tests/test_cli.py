@@ -515,7 +515,7 @@ def test_run_job_writes_the_audit_trace():
     for space, algorithm, kind in jobs:
         alg = build_algorithm(space, algorithm)
         config = cli._adversary_config(entry, 3)
-        report = harness.audit_steps(alg, harness.simulate(alg, harness.adversary(config)))
+        report = harness.audit(harness.play(alg, harness.adversary(config)))
         assert report["kind"] == kind and "run" not in report
         trace = cli._run_job(space, algorithm, entry, 3)["trace"]
         assert trace == report["trace"]

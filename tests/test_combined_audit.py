@@ -12,16 +12,15 @@ import pytest
 from oracles import ReferenceCombinedRun
 from test_combiner import instance_d, two_level_metric, ts_var
 from umtslab.algorithms import trivial_algorithm, two_stable
-from umtslab.combiner import CombinedRun, block_subsystem, combine
+from umtslab.combiner import block_subsystem, combine
 from umtslab.core import Umts
 from umtslab.harness import (
     ADVERSARY_KINDS,
     AdversaryConfig,
     adversary,
-    audit_steps,
-    generate_sequence,
+    audit,
+    play,
     replay,
-    simulate,
 )
 from umtslab.hst import line_algorithm, weighted_caching_algorithm
 from umtslab.metricspace import make_uniform
@@ -50,21 +49,18 @@ def as_text(value) -> str:
     return json.dumps(value, default=vars, sort_keys=True)
 
 
-def assert_same_audit(alg, policy) -> dict:
-    """Audit the run ``policy`` makes against ``alg`` as the run makes it,
-    then replay its steps through the oracle; both must agree exactly."""
-    run, steps = CombinedRun(alg), []
-    for rec in simulate(alg, policy):
-        steps.append(rec)
-        run.step(rec)
-    report = run.report()
-    oracle = ReferenceCombinedRun(alg)
-    for rec in steps:
+def assert_same_audit(run) -> dict:
+    """Audit a combined rule's recorded run, whose checker read each step as
+    the run made it, then replay its steps through the oracle; both must
+    agree exactly."""
+    report = audit(run)
+    oracle = ReferenceCombinedRun(run.alg)
+    for rec in run.steps:
         oracle.step(rec)
-    assert as_text(report) == as_text(oracle.report())
-    assert as_text(run.issues) == as_text(oracle.issues)
-    assert as_text([run.header(), *run.trace]) == as_text([oracle.header(), *oracle.trace])
-    assert as_text(run.report()) == as_text(report)  # a second report reads the same
+    assert as_text({key: report[key] for key in oracle.report()}) == as_text(oracle.report())
+    assert as_text(run.combined.issues) == as_text(oracle.issues)
+    assert as_text(report["trace"]) == as_text([oracle.header(), *oracle.trace])
+    assert as_text(audit(run)) == as_text(report)  # a second audit reads the same
     return report
 
 
@@ -73,13 +69,13 @@ def assert_same_audit(alg, policy) -> dict:
     "name", ["line8", "caching3-drawn", "combined5", "wcombined8", "mixed-depth"])
 def test_audit_equals_the_step_by_step_oracle(name, kind):
     alg = rule(name)
-    report = assert_same_audit(alg, adversary(AdversaryConfig(kind=kind, steps=30, seed=5)))
+    report = assert_same_audit(play(alg, adversary(AdversaryConfig(kind=kind, steps=30, seed=5))))
     assert report["passed"], report["worst"]
     assert report["steps"] > 0
 
 
 def test_empty_run_equals_the_oracle():
-    report = assert_same_audit(rule("line8"), replay([]))
+    report = assert_same_audit(play(rule("line8"), replay([])))
     assert report["steps"] == 0 and report["passed"]
 
 
@@ -121,13 +117,13 @@ NEGATIVE = {
 def test_off_the_simplex_equals_the_oracle(case):
     make, lemmas = NEGATIVE[case]
     alg = make()
-    report = assert_same_audit(alg, adversary(AdversaryConfig(steps=20, seed=5)))
+    report = assert_same_audit(play(alg, adversary(AdversaryConfig(steps=20, seed=5))))
     assert not report["passed"] and set(report["worst"]) == lemmas
 
 
 def test_quotient_off_the_simplex_fails_distribution_in_the_audit():
     alg = normalized(two_trivial_blocks(off_quotient))
-    report = audit_steps(alg, simulate(alg, adversary(AdversaryConfig(steps=20, seed=5))))
+    report = audit(play(alg, adversary(AdversaryConfig(steps=20, seed=5))))
     assert report["passed"] is False
     assert report["worst"]["distribution"]["detail"].startswith("quotient ")
     rows = report["trace"][1:]
@@ -150,6 +146,6 @@ def two_level(weak: bool):
 
 
 def test_under_declared_block_fails_resadv_and_samecompratio():
-    tasks = generate_sequence(two_level(False), AdversaryConfig(steps=60, seed=4))
-    report = assert_same_audit(two_level(True), replay(tasks))
+    tasks = play(two_level(False), adversary(AdversaryConfig(steps=60, seed=4))).tasks
+    report = assert_same_audit(play(two_level(True), replay(tasks)))
     assert {"resadv", "samecompratio"} <= set(report["worst"])

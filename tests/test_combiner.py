@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import combined_run, drive
+from oracles import drive
 from umtslab.algorithms import odd_exponent, rho_variant, trivial_algorithm, two_stable
 from umtslab.combiner import MEMO_SIZE, block_subsystem, combine, nice_beta_eta
 from umtslab.core import ElementaryTask, Umts, support_headroom
@@ -15,7 +15,8 @@ from umtslab.harness import (
     ADVERSARY_KINDS,
     AdversaryConfig,
     adversary,
-    audit_steps,
+    audit,
+    play,
     replay,
     simulate,
 )
@@ -158,35 +159,30 @@ def test_two_singletons_reduce_to_the_quotient_rule():
         w = np.array([max(y, 0.0), max(-y, 0.0)])
         assert np.allclose(calg.probabilities(w), direct.probabilities(w), atol=1e-12)
         assert abs(calg.zero_crossing(w, 0) - direct.zero_crossing(w, 0)) < 1e-9
-    run = combined_run(calg, drive(40, seed=3))
-    rep = run.report()
+    rep = audit(play(calg, drive(40, seed=3)))
     assert rep["passed"], rep
-    for row in run.trace:
+    for row in rep["trace"][1:]:
         assert abs(row["cost"] - row["qcost"]) < 1e-9
 
 
 def test_audits_pass_on_two_level_instance():
-    run = combined_run(instance_a(), drive(60, seed=11))
-    rep = run.report()
+    rep = audit(play(instance_a(), drive(60, seed=11)))
     assert rep["passed"], rep
     assert rep["cost"] > 0
 
 
 def test_audits_pass_on_three_level_instance():
-    run = combined_run(instance_b(), drive(50, seed=13))
-    rep = run.report()
+    rep = audit(play(instance_b(), drive(50, seed=13)))
     assert rep["passed"], rep
 
 
 def test_audits_pass_on_singleton_quotient_instance():
-    run = combined_run(instance_c(), drive(60, seed=17))
-    rep = run.report()
+    rep = audit(play(instance_c(), drive(60, seed=17)))
     assert rep["passed"], rep
 
 
 def test_audits_pass_on_mixed_depth_instance():
-    run = combined_run(instance_d(), drive(50, seed=19))
-    rep = run.report()
+    rep = audit(play(instance_d(), drive(50, seed=19)))
     assert rep["passed"], rep
 
 
@@ -209,12 +205,12 @@ def test_product_measure_marginals():
 
 
 def test_singleton_block_charge_translates_as_is():
-    run = combined_run(instance_c(), replay([ElementaryTask("v2", 0.3)]))
-    run.report()
-    row = run.trace[0]
+    run = play(instance_c(), replay([ElementaryTask("v2", 0.3)]))
+    audit(run)
+    row = run.combined.trace[0]
     assert row["block"] == 1 and abs(row["delta_hat"] - 0.3) < 1e-15
     assert row["w_blocks"][1] == [0.3]
-    assert not [issue for issue in run.issues if issue.lemma == "hatw"]
+    assert not [issue for issue in run.combined.issues if issue.lemma == "hatw"]
 
 
 def test_single_block_passthrough():
@@ -319,10 +315,11 @@ def test_memo_hits_return_what_a_fresh_rule_computes(name):
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_combined_audit_reads_a_generator_as_a_list(name, kind):
     config = AdversaryConfig(kind=kind, steps=15, seed=4)
+    tasks = play(RULES[name](), adversary(config)).tasks
     texts = []
-    for materialise in (list, iter):  # iter leaves the generator as it is
+    for materialise in (list, iter):  # iter hands replay a one-pass iterator
         alg = RULES[name]()
-        report = audit_steps(alg, materialise(simulate(alg, adversary(config))))
+        report = audit(play(alg, replay(materialise(tasks))))
         assert report["kind"] == "combined" and report["steps"] > 0
         texts.append(json.dumps(report, default=vars, sort_keys=True))
     assert texts[0] == texts[1]
@@ -331,7 +328,7 @@ def test_combined_audit_reads_a_generator_as_a_list(name, kind):
 def test_combined_rule_off_the_simplex_fails_distribution():
     base = weighted_caching_algorithm(np.array([1.0, 0.7, 1.6]))
     alg = replace(base, probabilities=lambda w: 1.01 * base.probabilities(w))
-    report = audit_steps(alg, simulate(alg, adversary(AdversaryConfig(steps=20, seed=5))))
+    report = audit(play(alg, adversary(AdversaryConfig(steps=20, seed=5))))
     assert report["passed"] is False
     assert report["worst"]["distribution"]["step"] == 0
     assert math.isnan(report["cost"])
@@ -345,7 +342,7 @@ def test_combined_start_off_the_simplex_leaves_only_the_first_step_unpriced():
         return base.probabilities(w) * (1.01 if not np.any(w) else 1.0)
 
     alg = replace(base, probabilities=probabilities)
-    report = audit_steps(alg, simulate(alg, adversary(AdversaryConfig(steps=20, seed=5))))
+    report = audit(play(alg, adversary(AdversaryConfig(steps=20, seed=5))))
     assert report["issues"] == 1
     worst = report["worst"]["distribution"]
     assert (worst["step"], worst["detail"]) == (0, "start is not a distribution")

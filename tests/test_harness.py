@@ -15,6 +15,8 @@ from oracles import (
     reference_greedy_pick,
     reference_offline_opt,
 )
+from test_atomic_audit import as_text, assert_same_report
+from test_combined_audit import assert_same_audit
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import (
     ElementaryTask,
@@ -22,21 +24,23 @@ from umtslab.core import (
     Umts,
     apply_elementary,
     flat_work_function,
+    online_step_cost,
     support_headroom,
     support_headrooms,
 )
 from umtslab.harness import (
+    ADVERSARY_KINDS,
     AdversaryConfig,
     _greediest,
     adversary,
-    audit_run,
-    elementarize,
-    empirical_ratio,
-    generate_sequence,
+    audit,
     offline_opt,
-    run_cost,
+    play,
+    ratio_report,
+    replay,
     simulate,
 )
+from umtslab.hst import line_algorithm, weighted_caching_algorithm
 from umtslab.metricspace import FiniteMetric, make_uniform
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 from umtslab.tolerances import EPS_EQ
@@ -54,24 +58,40 @@ def test_adversary_config_validation():
         AdversaryConfig(max_fraction=1.0)
     with pytest.raises(ValueError, match="steps"):
         AdversaryConfig(steps=-1)
+    # counts a run would misread: 2.5 charges 3 times, True once, and a
+    # fractional seed fails inside numpy once the run starts
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            AdversaryConfig(steps=bad)
+    for bad in (2.5, 3.0, False, "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            AdversaryConfig(seed=bad)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        AdversaryConfig(seed=-1)
+    assert AdversaryConfig(steps=np.int64(3), seed=np.int64(0)).steps == 3
+
+
+def generated(alg, config):
+    """The tasks the configured adversary charges against ``alg``."""
+    return play(alg, adversary(config)).tasks
 
 
 def test_generate_sequence_deterministic():
     alg = two_stable(uniform_umts([3.0, 1.0]))
     cfg = AdversaryConfig(kind="uniform-random", steps=50, seed=11)
-    first = [(t.state, t.delta) for t in generate_sequence(alg, cfg)]
-    second = [(t.state, t.delta) for t in generate_sequence(alg, cfg)]
+    first = [(t.state, t.delta) for t in generated(alg, cfg)]
+    second = [(t.state, t.delta) for t in generated(alg, cfg)]
     assert first == second
     assert len(first) == 50
     other = AdversaryConfig(kind="uniform-random", steps=50, seed=12)
-    assert first != [(t.state, t.delta) for t in generate_sequence(alg, other)]
+    assert first != [(t.state, t.delta) for t in generated(alg, other)]
 
 
 def test_generated_charges_stay_admissible():
     alg = odd_exponent(uniform_umts([1.0, 1.0, 1.0, 1.0]))
     u = alg.umts
     for kind in ("uniform-random", "greedy-pressure", "support-raiser"):
-        tasks = generate_sequence(alg, AdversaryConfig(kind=kind, steps=40, seed=3))
+        tasks = generated(alg, AdversaryConfig(kind=kind, steps=40, seed=3))
         assert tasks
         w = flat_work_function(u)
         for t in tasks:
@@ -84,7 +104,7 @@ def test_generated_charges_stay_admissible():
 
 def test_greedy_pressure_spreads_charges():
     alg = two_stable(uniform_umts([1.0, 1.0]))
-    tasks = generate_sequence(alg, AdversaryConfig(kind="greedy-pressure", steps=30, seed=0))
+    tasks = generated(alg, AdversaryConfig(kind="greedy-pressure", steps=30, seed=0))
     states = {t.state for t in tasks}
     assert states == {"v1", "v2"}
 
@@ -214,24 +234,10 @@ def test_greedy_pressure_breaks_ties_by_the_lowest_index(name, asked):
     assert v == reference_greedy_pick(greedy_rule(name), w, p) == 0
 
 
-def test_elementarize_slices_round_robin():
-    u = uniform_umts([1.0, 1.0])
-    tasks = elementarize(u, [1.5, 0.5], 0.5)
-    assert [t.state for t in tasks] == ["v1", "v2", "v1", "v1"]
-    assert all(t.delta == 0.5 for t in tasks)
-    remainder = elementarize(u, [0.74, 0.0], 0.25)
-    assert [t.state for t in remainder] == ["v1", "v1"]
-    with pytest.raises(ValueError, match="positive"):
-        elementarize(u, [1.0, 1.0], 0.0)
-    with pytest.raises(ValueError, match="per state"):
-        elementarize(u, [1.0], 0.5)
-
-
 def test_audit_passes_two_stable_all_adversaries():
     alg = two_stable(uniform_umts([3.0, 1.0]))
     for kind in ("uniform-random", "greedy-pressure", "support-raiser"):
-        tasks = generate_sequence(alg, AdversaryConfig(kind=kind, steps=60, seed=7))
-        report = audit_run(alg, tasks)
+        report = audit(play(alg, adversary(AdversaryConfig(kind=kind, steps=60, seed=7))))
         assert report["kind"] == "atomic"
         assert report["passed"], report["worst"]
         assert report["cost"] > 0.0
@@ -239,36 +245,27 @@ def test_audit_passes_two_stable_all_adversaries():
 
 def test_audit_passes_odd_exponent():
     alg = odd_exponent(uniform_umts([1.0, 1.0, 1.0, 1.0]))
-    tasks = generate_sequence(alg, AdversaryConfig(kind="support-raiser", steps=80, seed=5))
-    report = audit_run(alg, tasks)
+    run = play(alg, adversary(AdversaryConfig(kind="support-raiser", steps=80, seed=5)))
+    report = audit(run)
     assert report["passed"], report["worst"]
-    out = empirical_ratio(alg, tasks)
+    out = ratio_report(run)
     assert out["opt"] > 0.0
     assert out["passed"] is True
 
 
-def test_run_cost_matches_audit_cost():
-    alg = two_stable(uniform_umts([3.0, 1.0]))
-    tasks = generate_sequence(alg, AdversaryConfig(steps=60, seed=9))
-    report = audit_run(alg, tasks)
-    assert math.isclose(run_cost(alg, tasks), report["cost"], rel_tol=1e-12)
-
-
 def test_audit_combined_structural():
     alg = combined_algorithm(uniform_umts([2.0, 1.0, 0.5]))
-    tasks = generate_sequence(alg, AdversaryConfig(kind="uniform-random", steps=40, seed=21))
-    report = audit_run(alg, tasks)
+    report = audit(play(alg, adversary(AdversaryConfig(kind="uniform-random", steps=40, seed=21))))
     assert report["kind"] == "combined"
     assert report["passed"], report["worst"]
     assert report["opt_hat"] <= report["opt"] + report["resadv_allow"]
-    tasks = generate_sequence(alg, AdversaryConfig(kind="support-raiser", steps=40, seed=22))
-    assert audit_run(alg, tasks)["passed"]
+    run = play(alg, adversary(AdversaryConfig(kind="support-raiser", steps=40, seed=22)))
+    assert audit(run)["passed"]
 
 
 def test_audit_anchored_merge():
     alg = w_combined_algorithm(uniform_umts([3.0, 1.0, 1.0, 1.0], s=2.0))
-    tasks = generate_sequence(alg, AdversaryConfig(kind="greedy-pressure", steps=40, seed=2))
-    report = audit_run(alg, tasks)
+    report = audit(play(alg, adversary(AdversaryConfig(kind="greedy-pressure", steps=40, seed=2))))
     assert report["kind"] == "combined"
     assert report["passed"], report["worst"]
 
@@ -276,26 +273,61 @@ def test_audit_anchored_merge():
 def test_under_declared_ratio_is_flagged():
     alg = trivial_algorithm(uniform_umts([5.0, 1.0]))
     alg.declared_ratio = 5.0 / 3.0
-    tasks = generate_sequence(alg, AdversaryConfig(kind="uniform-random", steps=60, seed=4))
-    report = audit_run(alg, tasks)
+    run = play(alg, adversary(AdversaryConfig(kind="uniform-random", steps=60, seed=4)))
+    report = audit(run)
     assert not report["passed"]
     assert "sensibility" in report["worst"]
-    out = empirical_ratio(alg, tasks)
+    out = ratio_report(run)
     assert out["passed"] is False
     assert out["ratio"] > out["declared"] + 1.0
 
 
 def test_honest_trivial_ratio_passes():
     alg = trivial_algorithm(uniform_umts([5.0, 1.0]))
-    tasks = generate_sequence(alg, AdversaryConfig(kind="uniform-random", steps=60, seed=4))
-    report = audit_run(alg, tasks)
+    run = play(alg, adversary(AdversaryConfig(kind="uniform-random", steps=60, seed=4)))
+    report = audit(run)
     assert report["passed"], report["worst"]
-    out = empirical_ratio(alg, tasks)
+    out = ratio_report(run)
     assert out["passed"] is True
 
 
 def test_empirical_ratio_skips_tiny_optimum():
     alg = two_stable(uniform_umts([3.0, 1.0]))
-    out = empirical_ratio(alg, [])
+    out = ratio_report(play(alg, replay([])))
     assert out["passed"] is None
     assert math.isnan(out["ratio"])
+
+
+ONE_PASS_RULES = {
+    "trivial": lambda: trivial_algorithm(uniform_umts([5.0, 1.0, 2.0])),
+    "two-stable": lambda: two_stable(uniform_umts([3.0, 1.0])),
+    "odd-b2": lambda: odd_exponent(uniform_umts([1.0] * 2)),
+    "odd-b4": lambda: odd_exponent(uniform_umts([1.0] * 4)),
+    "odd-b8": lambda: odd_exponent(uniform_umts([1.0] * 8)),
+    "combined": lambda: combined_algorithm(uniform_umts([3.7, 0.4, 1.9, 0.9, 2.6])),
+    "wcombined": lambda: w_combined_algorithm(uniform_umts([4.5, 0.8, 0.8, 0.8, 0.8])),
+    "caching-k3": lambda: weighted_caching_algorithm([1.0, 0.6, 1.7, 1.2]),
+    "line8": lambda: line_algorithm(8),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def one_pass_rule(name):
+    return ONE_PASS_RULES[name]()
+
+
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+@pytest.mark.parametrize("name", sorted(ONE_PASS_RULES))
+def test_one_pass_equals_two(name, kind):
+    """The audit of a run played once equals the step-by-step oracle's and
+    the audit of its replay, and the record's cost is the left-to-right sum
+    of one stacked ``online_step_cost`` call, bit for bit."""
+    alg = one_pass_rule(name)
+    run = play(alg, adversary(AdversaryConfig(kind=kind, steps=40, seed=6)))
+    assert run.steps
+    report = (assert_same_report if alg.parts is None else assert_same_audit)(run)
+    assert as_text(audit(play(alg, replay(run.tasks)))) == as_text(report)
+    total = 0.0
+    for cost in online_step_cost(alg.umts, run.p[:-1], run.p[1:], run.tasks).tolist():
+        total += cost
+    assert run.cost == total and report["cost"] == total

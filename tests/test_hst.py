@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import combined_run, drive
+from oracles import drive
 from umtslab import algorithms
 from umtslab.algorithms import two_stable_ratio
 from umtslab.core import Umts
+from umtslab.harness import audit, play
 from umtslab.hst import (
     HstNode,
     hst_from_json,
@@ -18,7 +19,6 @@ from umtslab.hst import (
     line_algorithm,
     line_to_binary4_hst,
     rhst,
-    separate_hst,
     star_to_hst,
     validate_hst,
     weighted_caching_algorithm,
@@ -94,39 +94,6 @@ def test_hst_json_round_trip():
     assert hst_from_json(hst_to_json(t)) == t
 
 
-def test_separate_hst_lifts_to_powers():
-    t = HstNode(
-        delta=10.0,
-        children=(
-            HstNode(delta=5.0, children=(leaf("a"), leaf("b"))),
-            leaf("c"),
-        ),
-    )
-    validate_hst(t, 2.0)
-    lifted = separate_hst(t, 5.0)
-    validate_hst(lifted, 5.0)
-    before = hst_metric(t)
-    after = hst_metric(lifted)
-    assert after.labels == before.labels
-    assert (after.dist >= before.dist - 1e-12).all()
-    assert (after.dist <= 5.0 * before.dist + 1e-12).all()
-
-
-def test_separate_hst_contracts_collisions():
-    # both labels round up to 25, so the child merges into the root
-    t = HstNode(
-        delta=26.0,
-        children=(
-            HstNode(delta=25.9, children=(leaf("a"), leaf("b"))),
-            leaf("c"),
-        ),
-    )
-    lifted = separate_hst(t, 5.0)
-    assert lifted.delta == 125.0
-    assert all(c.is_leaf for c in lifted.children)
-    assert lifted.leaves() == ("a", "b", "c")
-
-
 def test_rhst_structure_and_run():
     tree = two_level_tree()
     m = hst_metric(tree)
@@ -137,8 +104,8 @@ def test_rhst_structure_and_run():
     assert alg.declared_ratio <= alg.descriptor["ratio_budget"]
     p = alg.probabilities(np.zeros(5))
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    run = combined_run(alg, drive(50, seed=2))
-    assert run.report()["passed"], run.report()["issues"]
+    report = audit(play(alg, drive(50, seed=2)))
+    assert report["passed"], report["issues"]
 
 
 def test_rhst_rejects_weak_tree_and_wrong_metric():
@@ -185,8 +152,8 @@ def test_caching_equal_costs_ratio():
 def test_caching_weighted_costs_run():
     alg = weighted_caching_algorithm(np.array([8.0, 1.0, 1.0, 0.9]))
     assert alg.declared_ratio <= alg.descriptor["ratio_budget"]
-    run = combined_run(alg, drive(50, seed=9))
-    assert run.report()["passed"], run.report()["issues"]
+    report = audit(play(alg, drive(50, seed=9)))
+    assert report["passed"], report["issues"]
 
 
 def test_line_tree_labels_and_domination():
@@ -230,5 +197,5 @@ def test_line_phi_reads_each_block_potential_once(monkeypatch):
 
 def test_line_algorithm_run():
     alg = line_algorithm(8)
-    run = combined_run(alg, drive(50, seed=4))
-    assert run.report()["passed"], run.report()["issues"]
+    report = audit(play(alg, drive(50, seed=4)))
+    assert report["passed"], report["issues"]

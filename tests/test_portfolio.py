@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from oracles import combined_run, drive
+from oracles import drive
 from umtslab.algorithms import two_stable_ratio
 from umtslab.core import Umts
+from umtslab.harness import audit, play
 from umtslab.metricspace import make_line, make_uniform
 from umtslab.portfolio import (
     LOG_X_FLOOR,
@@ -126,8 +127,7 @@ def test_combined_all_singletons_structure_and_ratio():
 def test_combined_all_singletons_audit_run():
     u = Umts(make_uniform(4), np.array([3.0, 1.0, 2.0, 0.5]), 1.0)
     alg = combined_algorithm(u)
-    run = combined_run(alg, drive(40, seed=11))
-    report = run.report()
+    report = audit(play(alg, drive(40, seed=11)))
     assert report["steps"] == 40
     assert report["passed"], report["issues"]
 
@@ -174,8 +174,8 @@ def test_combined_bucket_plus_outlier():
         two_stable_ratio(10.0, hat_bucket, r_hi), rel=1e-12
     )
     assert alg.declared_ratio <= info["budget"]
-    run = combined_run(alg, drive(5, seed=3))
-    assert run.report()["passed"], run.report()["issues"]
+    report = audit(play(alg, drive(5, seed=3)))
+    assert report["passed"], report["issues"]
 
 
 def test_anchored_merge_two_states_equal_rates():
@@ -199,8 +199,8 @@ def test_anchored_merge_five_states():
     )
     assert alg.declared_ratio <= bound
     assert alg.descriptor["bound"] == pytest.approx(bound)
-    run = combined_run(alg, drive(40, seed=7))
-    assert run.report()["passed"], run.report()["issues"]
+    report = audit(play(alg, drive(40, seed=7)))
+    assert report["passed"], report["issues"]
 
 
 def test_anchored_merge_rejects_unequal_tail():

@@ -13,7 +13,7 @@ from oracles import (
     transport_bruteforce,
 )
 from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
-from umtslab.transport import as_probability, mcost_metric, needs_lp, not_distribution
+from umtslab.transport import mcost_metric, needs_lp, not_distribution
 
 def test_identity_costs_nothing():
     m = make_uniform(3, 1.0)
@@ -90,15 +90,6 @@ def test_transport_properties():
         assert cpq == pytest.approx(mcost_metric(m, q, p), abs=1e-9)
         assert cpq >= m.min_positive() * np.abs(p - q).sum() / 2.0 - 1e-9
         assert cpq <= mcost_metric(m, p, r) + mcost_metric(m, r, q) + 1e-9
-
-
-def test_as_probability():
-    p = as_probability([0.5, 0.5 - 1e-13, -1e-13])
-    assert (p >= 0).all()
-    with pytest.raises(ValueError):
-        as_probability([0.6, 0.6])
-    with pytest.raises(ValueError):
-        as_probability([1.5, -0.5])
 
 
 @pytest.mark.parametrize(
