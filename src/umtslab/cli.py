@@ -26,15 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
-from umtslab.core import (
-    ElementaryTask,
-    Umts,
-    apply_elementary,
-    beta_excluded_mass,
-    flat_work_function,
-    online_step_cost,
-)
-from umtslab.harness import AdversaryConfig, adversary, audit, play, ratio_report
+from umtslab.core import ElementaryTask, Umts, apply_elementary, flat_work_function, step_costs
+from umtslab.harness import AdversaryConfig, adversary, audit, play, ratio_report, rule_issues
 from umtslab.hst import line_algorithm, weighted_caching_algorithm, with_hst_realization
 from umtslab.metricspace import (
     FiniteMetric,
@@ -339,8 +332,16 @@ def _simplex_summary(p: np.ndarray) -> str:
     return f"probabilities sum to {float(p.sum()):.12g}, smallest {float(p.min()):.3g}"
 
 
+def _stack(vectors: list, n: int, key: str) -> np.ndarray:
+    """The trace's ``key`` vectors as one (len(vectors), n) float array; a
+    vector of another length is malformed."""
+    if any(len(x) != n for x in vectors):
+        raise ValueError(f"a {key!r} vector does not have {n} entries")
+    return np.array(vectors, dtype=float).reshape(len(vectors), n)
+
+
 def _verify(head, rows):
-    """Replay a trace from its own numbers; returns (exit code, message).
+    """Recheck a trace from its own numbers; returns (exit code, message).
 
     The header ``dist`` must be a metric. One that would go to the
     transport LP is priced on its HST instead when it is an ultrametric, as
@@ -349,140 +350,122 @@ def _verify(head, rows):
     and the quotient: ``dist_hat`` must be the largest cross-block distances
     of ``dist``, and each step must name the block of its state. Every gap
     and cost test reads ``not gap <= tol``, so a NaN fails it.
+
+    The trace is stacked once, its start first. Each step is checked against
+    the stored row before it, so every check runs over all steps at once
+    through the audit's calls (:func:`apply_elementary` on rows,
+    :func:`rule_issues`, :func:`step_costs`); the first failure is reported
+    by step, then by check in the order made below. A malformed row raises
+    wherever it sits: a missing key, an unknown state, a vector of the
+    wrong length, or a negative or non-finite charge.
     """
-    u = Umts(
-        FiniteMetric(tuple(head["labels"]), np.asarray(head["dist"], dtype=float)),
-        np.asarray(head["rates"], dtype=float),
-        float(head["s"]),
-        str(head.get("initial", "")),
-    )
+    u = Umts(FiniteMetric(tuple(head["labels"]), head["dist"]), head["rates"], float(head["s"]),
+             str(head.get("initial", "")))
+    combined, beta = "blocks" in head, float(head["beta"])
+    w = _stack([flat_work_function(u)] + [row["w"] for row in rows], u.n, "w")
+    p = _stack([head["p0"]] + [row["p"] for row in rows], u.n, "p")
+    v = np.array([u.metric.index(row["state"]) for row in rows], dtype=int)
+    tasks = [ElementaryTask(row["state"], float(row["delta"])) for row in rows]
+    cost = np.array([float(row["cost"]) for row in rows])
+    numbers = [row["i"] for row in rows]
+    if combined:
+        partition = make_partition(u.metric, head["blocks"])
+        blocks = [[u.metric.index(m) for m in b] for b in partition.blocks]
+        j = [partition.block_of(row["state"]) for row in rows]
+        named = [row["block"] for row in rows]
+        nb, qlabels = len(blocks), tuple(f"B{b}" for b in range(len(blocks)))
+        qtasks = [ElementaryTask(qlabels[b], float(row["delta_hat"])) for b, row in zip(j, rows)]
+        what = _stack([head["hat_init"]] + [row["what"] for row in rows], nb, "what")
+        g = _stack([row["g"] for row in rows], nb, "g")
+        p_hat = _stack([head["p_hat0"]] + [row["p_hat"] for row in rows], nb, "p_hat")
+        qcost = np.array([float(row["qcost"]) for row in rows])
+        if any(len(row["w_blocks"]) != nb for row in rows):
+            raise ValueError(f"a 'w_blocks' list does not have {nb} blocks")
+        w_blocks = [_stack([row["w_blocks"][b] for row in rows], len(idx), "w_blocks")
+                    for b, idx in enumerate(blocks)]
+
     problems = validate(u.metric)
     if problems:
         return 1, f"metric violated in the header: {problems[0]}"
     if needs_lp(u.metric):
         u = replace(u, metric=with_hst_realization(u.metric))
-    combined = "blocks" in head
     if combined:
         dist_hat = np.asarray(head["dist_hat"], dtype=float)
-        partition = make_partition(u.metric, head["blocks"])
         expected = quotient_metric(u.metric, partition).dist
         same_shape = dist_hat.shape == expected.shape
         gap = float(np.abs(dist_hat - expected).max()) if same_shape else math.inf
         if not gap <= EPS_EQ:  # NaN fails too
-            return 1, (
-                f"dist_hat violated in the header: deviates from the largest "
-                f"cross-block distances by {gap:.3g}"
-            )
-        blocks = [[u.metric.index(m) for m in b] for b in partition.blocks]
-        block_of = {v: b for b, idx in enumerate(blocks) for v in idx}
-        qlabels = tuple(f"B{i}" for i in range(len(blocks)))
-        qu = Umts(
-            FiniteMetric(qlabels, dist_hat),
-            np.asarray(head["hat_rates"], dtype=float),
-            float(head["s"]),
-        )
-        beta = float(head["beta"])
-        tol = head.get("tol")
-        cost_allow = math.inf if tol is None else float(tol)
-        what = np.asarray(head["hat_init"], dtype=float)
-        ph_prev = np.asarray(head["p_hat0"], dtype=float)
-    else:
-        beta = float(head.get("beta", 0.0))
-    cost_check = "samecompratio" if combined else "stepcost"
-    w = flat_work_function(u)
-    p_prev = np.asarray(head["p0"], dtype=float)
-    if not_distribution(p_prev):
-        return 1, f"distribution violated at step 0: {_simplex_summary(p_prev)}"
-    if combined and not_distribution(ph_prev):
-        return 1, f"distribution violated at step 0: quotient {_simplex_summary(ph_prev)}"
-    for i, row in enumerate(rows, 1):
-        if row["i"] != i:
-            return 1, f"numbering violated at step {i}: the row is numbered {row['i']!r}"
-        v = u.metric.index(row["state"])
-        delta = float(row["delta"])
-        stored_w = np.asarray(row["w"], dtype=float)
-        w2 = apply_elementary(u, w, v, delta)
-        gap = float(np.abs(w2 - stored_w).max())
-        if not gap <= EPS_EQ:
-            return 1, (
-                f"welleqw violated at step {i}: stored work function deviates "
-                f"from the recomputed chain by {gap:.3g}"
-            )
-        if combined:
-            j = block_of[v]
-            if row["block"] != j:
-                return 1, (
-                    f"block violated at step {i}: state {row['state']} lies in "
-                    f"block {j}, the row names {row['block']!r}"
-                )
-            dhat = float(row["delta_hat"])
-            for b, idx in enumerate(blocks):
-                bgap = float(np.abs(stored_w[idx] - np.asarray(row["w_blocks"][b])).max())
-                if not bgap <= EPS_EQ:
-                    return 1, (
-                        f"welleqw violated at step {i}: block {b} work function "
-                        f"drifts from the restricted global one by {bgap:.3g}"
-                    )
-            stored_what = np.asarray(row["what"], dtype=float)
-            what2 = apply_elementary(qu, what, j, dhat)
-            hgap = float(np.abs(what2 - stored_what).max())
-            if not hgap <= EPS_EQ:
-                return 1, (
-                    f"hatw violated at step {i}: quotient work function detaches "
-                    f"from its charges by {hgap:.3g}"
-                )
-            ggap = float(np.abs(stored_what - np.asarray(row["g"], dtype=float)).max())
-            if not ggap <= EPS_AUDIT:
-                return 1, (
-                    f"hatw violated at step {i}: quotient work function differs "
-                    f"from the block G values by {ggap:.3g}"
-                )
-        p2 = np.asarray(row["p"], dtype=float)
-        if not_distribution(p2):
-            return 1, f"distribution violated at step {i}: {_simplex_summary(p2)}"
-        if combined:
-            ph2 = np.asarray(row["p_hat"], dtype=float)
-            if not_distribution(ph2):
-                return 1, f"distribution violated at step {i}: quotient {_simplex_summary(ph2)}"
-        # a single-state rule declares beta = 0 and is exempt
-        excluded = beta_excluded_mass(u, beta, stored_w, p2) if combined or beta > 0.0 else []
-        if excluded:
-            x, mass = excluded[0]
-            return 1, (
-                f"betatagc violated at step {i}: mass {mass:.3g} "
-                f"on excluded state {u.labels[x]}"
-            )
-        cost = float(row["cost"])
-        cexp = online_step_cost(u, p_prev, p2, ElementaryTask(u.labels[v], delta))
-        if not abs(cexp - cost) <= EPS_AUDIT:
-            return 1, (
-                f"{cost_check} violated at step {i}: stored step cost "
-                f"disagrees with the transport recomputation by {abs(cexp - cost):.3g}"
-            )
-        if combined:
-            qcost = float(row["qcost"])
-            qexp = online_step_cost(qu, ph_prev, ph2, ElementaryTask(qlabels[j], dhat))
-            if not abs(qexp - qcost) <= EPS_AUDIT:
-                return 1, (
-                    f"samecompratio violated at step {i}: stored quotient cost "
-                    f"disagrees with the transport recomputation by {abs(qexp - qcost):.3g}"
-                )
-            if not cost <= qcost + cost_allow:
-                return 1, (
-                    f"samecompratio violated at step {i}: step cost {cost:.6g} "
-                    f"exceeds the quotient step cost {qcost:.6g}"
-                )
-            what, ph_prev = stored_what, ph2
-        w, p_prev = stored_w, p2
+            return 1, (f"dist_hat violated in the header: deviates from the largest "
+                       f"cross-block distances by {gap:.3g}")
+        qu = Umts(FiniteMetric(qlabels, dist_hat), head["hat_rates"], float(head["s"]))
+        cost_allow = math.inf if head.get("tol") is None else float(head["tol"])
+
+    found = []  # (step, message) of each check's first failure, in check order
+
+    def first(check, hits, detail, start=1):
+        """Note the first of the failing rows ``hits``: row r is step r + start."""
+        r = next(iter(hits), None)
+        if r is not None:
+            found.append((r + start, f"{check} violated at step {r + start}: {detail(r)}"))
+
+    first("numbering", (r for r, x in enumerate(numbers) if isinstance(x, bool) or x != r + 1),
+          lambda r: f"the row is numbered {numbers[r]!r}")
+    gap = np.abs(apply_elementary(u, w[:-1], v, np.array([t.delta for t in tasks])) - w[1:])
+    gap = gap.max(axis=1)
+    first("welleqw", np.flatnonzero(~(gap <= EPS_EQ)),
+          lambda r: f"stored work function deviates from the recomputed chain by {gap[r]:.3g}")
     if combined:
-        checks = (
-            "metric, dist_hat, numbering, welleqw, block, hatw, distribution, betatagc, "
-            "samecompratio"
-        )
-        unchecked = "ratio, beta, alpha, tol, dhat_tol"
-    else:
-        checks = "metric, numbering, welleqw, distribution, betatagc, stepcost"
-        unchecked = "ratio, beta"
+        first("block", (r for r, b in enumerate(j) if named[r] != b),
+              lambda r: f"state {rows[r]['state']} lies in block {j[r]}, "
+                        f"the row names {named[r]!r}")
+        bgap = np.array([np.abs(w[1:, idx] - wb).max(axis=1)
+                         for idx, wb in zip(blocks, w_blocks)]).T
+        drifts = ~(bgap <= EPS_EQ)
+        b = drifts.argmax(axis=1)
+        first("welleqw", np.flatnonzero(drifts.any(axis=1)),
+              lambda r: f"block {b[r]} work function drifts from the restricted global one "
+                        f"by {bgap[r, b[r]]:.3g}")
+        hgap = apply_elementary(qu, what[:-1], np.array(j, dtype=int),
+                                np.array([t.delta for t in qtasks]))
+        hgap = np.abs(hgap - what[1:]).max(axis=1)
+        first("hatw", np.flatnonzero(~(hgap <= EPS_EQ)),
+              lambda r: f"quotient work function detaches from its charges by {hgap[r]:.3g}")
+        ggap = np.abs(what[1:] - g).max(axis=1)
+        first("hatw", np.flatnonzero(~(ggap <= EPS_AUDIT)),
+              lambda r: f"quotient work function differs from the block G values by "
+                        f"{ggap[r]:.3g}")
+    faulty = not_distribution(p)
+    start, distribution, betatagc = rule_issues(u, beta, combined, w, p, faulty)
+    first("distribution", [0] * len(start) + [issue.step + 1 for issue in distribution],
+          lambda r: _simplex_summary(p[r]), start=0)
+    if combined:
+        qfaulty = not_distribution(p_hat)
+        first("distribution", np.flatnonzero(qfaulty),
+              lambda r: f"quotient {_simplex_summary(p_hat[r])}", start=0)
+    # the issue's detail reads "mass on excluded state X"; the message adds the mass
+    first("betatagc", [issue.step for issue in betatagc],
+          lambda r: betatagc[0].detail.replace("mass", f"mass {betatagc[0].magnitude:.3g}", 1))
+    miss = np.abs(step_costs(u, p, tasks, faulty) - cost)
+    first("samecompratio" if combined else "stepcost", np.flatnonzero(~(miss <= EPS_AUDIT)),
+          lambda r: f"stored step cost disagrees with the transport recomputation by "
+                    f"{miss[r]:.3g}")
+    if combined:
+        qmiss = np.abs(step_costs(qu, p_hat, qtasks, qfaulty) - qcost)
+        first("samecompratio", np.flatnonzero(~(qmiss <= EPS_AUDIT)),
+              lambda r: f"stored quotient cost disagrees with the transport recomputation by "
+                        f"{qmiss[r]:.3g}")
+        first("samecompratio", np.flatnonzero(~(cost <= qcost + cost_allow)),
+              lambda r: f"step cost {cost[r]:.6g} exceeds the quotient step cost "
+                        f"{qcost[r]:.6g}")
+    if found:
+        # min keeps the first of equal steps: the check made first
+        return 1, min(found, key=lambda f: f[0])[1]
+    checks = "metric, numbering, welleqw, distribution, betatagc, stepcost"
+    unchecked = "ratio, beta"
+    if combined:
+        checks = ("metric, dist_hat, numbering, welleqw, block, hatw, distribution, betatagc, "
+                  "samecompratio")
+        unchecked += ", alpha, tol, dhat_tol"
     # these header fields come from the rule, which verify does not rebuild
     return 0, f"ok: {len(rows)} steps verified ({checks}); not recomputed: {unchecked}"
 

@@ -128,8 +128,17 @@ def apply_task(u: Umts, w: np.ndarray, task) -> np.ndarray:
     return np.min((w + c)[:, None] + u.metric.dist, axis=0)
 
 
-def apply_elementary(u: Umts, w: np.ndarray, v: int, delta: float) -> np.ndarray:
+def apply_elementary(u: Umts, w: np.ndarray, v, delta) -> np.ndarray:
+    """Charge ``delta`` at state ``v``: w(v) rises to at most its support
+    level. For ``w`` of shape (k, n), ``v`` and ``delta`` hold one charge per
+    row, and each row equals the one-row call: a minimum is exact in any order."""
     out = w.copy()
+    if w.ndim > 1:
+        rows = np.arange(len(w))
+        reach = w + u.metric.dist[:, v].T
+        reach[rows, v] = np.inf
+        out[rows, v] = np.minimum(w[rows, v] + delta, reach.min(axis=1, initial=np.inf))
+        return out
     out[v] = min(w[v] + delta, _support_level(u, w, v))
     return out
 

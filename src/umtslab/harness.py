@@ -262,26 +262,37 @@ def play(alg: OnlineAlgorithm, policy) -> Run:
                combined)
 
 
+def rule_issues(u: Umts, beta: float, combined: bool, w: np.ndarray, p: np.ndarray,
+                faulty: np.ndarray) -> tuple[list, list, list]:
+    """The rule's own issues on a run through the (k + 1, n) work functions
+    ``w`` and distributions ``p``, the start first, whose failing rows
+    ``faulty`` marks: the start's distribution issues, the steps' and the
+    betatagc ones. An atomic rule of beta 0, as a single-state rule
+    declares, is exempt from betatagc."""
+    start, distribution = distribution_issues(p, faulty)
+    betatagc = []
+    if combined or beta > 0.0:
+        for i, excluded in enumerate(beta_excluded_mass(u, beta, w[1:], p[1:])):
+            betatagc += [AuditIssue("betatagc", i, mass, f"mass on excluded state {u.labels[x]}")
+                         for x, mass in excluded]
+    return start, distribution, betatagc
+
+
 def audit(run: Run) -> dict:
     """Check the declared per-step contracts on a recorded run.
 
-    The rule's own checks are made here, once, over the whole run: valid
-    distributions, the start one included, and betatagc (skipped when an
-    atomic rule's beta is zero, the single-state convention). An atomic
-    rule's run then goes to :func:`_audit_atomic`. A combined rule's goes to
-    :meth:`CombinedRun.report`, plus the check that the translated quotient
-    adversary is no harder than the original one, up to the static offset
-    of the translation. The report carries the run's trace (header and step
-    rows) as ``"trace"``.
+    The rule's own checks, valid distributions and betatagc, are made once
+    over the whole run by :func:`rule_issues`, which ``umtslab verify``
+    calls on a written trace too. An atomic rule's run then goes to
+    :func:`_audit_atomic`, a combined rule's to :meth:`CombinedRun.report`,
+    plus the check that the translated quotient adversary is no harder than
+    the original one, up to the static offset of the translation. The
+    report carries the run's trace (header and step rows) as ``"trace"``.
     """
     alg, u = run.alg, run.alg.umts
-    start, distribution = distribution_issues(run.p, run.faulty)
-    beta = alg.beta if alg.parts is None else alg.parts.beta
-    betatagc = []
-    if alg.parts is not None or beta > 0.0:
-        for i, excluded in enumerate(beta_excluded_mass(u, beta, run.w[1:], run.p[1:])):
-            betatagc += [AuditIssue("betatagc", i, mass, f"mass on excluded state {u.labels[x]}")
-                         for x, mass in excluded]
+    combined = alg.parts is not None
+    beta = alg.parts.beta if combined else alg.beta
+    start, distribution, betatagc = rule_issues(u, beta, combined, run.w, run.p, run.faulty)
     if run.combined is None:
         return _audit_atomic(run, start + distribution + betatagc)
 

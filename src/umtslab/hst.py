@@ -240,14 +240,14 @@ def _rhst_node(u_node: Umts, node: HstNode):
 # weighted caching on a star
 
 
-def star_to_hst(fetch_costs, labels=None) -> HstNode:
+def star_to_hst(fetch_costs) -> HstNode:
     """Embed a star metric into a 6-separated HST of distortion below 12.
 
     Each point hangs on an arm of half its fetch cost. Points whose arm is
     at least a sixth of the longest become leaves of the root; the rest
     recurse as a single subtree."""
     costs = np.asarray(fetch_costs, dtype=float)
-    star = make_star(costs, labels)
+    star = make_star(costs)
     names = star.labels
     arms = costs / 2.0
 
@@ -332,18 +332,15 @@ def _caching_node(u_node: Umts, node: HstNode):
 # equally spaced line
 
 
-def line_to_binary4_hst(n: int, gap: float = 1.0, labels=None) -> HstNode:
+def line_to_binary4_hst(n: int, gap: float = 1.0) -> HstNode:
     """Dyadic binary tree over 2^m equally spaced points, labels growing
     by factor 4 per level so the leaf metric dominates the line."""
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError("point count must be a power of two")
-    if labels is None:
-        labels = [f"x{i + 1}" for i in range(n)]
-    labels = list(labels)
 
     def build(lo: int, hi: int) -> HstNode:
         if hi - lo == 1:
-            return leaf(labels[lo])
+            return leaf(f"x{lo + 1}")
         mid = (lo + hi) // 2
         left, right = build(lo, mid), build(mid, hi)
         span = (hi - lo - 1) * gap

@@ -48,7 +48,7 @@ class FiniteMetric:
         d = np.asarray(self.dist, dtype=float)
         object.__setattr__(self, "dist", d)
         d.setflags(write=False)
-        if len(self.labels) != d.shape[0] or d.shape[0] != d.shape[1]:
+        if d.ndim != 2 or len(self.labels) != d.shape[0] or d.shape[0] != d.shape[1]:
             raise ValueError("label count and matrix shape disagree")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")

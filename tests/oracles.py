@@ -24,6 +24,10 @@ quotient rule beside the run, asks the block and quotient rules directly
 instead of through the memos, and checks and prices every step as it
 reads it.
 
+The trace verify oracle, :func:`reference_verify`, is ``umtslab verify`` as
+a loop over the rows: it checks and prices one step at a time with one-row
+calls, in the order the stacked checker reports its first failure.
+
 The combined-audit driver at the end is a shared test helper, not an
 oracle: a random reasonable adversary as a ``simulate`` policy.
 """
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -44,19 +49,31 @@ from umtslab.algorithms import (
 )
 from umtslab.combiner import AuditIssue, trace_header, worst_issues
 from umtslab.core import (
+    ElementaryTask,
     Step,
+    Umts,
     apply_elementary,
     apply_task,
     beta_excluded_mass,
+    flat_work_function,
     initial_work_function,
     online_step_cost,
     opt_cost,
     support_headroom,
 )
 from umtslab.harness import offline_opt
-from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
+from umtslab.hst import with_hst_realization
+from umtslab.metricspace import (
+    FiniteMetric,
+    make_line,
+    make_partition,
+    make_star,
+    make_uniform,
+    quotient_metric,
+    validate,
+)
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
-from umtslab.transport import mcost_metric
+from umtslab.transport import mcost_metric, needs_lp, not_distribution
 
 _TREE_CACHE: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 
@@ -614,6 +631,165 @@ class ReferenceCombinedRun:
             "worst": worst_issues(self.issues),
             "passed": not self.issues,
         }
+
+
+def _simplex_summary(p: np.ndarray) -> str:
+    return f"probabilities sum to {float(p.sum()):.12g}, smallest {float(p.min()):.3g}"
+
+
+def reference_verify(head, rows):
+    """``umtslab verify`` as a loop over the rows, one step at a time with
+    one-row calls; returns (exit code, message).
+
+    The header ``dist`` must be a metric. One that would go to the
+    transport LP is priced on its HST instead when it is an ultrametric, as
+    the run priced it.
+    Composition traces (the header lists ``blocks``) also replay the blocks
+    and the quotient: ``dist_hat`` must be the largest cross-block distances
+    of ``dist``, and each step must name the block of its state. Every gap
+    and cost test reads ``not gap <= tol``, so a NaN fails it.
+
+    Where the stacked checker rejects a trace as malformed, this loop may
+    not: it never reads the rows after the first failing step, a negative
+    or NaN ``delta`` or ``delta_hat`` fails welleqw or hatw, a step numbered
+    ``true`` passes as step 1, and an atomic header without ``beta`` skips
+    betatagc.
+    """
+    u = Umts(
+        FiniteMetric(tuple(head["labels"]), np.asarray(head["dist"], dtype=float)),
+        np.asarray(head["rates"], dtype=float),
+        float(head["s"]),
+        str(head.get("initial", "")),
+    )
+    problems = validate(u.metric)
+    if problems:
+        return 1, f"metric violated in the header: {problems[0]}"
+    if needs_lp(u.metric):
+        u = replace(u, metric=with_hst_realization(u.metric))
+    combined = "blocks" in head
+    if combined:
+        dist_hat = np.asarray(head["dist_hat"], dtype=float)
+        partition = make_partition(u.metric, head["blocks"])
+        expected = quotient_metric(u.metric, partition).dist
+        same_shape = dist_hat.shape == expected.shape
+        gap = float(np.abs(dist_hat - expected).max()) if same_shape else math.inf
+        if not gap <= EPS_EQ:  # NaN fails too
+            return 1, (
+                f"dist_hat violated in the header: deviates from the largest "
+                f"cross-block distances by {gap:.3g}"
+            )
+        blocks = [[u.metric.index(m) for m in b] for b in partition.blocks]
+        block_of = {v: b for b, idx in enumerate(blocks) for v in idx}
+        qlabels = tuple(f"B{i}" for i in range(len(blocks)))
+        qu = Umts(
+            FiniteMetric(qlabels, dist_hat),
+            np.asarray(head["hat_rates"], dtype=float),
+            float(head["s"]),
+        )
+        beta = float(head["beta"])
+        tol = head.get("tol")
+        cost_allow = math.inf if tol is None else float(tol)
+        what = np.asarray(head["hat_init"], dtype=float)
+        ph_prev = np.asarray(head["p_hat0"], dtype=float)
+    else:
+        beta = float(head.get("beta", 0.0))
+    cost_check = "samecompratio" if combined else "stepcost"
+    w = flat_work_function(u)
+    p_prev = np.asarray(head["p0"], dtype=float)
+    if not_distribution(p_prev):
+        return 1, f"distribution violated at step 0: {_simplex_summary(p_prev)}"
+    if combined and not_distribution(ph_prev):
+        return 1, f"distribution violated at step 0: quotient {_simplex_summary(ph_prev)}"
+    for i, row in enumerate(rows, 1):
+        if row["i"] != i:
+            return 1, f"numbering violated at step {i}: the row is numbered {row['i']!r}"
+        v = u.metric.index(row["state"])
+        delta = float(row["delta"])
+        stored_w = np.asarray(row["w"], dtype=float)
+        w2 = apply_elementary(u, w, v, delta)
+        gap = float(np.abs(w2 - stored_w).max())
+        if not gap <= EPS_EQ:
+            return 1, (
+                f"welleqw violated at step {i}: stored work function deviates "
+                f"from the recomputed chain by {gap:.3g}"
+            )
+        if combined:
+            j = block_of[v]
+            if row["block"] != j:
+                return 1, (
+                    f"block violated at step {i}: state {row['state']} lies in "
+                    f"block {j}, the row names {row['block']!r}"
+                )
+            dhat = float(row["delta_hat"])
+            for b, idx in enumerate(blocks):
+                bgap = float(np.abs(stored_w[idx] - np.asarray(row["w_blocks"][b])).max())
+                if not bgap <= EPS_EQ:
+                    return 1, (
+                        f"welleqw violated at step {i}: block {b} work function "
+                        f"drifts from the restricted global one by {bgap:.3g}"
+                    )
+            stored_what = np.asarray(row["what"], dtype=float)
+            what2 = apply_elementary(qu, what, j, dhat)
+            hgap = float(np.abs(what2 - stored_what).max())
+            if not hgap <= EPS_EQ:
+                return 1, (
+                    f"hatw violated at step {i}: quotient work function detaches "
+                    f"from its charges by {hgap:.3g}"
+                )
+            ggap = float(np.abs(stored_what - np.asarray(row["g"], dtype=float)).max())
+            if not ggap <= EPS_AUDIT:
+                return 1, (
+                    f"hatw violated at step {i}: quotient work function differs "
+                    f"from the block G values by {ggap:.3g}"
+                )
+        p2 = np.asarray(row["p"], dtype=float)
+        if not_distribution(p2):
+            return 1, f"distribution violated at step {i}: {_simplex_summary(p2)}"
+        if combined:
+            ph2 = np.asarray(row["p_hat"], dtype=float)
+            if not_distribution(ph2):
+                return 1, f"distribution violated at step {i}: quotient {_simplex_summary(ph2)}"
+        # a single-state rule declares beta = 0 and is exempt
+        excluded = beta_excluded_mass(u, beta, stored_w, p2) if combined or beta > 0.0 else []
+        if excluded:
+            x, mass = excluded[0]
+            return 1, (
+                f"betatagc violated at step {i}: mass {mass:.3g} "
+                f"on excluded state {u.labels[x]}"
+            )
+        cost = float(row["cost"])
+        cexp = online_step_cost(u, p_prev, p2, ElementaryTask(u.labels[v], delta))
+        if not abs(cexp - cost) <= EPS_AUDIT:
+            return 1, (
+                f"{cost_check} violated at step {i}: stored step cost "
+                f"disagrees with the transport recomputation by {abs(cexp - cost):.3g}"
+            )
+        if combined:
+            qcost = float(row["qcost"])
+            qexp = online_step_cost(qu, ph_prev, ph2, ElementaryTask(qlabels[j], dhat))
+            if not abs(qexp - qcost) <= EPS_AUDIT:
+                return 1, (
+                    f"samecompratio violated at step {i}: stored quotient cost "
+                    f"disagrees with the transport recomputation by {abs(qexp - qcost):.3g}"
+                )
+            if not cost <= qcost + cost_allow:
+                return 1, (
+                    f"samecompratio violated at step {i}: step cost {cost:.6g} "
+                    f"exceeds the quotient step cost {qcost:.6g}"
+                )
+            what, ph_prev = stored_what, ph2
+        w, p_prev = stored_w, p2
+    if combined:
+        checks = (
+            "metric, dist_hat, numbering, welleqw, block, hatw, distribution, betatagc, "
+            "samecompratio"
+        )
+        unchecked = "ratio, beta, alpha, tol, dhat_tol"
+    else:
+        checks = "metric, numbering, welleqw, distribution, betatagc, stepcost"
+        unchecked = "ratio, beta"
+    # these header fields come from the rule, which verify does not rebuild
+    return 0, f"ok: {len(rows)} steps verified ({checks}); not recomputed: {unchecked}"
 
 
 def drive(steps: int, seed: int):

@@ -11,18 +11,17 @@ temporary directory of its own. Each side also runs the demos of its own
 tree (``demos/`` next to its ``src/``), which call the package's API of
 that tree. It compares the exit codes, the standard output and
 error, and every file of the output trees byte for byte. It also runs
-this tree's ``umtslab verify`` on every trace either side writes. It
-prints each difference and each rejected trace and exits 1 on any. A run
-takes a few minutes, so this is a one-off check and not part of the test
-suite.
+each tree's own ``umtslab verify`` on every trace either side writes and
+compares their exit codes, standard output and error; a trace that either
+rejects counts as rejected. It prints each difference and each rejected
+trace and exits 1 on any. A run takes a few minutes, so this is a one-off
+check and not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib.util
-import io
 import json
 import os
 import subprocess
@@ -107,17 +106,13 @@ def outcome(src: Path, work: Path, name: str, argv: list[str]) -> dict[str, byte
     return out
 
 
-def rejected_traces(umtslab, tree: Path) -> list[str]:
-    """Each trace under ``tree`` that ``umtslab(["verify", trace])`` rejects,
-    with its exit code and message."""
-    out = []
-    for trace in sorted(tree.rglob("*.jsonl")):
-        shown = io.StringIO()
-        with contextlib.redirect_stdout(shown), contextlib.redirect_stderr(shown):
-            code = umtslab(["verify", str(trace)])
-        if code != 0:
-            out.append(f"{trace.relative_to(tree)}: exit {code}: {shown.getvalue().strip()}")
-    return out
+def verified(src: Path, trace: Path) -> tuple:
+    """Exit code, standard output and error of the ``umtslab verify`` of the
+    package under ``src`` on ``trace``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "umtslab", "verify", str(trace)], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
 
 
 def main(argv=None) -> int:
@@ -127,13 +122,10 @@ def main(argv=None) -> int:
     sides = {"parent": Path(args.parent_src).resolve(), "this": ROOT / "src"}
     if not (sides["parent"] / "umtslab").is_dir():
         parser.error(f"no umtslab package under {sides['parent']}")
-    sys.path.insert(0, str(sides["this"]))
-    from umtslab.cli import main as umtslab
-
     cases = configs()
     runs = {side: commands(cases, src.parent) for side, src in sides.items()}
     names = list(dict.fromkeys([*runs["this"], *runs["parent"]]))
-    differences = rejected = 0
+    differences = rejected = traced = 0
     with tempfile.TemporaryDirectory() as tmp:
         works = {side: Path(tmp) / side for side in sides}
         for work in works.values():
@@ -150,12 +142,19 @@ def main(argv=None) -> int:
             for key in found:
                 print(f"  {name}: {key} differs")
             differences += len(found)
-            for side, work in works.items():
-                for line in rejected_traces(umtslab, work / "out" / name):
-                    print(f"  {name}: {side} {line}")
+            for trace in sorted(t for work in works.values()
+                                for t in (work / "out" / name).rglob("*.jsonl")):
+                parent, this = (verified(src, trace) for src in sides.values())
+                traced += 1
+                shown = trace.relative_to(tmp)
+                if parent != this:
+                    print(f"  {name}: verify of {shown} differs: parent {parent}, this {this}")
+                    differences += 1
+                if parent[0] != 0 or this[0] != 0:
+                    print(f"  {name}: {shown} rejected: parent {parent}, this {this}")
                     rejected += 1
-    print(f"{len(names)} runs compared, {differences} differences, "
-          f"{rejected} traces rejected by verify")
+    print(f"{len(names)} runs compared, {traced} traces verified by both trees, "
+          f"{differences} differences, {rejected} traces rejected by verify")
     return 1 if differences or rejected else 0
 
 

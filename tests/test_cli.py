@@ -282,7 +282,7 @@ def test_verify_flags_corrupted_work_function(tmp_path, capsys):
     assert "welleqw violated at step 5" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("number", [99, 4, 6, 5.5, "5"])
+@pytest.mark.parametrize("number", [99, 4, 6, 5.5, "5", True])
 def test_verify_checks_step_numbering(tmp_path, capsys, number):
     config = write_config(
         tmp_path,
@@ -295,12 +295,32 @@ def test_verify_checks_step_numbering(tmp_path, capsys, number):
     lines = trace.read_text().splitlines()
     assert main(["verify", str(trace)]) == 0
     assert "ok: 20 steps verified (metric, numbering," in capsys.readouterr().out
-    row = json.loads(lines[5])
+    # True == 1, so the boolean goes on step 1
+    step = 1 if number is True else 5
+    row = json.loads(lines[step])
     row["i"] = number
-    lines[5] = json.dumps(row, sort_keys=True)
+    lines[step] = json.dumps(row, sort_keys=True)
     trace.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(trace)]) == 1
-    assert f"numbering violated at step 5: the row is numbered {number!r}" in capsys.readouterr().out
+    assert (f"numbering violated at step {step}: the row is numbered {number!r}"
+            in capsys.readouterr().out)
+
+
+def test_verify_reads_beta_from_every_header(tmp_path, capsys):
+    """An odd-exponent header without beta is malformed; a header-only trace verifies."""
+    lines = written_trace(tmp_path, {"name": "u4", "kind": "uniform", "points": 4},
+                          "odd-exponent")
+    head = json.loads(lines[0])
+    assert head["beta"] > 0.0
+    capsys.readouterr()
+    trace = tmp_path / "header.jsonl"
+    trace.write_text(lines[0] + "\n")
+    assert main(["verify", str(trace)]) == 0
+    assert capsys.readouterr().out.startswith("ok: 0 steps verified (metric, numbering,")
+    del head["beta"]
+    trace.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+    assert main(["verify", str(trace)]) == 2
+    assert "malformed trace: 'beta'" in capsys.readouterr().err
 
 
 def test_verify_flags_corrupted_atomic_cost_and_distribution(tmp_path, capsys):
@@ -363,6 +383,43 @@ def test_verify_rejects_nan(tmp_path, capsys, space, algorithm, key, check):
     doctored.write_text("\n".join(lines[:5] + [json.dumps(row)] + lines[6:]) + "\n")
     assert main(["verify", str(doctored)]) == 1
     assert f"{check} violated at step 5" in capsys.readouterr().out
+
+
+def unknown_state(row):
+    row["state"] = "nowhere"
+
+
+def short_vector(row):
+    row["p"] = row["p"][:-1]
+
+
+def negative_charge(row):
+    row["delta"] = -0.5
+
+
+def nan_quotient_charge(row):
+    row["delta_hat"] = math.nan
+
+
+def missing_cost(row):
+    del row["cost"]
+
+
+@pytest.mark.parametrize(
+    "malform", [unknown_state, short_vector, negative_charge, nan_quotient_charge, missing_cost]
+)
+def test_verify_rejects_a_malformed_row_after_a_failing_one(tmp_path, capsys, malform):
+    lines = written_trace(tmp_path, CACHING_K3, "caching")
+    rows = [json.loads(line) for line in lines]
+    rows[5]["w"][0] += 0.5
+    doctored = tmp_path / "doctored.jsonl"
+    doctored.write_text("".join(json.dumps(x) + "\n" for x in rows))
+    assert main(["verify", str(doctored)]) == 1
+    assert "welleqw violated at step 5" in capsys.readouterr().out
+    malform(rows[15])
+    doctored.write_text("".join(json.dumps(x) + "\n" for x in rows))
+    assert main(["verify", str(doctored)]) == 2
+    assert "malformed trace" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("at", [0, 5])
@@ -530,6 +587,10 @@ def test_verify_empty_and_malformed(tmp_path, capsys):
     headless = tmp_path / "headless.jsonl"
     headless.write_text(json.dumps({"kind": "step", "i": 1}) + "\n")
     assert main(["verify", str(headless)]) == 2
+    flat = tmp_path / "flat.jsonl"
+    flat.write_text(json.dumps({"kind": "header", "labels": ["a", "b"], "dist": [0.0, 1.0],
+                                "rates": [1.0, 1.0], "s": 1.0, "beta": 0.5, "p0": [1.0, 0.0]}))
+    assert main(["verify", str(flat)]) == 2
     capsys.readouterr()
 
 

@@ -180,6 +180,13 @@ def test_support_level_equals_the_numpy_pass(kind, n, seed, spread, delta):
         stepped = w.copy()
         stepped[v] = min(w[v] + delta, reference_support_level(u, w, v))
         assert np.array_equal(apply_elementary(u, w, v, delta), stepped)
+    # a stack charges every state at once, each row as the one-row call
+    rows = rng.uniform(0.0, spread, (2 * m.n, m.n))
+    states, charges = np.arange(2 * m.n) % m.n, rng.uniform(0.0, delta + 1e-9, 2 * m.n)
+    stacked = apply_elementary(u, rows, states, charges)
+    assert stacked.tobytes() == np.array(
+        [apply_elementary(u, a, int(x), float(c)) for a, x, c in zip(rows, states, charges)]
+    ).tobytes()
 
 
 def test_moving_cost_scales_by_s():
