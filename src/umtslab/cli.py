@@ -58,6 +58,10 @@ CSV_COLUMNS = (
 )
 # one encoder for every trace line: json.dumps builds a new one per call
 TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
+# the most points a configured space may have: a uniform or line space of n
+# points allocates an n x n distance matrix, and a caching space of n fetch
+# costs has n points
+MAX_POINTS = 1024
 
 
 class ConfigError(Exception):
@@ -73,6 +77,21 @@ def _integral(value, what: str) -> int:
     ):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_size(spec) -> None:
+    """Reject a space of more than ``MAX_POINTS`` points (``points``, or
+    the number of ``fetch_costs``) before anything of its size is built."""
+    kind = spec.get("kind", "uniform")
+    if kind in ("uniform", "line") and "points" in spec:
+        n = _integral(spec["points"], "'points'")
+    elif kind == "caching" and isinstance(spec.get("fetch_costs"), list):
+        n = len(spec["fetch_costs"])
+    else:
+        return
+    if n > MAX_POINTS:
+        raise ConfigError(f"space {_space_label(spec)!r} has {n} points, more than the "
+                          f"{MAX_POINTS} a config may ask for")
 
 
 def _build_uniform_space(spec) -> Umts:
@@ -93,6 +112,7 @@ def _build_uniform_space(spec) -> Umts:
 
 def build_algorithm(space_spec, algorithm: str):
     """Instantiate the named rule on the configured space."""
+    _check_size(space_spec)
     kind = space_spec.get("kind", "uniform")
     try:
         if kind == "uniform":
@@ -249,8 +269,10 @@ def cmd_run(args) -> int:
     if adversaries is not None and not isinstance(adversaries, list):
         raise ConfigError(f"config 'adversaries' must be a list, got {adversaries!r}")
     adversaries = adversaries or [{"kind": "uniform-random", "steps": 100}]
-    # reject a bad entry before any job runs
+    # reject a bad entry or an oversized space before any job runs
     kinds = [_adversary_config(entry, seeds[0]).kind for entry in adversaries]
+    for space in spaces:
+        _check_size(space)
     jobs, names = [], {}
     for space, algorithm, (entry, kind), seed in product(
         spaces, algorithms, zip(adversaries, kinds), seeds

@@ -212,16 +212,28 @@ def _crossing_at(memo: PotentialMemo, wb: np.ndarray, lv: int, g0: float, xb: fl
     The charge stays within the block crossing ``xb`` and keeps the rise of
     the block's G value, from ``g0`` at ``wb``, within the quotient crossing
     ``xq``.
+
+    Whether the whole block crossing fits is first bounded without the
+    block potential. G(w) = <alpha, w> - phi(w) / r with phi >= 0 and r > 0,
+    so the G value the memo gives is at most its ``g_from(w, 0.0)``, the
+    dot product alone. Rounding is monotone, so the rise computed from that
+    dot product bounds the one computed from G through both subtractions,
+    and a bound at or below zero decides ``over(xb) <= 0`` exactly: no
+    margin is needed.
     """
     if xq == math.inf:
         return xb
 
-    def over(x):
+    def moved(x):
         wb2 = wb.copy()
         wb2[lv] += x
-        return memo(wb2)[1] - g0 - xq
+        return wb2
 
-    if math.isfinite(xb) and over(xb) <= 0.0:
+    def over(x):
+        return memo(moved(x))[1] - g0 - xq
+
+    if math.isfinite(xb) and (memo.alg.g_from(moved(xb), 0.0) - g0 - xq <= 0.0
+                              or over(xb) <= 0.0):
         return xb
     hi = max(xq, 1e-6)
     cap = 1e9 * (1.0 + xq) + 1.0

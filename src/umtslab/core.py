@@ -26,7 +26,7 @@ import numpy as np
 
 from umtslab.metricspace import FiniteMetric
 from umtslab.tolerances import EPS_EQ, EPS_TIE
-from umtslab.transport import mcost_metric
+from umtslab.transport import mcost_checked_rows, mcost_metric
 
 
 # one work function of at most this many states is worked through on Python
@@ -191,22 +191,33 @@ def online_step_cost(u: Umts, p_before, p_after, task):
     p_after = np.asarray(p_after, dtype=float)
     moving = moving_cost(u, p_before, p_after)
     if p_after.ndim > 1:
-        v = np.array([u.metric.index(t.state) for t in task], dtype=np.int64)
-        delta = np.array([t.delta for t in task], dtype=float)
-        paid = p_after.reshape(-1, u.n)[np.arange(len(v)), v] * (delta * u.rates[v])
-        return moving + paid.reshape(p_after.shape[:-1])
+        return moving + _charges_paid(u, p_after, task)
     return moving + float(p_after @ (task_charges(u, task) * u.rates))
+
+
+def _charges_paid(u: Umts, p_after: np.ndarray, tasks) -> np.ndarray:
+    """What each row of the (..., n) stack ``p_after`` pays for its
+    elementary task in ``tasks`` (C order), ``p_after[v] * (delta * rate[v])``."""
+    v = np.array([u.metric.index(t.state) for t in tasks], dtype=np.int64)
+    delta = np.array([t.delta for t in tasks], dtype=float)
+    paid = p_after.reshape(-1, u.n)[np.arange(len(v)), v] * (delta * u.rates[v])
+    return paid.reshape(p_after.shape[:-1])
 
 
 def step_costs(u: Umts, p: np.ndarray, tasks, faulty: np.ndarray) -> np.ndarray:
     """The cost of each step of a run through the (k + 1, n) distributions
-    ``p``, its start first, priced in one :func:`online_step_cost` call;
-    NaN where a step reads a row that ``faulty`` marks."""
+    ``p``, its start first, as :func:`online_step_cost` prices a stack; NaN
+    where a step reads a row that ``faulty`` marks.
+
+    ``faulty`` must mark every row that is not a distribution, as
+    :func:`umtslab.transport.not_distribution` does, so the rows priced are
+    not checked again."""
     cost = np.full(len(tasks), np.nan)
     priced = ~(faulty[:-1] | faulty[1:])
     if priced.any():
-        cost[priced] = online_step_cost(u, p[:-1][priced], p[1:][priced],
-                                        list(compress(tasks, priced)))
+        before, after = p[:-1][priced], p[1:][priced]
+        moving = u.s * mcost_checked_rows(u.metric, before, after)
+        cost[priced] = moving + _charges_paid(u, after, list(compress(tasks, priced)))
     return cost
 
 

@@ -56,8 +56,10 @@ class AdversaryConfig:
     """How to build a charge sequence against an algorithm.
 
     uniform-random picks a random occupied state and a random fraction of
-    the admissible charge; greedy-pressure always charges the occupied
-    state with the largest probability-weighted admissible charge;
+    the admissible charge, drawn uniformly between 0.2 (or ``max_fraction``
+    when it is smaller) and ``max_fraction``; greedy-pressure always
+    charges the occupied state with the largest probability-weighted
+    admissible charge;
     support-raiser keeps charging the lowest occupied state, forcing the
     whole work function (and the offline cost) upward.
     """
@@ -119,7 +121,7 @@ def adversary(config: AdversaryConfig):
             budget -= 1
             if config.kind == "uniform-random":
                 v = open_states[rng.integers(len(open_states))]
-                fraction = rng.uniform(0.2, config.max_fraction)
+                fraction = rng.uniform(min(0.2, config.max_fraction), config.max_fraction)
             elif config.kind == "greedy-pressure":
                 v = _greediest(alg, w, mass, heads, open_states, cross)
                 fraction = config.max_fraction

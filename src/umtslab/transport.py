@@ -97,7 +97,9 @@ def mcost_metric(metric: FiniteMetric, p, q):
     if p.shape != (n,) or q.shape != (n,):
         if p.shape[-1:] != (n,) or q.shape != p.shape:
             raise ValueError("distribution length does not match the space")
-        return _mcost_rows(metric, p, q)
+        for row in p.reshape(-1, n).tolist() + q.reshape(-1, n).tolist():
+            _require_distribution(row)
+        return mcost_checked_rows(metric, p, q)
     # one pair stays on Python floats up to the closed form: the stacked
     # path's array steps cost a few times a one-row call at k = 1
     _require_distribution(p.tolist())
@@ -108,14 +110,16 @@ def mcost_metric(metric: FiniteMetric, p, q):
     return float(_transport_cost(metric, p, q, diff))
 
 
-def _mcost_rows(metric: FiniteMetric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`mcost_metric` of every row pair: a row that moves no mass costs
-    0.0, and the others are priced together by :func:`_transport_cost`."""
+def mcost_checked_rows(metric: FiniteMetric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The transport cost of each row pair of the (..., n) stacks ``p`` and
+    ``q``, whose rows are distributions already checked, as
+    :func:`not_distribution` checks them; no row is checked again. A row that
+    moves no mass costs 0.0, and the others are priced together by
+    :func:`_transport_cost`. Each cost equals :func:`mcost_metric` of its
+    row pair."""
     n = metric.n
     lead = p.shape[:-1]
     p, q = p.reshape(-1, n), q.reshape(-1, n)
-    for row in p.tolist() + q.tolist():
-        _require_distribution(row)
     diff = p - q
     moved = np.abs(diff).max(axis=-1, initial=0.0) > 1e-15
     cost = np.zeros(len(p))

@@ -17,6 +17,11 @@ reference asks for the crossing of every open state, as the adversary did
 before it pruned by the pressure bound, and the offline-optimum reference
 steps a numpy work function through ``apply_task``.
 
+The combined crossing reference, :func:`reference_crossing_at`, is
+``combiner._crossing_at`` as it was before it bounded the block crossing's
+G rise by the dot product alone: it evaluates the block potential at every
+trial charge, the block crossing first.
+
 The atomic audit oracle walks a run one step at a time with one-row
 calls, as the audit did before it checked whole runs in array passes. The
 combined audit oracle does the same for combined rules: it steps the
@@ -29,7 +34,10 @@ a loop over the rows: it checks and prices one step at a time with one-row
 calls, in the order the stacked checker reports its first failure.
 
 The combined-audit driver at the end is a shared test helper, not an
-oracle: a random reasonable adversary as a ``simulate`` policy.
+oracle: a random reasonable adversary as a ``simulate`` policy. So are
+:func:`edge_quotient_crossings`, the quotient crossings at which the
+combined crossing's bound changes sign, and :func:`combined_parts`, which
+finds the parts of a combined rule that a rho-variant hides.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from umtslab.algorithms import (
     odd_crossing_bracketed,
     odd_crossing_closed,
 )
-from umtslab.combiner import AuditIssue, trace_header, worst_issues
+from umtslab.combiner import AuditIssue, CombinedParts, trace_header, worst_issues
 from umtslab.core import (
     ElementaryTask,
     Step,
@@ -510,6 +518,33 @@ def reference_atomic_audit(alg, steps) -> dict:
     }
 
 
+def reference_crossing_at(memo, wb, lv: int, g0: float, xb: float, xq: float) -> float:
+    """Combined zero crossing at local state ``lv`` of a block whose G values
+    ``memo`` gives, with the signature of ``combiner._crossing_at``: the
+    block potential is evaluated at the block crossing ``xb`` before any
+    solve, and at every trial charge of the doubling loop and of brentq."""
+    if xq == math.inf:
+        return xb
+
+    def over(x):
+        wb2 = wb.copy()
+        wb2[lv] += x
+        return memo(wb2)[1] - g0 - xq
+
+    if math.isfinite(xb) and over(xb) <= 0.0:
+        return xb
+    hi = max(xq, 1e-6)
+    cap = 1e9 * (1.0 + xq) + 1.0
+    while over(hi) < 0.0 and hi < cap:
+        hi *= 2.0
+    if over(hi) < 0.0:
+        return xb
+    if over(0.0) >= 0.0:
+        return 0.0
+    x = float(brentq(over, 0.0, hi, xtol=1e-12))
+    return min(x, xb) if math.isfinite(xb) else x
+
+
 class ReferenceCombinedRun:
     """The combined audit step by step: :class:`CombinedRun` as it was before
     it checked and priced whole runs, plus the check of the quotient
@@ -814,3 +849,30 @@ def drive(steps: int, seed: int):
 
     return choose
 
+
+def edge_quotient_crossings(rise: float) -> list[float]:
+    """Quotient crossings at and around ``rise``, where the bound of the
+    block crossing's G rise changes sign: a few ulps and 1e-12 to 1e-6 on
+    either side, each non-negative."""
+    near = [rise]
+    for toward in (-math.inf, math.inf):
+        x = rise
+        for _ in range(3):
+            x = math.nextafter(x, toward)
+            near.append(x)
+    near += [rise + sign * gap for sign in (-1.0, 1.0) for gap in (1e-12, 1e-9, 1e-6)]
+    return [x for x in near if x >= 0.0]
+
+
+def combined_parts(alg):
+    """The :class:`CombinedParts` that the rule's zero crossing reads, or
+    None for a rule that combines nothing. A rho-variant of a combined rule
+    sets ``parts`` to None, as its blocks live on the scaled system, but it
+    evaluates the inner rule on the same work functions, so its crossing's
+    closure still holds the inner rule's parts."""
+    if alg.parts is not None:
+        return alg.parts
+    for cell in alg.zero_crossing.__closure__ or ():
+        if isinstance(cell.cell_contents, CombinedParts):
+            return cell.cell_contents
+    return None

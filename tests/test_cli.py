@@ -8,6 +8,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from umtslab import cli, harness, transport
@@ -144,6 +145,47 @@ def test_config_values_are_not_reinterpreted(tmp_path, capsys, overrides, messag
     assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "space, algorithm",
+    [
+        ({"name": "u", "kind": "uniform", "points": 10**12}, "trivial"),
+        ({"name": "l", "kind": "line", "points": 10**12}, "line"),
+        ({"name": "k", "kind": "caching", "fetch_costs": [1.0] * (cli.MAX_POINTS + 1)},
+         "caching"),
+    ],
+    ids=["uniform", "line", "caching"],
+)
+def test_oversized_spaces_exit_2(tmp_path, capsys, space, algorithm):
+    """A space above the cap is rejected before anything of its size is built."""
+    config = write_config(tmp_path, spaces=[space], algorithms=[algorithm])
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"more than the {cli.MAX_POINTS} a config may ask for" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(cli.ConfigError):
+        build_algorithm(space, algorithm)
+
+
+def test_small_max_fraction_charges_at_most_that_fraction(tmp_path):
+    """uniform-random draws its fraction from [max_fraction, max_fraction]
+    below 0.2, so each charge is at most that fraction of its limit."""
+    space = {"name": "u3", "kind": "uniform", "points": 3, "distance": 1.0, "s": 1.0}
+    config = write_config(tmp_path, spaces=[space], algorithms=["odd-exponent"],
+                          adversaries=[{"kind": "uniform-random", "steps": 30,
+                                        "max_fraction": 0.1}])
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    alg = build_algorithm(space, "odd-exponent")
+    rows = [json.loads(line) for line in
+            next((out / "traces").glob("*.jsonl")).read_text().splitlines()[1:]]
+    assert len(rows) == 30
+    w = np.zeros(3)
+    for row in rows:
+        v = alg.umts.metric.index(row["state"])
+        limit = min(alg.zero_crossing(w, v), harness.support_headrooms(alg.umts, w)[v])
+        assert 0.0 < row["delta"] <= 0.1 * limit
+        w = np.array(row["w"])
 
 
 def test_integral_floats_are_counts(tmp_path):

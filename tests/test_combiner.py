@@ -1,13 +1,20 @@
 """Combination arithmetic, product rule, and structural audits."""
 
+import functools
+import importlib.util
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import drive
+from oracles import combined_parts, drive, edge_quotient_crossings, reference_crossing_at
+from umtslab import cli, combiner, potential
 from umtslab.algorithms import odd_exponent, rho_variant, trivial_algorithm, two_stable
 from umtslab.combiner import MEMO_SIZE, block_subsystem, combine, nice_beta_eta
 from umtslab.core import ElementaryTask, Umts, support_headroom
@@ -22,6 +29,7 @@ from umtslab.harness import (
 )
 from umtslab.hst import line_algorithm, weighted_caching_algorithm
 from umtslab.metricspace import FiniteMetric, TreeRealization, make_uniform
+from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 
 
 def two_level_metric():
@@ -348,3 +356,152 @@ def test_combined_start_off_the_simplex_leaves_only_the_first_step_unpriced():
     assert (worst["step"], worst["detail"]) == (0, "start is not a distribution")
     costs = [row["cost"] for row in report["trace"][1:]]
     assert math.isnan(costs[0]) and not any(map(math.isnan, costs[1:]))
+
+
+def uniform(rates) -> Umts:
+    return Umts(make_uniform(len(rates), 1.0), np.array(rates, dtype=float), 1.0)
+
+
+# the combined rules of every shipped application, small enough to build in
+# milliseconds; the caching quotient is a rho-variant wcombined rule
+COMBINED_RULES = {
+    "caching": lambda: weighted_caching_algorithm([1.0, 0.6, 1.7, 1.2]),
+    "line": lambda: line_algorithm(8),
+    "combined": lambda: combined_algorithm(uniform([2.0, 1.0, 0.5, 3.0])),
+    "wcombined": lambda: w_combined_algorithm(uniform([3.0, 1.0, 1.0, 1.0, 1.0, 1.0])),
+}
+# each shipped family on its own: the band and the gridded odd-exponent
+# potentials, the closed-form two-state one and the zero one
+FAMILY_RULES = {
+    "trivial": lambda: trivial_algorithm(uniform([2.0, 1.0, 0.5])),
+    "odd-exponent-b2": lambda: odd_exponent(uniform([1.0, 2.0])),
+    "odd-exponent-b4": lambda: odd_exponent(uniform([1.0, 1.0, 1.0, 1.0])),
+    "two-stable": lambda: two_stable(uniform([2.5, 0.5])),
+    "rho-two-stable": lambda: rho_variant(two_stable, uniform([1.0, 3.0]), 0.2),
+    **COMBINED_RULES,
+}
+
+
+@functools.cache
+def built(name: str, copy: int = 0):
+    """The named rule, built once per ``copy``: rules are immutable, and
+    each copy's memos hold only what that copy computed."""
+    return FAMILY_RULES[name]()
+
+
+def nested_rules(alg) -> list:
+    """The rule and, recursively, every block and quotient rule it combines,
+    those of a combined rule under a rho-variant included."""
+    parts = combined_parts(alg)
+    if parts is None:
+        return [alg]
+    return [alg] + [r for a in [*parts.block_algs, parts.quotient_alg] for r in nested_rules(a)]
+
+
+def work_function(data, n: int, scale: float) -> np.ndarray:
+    """A drawn work function of ``n`` entries in [-4, 4] times ``scale``."""
+    entries = st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)
+    return np.array(data.draw(entries)) * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FAMILY_RULES)), st.data())
+def test_potentials_are_non_negative(name, data):
+    """The combined crossing's bound drops phi / r from the block G value,
+    which needs every potential it may meet to be non-negative."""
+    for alg in nested_rules(built(name)):
+        w = work_function(data, alg.umts.n, max(alg.umts.diameter(), 1.0))
+        assert alg.phi(w) >= 0.0, (alg.name, w)
+
+
+def reference_crossings(name: str, w: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The crossings of the rule's own copy that runs the unpruned
+    reference in every combination it nests."""
+    with mock.patch.object(combiner, "_crossing_at", reference_crossing_at):
+        return built(name, 1).zero_crossing(w, states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(COMBINED_RULES)), st.sampled_from(ADVERSARY_KINDS),
+       st.integers(0, 2**32 - 1), st.integers(0, 12), st.booleans(), st.data())
+def test_combined_crossings_equal_the_unpruned_reference(name, kind, seed, steps, shift, data):
+    """At work functions a run reaches, shifted by a drawn one (negative
+    entries included) or not, every state's combined crossing has the bits
+    of the reference's, which evaluates the block potential at every trial
+    charge."""
+    alg = built(name)
+    w = np.zeros(alg.umts.n)
+    for rec in simulate(alg, adversary(AdversaryConfig(kind=kind, steps=steps, seed=seed))):
+        w = rec.w2
+    if shift:
+        w = w + work_function(data, alg.umts.n, 0.25 * alg.umts.diameter())
+    states = np.arange(alg.umts.n)
+    got = alg.zero_crossing(w, states)
+    assert got.tobytes() == reference_crossings(name, w, states).tobytes()
+
+
+def test_crossings_skip_potentials_on_the_caching_workload(tmp_path, monkeypatch):
+    """The seed-0 caching-k3 workload config makes fewer gridded potential
+    calls than with the unpruned reference crossing, and writes the same
+    outputs."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = tmp_path / "caching-k3.json"
+    config.write_text(json.dumps(dict(workloads.make_configs("caching", 0))["caching-k3"]))
+    calls = [0]
+    phi = potential.PotentialEstimate.phi
+
+    def counted(self, w):
+        calls[0] += 1
+        return phi(self, w)
+
+    monkeypatch.setattr(potential.PotentialEstimate, "phi", counted)
+    counts, trees = [], []
+    for crossing_at in (combiner._crossing_at, reference_crossing_at):
+        monkeypatch.setattr(combiner, "_crossing_at", crossing_at)
+        calls[0] = 0
+        out = tmp_path / f"out{len(trees)}"
+        assert cli.main(["run", str(config), "--deterministic", "--out", str(out)]) == 0
+        counts.append(calls[0])
+        trees.append({str(f.relative_to(out)): f.read_bytes()
+                      for f in sorted(out.rglob("*")) if f.is_file()})
+    assert counts[0] < counts[1]
+    assert trees[0] == trees[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COMBINED_RULES)), st.integers(0, 2**32 - 1),
+       st.integers(0, 12))
+def test_crossing_at_equals_the_reference_where_the_bound_changes_sign(name, seed, steps):
+    """For each block state with a finite block crossing, in the rule and
+    every combined rule it nests, at work functions a run reaches,
+    ``_crossing_at`` and the reference agree bit for bit at quotient
+    crossings on either side of the one that puts the bound at zero."""
+    alg = built(name)
+    w = np.zeros(alg.umts.n)
+    for rec in simulate(alg, adversary(AdversaryConfig(steps=steps, seed=seed))):
+        w = rec.w2
+    checked = 0
+    todo = [(alg, w)]
+    while todo:
+        rule, w = todo.pop()
+        parts = combined_parts(rule)
+        if parts is None:
+            continue
+        ws = parts.split(w)
+        todo += [*zip(parts.block_algs, ws), (parts.quotient_alg, parts.hat_work(w))]
+        for memo, wb in zip(parts.memos, ws):
+            g0 = memo(wb)[1]
+            for lv in range(len(wb)):
+                xb = memo.zero_crossing(wb, lv)
+                if not math.isfinite(xb):
+                    continue
+                wb2 = wb.copy()
+                wb2[lv] += xb
+                for xq in edge_quotient_crossings(memo.alg.g_from(wb2, 0.0) - g0):
+                    got = combiner._crossing_at(memo, wb, lv, g0, xb, xq)
+                    assert got == reference_crossing_at(memo, wb, lv, g0, xb, xq), (xq, xb)
+                    checked += 1
+    assert checked > 0
