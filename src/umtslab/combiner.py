@@ -117,13 +117,20 @@ def nice_beta_eta(k: float, quotient_pair: tuple[float, float],
 MEMO_SIZE = 8
 
 
+def one_state(v) -> bool:
+    """Whether ``v`` is one state index rather than an array of them; an
+    integer is told without ``np.ndim``, which takes microseconds on one."""
+    return isinstance(v, (int, np.integer)) or np.ndim(v) == 0
+
+
 class PotentialMemo:
     """What one rule has been asked at the ``MEMO_SIZE`` work functions
     asked about last, keyed by their float64 bytes; the least recently asked
     is dropped first. An entry holds what the rule computed there:
     ``phi(w)`` with ``g_from(w, phi(w))``, the distribution (read-only) and
     the zero crossing of each requested state, so a hit returns exactly
-    what a miss would.
+    what a miss would. A block of one state gets a :class:`PointMemo`
+    instead.
     """
 
     def __init__(self, alg: OnlineAlgorithm):
@@ -159,11 +166,51 @@ class PotentialMemo:
         """The crossing at state ``v``, or one per state of a 1-D array ``v``;
         the states not asked at ``w`` before go to the rule in one call."""
         known = self._entry(w)["crossings"]
-        states = np.atleast_1d(v).tolist()
+        if one_state(v):
+            v = int(v)
+            if v not in known:
+                known[v] = float(self.alg.zero_crossing(w, v))
+            return known[v]
+        states = np.asarray(v).tolist()
         missing = list(dict.fromkeys(x for x in states if x not in known))
         if missing:
             known.update(zip(missing, self.alg.zero_crossing(w, np.array(missing)).tolist()))
-        return np.array([known[x] for x in states]) if np.ndim(v) else known[states[0]]
+        return np.array([known[x] for x in states])
+
+
+# the distribution of every one-state block
+POINT_DISTRIBUTION = np.ones(1)
+POINT_DISTRIBUTION.setflags(write=False)
+
+
+class PointMemo:
+    """The answers of a one-state block's rule, which sits on its state with
+    the zero potential, given without a memo: potential 0.0, G value
+    ``w[0] + 0.0`` (the dot product with alpha = [1], which also turns -0.0
+    into 0.0), the read-only distribution ``POINT_DISTRIBUTION`` and an
+    infinite zero crossing. Nothing is hashed, copied or kept.
+    """
+
+    def __init__(self, alg: OnlineAlgorithm):
+        self.alg = alg
+
+    @staticmethod
+    def fits(alg: OnlineAlgorithm) -> bool:
+        """Whether the one-state rule ``alg`` has alpha = [1] and answers at
+        w = [0.0] what a point memo answers."""
+        w = np.zeros(1)
+        return (np.asarray(alg.alpha, dtype=float).tolist() == [1.0] and alg.phi(w) == 0.0
+                and alg.probabilities(w).tolist() == [1.0]
+                and alg.zero_crossing(w, 0) == math.inf)
+
+    def __call__(self, w: np.ndarray) -> tuple[float, float]:
+        return 0.0, float(w[0]) + 0.0
+
+    def probabilities(self, w: np.ndarray) -> np.ndarray:
+        return POINT_DISTRIBUTION
+
+    def zero_crossing(self, w: np.ndarray, v):
+        return math.inf if one_state(v) else np.full(len(v), math.inf)
 
 
 @dataclass
@@ -172,7 +219,12 @@ class CombinedParts:
 
     Every reader of a block rule's values (potential, G value, distribution,
     zero crossing) goes through that block's memo in ``memos``, and every
-    reader of the quotient rule's through ``quotient_memo``.
+    reader of the quotient rule's through ``quotient_memo``. The memo of a
+    block of one state is a :class:`PointMemo`, whose answers are checked
+    here once against the rule's own at w = [0.0]; a one-state rule that
+    answers otherwise keeps a :class:`PotentialMemo`. ``order`` lists the
+    states block after block, and ``all_points`` says whether every block is
+    a point memo's, in which case the G values are ``w[order] + 0.0``.
     """
 
     u: Umts
@@ -187,25 +239,32 @@ class CombinedParts:
     dist_hat: np.ndarray
     beta: float
     eta: float
-    memos: list[PotentialMemo] = field(init=False, repr=False)
+    memos: list[PotentialMemo | PointMemo] = field(init=False, repr=False)
     quotient_memo: PotentialMemo = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    all_points: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.memos = [PotentialMemo(a) for a in self.block_algs]
+        self.memos = [PointMemo(a) if len(idx) == 1 and PointMemo.fits(a) else PotentialMemo(a)
+                      for a, idx in zip(self.block_algs, self.global_index)]
         self.quotient_memo = PotentialMemo(self.quotient_alg)
+        self.order = np.concatenate(self.global_index)
+        self.all_points = all(isinstance(memo, PointMemo) for memo in self.memos)
 
     def split(self, w: np.ndarray) -> list[np.ndarray]:
         return [w[idx] for idx in self.global_index]
 
     def hat_work(self, w: np.ndarray) -> np.ndarray:
+        if self.all_points:
+            return w[self.order] + 0.0
         return np.array([memo(wb)[1] for memo, wb in zip(self.memos, self.split(w))])
 
     def initial_hat_work(self) -> np.ndarray:
         return self.hat_work(np.zeros(self.u.n))
 
 
-def _crossing_at(memo: PotentialMemo, wb: np.ndarray, lv: int, g0: float, xb: float,
-                 xq: float) -> float:
+def _crossing_at(memo: PotentialMemo | PointMemo, wb: np.ndarray, lv: int, g0: float,
+                 xb: float, xq: float) -> float:
     """Combined zero crossing at local state ``lv`` of a block whose G values
     ``memo`` gives.
 
@@ -220,21 +279,32 @@ def _crossing_at(memo: PotentialMemo, wb: np.ndarray, lv: int, g0: float, xb: fl
     dot product bounds the one computed from G through both subtractions,
     and a bound at or below zero decides ``over(xb) <= 0`` exactly: no
     margin is needed.
+
+    A point block's crossing ``xb`` is infinite and its G value at charge x
+    is ``w0 + x``, summed on Python floats as the memo's copied array would
+    be. The root of ``(w0 + x) - g0 - xq`` is still bracketed and found by
+    brentq: solving it in closed form would move the crossing by up to
+    1e-12, and with it every later step of the run.
     """
     if xq == math.inf:
         return xb
+    if isinstance(memo, PointMemo):
+        w0 = float(wb[0])
 
-    def moved(x):
-        wb2 = wb.copy()
-        wb2[lv] += x
-        return wb2
+        def over(x):
+            return (w0 + x) - g0 - xq
+    else:
+        def moved(x):
+            wb2 = wb.copy()
+            wb2[lv] += x
+            return wb2
 
-    def over(x):
-        return memo(moved(x))[1] - g0 - xq
+        def over(x):
+            return memo(moved(x))[1] - g0 - xq
 
-    if math.isfinite(xb) and (memo.alg.g_from(moved(xb), 0.0) - g0 - xq <= 0.0
-                              or over(xb) <= 0.0):
-        return xb
+        if math.isfinite(xb) and (memo.alg.g_from(moved(xb), 0.0) - g0 - xq <= 0.0
+                                  or over(xb) <= 0.0):
+            return xb
     hi = max(xq, 1e-6)
     cap = 1e9 * (1.0 + xq) + 1.0
     while over(hi) < 0.0 and hi < cap:
@@ -334,15 +404,19 @@ def combine(
 
     def probs(w):
         w = np.asarray(w, dtype=float)
-        ws = parts.split(w)
         p_hat = parts.quotient_memo.probabilities(parts.hat_work(w))
         p = np.zeros(n)
-        for j, idx in enumerate(global_index):
-            p[idx] = p_hat[j] * parts.memos[j].probabilities(ws[j])
+        if parts.all_points:
+            p[parts.order] = p_hat
+            return p
+        for j, (idx, wb) in enumerate(zip(global_index, parts.split(w))):
+            p[idx] = p_hat[j] * parts.memos[j].probabilities(wb)
         return p
 
     def phi(w):
         w = np.asarray(w, dtype=float)
+        if parts.all_points:
+            return float(parts.quotient_memo(parts.hat_work(w))[0])
         values = [memo(wb) for memo, wb in zip(parts.memos, parts.split(w))]
         total = parts.quotient_memo(np.array([g for _, g in values]))[0]
         for j, (bphi, _) in enumerate(values):
@@ -350,20 +424,26 @@ def combine(
                 total += r * qalg.alpha[j] * bphi / hat_rates[j]
         return float(total)
 
+    blocks_of, locals_of = block_of.tolist(), local_index.tolist()
+
     def crossing(w, v):
         w = np.asarray(w, dtype=float)
-        vs = np.atleast_1d(v)
-        ws, what = parts.split(w), parts.hat_work(w)
+        what = parts.hat_work(w)
+        if one_state(v):
+            j, lv = blocks_of[v], locals_of[v]
+            memo, wb = parts.memos[j], w[global_index[j]]
+            xq = parts.quotient_memo.zero_crossing(what, j)
+            return _crossing_at(memo, wb, lv, float(what[j]), memo.zero_crossing(wb, lv), xq)
+        vs, ws = np.asarray(v), parts.split(w)
         js = block_of[vs]
         xqs = parts.quotient_memo.zero_crossing(what, js)
         xbs = np.empty(len(vs))
         for j in sorted(set(js.tolist())):  # np.unique would import numpy.ma on first use
             xbs[js == j] = parts.memos[j].zero_crossing(ws[j], local_index[vs[js == j]])
-        out = [
+        return np.array([
             _crossing_at(parts.memos[j], ws[j], int(lv), float(what[j]), xb, xq)
             for j, lv, xb, xq in zip(js, local_index[vs], xbs.tolist(), xqs.tolist())
-        ]
-        return np.array(out) if np.ndim(v) else out[0]
+        ])
 
     block_slack = max(
         (a.phi_slack / rr for a, rr in zip(block_algs, hat_rates) if rr > 0),
@@ -546,11 +626,13 @@ class CombinedRun:
         w2 = rec.w2
         what2 = apply_elementary(parts.quotient_umts, self.what, j, dhat)
 
-        # welleqw: restricted global and block-local work functions agree
-        for i, idx in enumerate(parts.global_index):
-            gap = np.abs(w2[idx] - w_blocks2[i]).max()
-            if gap > EPS_EQ:
-                self._issue("welleqw", gap, f"block {i} work function drifts")
+        # welleqw: restricted global and block-local work functions agree,
+        # checked over all blocks at once and block by block where that fails
+        if not (np.abs(w2[parts.order] - np.concatenate(w_blocks2)) <= EPS_EQ).all():
+            for i, idx in enumerate(parts.global_index):
+                gap = np.abs(w2[idx] - w_blocks2[i]).max()
+                if gap > EPS_EQ:
+                    self._issue("welleqw", gap, f"block {i} work function drifts")
 
         # hatw: quotient work function equals the block G values
         gap = np.abs(what2 - gvals).max()

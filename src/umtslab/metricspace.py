@@ -81,6 +81,10 @@ class FiniteMetric:
         return float(off.min())
 
 
+# entries of the (rows, n, n) triangle check made at once: 2 MiB of floats
+TRIANGLE_BLOCK = 2**18
+
+
 def validate(m: FiniteMetric, tol: float = EPS_EQ) -> list[str]:
     """Report every violated metric axiom; an empty list means valid."""
     report = []
@@ -100,12 +104,23 @@ def validate(m: FiniteMetric, tol: float = EPS_EQ) -> list[str]:
                 report.append(
                     f"non-positive distance at ({m.labels[i]},{m.labels[j]}): {d[i, j]}"
                 )
-    # (i, j, k) with d(i, j) > d(i, k) + d(k, j) + tol, in loop order
-    for i, j, k in np.argwhere(d[:, :, None] > d[:, None, :] + d.T[None, :, :] + tol):
-        report.append(
-            f"triangle violation: d({m.labels[i]},{m.labels[j]}) > "
-            f"d(.,{m.labels[k]}) sum by {d[i, j] - d[i, k] - d[k, j]:.3g}"
-        )
+    # (i, j, k) with d(i, j) > d(i, k) + d(k, j) + tol, in loop order, a
+    # block of rows i at a time so the (rows, n, n) temporaries stay small
+    rows = max(1, TRIANGLE_BLOCK // max(1, n * n))
+    d_t = np.ascontiguousarray(d.T)
+    for start in range(0, n, rows):
+        block = d[start:start + rows]
+        bound = block[:, None, :] + d_t[None, :, :]
+        bound += tol
+        violated = block[:, :, None] > bound
+        if not violated.any():
+            continue
+        for i, j, k in np.argwhere(violated).tolist():
+            i += start
+            report.append(
+                f"triangle violation: d({m.labels[i]},{m.labels[j]}) > "
+                f"d(.,{m.labels[k]}) sum by {d[i, j] - d[i, k] - d[k, j]:.3g}"
+            )
     return report
 
 

@@ -22,6 +22,10 @@ The combined crossing reference, :func:`reference_crossing_at`, is
 G rise by the dot product alone: it evaluates the block potential at every
 trial charge, the block crossing first.
 
+The metric validation reference, :func:`reference_validate`, checks the
+triangle inequality in one (n, n, n) comparison, as ``validate`` did
+before it took a block of rows at a time.
+
 The atomic audit oracle walks a run one step at a time with one-row
 calls, as the audit did before it checked whole runs in array passes. The
 combined audit oracle does the same for combined rules: it steps the
@@ -191,6 +195,34 @@ def line_cdf_cost(positions, p, q) -> float:
 def random_prob(rng: np.random.Generator, n: int) -> np.ndarray:
     x = rng.random(n) + 1e-3
     return x / x.sum()
+
+
+def reference_validate(m: FiniteMetric, tol: float = EPS_EQ) -> list[str]:
+    """``metricspace.validate`` as it was before it checked the triangle
+    inequality a block of rows at a time: one (n, n, n) comparison."""
+    report = []
+    d = m.dist
+    n = m.n
+    for i in range(n):
+        if abs(d[i, i]) > tol:
+            report.append(f"nonzero diagonal at {m.labels[i]}: {d[i, i]}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(d[i, j] - d[j, i]) > tol:
+                report.append(
+                    f"asymmetry at ({m.labels[i]},{m.labels[j]}): "
+                    f"{d[i, j]} vs {d[j, i]}"
+                )
+            if d[i, j] <= tol:
+                report.append(
+                    f"non-positive distance at ({m.labels[i]},{m.labels[j]}): {d[i, j]}"
+                )
+    for i, j, k in np.argwhere(d[:, :, None] > d[:, None, :] + d.T[None, :, :] + tol):
+        report.append(
+            f"triangle violation: d({m.labels[i]},{m.labels[j]}) > "
+            f"d(.,{m.labels[k]}) sum by {d[i, j] - d[i, k] - d[k, j]:.3g}"
+        )
+    return report
 
 
 def random_metric(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -44,9 +44,11 @@ def load_workloads():
 def own_configs() -> list[tuple[str, dict]]:
     """(name, config) of the runs the workloads leave out: odd-exponent at
     every b from 2 to 8 under all three adversary kinds, 300 steps each, so
-    that both sides of the 4-state float cutoff run, and a caching and a
+    that both sides of the 4-state float cutoff run; a caching and a
     wcombined rule under greedy-pressure, whose combined crossings the
-    greedy pick asks for."""
+    greedy pick asks for; and the line on 8 points and the combined rule on
+    5 points with unequal rates under all three kinds, 300 steps each, whose
+    one-state blocks run for as long as a test's runs."""
     kinds = ("uniform-random", "greedy-pressure", "support-raiser")
 
     def config(spaces, algorithm, adversaries):
@@ -65,6 +67,12 @@ def own_configs() -> list[tuple[str, dict]]:
     anchored = {"name": "w6", "kind": "uniform", "points": 6,
                 "rates": [3.0, 1.0, 1.0, 1.0, 1.0, 1.0], "s": 1.0}
     out.append(("own-wcombined-n6", config([anchored], "wcombined", greedy)))
+    long_runs = [{"kind": k, "steps": 300} for k in kinds]
+    line = {"name": "line8", "kind": "line", "points": 8, "gap": 1.0, "s": 1.0}
+    out.append(("own-line-n8", config([line], "line", long_runs)))
+    unequal = {"name": "c5", "kind": "uniform", "points": 5, "rates": [2.0, 1.0, 0.5, 3.0, 1.5],
+               "s": 1.0}
+    out.append(("own-combined-n5", config([unequal], "combined", long_runs)))
     return out
 
 

@@ -11,10 +11,14 @@ every block state with a finite block crossing it compares
 ``combiner._crossing_at`` with ``oracles.reference_crossing_at`` bit for
 bit: at the quotient crossing the rule asks for, and at quotient crossings
 a few ulps and 1e-12 to 1e-6 on either side of the one that puts the bound
-at zero. It prints, per rule, the triples at the rule's own quotient
-crossing, how many of them the bound decided without the block potential
-and how many the potential decided after the bound did not, the edge
-comparisons and the differences; it exits 1 on any difference. The
+at zero. At every one-state block, whose memo is a point memo, it compares
+them at the rule's quotient crossing and a few ulps and 1e-12 to 1e-6 on
+either side of it, the reference reading the block's G values through a
+potential memo of its trivial rule. It prints, per rule, the triples at
+the rule's own quotient crossing, how many of them the bound decided
+without the block potential and how many the potential decided after the
+bound did not, the edge and point-block comparisons and the differences;
+it exits 1 on any difference. The
 default run takes about a minute, so this is a one-off check and not part
 of the test suite.
 """
@@ -28,7 +32,7 @@ import sys
 import numpy as np
 
 from oracles import combined_parts, edge_quotient_crossings, reference_crossing_at
-from umtslab.combiner import _crossing_at
+from umtslab.combiner import PointMemo, PotentialMemo, _crossing_at
 from umtslab.core import Umts
 from umtslab.harness import ADVERSARY_KINDS, AdversaryConfig, adversary, simulate
 from umtslab.hst import line_algorithm, weighted_caching_algorithm
@@ -62,6 +66,23 @@ def compare(alg, w: np.ndarray, tally: dict) -> None:
     for j, (memo, wb) in enumerate(zip(parts.memos, ws)):
         g0 = float(what[j])
         xq_rule = float(parts.quotient_memo.zero_crossing(what, j))
+
+        def check(lv, xb, xq, ref=memo):
+            got = _crossing_at(memo, wb, lv, g0, xb, xq)
+            want = reference_crossing_at(ref, wb, lv, g0, xb, xq)
+            if np.float64(got).tobytes() != np.float64(want).tobytes():
+                tally["differences"] += 1
+                print(f"  {alg.name} block {j} state {lv}: xb={xb!r} xq={xq!r} "
+                      f"pruned={got!r} reference={want!r}")
+
+        if isinstance(memo, PointMemo):
+            # the G rise of a point block is its charge: the reference reads
+            # it through a potential memo of the trivial rule
+            xqs = [xq_rule] + (edge_quotient_crossings(xq_rule) if math.isfinite(xq_rule) else [])
+            tally["points"] += len(xqs)
+            for xq in xqs:
+                check(0, math.inf, xq, PotentialMemo(memo.alg))
+            continue
         for lv in range(len(wb)):
             xb = float(memo.zero_crossing(wb, lv))
             if not math.isfinite(xb):
@@ -77,12 +98,7 @@ def compare(alg, w: np.ndarray, tally: dict) -> None:
             edges = edge_quotient_crossings(bound)
             tally["edges"] += len(edges)
             for xq in [xq_rule] + edges:
-                got = _crossing_at(memo, wb, lv, g0, xb, xq)
-                want = reference_crossing_at(memo, wb, lv, g0, xb, xq)
-                if np.float64(got).tobytes() != np.float64(want).tobytes():
-                    tally["differences"] += 1
-                    print(f"  {alg.name} block {j} state {lv}: xb={xb!r} xq={xq!r} "
-                          f"pruned={got!r} reference={want!r}")
+                check(lv, xb, xq)
     for block, wb in zip(parts.block_algs, ws):
         compare(block, wb, tally)
     compare(parts.quotient_alg, what, tally)
@@ -97,7 +113,8 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     differences = 0
     for name, alg in rules(rng).items():
-        tally = dict.fromkeys(("triples", "bound", "potential", "edges", "differences"), 0)
+        tally = dict.fromkeys(("triples", "bound", "potential", "edges", "points",
+                               "differences"), 0)
         for run in range(args.runs):
             kind = ADVERSARY_KINDS[run % len(ADVERSARY_KINDS)]
             config = AdversaryConfig(kind=kind, steps=args.steps, seed=int(rng.integers(2**31)))
@@ -109,7 +126,8 @@ def main() -> int:
         differences += tally["differences"]
         print(f"{name}: triples={tally['triples']} decided by the bound={tally['bound']} "
               f"by the potential={tally['potential']} edge comparisons={tally['edges']} "
-              f"differences={tally['differences']}", flush=True)
+              f"point-block comparisons={tally['points']} differences={tally['differences']}",
+              flush=True)
     print(f"all: {differences} differences")
     return 1 if differences else 0
 

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from oracles import combined_parts, drive, edge_quotient_crossings, reference_crossing_at
 from umtslab import cli, combiner, potential
 from umtslab.algorithms import odd_exponent, rho_variant, trivial_algorithm, two_stable
-from umtslab.combiner import MEMO_SIZE, block_subsystem, combine, nice_beta_eta
+from umtslab.combiner import (
+    MEMO_SIZE,
+    PointMemo,
+    PotentialMemo,
+    block_subsystem,
+    combine,
+    nice_beta_eta,
+)
 from umtslab.core import ElementaryTask, Umts, support_headroom
 from umtslab.harness import (
     ADVERSARY_KINDS,
@@ -234,7 +241,8 @@ RULES = {
 
 
 def all_memos(alg):
-    """Every potential memo of a combined rule, those of nested rules included."""
+    """Every memo of a combined rule, point memos and those of nested rules
+    included."""
     parts = alg.parts
     if parts is None:
         return []
@@ -245,7 +253,13 @@ def all_memos(alg):
 
 
 def assert_memos_bounded(alg):
-    assert all(len(memo.entries) <= MEMO_SIZE for memo in all_memos(alg))
+    assert all(len(memo.entries) <= MEMO_SIZE for memo in all_memos(alg)
+               if isinstance(memo, PotentialMemo))
+
+
+def float_bits(values) -> bytes:
+    """The float64 bytes of a float or a tuple of them, -0.0 told from 0.0."""
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def value_bits(alg, w):
@@ -282,20 +296,27 @@ def test_memo_hits_return_what_a_fresh_rule_computes(name):
     alg = RULES[name]()
     memos = all_memos(alg)
     ws = [np.zeros(alg.umts.n)]
-    # every work function each memo has held, in the order it first held it
-    seen = [{} for _ in memos]
+    # every work function each memo has held, in the order it first held it;
+    # a point memo holds none, so it is asked at -0.0, at a negative work
+    # and at every entry of the run's work functions
+    seen = [dict.fromkeys(np.array([x]).tobytes() for x in (-0.0, -1.5, 0.0))
+            if isinstance(memo, PointMemo) else {} for memo in memos]
     for rec in simulate(alg, adversary(AdversaryConfig(steps=25, seed=3))):
         ws.append(rec.w2)
         for memo, keys in zip(memos, seen):
-            keys.update(dict.fromkeys(memo.entries))
+            if isinstance(memo, PointMemo):
+                keys.update(dict.fromkeys(np.array([x]).tobytes() for x in rec.w2.tolist()))
+            else:
+                keys.update(dict.fromkeys(memo.entries))
         assert_memos_bounded(alg)
-    assert len(ws) > 10 and memos
+    assert len(ws) > 10 and any(isinstance(memo, PointMemo) for memo in memos)
     fresh = RULES[name]()
     fresh_memos = all_memos(fresh)
 
     def fresh_values(f):
         for memo in fresh_memos:
-            memo.entries.clear()
+            if isinstance(memo, PotentialMemo):
+                memo.entries.clear()
         return f()
 
     want = [fresh_values(lambda: value_bits(fresh, w)) for w in ws]
@@ -306,7 +327,8 @@ def test_memo_hits_return_what_a_fresh_rule_computes(name):
         assert_memos_bounded(alg)
 
     # block and quotient memos: the latest work functions are hits, the
-    # older ones misses; each ask in a shuffled state order
+    # older ones misses; each ask in a shuffled state order. A point memo
+    # also gives the rule's potential and G value.
     rng = np.random.default_rng(1)
     for memo, fmemo, keys in zip(memos, fresh_memos, seen):
         rule, n = fmemo.alg, fmemo.alg.umts.n
@@ -316,6 +338,9 @@ def test_memo_hits_return_what_a_fresh_rule_computes(name):
             p = fresh_values(lambda: rule.probabilities(w))
             x = [fresh_values(lambda: rule.zero_crossing(w, v)) for v in range(n)]
             assert got == [p.tobytes(), np.array(x, dtype=float).tobytes()]
+            if isinstance(memo, PointMemo):
+                pot = rule.phi(w)
+                assert float_bits(memo(w)) == float_bits((pot, rule.g_from(w, pot)))
             assert_memos_bounded(alg)
 
 
@@ -505,3 +530,108 @@ def test_crossing_at_equals_the_reference_where_the_bound_changes_sign(name, see
                     assert got == reference_crossing_at(memo, wb, lv, g0, xb, xq), (xq, xb)
                     checked += 1
     assert checked > 0
+
+
+# rules whose combinations hold one-state blocks, the trivial leaves of the
+# shipped applications: caching on K + 1 = 4 and 8 points, the combined and
+# wcombined rules on 5 and 8 points and the line on 8
+POINT_RULES = {
+    "caching-k3": lambda: weighted_caching_algorithm([1.0, 0.6, 1.7, 1.2]),
+    "caching-k7": lambda: weighted_caching_algorithm([1.0, 0.6, 1.7, 1.2, 0.8, 1.9, 0.5, 1.1]),
+    "combined-n5": lambda: combined_algorithm(uniform([2.0, 1.0, 0.5, 3.0, 1.5])),
+    "wcombined-n8": lambda: w_combined_algorithm(uniform([3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])),
+    "line-8": lambda: line_algorithm(8),
+}
+
+
+@functools.cache
+def block_memos(name: str) -> list:
+    """Every block memo of the named rule, built once, and of the rules it
+    nests."""
+    return [memo for rule in nested_rules(POINT_RULES[name]())
+            if (parts := combined_parts(rule)) is not None for memo in parts.memos]
+
+
+def point_memos(name: str) -> list:
+    return [memo for memo in block_memos(name) if isinstance(memo, PointMemo)]
+
+
+def one_entry(data) -> np.ndarray:
+    """A drawn one-state work function, -0.0 and large values included."""
+    return np.array([data.draw(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e300]))])
+
+
+@pytest.mark.parametrize("name", sorted(POINT_RULES))
+def test_one_state_blocks_get_point_memos(name):
+    """Every one-state block of the shipped applications gets a point memo;
+    every other block keeps a potential memo."""
+    for memo in block_memos(name):
+        assert isinstance(memo, PointMemo) == (memo.alg.umts.n == 1), memo.alg.name
+    assert point_memos(name)
+
+
+def test_one_state_rule_that_answers_otherwise_keeps_its_memo():
+    """A one-state rule whose potential at w = [0] is not 0 keeps a
+    potential memo, and the G values then go through the memos."""
+    u = uniform([2.0, 1.0, 0.5])
+    blocks = [["v1"], ["v2"], ["v3"]]
+    algs = [trivial_algorithm(block_subsystem(u, b)) for b in blocks]
+    algs[0] = replace(algs[0], phi=lambda w: 0.5)
+    parts = combine(u, blocks, algs, lambda uu: rho_variant(odd_exponent, uu, 0.2)).parts
+    assert [type(memo) for memo in parts.memos] == [PotentialMemo, PointMemo, PointMemo]
+    assert not parts.all_points
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(POINT_RULES)), st.data())
+def test_point_memos_answer_as_a_potential_memo_of_their_rule(name, data):
+    """At drawn one-state work functions each point memo's potential, G
+    value, distribution and crossings, of one state and of an array, have the
+    bits of a potential memo's over the same trivial rule."""
+    for memo in point_memos(name):
+        w = one_entry(data)
+        ref = PotentialMemo(memo.alg)
+        assert float_bits(memo(w)) == float_bits(ref(w))
+        assert memo.probabilities(w).tobytes() == ref.probabilities(w).tobytes()
+        assert not memo.probabilities(w).flags.writeable
+        for v in (0, np.int64(0)):
+            assert float_bits(memo.zero_crossing(w, v)) == float_bits(ref.zero_crossing(w, v))
+        states = np.zeros(2, dtype=int)
+        assert memo.zero_crossing(w, states).tobytes() == ref.zero_crossing(w, states).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(POINT_RULES)), st.data())
+def test_crossing_at_a_point_block_equals_the_reference(name, data):
+    """Over a point block, ``_crossing_at`` on Python floats has the bits of
+    the reference through a potential memo of the trivial rule, at the
+    block's own G value or a drawn one and at drawn quotient crossings."""
+    for memo in point_memos(name):
+        w = one_entry(data)
+        g0 = memo(w)[1] if data.draw(st.booleans()) else data.draw(st.floats(-1e3, 1e3))
+        xq = data.draw(st.sampled_from([0.0, 1e-300, 1e-7, math.inf])
+                       | st.floats(0.0, 1e3) | st.floats(0.0, 1e-6))
+        got = combiner._crossing_at(memo, w, 0, g0, math.inf, xq)
+        want = reference_crossing_at(PotentialMemo(memo.alg), w, 0, g0, math.inf, xq)
+        assert float_bits(got) == float_bits(want), (w, g0, xq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COMBINED_RULES)), st.sampled_from(ADVERSARY_KINDS),
+       st.integers(0, 2**32 - 1), st.integers(0, 12), st.booleans(), st.data())
+def test_one_state_crossing_equals_the_array_entry(name, kind, seed, steps, shift, data):
+    """At work functions a run reaches, shifted or not, the crossing of one
+    state, asked as an int or a numpy integer of another copy of the rule,
+    has the bits of that state's entry in the array of every state."""
+    alg = built(name)
+    w = np.zeros(alg.umts.n)
+    for rec in simulate(alg, adversary(AdversaryConfig(kind=kind, steps=steps, seed=seed))):
+        w = rec.w2
+    if shift:
+        w = w + work_function(data, alg.umts.n, 0.25 * alg.umts.diameter())
+    want = alg.zero_crossing(w, np.arange(alg.umts.n))
+    other = built(name, 2)
+    for v in range(alg.umts.n):
+        state = data.draw(st.sampled_from([v, np.int64(v)]))
+        got = other.zero_crossing(w, state)
+        assert type(got) is float and float_bits(got) == float_bits(want[v]), (v, got, want[v])

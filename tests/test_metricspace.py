@@ -1,8 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import random_metric, reference_validate
+from umtslab import metricspace
 from umtslab.metricspace import (
     FiniteMetric,
     induced_metric,
@@ -108,3 +113,37 @@ def test_json_round_trip_bit_exact():
     # encoding is plain JSON with the documented keys
     obj = json.loads(metric_to_json(m))
     assert set(obj) == {"labels", "dist"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.sampled_from([0.0, 1e-9, 0.25]), st.booleans(), st.data())
+def test_validate_reports_what_the_whole_cube_check_reports(n, tol, small_blocks, data):
+    """On valid metrics and on matrices with ties, tiny and negative entries,
+    asymmetry and a nonzero diagonal, the reports and their order are those
+    of the one (n, n, n) comparison, also when every block is one row."""
+    if data.draw(st.booleans()):
+        d = random_metric(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n)
+    else:
+        values = st.sampled_from([0.0, 1e-10, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0])
+        d = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+        if data.draw(st.booleans()):
+            d = np.maximum(d, d.T)
+            np.fill_diagonal(d, 0.0)
+    m = FiniteMetric(tuple(f"x{i}" for i in range(n)), d)
+    block = 1 if small_blocks else metricspace.TRIANGLE_BLOCK
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metricspace, "TRIANGLE_BLOCK", block)
+        assert validate(m, tol) == reference_validate(m, tol)
+
+
+def test_validate_memory_stays_quadratic():
+    """At n = 200 the triangle check's temporaries take a few MiB; as one
+    (n, n, n) comparison they took 68.7 MiB, and at 1,024 points about 9 GiB."""
+    m = make_uniform(200, 1.0)
+    tracemalloc.start()
+    try:
+        assert validate(m) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak

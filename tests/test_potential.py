@@ -437,3 +437,15 @@ def test_grid_states_match_itertools(n):
     rising = itertools.combinations_with_replacement(range(levels + 1), n)
     sym = [k for k in rising if k[0] == 0]
     assert np.array_equal(_enumerate_states(n, levels, True), np.array(sym, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symmetric_grid_states_keep_the_tuple_list_order(n):
+    """The symmetric grid's states equal the array of the tuples (0, *k) over
+    itertools' combinations, in that order, at every level count up to 8."""
+    for levels in range(9):
+        rest = itertools.combinations_with_replacement(range(levels + 1), n - 1)
+        want = np.array([(0, *k) for k in rest], dtype=np.int64)
+        got = potential._enumerate_states(n, levels, True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
