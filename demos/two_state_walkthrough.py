@@ -66,7 +66,7 @@ print(f"\nbaseline point-mass rule at {base.descriptor.get('state', u.labels[0])
 print(f"  allowed charge at v1: {base.zero_crossing(w0, 0)}   at v2: {base.zero_crossing(w0, 1)}")
 base_run = play(base, adversary(AdversaryConfig(kind="uniform-random", steps=400, seed=11)))
 base_ratio = ratio_report(base_run)
-print(f"  against its own reasonable sequences ({len(base_run.tasks)} tasks before the"
+print(f"  against its own reasonable sequences ({len(base_run.v)} tasks before the"
       f" headroom runs out):")
 print(f"  cost {base_ratio['cost']:.4f}  opt {base_ratio['opt']:.4f}  "
       f"empirical {base_ratio['ratio']:.4f}, within declared: {base_ratio['passed']}")

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
-from umtslab.core import ElementaryTask, Umts, apply_elementary, flat_work_function, step_costs
+from umtslab.core import Umts, apply_elementary, flat_work_function, step_costs
 from umtslab.harness import AdversaryConfig, adversary, audit, play, ratio_report, rule_issues
 from umtslab.hst import line_algorithm, weighted_caching_algorithm, with_hst_realization
 from umtslab.metricspace import (
@@ -193,7 +193,7 @@ def _run_job(space_spec, algorithm, adversary_spec, seed):
         "algorithm": algorithm,
         "adversary": config.kind,
         "seed": config.seed,
-        "steps": len(run.steps),
+        "steps": len(run.v),
         "cost": run.cost,
         "opt": run.opt,
         "ratio": ratio["ratio"],
@@ -362,6 +362,15 @@ def _stack(vectors: list, n: int, key: str) -> np.ndarray:
     return np.array(vectors, dtype=float).reshape(len(vectors), n)
 
 
+def _charges(values) -> np.ndarray:
+    """A trace's charges as floats; a negative or non-finite one, NaN
+    included, makes the trace malformed."""
+    delta = np.array([float(x) for x in values])
+    if not ((delta >= 0.0) & (delta < math.inf)).all():
+        raise ValueError("charges must be finite and non-negative")
+    return delta
+
+
 def _verify(head, rows):
     """Recheck a trace from its own numbers; returns (exit code, message).
 
@@ -387,16 +396,16 @@ def _verify(head, rows):
     w = _stack([flat_work_function(u)] + [row["w"] for row in rows], u.n, "w")
     p = _stack([head["p0"]] + [row["p"] for row in rows], u.n, "p")
     v = np.array([u.metric.index(row["state"]) for row in rows], dtype=int)
-    tasks = [ElementaryTask(row["state"], float(row["delta"])) for row in rows]
+    delta = _charges(row["delta"] for row in rows)
     cost = np.array([float(row["cost"]) for row in rows])
     numbers = [row["i"] for row in rows]
     if combined:
         partition = make_partition(u.metric, head["blocks"])
         blocks = [[u.metric.index(m) for m in b] for b in partition.blocks]
-        j = [partition.block_of(row["state"]) for row in rows]
+        j = np.array([partition.block_of(row["state"]) for row in rows], dtype=int)
         named = [row["block"] for row in rows]
         nb, qlabels = len(blocks), tuple(f"B{b}" for b in range(len(blocks)))
-        qtasks = [ElementaryTask(qlabels[b], float(row["delta_hat"])) for b, row in zip(j, rows)]
+        delta_hat = _charges(row["delta_hat"] for row in rows)
         what = _stack([head["hat_init"]] + [row["what"] for row in rows], nb, "what")
         g = _stack([row["g"] for row in rows], nb, "g")
         p_hat = _stack([head["p_hat0"]] + [row["p_hat"] for row in rows], nb, "p_hat")
@@ -432,13 +441,12 @@ def _verify(head, rows):
 
     first("numbering", (r for r, x in enumerate(numbers) if isinstance(x, bool) or x != r + 1),
           lambda r: f"the row is numbered {numbers[r]!r}")
-    gap = np.abs(apply_elementary(u, w[:-1], v, np.array([t.delta for t in tasks])) - w[1:])
-    gap = gap.max(axis=1)
+    gap = np.abs(apply_elementary(u, w[:-1], v, delta) - w[1:]).max(axis=1)
     first("welleqw", np.flatnonzero(~(gap <= EPS_EQ)),
           lambda r: f"stored work function deviates from the recomputed chain by {gap[r]:.3g}")
     if combined:
-        first("block", (r for r, b in enumerate(j) if named[r] != b),
-              lambda r: f"state {rows[r]['state']} lies in block {j[r]}, "
+        first("block", (r for r, b in enumerate(j.tolist()) if named[r] != b),
+              lambda r: f"state {rows[r]['state']} lies in block {int(j[r])}, "
                         f"the row names {named[r]!r}")
         bgap = np.array([np.abs(w[1:, idx] - wb).max(axis=1)
                          for idx, wb in zip(blocks, w_blocks)]).T
@@ -447,9 +455,7 @@ def _verify(head, rows):
         first("welleqw", np.flatnonzero(drifts.any(axis=1)),
               lambda r: f"block {b[r]} work function drifts from the restricted global one "
                         f"by {bgap[r, b[r]]:.3g}")
-        hgap = apply_elementary(qu, what[:-1], np.array(j, dtype=int),
-                                np.array([t.delta for t in qtasks]))
-        hgap = np.abs(hgap - what[1:]).max(axis=1)
+        hgap = np.abs(apply_elementary(qu, what[:-1], j, delta_hat) - what[1:]).max(axis=1)
         first("hatw", np.flatnonzero(~(hgap <= EPS_EQ)),
               lambda r: f"quotient work function detaches from its charges by {hgap[r]:.3g}")
         ggap = np.abs(what[1:] - g).max(axis=1)
@@ -467,12 +473,12 @@ def _verify(head, rows):
     # the issue's detail reads "mass on excluded state X"; the message adds the mass
     first("betatagc", [issue.step for issue in betatagc],
           lambda r: betatagc[0].detail.replace("mass", f"mass {betatagc[0].magnitude:.3g}", 1))
-    miss = np.abs(step_costs(u, p, tasks, faulty) - cost)
+    miss = np.abs(step_costs(u, p, v, delta, faulty) - cost)
     first("samecompratio" if combined else "stepcost", np.flatnonzero(~(miss <= EPS_AUDIT)),
           lambda r: f"stored step cost disagrees with the transport recomputation by "
                     f"{miss[r]:.3g}")
     if combined:
-        qmiss = np.abs(step_costs(qu, p_hat, qtasks, qfaulty) - qcost)
+        qmiss = np.abs(step_costs(qu, p_hat, j, delta_hat, qfaulty) - qcost)
         first("samecompratio", np.flatnonzero(~(qmiss <= EPS_AUDIT)),
               lambda r: f"stored quotient cost disagrees with the transport recomputation by "
                         f"{qmiss[r]:.3g}")

@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from umtslab.algorithms import OnlineAlgorithm
-from umtslab.core import (
-    ElementaryTask,
-    Step,
-    Umts,
-    apply_elementary,
-    step_costs,
-    total_cost,
-)
+from umtslab.core import Umts, apply_elementary, step_costs, total_cost
 from umtslab.metricspace import (
     Partition,
     induced_metric,
@@ -541,7 +534,8 @@ class CombinedRun:
 
     :meth:`step` reads each step as :func:`umtslab.harness.simulate` yields
     it, while the values the run used are still in the memos: it moves the
-    block work functions and the quotient one, started at G_l(0), and checks
+    block work functions and the quotient one, started at G_l(0), keeps the
+    quotient run's charges in ``qv`` (block index) and ``qdelta``, and checks
     resadv (the charge against both crossings), hatw (quotient values equal
     block G values, 1e-6) and welleqw (block and restricted global work
     functions agree, 1e-9). :meth:`report` finishes the audit of the
@@ -565,7 +559,9 @@ class CombinedRun:
         # block G values of the block work functions; the quotient run starts there
         self.g = self.what = parts.initial_hat_work()
         self.p_hat0 = parts.quotient_memo.probabilities(self.what)
-        self.qtasks: list[ElementaryTask] = []
+        # the quotient run's charges: block index and delta_hat of each step
+        self.qv: list[int] = []
+        self.qdelta: list[float] = []
         # issues of the checks made while reading the steps
         self.read_issues: list[AuditIssue] = []
         self.steps, self.qcost = 0, 0.0
@@ -592,16 +588,16 @@ class CombinedRun:
     def _issue(self, lemma, magnitude, detail):
         self.read_issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
 
-    def step(self, rec: Step) -> None:
-        """Read the rule's step ``rec`` and add its trace row, whose costs
-        :meth:`report` fills in.
+    def step(self, v: int, delta: float, w2: np.ndarray, p2: np.ndarray) -> None:
+        """Read the rule's step that charges ``delta`` at state ``v`` and
+        moves it to the work function ``w2`` and distribution ``p2``, and add
+        its trace row, whose costs :meth:`report` fills in.
 
         The charge moves one block's work function; the quotient charge is
         the rise of that block's G value, clamped at zero.
         """
         parts = self.parts
         u = parts.u
-        v, delta = rec.v, rec.delta
         j, lv = int(parts.block_of[v]), int(parts.local_index[v])
         memo, qmemo = parts.memos[j], parts.quotient_memo
 
@@ -623,7 +619,6 @@ class CombinedRun:
         if dhat > xq + EPS_EQ:
             self._issue("resadv", dhat - xq, f"quotient charge {dhat:.6g} beyond crossing {xq:.6g}")
 
-        w2 = rec.w2
         what2 = apply_elementary(parts.quotient_umts, self.what, j, dhat)
 
         # welleqw: restricted global and block-local work functions agree,
@@ -639,13 +634,14 @@ class CombinedRun:
         if gap > EPS_AUDIT:
             self._issue("hatw", gap, "quotient work function detached from block G values")
 
-        self.qtasks.append(ElementaryTask(parts.quotient_umts.labels[j], dhat))
+        self.qv.append(j)
+        self.qdelta.append(dhat)
         self.w_blocks, self.g, self.what = w_blocks2, gvals, what2
         self.steps += 1
         self.trace.append({
             "kind": "step", "i": self.steps, "state": u.labels[v], "delta": delta, "block": j,
             "delta_hat": dhat, "w": w2.tolist(), "w_blocks": [wb.tolist() for wb in w_blocks2],
-            "what": what2.tolist(), "g": gvals.tolist(), "p": rec.p2.tolist(),
+            "what": what2.tolist(), "g": gvals.tolist(), "p": p2.tolist(),
             "p_hat": qmemo.probabilities(what2).tolist(),
         })
 
@@ -659,7 +655,8 @@ class CombinedRun:
         p_hat = np.array([self.p_hat0.tolist()] + [row["p_hat"] for row in self.trace])
         qbad = not_distribution(p_hat)
         qstart, qdistribution = distribution_issues(p_hat, qbad, "quotient ")
-        qcost = step_costs(self.parts.quotient_umts, p_hat, self.qtasks, qbad)
+        qcost = step_costs(self.parts.quotient_umts, p_hat, np.array(self.qv, dtype=int),
+                           np.array(self.qdelta, dtype=float), qbad)
         slack = self.alg.phi_slack
         allow = EPS_AUDIT + slack if math.isfinite(slack) else math.inf
         samecompratio = []

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -184,40 +182,42 @@ def online_step_cost(u: Umts, p_before, p_after, task):
 
     For distributions of shape (..., n), ``task`` holds one elementary task
     per leading index, in C order, and the result one cost per leading
-    index. A stack pays a charge of delta at v as
-    ``p_after[v] * (delta * rate[v])``, the one nonzero term of the one-row
-    dot product, so each cost equals the one-row call.
+    index, each equal to the one-row call (see :func:`_charges_paid`).
     """
     p_after = np.asarray(p_after, dtype=float)
     moving = moving_cost(u, p_before, p_after)
     if p_after.ndim > 1:
-        return moving + _charges_paid(u, p_after, task)
+        v = np.array([u.metric.index(t.state) for t in task], dtype=np.int64)
+        delta = np.array([t.delta for t in task], dtype=float)
+        return moving + _charges_paid(u, p_after, v, delta)
     return moving + float(p_after @ (task_charges(u, task) * u.rates))
 
 
-def _charges_paid(u: Umts, p_after: np.ndarray, tasks) -> np.ndarray:
-    """What each row of the (..., n) stack ``p_after`` pays for its
-    elementary task in ``tasks`` (C order), ``p_after[v] * (delta * rate[v])``."""
-    v = np.array([u.metric.index(t.state) for t in tasks], dtype=np.int64)
-    delta = np.array([t.delta for t in tasks], dtype=float)
+def _charges_paid(u: Umts, p_after: np.ndarray, v: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """What each row of the (..., n) stack ``p_after`` pays for the charge
+    ``delta`` at state ``v`` of its row (C order), as
+    ``p_after[v] * (delta * rate[v])``: the one nonzero term of the one-row
+    dot product, so each payment equals the one-row call's."""
     paid = p_after.reshape(-1, u.n)[np.arange(len(v)), v] * (delta * u.rates[v])
     return paid.reshape(p_after.shape[:-1])
 
 
-def step_costs(u: Umts, p: np.ndarray, tasks, faulty: np.ndarray) -> np.ndarray:
+def step_costs(u: Umts, p: np.ndarray, v: np.ndarray, delta: np.ndarray,
+               faulty: np.ndarray) -> np.ndarray:
     """The cost of each step of a run through the (k + 1, n) distributions
-    ``p``, its start first, as :func:`online_step_cost` prices a stack; NaN
-    where a step reads a row that ``faulty`` marks.
+    ``p``, its start first, whose step i charges ``delta[i]`` at state
+    ``v[i]``, as :func:`online_step_cost` prices a stack; NaN where a step
+    reads a row that ``faulty`` marks.
 
     ``faulty`` must mark every row that is not a distribution, as
     :func:`umtslab.transport.not_distribution` does, so the rows priced are
     not checked again."""
-    cost = np.full(len(tasks), np.nan)
+    cost = np.full(len(v), np.nan)
     priced = ~(faulty[:-1] | faulty[1:])
     if priced.any():
         before, after = p[:-1][priced], p[1:][priced]
         moving = u.s * mcost_checked_rows(u.metric, before, after)
-        cost[priced] = moving + _charges_paid(u, after, list(compress(tasks, priced)))
+        cost[priced] = moving + _charges_paid(u, after, v[priced], delta[priced])
     return cost
 
 
@@ -259,27 +259,3 @@ def beta_excluded_mass(u: Umts, beta: float, w, p) -> list:
     for i, x in zip(*np.nonzero(hit)):
         rows[i].append((int(x), float(p[i, x])))
     return rows
-
-
-class Step:
-    """One online step: charging ``delta`` at state index ``v`` moves the rule
-    ``alg`` on system ``u`` from work function ``w`` and distribution ``p``
-    to ``w2`` and ``p2 = alg.probabilities(w2)``.
-
-    The zero crossing at ``v`` before the charge is evaluated on first
-    use, unless the caller knows it and passes it in.
-    ``umtslab.harness.play`` prices whole runs with :func:`step_costs`.
-    """
-
-    def __init__(self, u: Umts, alg, w, p, v: int, delta: float, crossing=None):
-        self.u, self.alg, self.v, self.delta = u, alg, v, delta
-        self.task = ElementaryTask(u.labels[v], delta)
-        self.w, self.p = w, p
-        self.w2 = apply_elementary(u, w, v, delta)
-        self.p2 = alg.probabilities(self.w2)
-        if crossing is not None:
-            self.crossing = crossing
-
-    @cached_property
-    def crossing(self) -> float:
-        return self.alg.zero_crossing(self.w, self.v)

@@ -35,8 +35,9 @@ from umtslab.combiner import (
 )
 from umtslab.core import (
     ElementaryTask,
-    Step,
+    GeneralTask,
     Umts,
+    apply_elementary,
     apply_task,
     beta_excluded_mass,
     flat_work_function,
@@ -179,59 +180,72 @@ def replay(tasks):
     return choose
 
 
-def simulate(alg: OnlineAlgorithm, policy) -> Iterator[Step]:
-    """Run the rule on its flat channel and yield one :class:`Step` per charge.
+def simulate(alg: OnlineAlgorithm, policy) -> Iterator[tuple]:
+    """Run the rule on its flat channel and yield one step per charge.
 
     ``policy(alg, w, p)`` sees the current work function and distribution
     and returns the next charge as (state index, delta, zero crossing at
-    that state or None), or None to end the run.
+    that state or None), or None to end the run. A charge that is not
+    finite and non-negative raises ``ValueError`` before the work function
+    moves. Each step is yielded as ``(v, delta, crossing, w2, p2)``: the
+    charge, its crossing (NaN where the policy gave None), and the work
+    function and distribution after it.
     """
     u = alg.umts
     w = flat_work_function(u)
     p = alg.probabilities(w)
     while (charge := policy(alg, w, p)) is not None:
-        rec = Step(u, alg, w, p, *charge)
-        yield rec
-        w, p = rec.w2, rec.p2
+        v, delta, crossing = charge
+        if not 0 <= delta < math.inf:  # NaN fails too
+            raise ValueError("charges must be finite and non-negative")
+        w = apply_elementary(u, w, v, delta)
+        p = alg.probabilities(w)
+        yield v, delta, math.nan if crossing is None else crossing, w, p
 
 
 def offline_opt(u: Umts, tasks) -> float:
     """Fair offline optimum: min of the work function from dist(init, .).
 
-    The work function is kept as a list of Python floats, which an
-    elementary task updates in place as :func:`apply_elementary` does; a
-    general task goes through :func:`apply_task`.
+    ``tasks`` holds elementary and general tasks, or (state index, delta)
+    pairs, the charges of a recorded run. The work function is kept as a
+    list of Python floats, which an elementary charge updates in place as
+    :func:`apply_elementary` does; a general task goes through
+    :func:`apply_task`.
     """
     w = initial_work_function(u).tolist()
     cols = u.metric.dist_columns
     for t in tasks:
-        if isinstance(t, ElementaryTask):
-            v = u.metric.index(t.state)
-            wv, w[v] = w[v], math.inf
-            w[v] = min(wv + t.delta, min(map(operator.add, w, cols[v])))
-        else:
+        if isinstance(t, GeneralTask):
             w = apply_task(u, np.array(w), t).tolist()
+            continue
+        v, delta = (u.metric.index(t.state), t.delta) if isinstance(t, ElementaryTask) else t
+        wv, w[v] = w[v], math.inf
+        w[v] = min(wv + delta, min(map(operator.add, w, cols[v])))
     return min(w)
 
 
 @dataclass
 class Run:
-    """One run of a rule, as :func:`play` records it.
+    """One run of a rule, as :func:`play` records it, in arrays.
 
     ``w`` and ``p`` are the (k + 1, n) work functions and distributions the
-    k steps pass through, the start first. ``faulty`` marks the rows of
-    ``p`` that are not distributions, ``costs`` holds the cost of each step
-    (NaN where a step reads a faulty row) and ``cost`` their sum, left to
-    right. ``opt`` is the offline optimum of the run's tasks. For a
-    combined rule, ``combined`` is the :class:`CombinedRun` that read each
-    step as it was made.
+    k steps pass through, the start first. Step i charges ``delta[i]`` at
+    state index ``v[i]``; ``crossing[i]`` is the zero crossing there before
+    the charge, NaN where the policy did not compute it (as under
+    :func:`replay`). ``faulty`` marks the rows of ``p`` that are not
+    distributions, ``costs`` holds the cost of each step (NaN where a step
+    reads a faulty row) and ``cost`` their sum, left to right. ``opt`` is
+    the offline optimum of the run's charges. For a combined rule,
+    ``combined`` is the :class:`CombinedRun` that read each step as it was
+    made.
     """
 
     alg: OnlineAlgorithm
-    steps: list[Step]
-    tasks: list[ElementaryTask]
     w: np.ndarray
     p: np.ndarray
+    v: np.ndarray
+    delta: np.ndarray
+    crossing: np.ndarray
     faulty: np.ndarray
     costs: np.ndarray
     cost: float
@@ -242,26 +256,38 @@ class Run:
 def play(alg: OnlineAlgorithm, policy) -> Run:
     """Run the rule once against ``policy`` and record the run.
 
-    The run is stacked once, every step priced in one :func:`step_costs`
-    call and the offline optimum solved once. A combined rule's
-    :class:`CombinedRun` reads each step as :func:`simulate` makes it,
+    The steps :func:`simulate` yields are stacked once, every step priced
+    in one :func:`step_costs` call and the offline optimum solved once. A
+    combined rule's :class:`CombinedRun` reads each step as it is made,
     while the block and quotient values the step used are still in the
     memos.
     """
     u = alg.umts
     combined = CombinedRun(alg) if alg.parts is not None else None
-    steps = []
-    for rec in simulate(alg, policy):
-        steps.append(rec)
+    w, p = [flat_work_function(u)], []
+    v, delta, crossing = [], [], []
+
+    def first_sees_start(alg, w0, p0):
+        # the policy is asked first at the start, so p gets its distribution
+        if not p:
+            p.append(p0)
+        return policy(alg, w0, p0)
+
+    for vi, di, ci, w2, p2 in simulate(alg, first_sees_start):
+        v.append(vi)
+        delta.append(di)
+        crossing.append(ci)
+        w.append(w2)
+        p.append(p2)
         if combined is not None:
-            combined.step(rec)
-    tasks = [rec.task for rec in steps]
-    w = np.array([flat_work_function(u)] + [rec.w2 for rec in steps])
-    p = np.array([steps[0].p if steps else alg.probabilities(w[0])] + [rec.p2 for rec in steps])
+            combined.step(vi, di, w2, p2)
+    w, p = np.array(w), np.array(p)
+    v, delta = np.array(v, dtype=int), np.array(delta, dtype=float)
     faulty = not_distribution(p)
-    costs = step_costs(u, p, tasks, faulty)
-    return Run(alg, steps, tasks, w, p, faulty, costs, total_cost(costs), offline_opt(u, tasks),
-               combined)
+    costs = step_costs(u, p, v, delta, faulty)
+    opt = offline_opt(u, zip(v.tolist(), delta.tolist()))
+    return Run(alg, w, p, v, delta, np.array(crossing, dtype=float), faulty, costs,
+               total_cost(costs), opt, combined)
 
 
 def rule_issues(u: Umts, beta: float, combined: bool, w: np.ndarray, p: np.ndarray,
@@ -301,7 +327,7 @@ def audit(run: Run) -> dict:
     combined, parts = run.combined, alg.parts
     report = combined.report(run, start, distribution, betatagc)
     qu = parts.quotient_umts
-    opt_hat = offline_opt(qu, combined.qtasks)
+    opt_hat = offline_opt(qu, zip(combined.qv, combined.qdelta))
     # The translated adversary can exceed the original optimum only by
     # the static offset of the translation: the gap between the two
     # quotient start vectors plus the largest block diameter (the G
@@ -334,13 +360,13 @@ def _audit_atomic(run: Run, rule_issues: list[AuditIssue]) -> dict:
     betatagc issues. The issues come ordered by step, and within a step in
     the order resadv, distribution, betatagc, sensibility.
     """
-    alg, u, steps, w, p = run.alg, run.alg.umts, run.steps, run.w, run.p
-    k = len(steps)
+    alg, u, w, p, v, delta = run.alg, run.alg.umts, run.w, run.p, run.v, run.delta
+    k = len(v)
     w1, w2, p2 = w[:-1], w[1:], p[1:]
     rows = np.arange(k)
-    v = np.array([rec.v for rec in steps], dtype=int)
-    delta = np.array([rec.delta for rec in steps], dtype=float)
-    crossing = np.array([rec.crossing for rec in steps], dtype=float)
+    crossing = run.crossing.copy()
+    for i in np.flatnonzero(np.isnan(crossing)).tolist():
+        crossing[i] = alg.zero_crossing(w[i], int(v[i]))
     issues = [AuditIssue("resadv", i, float(delta[i] - crossing[i]), "charge beyond crossing")
               for i in np.flatnonzero(delta > crossing + EPS_EQ).tolist()]
     issues += rule_issues
@@ -362,8 +388,9 @@ def _audit_atomic(run: Run, rule_issues: list[AuditIssue]) -> dict:
 
     issues.sort(key=lambda issue: issue.step)
     trace = [trace_header(alg, alg.beta, p[0])]
-    for i, (rec, wi, pi, ci) in enumerate(zip(steps, w2.tolist(), p2.tolist(), run.costs.tolist())):
-        trace.append({"kind": "step", "i": i + 1, "state": rec.task.state, "delta": rec.delta,
+    steps = zip(v.tolist(), delta.tolist(), w2.tolist(), p2.tolist(), run.costs.tolist())
+    for i, (vi, di, wi, pi, ci) in enumerate(steps):
+        trace.append({"kind": "step", "i": i + 1, "state": u.labels[vi], "delta": di,
                       "w": wi, "p": pi, "cost": ci})
     return {
         "kind": "atomic",

@@ -91,15 +91,6 @@ def hst_to_json(node: HstNode) -> dict:
     return {"delta": node.delta, "children": [hst_to_json(c) for c in node.children]}
 
 
-def hst_from_json(obj: dict) -> HstNode:
-    if "leaf" in obj:
-        return HstNode(leaf=str(obj["leaf"]))
-    return HstNode(
-        delta=float(obj["delta"]),
-        children=tuple(hst_from_json(c) for c in obj["children"]),
-    )
-
-
 def hst_metric(node: HstNode) -> FiniteMetric:
     """Leaf metric of an HST, with the tree itself as transport realization.
 

@@ -7,7 +7,6 @@ realization that the transport kernel exploits for exact moving costs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,20 +89,20 @@ def validate(m: FiniteMetric, tol: float = EPS_EQ) -> list[str]:
     report = []
     d = m.dist
     n = m.n
-    for i in range(n):
-        if abs(d[i, i]) > tol:
-            report.append(f"nonzero diagonal at {m.labels[i]}: {d[i, i]}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(d[i, j] - d[j, i]) > tol:
-                report.append(
-                    f"asymmetry at ({m.labels[i]},{m.labels[j]}): "
-                    f"{d[i, j]} vs {d[j, i]}"
-                )
-            if d[i, j] <= tol:
-                report.append(
-                    f"non-positive distance at ({m.labels[i]},{m.labels[j]}): {d[i, j]}"
-                )
+    for i in np.flatnonzero(np.abs(np.diag(d)) > tol).tolist():
+        report.append(f"nonzero diagonal at {m.labels[i]}: {d[i, i]}")
+    # the pairs i < j in row-major order, each flagged pair's asymmetry
+    # before its non-positive distance
+    upper, lower = np.triu_indices(n, 1)
+    d_ij, d_ji = d[upper, lower], d[lower, upper]
+    asymmetric = np.abs(d_ij - d_ji) > tol
+    non_positive = d_ij <= tol
+    for at in np.flatnonzero(asymmetric | non_positive).tolist():
+        a, b = m.labels[upper[at]], m.labels[lower[at]]
+        if asymmetric[at]:
+            report.append(f"asymmetry at ({a},{b}): {d_ij[at]} vs {d_ji[at]}")
+        if non_positive[at]:
+            report.append(f"non-positive distance at ({a},{b}): {d_ij[at]}")
     # (i, j, k) with d(i, j) > d(i, k) + d(k, j) + tol, in loop order, a
     # block of rows i at a time so the (rows, n, n) temporaries stay small
     rows = max(1, TRIANGLE_BLOCK // max(1, n * n))
@@ -266,12 +265,3 @@ def scale_metric(m: FiniteMetric, factor: float) -> FiniteMetric:
             m.tree.point_vertex,
         )
     return FiniteMetric(m.labels, m.dist * factor, tree)
-
-
-def metric_to_json(m: FiniteMetric) -> str:
-    return json.dumps({"labels": list(m.labels), "dist": m.dist.tolist()})
-
-
-def metric_from_json(text: str) -> FiniteMetric:
-    obj = json.loads(text)
-    return FiniteMetric(tuple(obj["labels"]), np.array(obj["dist"], dtype=float))

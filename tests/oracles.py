@@ -33,6 +33,10 @@ quotient rule beside the run, asks the block and quotient rules directly
 instead of through the memos, and checks and prices every step as it
 reads it.
 
+The oracles read a run one :class:`OracleStep` at a time. :func:`run_steps`
+feeds them from a recorded run's arrays, and :func:`run_tasks` gives its
+charges as elementary tasks for a replay.
+
 The trace verify oracle, :func:`reference_verify`, is ``umtslab verify`` as
 a loop over the rows: it checks and prices one step at a time with one-row
 calls, in the order the stacked checker reports its first failure.
@@ -49,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -62,7 +67,6 @@ from umtslab.algorithms import (
 from umtslab.combiner import AuditIssue, CombinedParts, trace_header, worst_issues
 from umtslab.core import (
     ElementaryTask,
-    Step,
     Umts,
     apply_elementary,
     apply_task,
@@ -491,6 +495,46 @@ def _rejected(u, p) -> bool:
     return False
 
 
+class OracleStep:
+    """One step as the step-by-step oracles read it: the charge of ``delta``
+    at state index ``v`` moves ``alg`` on system ``u`` from work function
+    ``w`` and distribution ``p`` to ``w2`` and ``p2``, computed here with
+    one-row calls where not given. ``task`` is the charge as an elementary task,
+    and the zero crossing at ``v`` before the charge is asked of the rule on
+    first use where it is not given (or NaN)."""
+
+    def __init__(self, u, alg, w, p, v: int, delta: float, crossing=math.nan, w2=None,
+                 p2=None):
+        self.alg, self.w, self.p, self.v, self.delta = alg, w, p, v, delta
+        self.task = ElementaryTask(u.labels[v], delta)
+        if w2 is None:
+            w2 = apply_elementary(u, w, v, delta)
+            p2 = alg.probabilities(w2)
+        self.w2, self.p2 = w2, p2
+        if not math.isnan(crossing):
+            self.crossing = crossing
+
+    @cached_property
+    def crossing(self) -> float:
+        return self.alg.zero_crossing(self.w, self.v)
+
+
+def run_steps(run) -> list[OracleStep]:
+    """The steps of a recorded run (``umtslab.harness.Run``) one by one, fed
+    from its arrays."""
+    charges = zip(run.v.tolist(), run.delta.tolist(), run.crossing.tolist())
+    return [OracleStep(run.alg.umts, run.alg, run.w[i], run.p[i], v, delta, crossing,
+                       run.w[i + 1], run.p[i + 1])
+            for i, (v, delta, crossing) in enumerate(charges)]
+
+
+def run_tasks(run) -> list[ElementaryTask]:
+    """The charges of a recorded run as elementary tasks, for ``replay``."""
+    labels = run.alg.umts.labels
+    return [ElementaryTask(labels[v], delta)
+            for v, delta in zip(run.v.tolist(), run.delta.tolist())]
+
+
 def reference_atomic_audit(alg, steps) -> dict:
     """The atomic audit step by step: per step the checks resadv,
     distribution (the start distribution at step 0 first), betatagc and
@@ -649,7 +693,7 @@ class ReferenceCombinedRun:
         dhat = max(0.0, raw)
         if -raw > self.dhat_tol:
             self._issue("hatw", -raw, "negative quotient charge beyond tolerance")
-        q = Step(qu, parts.quotient_alg, self.what, self.p_hat, j, dhat)
+        q = OracleStep(qu, parts.quotient_alg, self.what, self.p_hat, j, dhat)
         if dhat > q.crossing + EPS_EQ:
             detail = f"quotient charge {dhat:.6g} beyond crossing {q.crossing:.6g}"
             self._issue("resadv", dhat - q.crossing, detail)

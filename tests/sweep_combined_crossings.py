@@ -118,8 +118,7 @@ def main() -> int:
         for run in range(args.runs):
             kind = ADVERSARY_KINDS[run % len(ADVERSARY_KINDS)]
             config = AdversaryConfig(kind=kind, steps=args.steps, seed=int(rng.integers(2**31)))
-            for rec in simulate(alg, adversary(config)):
-                w = rec.w2
+            for _, _, _, w, _ in simulate(alg, adversary(config)):
                 if run % 2:
                     w = w + rng.uniform(-0.25, 0.25, len(w)) * alg.umts.diameter()
                 compare(alg, w, tally)

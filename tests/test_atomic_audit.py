@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import reference_atomic_audit
+from oracles import reference_atomic_audit, run_steps, run_tasks
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.cli import main
 from umtslab.core import ElementaryTask, Umts
@@ -49,7 +49,7 @@ def as_text(report: dict) -> str:
 
 def assert_same_report(run):
     got = audit(run)
-    want = reference_atomic_audit(run.alg, run.steps)
+    want = reference_atomic_audit(run.alg, run_steps(run))
     assert as_text(got) == as_text(want)
     return got
 
@@ -60,7 +60,7 @@ def test_audit_equals_the_step_by_step_oracle(name, kind):
     run = play(rule(name), adversary(AdversaryConfig(kind=kind, steps=120, seed=11)))
     report = assert_same_report(run)
     assert report["passed"], report["worst"]
-    assert report["steps"] == len(run.steps) > 0
+    assert report["steps"] == len(run.v) > 0
 
 
 @pytest.mark.parametrize("name", ["odd-b2", "odd-b4", "two-stable", "trivial"])
@@ -76,7 +76,7 @@ def test_audit_evaluates_the_potential_in_one_call(name):
     config = AdversaryConfig(kind="uniform-random", steps=40, seed=2)
     run = play(alg, adversary(config))
     report = audit(run)
-    assert calls == [(len(run.steps) + 1, alg.umts.n)]
+    assert calls == [(len(run.v) + 1, alg.umts.n)]
     assert as_text(report) == as_text(audit(replace(run, alg=base)))
 
 
@@ -121,7 +121,7 @@ def test_mass_on_an_excluded_state_fails_betatagc():
 def test_rule_off_the_simplex_fails_distribution(name):
     base = rule(name)
     alg = replace(base, probabilities=lambda w: 1.01 * base.probabilities(w))
-    tasks = play(base, adversary(AdversaryConfig(steps=30, seed=5))).tasks
+    tasks = run_tasks(play(base, adversary(AdversaryConfig(steps=30, seed=5))))
     run = play(alg, replay(tasks))
     report = assert_same_report(run)
     assert report["passed"] is False

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import ReferenceCombinedRun
+from oracles import ReferenceCombinedRun, run_steps, run_tasks
 from test_combiner import instance_d, two_level_metric, ts_var
 from umtslab.algorithms import trivial_algorithm, two_stable
 from umtslab.combiner import block_subsystem, combine
@@ -55,7 +55,7 @@ def assert_same_audit(run) -> dict:
     agree exactly."""
     report = audit(run)
     oracle = ReferenceCombinedRun(run.alg)
-    for rec in run.steps:
+    for rec in run_steps(run):
         oracle.step(rec)
     assert as_text({key: report[key] for key in oracle.report()}) == as_text(oracle.report())
     assert as_text(run.combined.issues) == as_text(oracle.issues)
@@ -146,6 +146,6 @@ def two_level(weak: bool):
 
 
 def test_under_declared_block_fails_resadv_and_samecompratio():
-    tasks = play(two_level(False), adversary(AdversaryConfig(steps=60, seed=4))).tasks
+    tasks = run_tasks(play(two_level(False), adversary(AdversaryConfig(steps=60, seed=4))))
     report = assert_same_audit(play(two_level(True), replay(tasks)))
     assert {"resadv", "samecompratio"} <= set(report["worst"])

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import combined_parts, drive, edge_quotient_crossings, reference_crossing_at
+from oracles import (
+    combined_parts,
+    drive,
+    edge_quotient_crossings,
+    reference_crossing_at,
+    run_tasks,
+)
 from umtslab import cli, combiner, potential
 from umtslab.algorithms import odd_exponent, rho_variant, trivial_algorithm, two_stable
 from umtslab.combiner import (
@@ -301,11 +307,11 @@ def test_memo_hits_return_what_a_fresh_rule_computes(name):
     # and at every entry of the run's work functions
     seen = [dict.fromkeys(np.array([x]).tobytes() for x in (-0.0, -1.5, 0.0))
             if isinstance(memo, PointMemo) else {} for memo in memos]
-    for rec in simulate(alg, adversary(AdversaryConfig(steps=25, seed=3))):
-        ws.append(rec.w2)
+    for _, _, _, w2, _ in simulate(alg, adversary(AdversaryConfig(steps=25, seed=3))):
+        ws.append(w2)
         for memo, keys in zip(memos, seen):
             if isinstance(memo, PointMemo):
-                keys.update(dict.fromkeys(np.array([x]).tobytes() for x in rec.w2.tolist()))
+                keys.update(dict.fromkeys(np.array([x]).tobytes() for x in w2.tolist()))
             else:
                 keys.update(dict.fromkeys(memo.entries))
         assert_memos_bounded(alg)
@@ -348,7 +354,7 @@ def test_memo_hits_return_what_a_fresh_rule_computes(name):
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_combined_audit_reads_a_generator_as_a_list(name, kind):
     config = AdversaryConfig(kind=kind, steps=15, seed=4)
-    tasks = play(RULES[name](), adversary(config)).tasks
+    tasks = run_tasks(play(RULES[name](), adversary(config)))
     texts = []
     for materialise in (list, iter):  # iter hands replay a one-pass iterator
         alg = RULES[name]()
@@ -456,8 +462,9 @@ def test_combined_crossings_equal_the_unpruned_reference(name, kind, seed, steps
     charge."""
     alg = built(name)
     w = np.zeros(alg.umts.n)
-    for rec in simulate(alg, adversary(AdversaryConfig(kind=kind, steps=steps, seed=seed))):
-        w = rec.w2
+    config = AdversaryConfig(kind=kind, steps=steps, seed=seed)
+    for _, _, _, w, _ in simulate(alg, adversary(config)):
+        pass
     if shift:
         w = w + work_function(data, alg.umts.n, 0.25 * alg.umts.diameter())
     states = np.arange(alg.umts.n)
@@ -506,8 +513,8 @@ def test_crossing_at_equals_the_reference_where_the_bound_changes_sign(name, see
     crossings on either side of the one that puts the bound at zero."""
     alg = built(name)
     w = np.zeros(alg.umts.n)
-    for rec in simulate(alg, adversary(AdversaryConfig(steps=steps, seed=seed))):
-        w = rec.w2
+    for _, _, _, w, _ in simulate(alg, adversary(AdversaryConfig(steps=steps, seed=seed))):
+        pass
     checked = 0
     todo = [(alg, w)]
     while todo:
@@ -625,8 +632,9 @@ def test_one_state_crossing_equals_the_array_entry(name, kind, seed, steps, shif
     has the bits of that state's entry in the array of every state."""
     alg = built(name)
     w = np.zeros(alg.umts.n)
-    for rec in simulate(alg, adversary(AdversaryConfig(kind=kind, steps=steps, seed=seed))):
-        w = rec.w2
+    config = AdversaryConfig(kind=kind, steps=steps, seed=seed)
+    for _, _, _, w, _ in simulate(alg, adversary(config)):
+        pass
     if shift:
         w = w + work_function(data, alg.umts.n, 0.25 * alg.umts.diameter())
     want = alg.zero_crossing(w, np.arange(alg.umts.n))

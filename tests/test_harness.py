@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,11 @@ from oracles import (
     random_metric,
     reference_greedy_pick,
     reference_offline_opt,
+    run_tasks,
 )
 from test_atomic_audit import as_text, assert_same_report
 from test_combined_audit import assert_same_audit
+from umtslab import harness
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import (
     ElementaryTask,
@@ -73,7 +76,7 @@ def test_adversary_config_validation():
 
 def generated(alg, config):
     """The tasks the configured adversary charges against ``alg``."""
-    return play(alg, adversary(config)).tasks
+    return run_tasks(play(alg, adversary(config)))
 
 
 def test_generate_sequence_deterministic():
@@ -186,10 +189,13 @@ def test_greedy_pressure_charges_the_exhaustive_pick(name):
     alg, calls = counting_crossings(greedy_rule(name))
     policy = adversary(AdversaryConfig(kind="greedy-pressure", steps=60, seed=1))
     steps = 0
-    for rec in simulate(alg, policy):
+    w = flat_work_function(alg.umts)
+    p = alg.probabilities(w)
+    for v, _, _, w2, p2 in simulate(alg, policy):
         assert len(calls) <= 2
-        assert rec.v == reference_greedy_pick(greedy_rule(name), rec.w, rec.p)
+        assert v == reference_greedy_pick(greedy_rule(name), w, p)
         calls.clear()
+        w, p = w2, p2
         steps += 1
     assert steps > 0
 
@@ -324,10 +330,49 @@ def test_one_pass_equals_two(name, kind):
     of one stacked ``online_step_cost`` call, bit for bit."""
     alg = one_pass_rule(name)
     run = play(alg, adversary(AdversaryConfig(kind=kind, steps=40, seed=6)))
-    assert run.steps
+    assert len(run.v)
     report = (assert_same_report if alg.parts is None else assert_same_audit)(run)
-    assert as_text(audit(play(alg, replay(run.tasks)))) == as_text(report)
+    assert as_text(audit(play(alg, replay(run_tasks(run))))) == as_text(report)
     total = 0.0
-    for cost in online_step_cost(alg.umts, run.p[:-1], run.p[1:], run.tasks).tolist():
+    for cost in online_step_cost(alg.umts, run.p[:-1], run.p[1:], run_tasks(run)).tolist():
         total += cost
     assert run.cost == total and report["cost"] == total
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_a_bad_charge_raises_before_the_work_function_moves(bad, monkeypatch):
+    """A policy's charge that is negative, NaN or infinite raises at step 1,
+    with no work function moved and no distribution asked for past the
+    start."""
+    base = two_stable(uniform_umts([3.0, 1.0]))
+    asked, moved = [], []
+    alg = replace(base, probabilities=lambda w: asked.append(1) or base.probabilities(w))
+
+    def counted(*args):
+        moved.append(1)
+        return apply_elementary(*args)
+
+    monkeypatch.setattr(harness, "apply_elementary", counted)
+    for run in (lambda: list(simulate(alg, lambda *_: (0, bad, None))),
+                lambda: play(alg, lambda *_: (1, bad, None))):
+        with pytest.raises(ValueError, match="charges must be finite and non-negative"):
+            run()
+    assert moved == [] and len(asked) == 2
+
+
+def test_the_record_holds_no_per_step_objects():
+    """What a 4,000-step run leaves allocated after ``play`` is at most
+    twice the bytes of the record's arrays."""
+    alg = odd_exponent(uniform_umts(np.ones(8)))
+    config = AdversaryConfig(steps=4000, seed=0)
+    play(alg, adversary(config))  # warm-up: what the first run builds once stays
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = play(alg, adversary(config))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = [x for x in vars(run).values() if isinstance(x, np.ndarray)]
+    assert len(run.w) == 4001
+    assert held <= 2 * sum(x.nbytes for x in arrays)

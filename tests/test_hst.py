@@ -12,9 +12,7 @@ from umtslab.core import Umts
 from umtslab.harness import audit, play
 from umtslab.hst import (
     HstNode,
-    hst_from_json,
     hst_metric,
-    hst_to_json,
     leaf,
     line_algorithm,
     line_to_binary4_hst,
@@ -87,11 +85,6 @@ def test_validate_hst_rejects_weak_separation():
         validate_hst(bad, 5.0)
     with pytest.raises(ValueError, match="duplicate"):
         validate_hst(HstNode(delta=1.0, children=(leaf("a"), leaf("a"))), 1.0)
-
-
-def test_hst_json_round_trip():
-    t = two_level_tree()
-    assert hst_from_json(hst_to_json(t)) == t
 
 
 def test_rhst_structure_and_run():

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -15,8 +14,6 @@ from umtslab.metricspace import (
     make_partition,
     make_star,
     make_uniform,
-    metric_from_json,
-    metric_to_json,
     min_cross_distance,
     quotient_metric,
     validate,
@@ -103,16 +100,6 @@ def test_induced_metric():
     sub = induced_metric(m, ("v2", "v4"))
     assert sub.labels == ("v2", "v4")
     assert sub.dist[0, 1] == 2.0
-
-
-def test_json_round_trip_bit_exact():
-    m = make_star([2.0, 4.0, 6.0 + 1e-13])
-    back = metric_from_json(metric_to_json(m))
-    assert back.labels == m.labels
-    assert (back.dist == m.dist).all()
-    # encoding is plain JSON with the documented keys
-    obj = json.loads(metric_to_json(m))
-    assert set(obj) == {"labels", "dist"}
 
 
 @settings(max_examples=200, deadline=None)
