@@ -336,8 +336,10 @@ def combine(
     partition = make_partition(u.metric, blocks)
     if partition.b == 1:
         return block_algs[0]
+    systems = []
     for a, blk in zip(block_algs, blocks):
         sub = block_subsystem(u, blk)
+        systems.append(sub)
         if a.umts.labels != sub.labels:
             raise ValueError(f"block algorithm labels {a.umts.labels} != {sub.labels}")
         if not np.allclose(a.umts.metric.dist, sub.metric.dist, atol=EPS_EQ):
@@ -379,7 +381,7 @@ def combine(
         u=u,
         partition=partition,
         block_algs=list(block_algs),
-        block_systems=[block_subsystem(u, blk) for blk in blocks],
+        block_systems=systems,
         block_of=block_of,
         local_index=local_index,
         global_index=global_index,

@@ -2,18 +2,17 @@
 
 An HST is a rooted tree whose internal nodes carry diameter labels that
 shrink by at least a factor k per level; the induced metric on its leaves
-puts two leaves at the label of their lowest common ancestor. The general
-recursion plays, at every internal node, the child subtrees against each
-other under a half-contracted bucket-and-merge quotient, which needs
-k >= 5 to keep the combination constraint beta <= 1. Trees with smaller
-separation are first lifted to 5-separation by rounding labels up to
-powers of 5 and contracting collided edges, at a distortion below 5.
+puts two leaves at the label of their lowest common ancestor.
 
-Two specialized recursions follow the same pattern with cheaper
-quotients: a weighted caching algorithm on a star metric embedded into a
-6-separated tree (anchored merges per node), and an equally spaced line
-embedded into a dyadic 4-separated binary tree (two-state merges per
-node).
+Every tree application runs one recursion, ``_tree_rule``: each internal
+node combines its children's rules under a quotient rule. ``rhst`` uses a
+half-contracted bucket-and-merge quotient, which needs k >= 5 to keep the
+combination constraint beta <= 1, and rejects trees separated less.
+Weighted caching on a star embedded into a 6-separated tree, and an
+equally spaced line embedded into a dyadic 4-separated binary tree, use
+cheaper quotients (anchored and two-state merges); caching also puts
+internal children ahead of leaves. One vectorised check, ``_dominates``,
+tests each embedding against the metric it replaces.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from umtslab.algorithms import rho_variant, trivial_algorithm, two_stable
 from umtslab.combiner import block_subsystem, combine
 from umtslab.core import Umts
-from umtslab.metricspace import FiniteMetric, TreeRealization, make_star
+from umtslab.metricspace import FiniteMetric, TreeRealization, make_line, make_star
 from umtslab.portfolio import (
     LOG_X_FLOOR,
     combined_algorithm,
@@ -99,37 +98,28 @@ def hst_metric(node: HstNode) -> FiniteMetric:
     """
     names = node.leaves()
     n = len(names)
-    pos = {x: i for i, x in enumerate(names)}
     dist = np.zeros((n, n))
-
-    def fill(v: HstNode) -> list[str]:
-        if v.is_leaf:
-            return [v.leaf]
-        groups = [fill(c) for c in v.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for a in groups[gi]:
-                    for b in groups[gj]:
-                        dist[pos[a], pos[b]] = v.delta
-                        dist[pos[b], pos[a]] = v.delta
-        return [x for g in groups for x in g]
-
-    fill(node)
-
     parent: list[int] = []
     weight: list[float] = []
     point_vertex = [0] * n
 
-    def build(v: HstNode, par: int, par_delta: float) -> None:
+    def walk(v: HstNode, par: int, par_delta: float, lo: int) -> int:
+        """Number ``v``'s subtree in preorder and fill the distances among
+        its leaves, which are ``names[lo:hi]``; returns ``hi``."""
         vid = len(parent)
         parent.append(par)
         weight.append(0.0 if par < 0 else (par_delta - v.delta) / 2.0)
         if v.is_leaf:
-            point_vertex[pos[v.leaf]] = vid
+            point_vertex[lo] = vid
+            return lo + 1
+        hi = lo
         for c in v.children:
-            build(c, vid, v.delta)
+            start, hi = hi, walk(c, vid, v.delta, hi)
+            dist[lo:start, start:hi] = v.delta
+            dist[start:hi, lo:start] = v.delta
+        return hi
 
-    build(node, -1, node.delta)
+    walk(node, -1, node.delta, 0)
     tree = TreeRealization(tuple(parent), tuple(weight), tuple(point_vertex))
     return FiniteMetric(names, dist, tree)
 
@@ -175,7 +165,37 @@ def with_hst_realization(metric: FiniteMetric) -> FiniteMetric:
 
 
 # ---------------------------------------------------------------------------
-# general recursion
+# the recursion, its domination check and the general tree algorithm
+
+
+def _tree_rule(u: Umts, node: HstNode, quotient, declared=(None, None),
+               internal_first: bool = False):
+    """The rule on ``u``, the system of ``node``'s leaves: each node with
+    more than one child combines its children's rules under ``quotient``
+    with the ``declared`` (beta, eta), after moving internal children
+    ahead of leaves if ``internal_first``."""
+    if node.is_leaf:
+        return trivial_algorithm(u)
+    if len(node.children) == 1:
+        return _tree_rule(u, node.children[0], quotient, declared, internal_first)
+    children = node.children
+    if internal_first:
+        children = sorted(children, key=lambda c: c.is_leaf)
+    blocks = [list(c.leaves()) for c in children]
+    rules = [
+        _tree_rule(block_subsystem(u, blk), c, quotient, declared, internal_first)
+        for blk, c in zip(blocks, children)
+    ]
+    return combine(u, blocks, rules, quotient, *declared)
+
+
+def _dominates(tree_dist: np.ndarray, dist: np.ndarray, stretch: float = math.inf) -> bool:
+    """Whether every tree distance is at least ``dist`` (within ``EPS_EQ``)
+    and at most ``stretch`` times it; an infinite ``stretch`` skips the
+    upper bound, since inf * 0 on the diagonal would be NaN."""
+    if (tree_dist < dist - EPS_EQ).any():
+        return False
+    return math.isinf(stretch) or not (tree_dist > stretch * dist * (1 + EPS_EQ)).any()
 
 
 def rhst(u: Umts, tree: HstNode):
@@ -193,7 +213,7 @@ def rhst(u: Umts, tree: HstNode):
     if not np.allclose(u.metric.dist, ref.dist, atol=EPS_EQ):
         raise ValueError("system metric disagrees with the tree's leaf metric")
 
-    alg = _rhst_node(u, tree)
+    alg = _tree_rule(u, tree, lambda q: rho_variant(combined_algorithm, q, 0.5), (1.0, 0.5))
     log_np = LOG_X_FLOOR + math.log(u.n)
     bound = 200.0 * u.s * log_np * math.log(log_np)
     if (u.rates <= 1.0 + 1e-12).all() and alg.declared_ratio > bound * (1 + 1e-9):
@@ -204,26 +224,6 @@ def rhst(u: Umts, tree: HstNode):
         eta=1.0,
         eta_variant_basis=1.0,
         descriptor={"family": "hst-recursion", "ratio_budget": bound, "inner": alg.descriptor},
-    )
-
-
-def _rhst_node(u_node: Umts, node: HstNode):
-    if node.is_leaf:
-        return trivial_algorithm(u_node)
-    if len(node.children) == 1:
-        return _rhst_node(u_node, node.children[0])
-    blocks = [list(c.leaves()) for c in node.children]
-    child_algs = [
-        _rhst_node(block_subsystem(u_node, blk), c)
-        for blk, c in zip(blocks, node.children)
-    ]
-    return combine(
-        u_node,
-        blocks,
-        child_algs,
-        quotient_builder=lambda q: rho_variant(combined_algorithm, q, 0.5),
-        declared_beta=1.0,
-        declared_eta=0.5,
     )
 
 
@@ -255,14 +255,10 @@ def star_to_hst(fetch_costs) -> HstNode:
 
     tree = build(list(range(len(names))))
     validate_hst(tree, 6.0)
-    ref = hst_metric(tree)
-    for i, a in enumerate(ref.labels):
-        for j, b in enumerate(ref.labels):
-            if i >= j:
-                continue
-            true = star.dist[star.index(a), star.index(b)]
-            if ref.dist[i, j] < true - EPS_EQ or ref.dist[i, j] > 12.0 * true * (1 + EPS_EQ):
-                raise AssertionError("tree metric must dominate the star within 12x")
+    pos = {x: i for i, x in enumerate(names)}
+    order = [pos[x] for x in tree.leaves()]
+    if not _dominates(hst_metric(tree).dist, star.dist[np.ix_(order, order)], 12.0):
+        raise AssertionError("tree metric must dominate the star within 12x")
     return tree
 
 
@@ -279,7 +275,8 @@ def weighted_caching_algorithm(fetch_costs, s: float = 1.0):
     tree = star_to_hst(costs)
     metric = hst_metric(tree)
     u = Umts(metric, np.ones(metric.n), s)
-    alg = _caching_node(u, tree)
+    alg = _tree_rule(u, tree, lambda q: rho_variant(w_combined_algorithm, q, 0.5),
+                     (1.0, 0.6), internal_first=True)
     bound = 60.0 * s * (math.log(metric.n) + 1.0 / 3.0)
     if alg.declared_ratio > bound * (1 + 1e-9):
         raise AssertionError("caching recursion exceeded its ratio budget")
@@ -293,29 +290,6 @@ def weighted_caching_algorithm(fetch_costs, s: float = 1.0):
             "ratio_budget": bound,
             "inner": alg.descriptor,
         },
-    )
-
-
-def _caching_node(u_node: Umts, node: HstNode):
-    if node.is_leaf:
-        return trivial_algorithm(u_node)
-    if len(node.children) == 1:
-        return _caching_node(u_node, node.children[0])
-    internal = [c for c in node.children if not c.is_leaf]
-    leaves_ = [c for c in node.children if c.is_leaf]
-    ordered = internal + leaves_
-    blocks = [list(c.leaves()) for c in ordered]
-    child_algs = [
-        _caching_node(block_subsystem(u_node, blk), c)
-        for blk, c in zip(blocks, ordered)
-    ]
-    return combine(
-        u_node,
-        blocks,
-        child_algs,
-        quotient_builder=lambda q: rho_variant(w_combined_algorithm, q, 0.5),
-        declared_beta=1.0,
-        declared_eta=0.6,
     )
 
 
@@ -341,11 +315,8 @@ def line_to_binary4_hst(n: int, gap: float = 1.0) -> HstNode:
     tree = build(0, n)
     if n > 1:
         validate_hst(tree, 4.0)
-        ref = hst_metric(tree)
-        for i in range(n):
-            for j in range(n):
-                if ref.dist[i, j] < gap * abs(i - j) - EPS_EQ:
-                    raise AssertionError("tree metric must dominate the line")
+        if not _dominates(hst_metric(tree).dist, make_line(n, gap).dist):
+            raise AssertionError("tree metric must dominate the line")
     return tree
 
 
@@ -360,22 +331,7 @@ def line_algorithm(n: int, gap: float = 1.0, s: float = 1.0):
     metric = hst_metric(tree)
     u = Umts(metric, np.ones(n), s)
 
-    def rec(u_node: Umts, node: HstNode):
-        if node.is_leaf:
-            return trivial_algorithm(u_node)
-        blocks = [list(c.leaves()) for c in node.children]
-        child_algs = [
-            rec(block_subsystem(u_node, blk), c)
-            for blk, c in zip(blocks, node.children)
-        ]
-        return combine(
-            u_node,
-            blocks,
-            child_algs,
-            quotient_builder=lambda q: rho_variant(two_stable, q, 0.25),
-        )
-
-    alg = rec(u, tree)
+    alg = _tree_rule(u, tree, lambda q: rho_variant(two_stable, q, 0.25))
     expected = 1.0 + 4.0 * s * math.log2(n)
     if abs(alg.declared_ratio - expected) > 1e-6 * (1 + expected):
         raise AssertionError("line recursion ratio drifted from its closed form")

@@ -46,9 +46,11 @@ def own_configs() -> list[tuple[str, dict]]:
     every b from 2 to 8 under all three adversary kinds, 300 steps each, so
     that both sides of the 4-state float cutoff run; a caching and a
     wcombined rule under greedy-pressure, whose combined crossings the
-    greedy pick asks for; and the line on 8 points and the combined rule on
+    greedy pick asks for; the line on 8 points and the combined rule on
     5 points with unequal rates under all three kinds, 300 steps each, whose
-    one-state blocks run for as long as a test's runs."""
+    one-state blocks run for as long as a test's runs; and a caching rule
+    whose tree has an internal child, combined ahead of the leaves, under
+    all three kinds."""
     kinds = ("uniform-random", "greedy-pressure", "support-raiser")
 
     def config(spaces, algorithm, adversaries):
@@ -73,6 +75,9 @@ def own_configs() -> list[tuple[str, dict]]:
     unequal = {"name": "c5", "kind": "uniform", "points": 5, "rates": [2.0, 1.0, 0.5, 3.0, 1.5],
                "s": 1.0}
     out.append(("own-combined-n5", config([unequal], "combined", long_runs)))
+    nested = {"name": "k3-nested", "kind": "caching", "fetch_costs": [8.0, 1.0, 1.0, 0.9],
+              "s": 1.0}
+    out.append(("own-caching-nested", config([nested], "caching", long_runs)))
     return out
 
 

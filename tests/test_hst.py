@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import drive
 from umtslab import algorithms
@@ -12,6 +14,7 @@ from umtslab.core import Umts
 from umtslab.harness import audit, play
 from umtslab.hst import (
     HstNode,
+    _dominates,
     hst_metric,
     leaf,
     line_algorithm,
@@ -47,6 +50,37 @@ def test_hst_metric_distances_and_realization():
     # the realization reproduces the same distances (validated on build),
     # and the diameter is the root label
     assert m.diameter() == 10.0
+
+
+def random_tree(rng, delta, names):
+    """A random tree over ``names`` whose labels shrink by 2 to 10 per level."""
+    if len(names) == 1:
+        return leaf(names[0])
+    cuts = sorted(rng.choice(np.arange(1, len(names)), rng.integers(1, len(names)), replace=False))
+    parts = np.split(np.array(names), cuts)
+    return HstNode(delta, tuple(random_tree(rng, delta / rng.uniform(2.0, 10.0), list(g))
+                                for g in parts))
+
+
+def test_hst_metric_matches_the_ancestor_loop():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 7, 20):
+        tree = random_tree(rng, 10.0, [f"p{i}" for i in range(n)])
+        m = hst_metric(tree)  # its realization is checked against dist on build
+        assert m.labels == tree.leaves()
+        expected = np.zeros((n, n))
+
+        def fill(v):
+            if v.is_leaf:
+                return [m.index(v.leaf)]
+            groups = [fill(c) for c in v.children]
+            for gi, a in enumerate(groups):
+                for b in groups[gi + 1:]:
+                    expected[np.ix_(a, b)] = expected[np.ix_(b, a)] = v.delta
+            return [i for g in groups for i in g]
+
+        fill(tree)
+        assert np.array_equal(m.dist, expected)
 
 
 def test_ultrametrics_get_an_hst_realization():
@@ -192,3 +226,81 @@ def test_line_algorithm_run():
     alg = line_algorithm(8)
     report = audit(play(alg, drive(50, seed=4)))
     assert report["passed"], report["issues"]
+
+
+def test_each_application_keeps_its_child_order():
+    # rhst combines the children in tree order, leaves first here; moving
+    # the internal children first changes the blocks and the declared ratio
+    tree = HstNode(
+        delta=10.0,
+        children=(
+            leaf("e"),
+            HstNode(2.0, (leaf("a"), leaf("b"))),
+            leaf("f"),
+            HstNode(2.0, (leaf("c"), leaf("d"))),
+        ),
+    )
+    alg = rhst(Umts(hst_metric(tree), np.array([1.0, 0.5, 0.8, 1.0, 0.3, 0.7]), 1.0), tree)
+    assert alg.parts.partition.blocks == (("e",), ("a", "b"), ("f",), ("c", "d"))
+    assert alg.declared_ratio == 87.77021989710755
+    # caching puts the internal child ahead of the leaves; in tree order the
+    # anchored quotient refuses the first (unequal tail rates) and the
+    # second's blocks swap
+    blocks = {
+        (4.0, 4.0, 0.2, 0.2): (("v3", "v4"), ("v1",), ("v2",)),
+        (8.0, 1.0, 1.0, 0.9): (("v2", "v3", "v4"), ("v1",)),
+    }
+    for costs, expected in blocks.items():
+        assert weighted_caching_algorithm(costs).parts.partition.blocks == expected
+
+
+def pairwise_dominates(tree_metric, metric, stretch=None):
+    """The domination check as a loop over the label pairs of two metrics."""
+    for a in tree_metric.labels:
+        for b in tree_metric.labels:
+            if a == b:
+                continue
+            hd = tree_metric.dist[tree_metric.index(a), tree_metric.index(b)]
+            d = metric.dist[metric.index(a), metric.index(b)]
+            if hd < d - 1e-9 or (stretch is not None and hd > stretch * d * (1 + 1e-9)):
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_star_domination_matches_the_pair_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    costs = np.exp(rng.uniform(-4.0, 4.0, n))
+    tree = hst_metric(star_to_hst(costs))
+    # the star the tree was built for, and one with its costs scaled by a
+    # common factor and moved by up to 10% each, which may be undercut,
+    # stretched more than 12x or still dominated
+    moved = costs * np.exp(rng.uniform(-2.0, 0.3) + rng.uniform(-0.1, 0.1, n))
+    for scaled in (costs, moved):
+        star = make_star(scaled)
+        order = [star.index(x) for x in tree.labels]
+        assert _dominates(tree.dist, star.dist[np.ix_(order, order)], 12.0) == \
+            pairwise_dominates(tree, star, 12.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.floats(0.01, 100.0), st.floats(0.5, 2.0))
+def test_line_domination_matches_the_pair_loop(m, gap, scale):
+    n = 2**m
+    tree = hst_metric(line_to_binary4_hst(n, gap))
+    line = make_line(n, gap * scale, labels=tree.labels)
+    assert _dominates(tree.dist, line.dist) == pairwise_dominates(tree, line)
+    assert _dominates(tree.dist, make_line(n, gap).dist)
+
+
+@pytest.mark.filterwarnings("error")  # no inf * 0 on the diagonal
+def test_domination_cases():
+    d = make_line(4).dist
+    assert _dominates(d, d)  # zero diagonal, no upper bound
+    assert _dominates(d, d, 12.0)
+    undercut = d.copy()
+    undercut[0, 1] = undercut[1, 0] = 0.5
+    assert not _dominates(undercut, d)
+    assert not _dominates(12.5 * d, d, 12.0)
+    assert _dominates(12.5 * d, d)
