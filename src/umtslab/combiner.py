@@ -342,9 +342,9 @@ def combine(
         systems.append(sub)
         if a.umts.labels != sub.labels:
             raise ValueError(f"block algorithm labels {a.umts.labels} != {sub.labels}")
-        if not np.allclose(a.umts.metric.dist, sub.metric.dist, atol=EPS_EQ):
+        if not np.abs(a.umts.metric.dist - sub.metric.dist).max(initial=0.0) <= EPS_EQ:
             raise ValueError("block algorithm metric disagrees with induced metric")
-        if not np.allclose(a.umts.rates, sub.rates, atol=EPS_EQ) or a.umts.s != sub.s:
+        if not np.abs(a.umts.rates - sub.rates).max(initial=0.0) <= EPS_EQ or a.umts.s != sub.s:
             raise ValueError("block algorithm rates or distance ratio disagree")
 
     qmetric = quotient_metric(u.metric, partition)

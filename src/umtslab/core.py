@@ -214,10 +214,14 @@ def step_costs(u: Umts, p: np.ndarray, v: np.ndarray, delta: np.ndarray,
     not checked again."""
     cost = np.full(len(v), np.nan)
     priced = ~(faulty[:-1] | faulty[1:])
-    if priced.any():
-        before, after = p[:-1][priced], p[1:][priced]
-        moving = u.s * mcost_checked_rows(u.metric, before, after)
-        cost[priced] = moving + _charges_paid(u, after, v[priced], delta[priced])
+    if not priced.any():
+        return cost
+    if priced.all():
+        # every row is priced: the views, not masked copies
+        priced = slice(None)
+    before, after = p[:-1][priced], p[1:][priced]
+    moving = u.s * mcost_checked_rows(u.metric, before, after)
+    cost[priced] = moving + _charges_paid(u, after, v[priced], delta[priced])
     return cost
 
 

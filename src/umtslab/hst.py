@@ -210,7 +210,7 @@ def rhst(u: Umts, tree: HstNode):
     if names != u.labels:
         raise ValueError("leaf labels must match the system's labels in order")
     ref = hst_metric(tree)
-    if not np.allclose(u.metric.dist, ref.dist, atol=EPS_EQ):
+    if not np.abs(u.metric.dist - ref.dist).max(initial=0.0) <= EPS_EQ:
         raise ValueError("system metric disagrees with the tree's leaf metric")
 
     alg = _tree_rule(u, tree, lambda q: rho_variant(combined_algorithm, q, 0.5), (1.0, 0.5))

@@ -26,8 +26,10 @@ from umtslab.tolerances import EPS_EQ
 VI_TOL = 1e-7
 VI_MAX_SWEEPS = 4000
 MAX_GRID_STATES = 400_000
-# grid states per probabilities call: a rule's intermediates can grow with
-# states * n^2 (odd_exponent's pairwise differences), and rows are independent
+# grid states per block of estimate_potential's set-up, which builds each
+# block's work functions, distributions and per-direction intermediates on
+# its own: a rule's intermediates can grow with states * n^2 (odd_exponent's
+# pairwise differences), and rows are independent
 PROB_BLOCK_ROWS = 2048
 # grid points over [-d, d] on which BandPotential brackets roots and extrema
 BAND_SCAN = 2001
@@ -256,7 +258,10 @@ class GridIndex:
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """Row of each state in ``keys`` (shape (..., n)), or -1 where absent."""
-        codes = np.asarray(keys, dtype=np.int64) @ self.radix
+        return self.rows_of(np.asarray(keys, dtype=np.int64) @ self.radix)
+
+    def rows_of(self, codes: np.ndarray) -> np.ndarray:
+        """Row of the state with each code in ``codes``, or -1 where absent."""
         pos = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
         return np.where(self.codes[pos] == codes, self.rows[pos], -1)
 
@@ -337,16 +342,33 @@ def _enumerate_states(n: int, levels: int, symmetric: bool) -> np.ndarray:
         rows = zip(itertools.repeat((0,)), rest)
         flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
         return np.fromiter(flat, np.int64, count * n).reshape(count, n)
-    k = np.indices((levels + 1,) * n, dtype=np.int64).reshape(n, -1).T
-    return k[k.min(axis=1) == 0]
+    # one slab per leading entry a, never the whole box: a = 0 takes every
+    # row of the (n - 1)-box, each a > 0 the rows that hold a zero
+    box = np.indices((levels + 1,) * (n - 1), dtype=np.int64)
+    rest = box.reshape(n - 1, (levels + 1) ** (n - 1)).T
+    tail = rest[(rest == 0).any(axis=1)]
+    states = np.empty((len(rest) + levels * len(tail), n), dtype=np.int64)
+    states[: len(rest), 0] = 0
+    states[: len(rest), 1:] = rest
+    slabs = states[len(rest) :].reshape(levels, len(tail), n)
+    slabs[:, :, 0] = np.arange(1, levels + 1)[:, None]
+    slabs[:, :, 1:] = tail
+    return states
 
 
-def grid_probabilities(alg, W: np.ndarray) -> np.ndarray:
-    """``alg.probabilities(W)`` of the rows of ``W``, in blocks of
-    ``PROB_BLOCK_ROWS`` rows, so a large grid's intermediates stay bounded."""
-    return np.concatenate(
-        [alg.probabilities(W[i : i + PROB_BLOCK_ROWS]) for i in range(0, len(W), PROB_BLOCK_ROWS)]
-    )
+def _row_blocks(count: int) -> list[slice]:
+    """The rows 0..count - 1 in blocks of ``PROB_BLOCK_ROWS``."""
+    return [slice(i, i + PROB_BLOCK_ROWS) for i in range(0, count, PROB_BLOCK_ROWS)]
+
+
+def grid_probabilities(alg, states: np.ndarray, h: float) -> np.ndarray:
+    """``alg.probabilities`` of the work functions ``states * h``, one block
+    of ``PROB_BLOCK_ROWS`` rows at a time, filled into one array, so no
+    full-size work functions or intermediates exist."""
+    P = np.empty(states.shape)
+    for rows in _row_blocks(len(states)):
+        P[rows] = alg.probabilities(states[rows] * h)
+    return P
 
 
 def estimate_potential(alg, grid_step: float | None = None) -> PotentialEstimate:
@@ -354,8 +376,15 @@ def estimate_potential(alg, grid_step: float | None = None) -> PotentialEstimate
 
     Works on spaces whose distances are integer multiples of the grid step
     (uniform spaces in particular), for rules that supply their
-    ``local_cost_integral``; it is called once per charge direction on all
-    grid states at once. Divergence is reported, not raised: it signals the
+    ``local_cost_integral``. The set-up goes one block of
+    ``PROB_BLOCK_ROWS`` grid states at a time: each block makes its own
+    work functions, and for each charge direction its legality, target
+    rows, moving costs, local cost integrals and gains. Only the states,
+    their distributions, the gains and target rows of every direction and
+    the value iteration's tables are kept at full size. A target's row is
+    found from its state's code: raising entry j adds ``radix[j]`` and,
+    when that entry was the row's only zero, renormalizing subtracts
+    ``radix.sum()``. Divergence is reported, not raised: it signals the
     declared ratio is below what the rule actually needs.
     """
     u = alg.umts
@@ -376,26 +405,32 @@ def estimate_potential(alg, grid_step: float | None = None) -> PotentialEstimate
     states = _enumerate_states(n, levels, symmetric)
     S = states.shape[0]
     index = GridIndex(states, levels)
-
-    W = states.astype(float) * h
-    P = grid_probabilities(alg, W)
+    P = grid_probabilities(alg, states, h)
 
     r, alpha = alg.declared_ratio, np.asarray(alg.alpha)
+    moving = _moving_cost(u, D)
+    # column v caps entry v + 1 by every other entry plus its distance to v;
+    # the diagonal's 10 * levels keeps entry v itself out of the minimum
+    bounds = steps + 10 * levels * np.eye(n, dtype=np.int64)
+    radix = index.radix
     target = np.full((n, S), -1, dtype=np.int64)
     gain = np.zeros((n, S))
-    for v in range(n):
-        caps = (states + steps[:, v][None, :] + np.where(np.arange(n) == v, 10 * levels, 0)[None, :]).min(axis=1)
-        legal = (states[:, v] + 1 <= caps) & (P[:, v] > 1e-12)
-        tgt_states = states.copy()
-        tgt_states[:, v] += 1
-        tgt_states -= tgt_states.min(axis=1)[:, None]
-        if symmetric:
-            tgt_states = np.sort(tgt_states, axis=1)
-        rows = np.where(legal, index.find(tgt_states), -1)
-        move = u.s * _uniform_or_transport_batch(u, P, P[np.maximum(rows, 0)], D)
-        local = np.where(legal, alg.local_cost_integral(W, v, h), 0.0)
-        gain[v] = np.where(legal, move + local - r * alpha[v] * h, -np.inf)
-        target[v] = rows
+    for rows in _row_blocks(S):
+        k, p = states[rows], P[rows]
+        W = k * h
+        codes = k @ radix
+        lone_zero = (k == 0).sum(axis=1) == 1
+        for v in range(n):
+            legal = (k[:, v] + 1 <= (k + bounds[:, v]).min(axis=1)) & (p[:, v] > 1e-12)
+            # on the symmetric grid, raising the last entry equal to entry v
+            # keeps the row sorted
+            j = (k <= k[:, v, None]).sum(axis=1) - 1 if symmetric else v
+            raised = codes + radix[j] - np.where(lone_zero & (k[:, v] == 0), radix.sum(), 0)
+            tgt = np.where(legal, index.rows_of(raised), -1)
+            move = u.s * moving(p, P[np.maximum(tgt, 0)])
+            local = np.where(legal, alg.local_cost_integral(W, v, h), 0.0)
+            gain[v, rows] = np.where(legal, move + local - r * alpha[v] * h, -np.inf)
+            target[v, rows] = tgt
 
     table = np.zeros(S)
     blowup = 50.0 * max(r, 1.0) * D + 10.0
@@ -426,10 +461,13 @@ def estimate_potential(alg, grid_step: float | None = None) -> PotentialEstimate
     )
 
 
-def _uniform_or_transport_batch(u, P, Q, D) -> np.ndarray:
+def _moving_cost(u, D) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Transport cost between the rows of two (k, n) distribution stacks on
+    ``u``'s metric: D times half their L1 distance when every off-diagonal
+    distance is D within EPS_EQ (tested here, once), else ``mcost_metric``."""
     off = u.metric.dist[~np.eye(u.n, dtype=bool)]
     if np.abs(off - D).max() < EPS_EQ:
-        return D * 0.5 * np.abs(P - Q).sum(axis=1)
+        return lambda P, Q: D * 0.5 * np.abs(P - Q).sum(axis=1)
     from umtslab.transport import mcost_metric
 
-    return mcost_metric(u.metric, P, Q)
+    return functools.partial(mcost_metric, u.metric)

@@ -430,7 +430,7 @@ def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: fl
     the state order, the symmetry rule and the moving cost are the
     estimator's, so the tables compare row by row.
     """
-    from umtslab.potential import _enumerate_states, _uniform_or_transport_batch
+    from umtslab.potential import _enumerate_states, _moving_cost
 
     n, D = u.n, u.diameter()
     levels = max(2, int(round(D / grid_step)))
@@ -459,7 +459,7 @@ def reference_estimate(alg, u, grid_step: float, max_sweeps: int = 4000, tol: fl
         if symmetric:
             tgt = np.sort(tgt, axis=1)
         rows = np.array([index[tgt[i].tobytes()] if legal[i] else -1 for i in range(S)], dtype=np.int64)
-        move = u.s * _uniform_or_transport_batch(u, P, P[np.maximum(rows, 0)], D)
+        move = u.s * _moving_cost(u, D)(P, P[np.maximum(rows, 0)])
         local = np.array(
             [float(alg.local_cost_integral(W[i], v, h)) if legal[i] else 0.0 for i in range(S)]
         )

@@ -48,9 +48,11 @@ def own_configs() -> list[tuple[str, dict]]:
     wcombined rule under greedy-pressure, whose combined crossings the
     greedy pick asks for; the line on 8 points and the combined rule on
     5 points with unequal rates under all three kinds, 300 steps each, whose
-    one-state blocks run for as long as a test's runs; and a caching rule
+    one-state blocks run for as long as a test's runs; a caching rule
     whose tree has an internal child, combined ahead of the leaves, under
-    all three kinds."""
+    all three kinds; and odd-exponent at b = 5 with unequal rates under all
+    three kinds, whose potential is the 61,051-state box grid, built in
+    many row blocks and audited through its ``phi``."""
     kinds = ("uniform-random", "greedy-pressure", "support-raiser")
 
     def config(spaces, algorithm, adversaries):
@@ -78,6 +80,9 @@ def own_configs() -> list[tuple[str, dict]]:
     nested = {"name": "k3-nested", "kind": "caching", "fetch_costs": [8.0, 1.0, 1.0, 0.9],
               "s": 1.0}
     out.append(("own-caching-nested", config([nested], "caching", long_runs)))
+    box = {"name": "u5-rates", "kind": "uniform", "points": 5,
+           "rates": [0.5, 0.875, 1.25, 1.625, 2.0], "distance": 1.0, "s": 1.0}
+    out.append(("own-odd-b5-rates", config([box], "odd-exponent", long_runs)))
     return out
 
 

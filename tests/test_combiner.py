@@ -167,6 +167,16 @@ def test_combine_rejects_unsound_requests():
         combine(u, blocks, vargs, ts_var(0.1), declared_beta=0.01)
 
 
+def test_combine_rejects_a_block_rate_off_by_more_than_eps_eq():
+    # 1e-6 off a rate of 1 is within numpy's default relative tolerance
+    u = Umts(make_uniform(2, 1.0), np.array([2.0, 1.0]), 1.0)
+    blocks = [["v1"], ["v2"]]
+    subs = [block_subsystem(u, b) for b in blocks]
+    subs[1] = replace(subs[1], rates=subs[1].rates + 1e-6)
+    with pytest.raises(ValueError, match="rates or distance ratio disagree"):
+        combine(u, blocks, [trivial_algorithm(sub) for sub in subs], two_stable)
+
+
 def test_two_singletons_reduce_to_the_quotient_rule():
     u = Umts(make_uniform(2, 1.0), np.array([2.0, 0.0]), 1.0)
     blocks = [["v1"], ["v2"]]

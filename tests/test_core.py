@@ -27,6 +27,7 @@ from umtslab.core import (
     moving_cost,
     online_step_cost,
     opt_cost,
+    step_costs,
     support_headroom,
     support_headrooms,
     task_charges,
@@ -226,6 +227,31 @@ def test_stacked_step_costs_equal_one_row_calls(kind, n, k, seed):
     # one row pays the charge as the dot product with the charge vector did
     for a, b, t, cost in zip(p, q, tasks, rows):
         assert cost == moving_cost(u, a, b) + float(b @ (task_charges(u, t) * u.rates))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(METRIC_KINDS), st.integers(2, 4), st.integers(0, 5), st.integers(0, 2**32 - 1)
+)
+def test_step_costs_price_each_unmarked_step_as_one_row(kind, n, k, seed):
+    """A run's step costs, with no row marked faulty and with some, are
+    NaN where a step reads a marked row and each one-row price elsewhere."""
+    rng = np.random.default_rng(seed)
+    m = metric_of(kind, n, rng)
+    u = Umts(m, rng.uniform(0.0, 3.0, m.n), float(rng.uniform(0.5, 2.0)))
+    p = random_rows(rng, k + 1, m.n)
+    v = rng.integers(m.n, size=k)
+    delta = rng.uniform(0.0, 2.0, k)
+    rows = [online_step_cost(u, p[i], p[i + 1], ElementaryTask(m.labels[v[i]], delta[i]))
+            for i in range(k)]
+    for faulty in (np.zeros(k + 1, dtype=bool), rng.random(k + 1) < 0.3):
+        got = step_costs(u, p, v, delta, faulty)
+        read = faulty[:-1] | faulty[1:]
+        assert np.isnan(got[read]).all()
+        if kind == "lp":
+            np.testing.assert_allclose(got[~read], np.array(rows)[~read], rtol=0.0, atol=1e-12)
+        else:
+            assert np.array_equal(got[~read], np.array(rows)[~read])
 
 
 def excluded_by_pairs(u, beta, w, p):

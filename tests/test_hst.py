@@ -145,6 +145,17 @@ def test_rhst_rejects_weak_tree_and_wrong_metric():
         rhst(Umts(make_star(np.ones(5), hst_metric(good).labels), np.ones(5), 1.0), good)
 
 
+def test_rhst_rejects_a_metric_off_by_more_than_eps_eq():
+    # the root distances of criterion 6's tree, 10, read 10.00009: within
+    # numpy's default relative tolerance of 1e-5, far outside EPS_EQ
+    tree = two_level_tree()
+    ref = hst_metric(tree)
+    dist = np.where(ref.dist == 10.0, 10.00009, ref.dist)
+    assert (dist == 10.00009).sum() == 16
+    with pytest.raises(ValueError, match="disagrees with the tree's leaf metric"):
+        rhst(Umts(FiniteMetric(ref.labels, dist), np.ones(5), 1.0), tree)
+
+
 def test_star_to_hst_shape_and_distortion():
     costs = np.array([10.0, 9.0, 2.0, 0.4, 0.3])
     tree = star_to_hst(costs)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -357,18 +358,37 @@ def test_every_potential_takes_stacks(name):
         (odd_exponent, 6, [1.0] * 6, 0.1),
         (trivial_algorithm, 3, [1.0, 2.0, 3.0], 0.25),
         (two_stable, 2, [2.0, 0.5], 1.0 / 16),
+        # 4651 box-grid states: three blocks of the default size
+        (odd_exponent, 5, [0.5, 0.875, 1.25, 1.625, 2.0], 0.2),
     ],
 )
-def test_estimate_table_matches_per_state_build(alg_factory, n, rates, grid_step):
+def test_estimate_table_matches_per_state_build(monkeypatch, alg_factory, n, rates, grid_step):
     u = Umts(make_uniform(n, 1.0), np.array(rates), 1.0)
     a = alg_factory(u)
     if alg_factory is trivial_algorithm:
         a = dataclasses.replace(a, declared_ratio=a.declared_ratio + 1.0)
-    est = estimate_potential(a, grid_step=grid_step)
     states, table, sweeps, slack = reference_estimate(a, u, grid_step)
-    assert np.array_equal(est.states, states)
-    assert np.array_equal(est.table, table)
-    assert (est.sweeps, est.slack) == (sweeps, slack)
+    for rows in (1, 7, potential.PROB_BLOCK_ROWS):
+        monkeypatch.setattr(potential, "PROB_BLOCK_ROWS", rows)
+        est = estimate_potential(a, grid_step=grid_step)
+        assert np.array_equal(est.states, states)
+        assert np.array_equal(est.table, table)
+        assert (est.sweeps, est.slack) == (sweeps, slack)
+
+
+def test_estimate_peaks_near_the_arrays_it_keeps():
+    """The set-up goes one row block at a time: on the 61,051-state box
+    grid of b = 5 with unequal rates, a build's traced allocations peak at
+    most at 7 (S, n) float arrays (10.4 when every intermediate was full size)."""
+    alg = odd_exponent(Umts(make_uniform(5), np.linspace(0.5, 2.0, 5), 1.0))
+    tracemalloc.start()
+    try:
+        est = estimate_potential(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.states.shape == (61_051, 5)
+    assert peak <= 7 * est.states.size * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("rows", [1, 7, 500, potential.PROB_BLOCK_ROWS])
@@ -377,8 +397,9 @@ def test_blocked_grid_probabilities_equal_one_call(monkeypatch, rows):
     # 6435 and 9031 grid states: more than one default block each
     for n, rates, levels in ((8, [1.0] * 8, 8), (5, [1.0, 3.0, 2.0, 1.0, 0.5], 6)):
         alg = odd_exponent(Umts(make_uniform(n, 1.0), np.array(rates), 1.0))
-        W = _enumerate_states(n, levels, rates == [1.0] * n) / levels
-        assert np.array_equal(grid_probabilities(alg, W), alg.probabilities(W))
+        states = _enumerate_states(n, levels, rates == [1.0] * n)
+        P = grid_probabilities(alg, states, 1.0 / levels)
+        assert np.array_equal(P, alg.probabilities(states * (1.0 / levels)))
 
 
 def held_estimates(root) -> set[int]:
