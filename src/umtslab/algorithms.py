@@ -21,6 +21,7 @@ from umtslab.metricspace import scale_metric
 from umtslab.potential import (
     BandPotential,
     TwoPointRule,
+    elementwise,
     estimate_potential,
     grid_shape,
     zero_potential,
@@ -259,17 +260,16 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
     )
 
 
-def _gap_potential(phi: Callable[[float], float]) -> Callable:
+def _gap_potential(phi: Callable) -> Callable:
     """The potential ``phi(w[0] - w[1])`` of a two-state work function, a
     float for one and one value per leading index for a stack of shape
-    (..., 2), whose gaps are taken in one array subtraction."""
+    (..., 2), whose gaps are taken in one array subtraction and handed to
+    ``phi`` as one array."""
 
     def stacked(w):
         w = np.asarray(w, dtype=float)
         gaps = w[..., 0] - w[..., 1]
-        if gaps.ndim == 0:
-            return phi(float(gaps))
-        return np.array(list(map(phi, gaps.ravel().tolist())), dtype=float).reshape(gaps.shape)
+        return phi(float(gaps)) if gaps.ndim == 0 else phi(gaps)
 
     return stacked
 
@@ -370,6 +370,19 @@ def odd_crossing_bracketed(others: np.ndarray, head: float, d: float, t: int) ->
     return float(brentq(q, 0.0, head, xtol=1e-12))
 
 
+_math_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _pow(x, k: int):
+    """x ** k of a float, or of each element of a float array by
+    ``math.pow``, which gives each element the bits of the float's ``**``
+    (numpy's vectorised ``pow`` can differ from it in the last bit). The
+    float test comes first: band ``phi`` on one gap calls this six times."""
+    if isinstance(x, float):
+        return x**k
+    return np.asarray(_math_pow(x, k), dtype=float)
+
+
 def _odd_exponent_band(u: Umts, d: float, t: int, r: float) -> BandPotential:
     r1, r2 = float(u.rates[0]), float(u.rates[1])
     rule = TwoPointRule(
@@ -380,9 +393,9 @@ def _odd_exponent_band(u: Umts, d: float, t: int, r: float) -> BandPotential:
         ratio=r,
         alpha1=0.5,
         alpha2=0.5,
-        p1=lambda y: 0.5 - 0.5 * (y / d) ** t,
-        dp1=lambda y: -0.5 * t * (y / d) ** (t - 1) / d,
-        P1=lambda y: 0.5 * y - (d / (2 * (t + 1))) * (y / d) ** (t + 1),
+        p1=lambda y: 0.5 - 0.5 * _pow(y / d, t),
+        dp1=lambda y: -0.5 * t * _pow(y / d, t - 1) / d,
+        P1=lambda y: 0.5 * y - (d / (2 * (t + 1))) * _pow(y / d, t + 1),
     )
     return BandPotential(rule)
 
@@ -471,23 +484,23 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
     y_star = _ts_minimizer(d, z, r1, r2)
     phi_floor = _ts_phi_raw(y_star, d, z, r1, r2)
 
+    # the closed forms stay on scalar math.exp/expm1 so every value keeps its bits
+    @elementwise
     def p1(y):
         return _ts_p1(y, d, z)
-
-    # the closed forms stay on scalar math.exp/expm1 so every value keeps its bits
-    p1_values = np.frompyfunc(p1, 1, 1)
 
     def probs(w):
         w = np.asarray(w, dtype=float)
         if w.ndim == 1:
             p = _ts_p1(w[0] - w[1], d, z)
             return np.array([p, 1.0 - p])
-        p = p1_values(w[..., 0] - w[..., 1])
+        p = p1(w[..., 0] - w[..., 1])
         out = np.empty(np.shape(p) + (2,))
         out[..., 0] = p
         out[..., 1] = 1.0 - p
         return out
 
+    @elementwise
     def phi(y):
         y = min(max(y, -d), d)
         return max(0.0, _ts_phi_raw(y, d, z, r1, r2) - phi_floor)

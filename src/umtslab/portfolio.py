@@ -226,7 +226,7 @@ def w_combined_algorithm(u: Umts) -> OnlineAlgorithm:
     anchor, tail = labels[0], list(labels[1:])
     r1 = float(u.rates[0])
     tail_rates = np.asarray(u.rates[1:], dtype=float)
-    if not np.allclose(tail_rates, tail_rates[0], atol=EPS_EQ):
+    if np.abs(tail_rates - tail_rates[0]).max() > EPS_EQ:
         raise ValueError("tail cost ratios must be equal")
     r2 = float(tail_rates[0])
 

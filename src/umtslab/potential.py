@@ -52,6 +52,14 @@ class TwoPointRule:
     ``p1`` maps the gap y = w(v1) - w(v2) to the probability at v1,
     ``dp1`` is its derivative and ``P1`` the antiderivative with P1(0) = 0.
     The rule is assumed non-increasing in y.
+
+    Each of the three takes a float or a float array, elementwise, and
+    gives an element of an array the same bits as the float alone, so the
+    rate curves and antiderivatives below do too: ``BandPotential`` scans
+    and reads them on arrays and brackets roots on floats. A closed form
+    with a power therefore takes it by ``math.pow`` on arrays (through
+    ``np.frompyfunc``), not by numpy's ``**``, whose vectorised ``pow``
+    can differ from the scalar one in the last bit.
     """
 
     d: float
@@ -88,15 +96,16 @@ class TwoPointRule:
         return c - self.ratio * self.alpha2 * y
 
 
-def _sign_change_roots(f, xs) -> list[float]:
-    roots = []
-    vals = np.array([f(x) for x in xs])
-    for i in range(len(xs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif a * b < 0:
-            roots.append(float(brentq(f, xs[i], xs[i + 1], xtol=1e-13)))
+def _sign_change_roots(f, xs: np.ndarray) -> list[float]:
+    """The scan points where ``f`` is zero and a brentq root in each
+    bracket of consecutive points where it changes sign, ascending; ``f``
+    is evaluated on the whole scan at once."""
+    vals = f(xs)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    roots = [
+        float(xs[i]) if vals[i] == 0.0 else float(brentq(f, xs[i], xs[i + 1], xtol=1e-13))
+        for i in hits.tolist()
+    ]
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -115,7 +124,9 @@ class BandPotential:
     its active edge, the critical points between that edge and y, and y
     itself. The values at the edge and the critical points are computed
     once, as running minima, so ``phi`` evaluates one antiderivative per
-    side.
+    side. The scans evaluate the rule on whole arrays of points, and
+    ``phi`` takes a float or an array of gaps, with the same bits as one
+    float at a time.
     """
 
     def __init__(self, rule: TwoPointRule):
@@ -128,11 +139,10 @@ class BandPotential:
         self.y_minus = -d if rule.p1(-d) < 1.0 - tol else _last_root(
             lambda y: rule.p1(y) - 1.0, ys
         )
-        gap = lambda y: rule.g_plus(y) - rule.g_minus(y)
         lo, hi = max(self.y_minus, -d), min(self.y_plus, d)
         if lo < hi:
             zs = np.linspace(lo, hi, BAND_SCAN)
-            self.min_gap = float(min(gap(z) for z in zs))
+            self.min_gap = float(np.min(rule.g_plus(zs) - rule.g_minus(zs)))
         else:
             self.min_gap = 0.0
         self.feasible = self.min_gap >= -1e-9
@@ -149,6 +159,10 @@ class BandPotential:
         self._floor_plus = list(
             itertools.accumulate(map(rule.big_g_plus, reversed(self._knots_plus)), min)
         )[::-1]
+        # the same knots and floors for array lookups
+        self._knot_arrays = tuple(
+            np.array(x) for x in (self._knots_minus, self._floor_minus, self._knots_plus, self._floor_plus)
+        )
 
     def _need_from_below(self, y: float) -> float:
         if y < self.y_minus:
@@ -162,14 +176,36 @@ class BandPotential:
         g = self.rule.big_g_plus(y)
         return g - min(self._floor_plus[bisect.bisect_left(self._knots_plus, y)], g)
 
-    def phi(self, y: float) -> float:
-        y = min(max(float(y), -self.rule.d), self.rule.d)
+    def _needs(self, y: np.ndarray) -> np.ndarray:
+        """``phi`` of an array of gaps already clipped to [-d, d]: each
+        side's need as in the float path, where ``np.where(g < floor, g,
+        floor)`` is Python's ``min(floor, g)``, and the larger positive
+        need or +0.0, as ``max(0.0, below, above)`` gives (``fmax`` skips a
+        NaN need as that comparison does)."""
+        knots_minus, floor_minus, knots_plus, floor_plus = self._knot_arrays
+        g = self.rule.big_g_minus(y)
+        floor = floor_minus[np.searchsorted(knots_minus, y, "right") - 1]
+        below = np.where(y < self.y_minus, 0.0, g - np.where(g < floor, g, floor))
+        g = self.rule.big_g_plus(y)
+        floor = floor_plus[np.minimum(np.searchsorted(knots_plus, y, "left"), len(knots_plus) - 1)]
+        above = np.where(y > self.y_plus, 0.0, g - np.where(g < floor, g, floor))
+        need = np.fmax(below, above)
+        return np.where(need > 0.0, need, 0.0)
+
+    def phi(self, y):
+        """The potential at gap ``y``: a float for a float, and one value
+        per element for an array."""
+        d = self.rule.d
+        if isinstance(y, np.ndarray):
+            return self._needs(np.clip(y, -d, d))
+        y = min(max(float(y), -d), d)
         return max(0.0, self._need_from_below(y), self._need_from_above(y))
 
     def sup(self) -> float:
+        """The largest ``phi`` over the scan points, the edges and the roots."""
         ys = np.linspace(-self.rule.d, self.rule.d, BAND_SCAN)
-        extra = [self.y_minus, self.y_plus] + self._roots_minus + self._roots_plus
-        return max(max(self.phi(y) for y in ys), max(self.phi(y) for y in extra))
+        knots = [self.y_minus, self.y_plus] + self._roots_minus + self._roots_plus
+        return float(np.max(self.phi(np.concatenate((ys, knots)))))
 
 
 def _first_root(f, xs) -> float:
@@ -191,6 +227,20 @@ def zero_potential(w):
     per leading index of a stack of shape (..., n)."""
     shape = np.shape(w)[:-1]
     return np.zeros(shape) if shape else 0.0
+
+
+def elementwise(f: Callable[[float], float]) -> Callable:
+    """``f`` of one float, extended to float arrays by one call per element
+    through ``np.frompyfunc``, so each element has the bits of the float's
+    value; a float still goes to ``f`` directly."""
+    each = np.frompyfunc(f, 1, 1)
+
+    def g(y):
+        if isinstance(y, np.ndarray):
+            return np.asarray(each(y), dtype=float)
+        return f(y)
+
+    return g
 
 
 def by_rows(phi: Callable[[np.ndarray], float]) -> Callable:

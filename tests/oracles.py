@@ -7,7 +7,9 @@ gridded-potential oracles are the straightforward loops: interpolation over
 the 2^n corners one by one through a dict of state rows, and value
 iteration whose local costs come from one scalar call per state and
 direction. The band oracle takes each floor of the two-point band potential
-as the minimum over a candidate list rebuilt on every call. The
+as the minimum over a candidate list rebuilt on every call, and
+:class:`ScalarBand` is the band as it was built and read before its scans
+and ``phi`` took arrays, one rule call per point. The
 odd-exponent oracles take every integer power with numpy's ``**``, where
 the rule multiplies. The support-level, support-headroom, odd-exponent
 crossing and one-row odd-exponent distribution references are the numpy
@@ -50,6 +52,7 @@ finds the parts of a combined rule that a rho-variant hides.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import replace
@@ -88,6 +91,7 @@ from umtslab.metricspace import (
     quotient_metric,
     validate,
 )
+from umtslab.potential import BAND_SCAN
 from umtslab.tolerances import EPS_AUDIT, EPS_EQ
 from umtslab.transport import mcost_metric, needs_lp, not_distribution
 
@@ -295,6 +299,68 @@ def reference_phi(est, w) -> float:
         if row is not None:
             total += weight * est.table[row]
     return float(total)
+
+
+def _scalar_sign_change_roots(f, xs) -> list[float]:
+    roots = []
+    vals = np.array([f(x) for x in xs])
+    for i in range(len(xs) - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            roots.append(float(xs[i]))
+        elif a * b < 0:
+            roots.append(float(brentq(f, xs[i], xs[i + 1], xtol=1e-13)))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return roots
+
+
+class ScalarBand:
+    """The two-point band built and read one point at a time: every scan
+    calls the rule once per scan point, the least gap is Python's ``min``
+    over them, ``phi`` takes one float and ``sup`` calls it once per scan
+    point and knot."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        d = rule.d
+        ys = np.linspace(-d, d, BAND_SCAN)
+        roots_p1 = _scalar_sign_change_roots(rule.p1, ys)
+        roots_q1 = _scalar_sign_change_roots(lambda y: rule.p1(y) - 1.0, ys)
+        self.y_plus = d if rule.p1(d) > 1e-12 else (roots_p1[0] if roots_p1 else float(ys[-1]))
+        self.y_minus = -d if rule.p1(-d) < 1.0 - 1e-12 else (roots_q1[-1] if roots_q1 else float(ys[0]))
+        lo, hi = max(self.y_minus, -d), min(self.y_plus, d)
+        if lo < hi:
+            zs = np.linspace(lo, hi, BAND_SCAN)
+            self.min_gap = float(min(rule.g_plus(z) - rule.g_minus(z) for z in zs))
+        else:
+            self.min_gap = 0.0
+        self.feasible = self.min_gap >= -1e-9
+        self._roots_minus = sorted(_scalar_sign_change_roots(rule.g_minus, ys))
+        self._roots_plus = sorted(_scalar_sign_change_roots(rule.g_plus, ys))
+        self._knots_minus = [self.y_minus] + [z for z in self._roots_minus if z >= self.y_minus]
+        self._floor_minus = list(itertools.accumulate(map(rule.big_g_minus, self._knots_minus), min))
+        self._knots_plus = [z for z in self._roots_plus if z <= self.y_plus] + [self.y_plus]
+        self._floor_plus = list(
+            itertools.accumulate(map(rule.big_g_plus, reversed(self._knots_plus)), min)
+        )[::-1]
+
+    def phi(self, y: float) -> float:
+        r = self.rule
+        y = min(max(float(y), -r.d), r.d)
+        below = above = 0.0
+        if y >= self.y_minus:
+            g = r.big_g_minus(y)
+            below = g - min(self._floor_minus[bisect.bisect_right(self._knots_minus, y) - 1], g)
+        if y <= self.y_plus:
+            g = r.big_g_plus(y)
+            above = g - min(self._floor_plus[bisect.bisect_left(self._knots_plus, y)], g)
+        return max(0.0, below, above)
+
+    def sup(self) -> float:
+        ys = np.linspace(-self.rule.d, self.rule.d, BAND_SCAN)
+        extra = [self.y_minus, self.y_plus] + self._roots_minus + self._roots_plus
+        return max(max(self.phi(y) for y in ys), max(self.phi(y) for y in extra))
 
 
 def band_phi_candidates(band, y) -> float:

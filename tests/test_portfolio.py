@@ -207,3 +207,10 @@ def test_anchored_merge_rejects_unequal_tail():
     u = Umts(make_uniform(3), np.array([1.0, 2.0, 3.0]), 1.0)
     with pytest.raises(ValueError, match="tail"):
         w_combined_algorithm(u)
+
+
+def test_anchored_merge_rejects_a_tail_rate_off_by_more_than_eps_eq():
+    # 1e-6 off a rate of 2 is within numpy's default relative tolerance
+    u = Umts(make_uniform(4), np.array([1.0, 2.0, 2.0, 2.000001]), 1.0)
+    with pytest.raises(ValueError, match="tail"):
+        w_combined_algorithm(u)

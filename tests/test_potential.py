@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import band_phi_candidates, reference_estimate, reference_phi
+from oracles import ScalarBand, band_phi_candidates, reference_estimate, reference_phi
 from umtslab import algorithms, potential
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import Umts, moving_cost
@@ -26,6 +26,7 @@ from umtslab.potential import (
     PotentialEstimate,
     TwoPointRule,
     _enumerate_states,
+    elementwise,
     estimate_potential,
     grid_probabilities,
     vi_state_count,
@@ -33,19 +34,24 @@ from umtslab.potential import (
 
 
 def ts_rule(d, s, r1, r2, ratio):
+    """The two-stable rule as a band rule; its scalar closed forms take
+    arrays one element at a time, so each element keeps its float's bits."""
     z = (r1 - r2) / s
 
+    @elementwise
     def p1(y):
         xi = 0.5 + y / (2 * d)
         if z == 0.0:
             return 1.0 - xi
         return 1.0 - math.expm1(z * xi) / math.expm1(z)
 
+    @elementwise
     def dp1(y):
         if z == 0.0:
             return -1.0 / (2 * d)
         return -(z / (2 * d)) * math.exp(z * (0.5 + y / (2 * d))) / math.expm1(z)
 
+    @elementwise
     def P1(y):
         return quad(p1, 0.0, y)[0]
 
@@ -109,6 +115,49 @@ def test_band_phi_matches_candidate_list(k, data):
     d = band.rule.d
     y = data.draw(st.one_of(st.sampled_from(knots), st.floats(-1.5 * d, 1.5 * d)))
     assert band.phi(y) == band_phi_candidates(band, y)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.1, 10.0),
+    st.tuples(st.floats(0.05, 10.0), st.floats(0.05, 10.0)),
+    st.floats(0.2, 5.0),
+    st.sampled_from([1, 3, 5]),
+    st.floats(0.3, 1.5),
+    st.data(),
+)
+def test_array_band_equals_scalar_band(d, rates, s, t, share, data):
+    # share < 1 under-declares the ratio max(r) + 6 s ln 2, often below feasibility
+    u = Umts(make_uniform(2, d), np.array(rates), s)
+    ratio = share * (max(rates) + 6.0 * s * math.log(2.0))
+    band = algorithms._odd_exponent_band(u, d, t, ratio)
+    ref = ScalarBand(band.rule)
+    for name in ("y_plus", "y_minus", "min_gap", "feasible", "_roots_minus", "_roots_plus",
+                 "_knots_minus", "_knots_plus", "_floor_minus", "_floor_plus"):
+        assert same_bits(getattr(band, name), getattr(ref, name)), name
+    assert same_bits(band.sup(), ref.sup())
+    # a vectorised pow off in the last bit moves a few tenths of a percent
+    # of the values, so the gaps include a fine scan
+    knots = [band.y_minus, band.y_plus, *band._roots_minus, *band._roots_plus]
+    gaps = knots + np.linspace(-1.5 * d, 1.5 * d, 301).tolist() + data.draw(
+        st.lists(st.floats(-2.0 * d, 2.0 * d), max_size=20)
+    )
+    values = band.phi(np.array(gaps))
+    assert values.shape == (len(gaps),)
+    assert same_bits(values, [band.phi(y) for y in gaps])
+    assert same_bits(values, [ref.phi(y) for y in gaps])
+    assert same_bits(band.phi(np.array(gaps).reshape(-1, 1)).ravel(), values)
+    # the atomic rules' stacked potentials: odd_exponent at b = 2 reads the
+    # band, two-stable its closed form
+    w = np.array([[y, 0.0] for y in gaps]) + data.draw(st.floats(-d, d))
+    for alg in (odd_exponent(u), two_stable(u)):
+        stacked = alg.phi(w)
+        assert same_bits(stacked, [alg.phi(row) for row in w]), alg.name
+        assert same_bits(alg.phi(w.reshape(-1, 1, 2)).ravel(), stacked), alg.name
 
 
 def test_band_odd_exponent_two_points_feasible_and_bounded():
@@ -393,10 +442,14 @@ def test_estimate_peaks_near_the_arrays_it_keeps():
 
 @pytest.mark.parametrize("rows", [1, 7, 500, potential.PROB_BLOCK_ROWS])
 def test_blocked_grid_probabilities_equal_one_call(monkeypatch, rows):
+    # 6435 and 9031 grid states: more than one default block each; the rules
+    # are built at the default block size, only grid_probabilities is checked
+    cases = [
+        (n, rates, levels, odd_exponent(Umts(make_uniform(n, 1.0), np.array(rates), 1.0)))
+        for n, rates, levels in ((8, [1.0] * 8, 8), (5, [1.0, 3.0, 2.0, 1.0, 0.5], 6))
+    ]
     monkeypatch.setattr(potential, "PROB_BLOCK_ROWS", rows)
-    # 6435 and 9031 grid states: more than one default block each
-    for n, rates, levels in ((8, [1.0] * 8, 8), (5, [1.0, 3.0, 2.0, 1.0, 0.5], 6)):
-        alg = odd_exponent(Umts(make_uniform(n, 1.0), np.array(rates), 1.0))
+    for n, rates, levels, alg in cases:
         states = _enumerate_states(n, levels, rates == [1.0] * n)
         P = grid_probabilities(alg, states, 1.0 / levels)
         assert np.array_equal(P, alg.probabilities(states * (1.0 / levels)))
