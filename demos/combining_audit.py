@@ -7,8 +7,8 @@ the magnitude of their cost rates and runs a tuned algorithm inside every
 block, while a quotient algorithm over block representatives decides how
 much probability each block receives. This script builds one such
 composition and exposes its internal arithmetic. It then plays an
-adversary against it once, with the stepwise checker reading every step as
-the run makes it, and audits the run for the five structural identities
+adversary against it once, with the stepwise recorder keeping every step
+as the run makes it, and audits the run for the five structural identities
 the construction relies on.
 """
 
@@ -46,17 +46,16 @@ bpairs = [(a.beta, a.eta) for a in parts.block_algs]
 print("\nmerge arithmetic: quotient", qpair, "blocks", bpairs)
 print("nice pair at separation 5:", nice_beta_eta(5.0, (0.5, 0.25), [(1.0, 0.5), (1.0, 0.5)]))
 
-# 3. Play an adversary run; its checker (run.combined) reads every step as
-# the run makes it. Each step moves the per-block and quotient work
-# functions and checks them against each other and against both zero
-# crossings; audit() then checks the distributions, prices the quotient run
-# in one pass and fills in the issues and the quotient cost.
+# 3. Play an adversary run; its recorder (run.combined) keeps, step by
+# step, the per-block and quotient work functions, the block G values and
+# both zero crossings while the run makes it. audit() then checks the
+# record against the identities, prices the quotient run in one pass and
+# reports the issues and the quotient cost.
 run = play(alg, adversary(AdversaryConfig(kind="support-raiser", steps=120, seed=5)))
 report = audit(run)
-checker = run.combined
 
-print(f"\naudited run: {checker.steps} steps, {len(checker.issues)} issues")
-print(f"  combined cost {run.cost:.4f}  quotient cost {checker.qcost:.4f}")
+print(f"\naudited run: {report['steps']} steps, {len(report['issues'])} issues")
+print(f"  combined cost {run.cost:.4f}  quotient cost {report['quotient_cost']:.4f}")
 print("  checks: hatw (quotient work equals block G values)")
 print("          welleqw (block work equals restricted global work)")
 print("          betatagc (no mass on states excluded by the beta constraint)")
@@ -65,7 +64,7 @@ print("          resadv (every charge respects both zero crossings)")
 
 # A peek at the final bookkeeping: the quotient work function and the block
 # G values it must match.
-print("\nfinal quotient work function:", np.round(checker.what, 6))
+print("\nfinal quotient work function:", np.round(run.combined.what[-1], 6))
 print("final block G values:        ", np.round(parts.hat_work(run.w[-1]), 6))
 
 # 4. The audit also makes the offline comparison: the translated quotient

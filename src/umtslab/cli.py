@@ -5,8 +5,9 @@ adversaries, and seeds into a job matrix, runs every job, and writes a
 CSV table, a JSON summary, and one JSONL trace per job into the output
 directory. ``umtslab verify trace.jsonl`` replays a trace from its own
 numbers alone (no algorithm is rebuilt) and reports the first violated
-check. Exit codes: 0 all checks passed, 1 a guarantee or trace check
-failed, 2 the config or invocation is unusable.
+check, through the audit's own checks (:mod:`umtslab.checks`) and those
+that need only the trace. Exit codes: 0 all checks passed, 1 a guarantee
+or trace check failed, 2 the config or invocation is unusable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import Umts, apply_elementary, flat_work_function, step_costs
-from umtslab.harness import AdversaryConfig, adversary, audit, play, ratio_report, rule_issues
+from umtslab.checks import combined_issues, rule_issues
+from umtslab.harness import AdversaryConfig, adversary, audit, play, ratio_report
 from umtslab.hst import line_algorithm, weighted_caching_algorithm, with_hst_realization
 from umtslab.metricspace import (
     FiniteMetric,
@@ -385,10 +387,11 @@ def _verify(head, rows):
     The trace is stacked once, its start first. Each step is checked against
     the stored row before it, so every check runs over all steps at once
     through the audit's calls (:func:`apply_elementary` on rows,
-    :func:`rule_issues`, :func:`step_costs`); the first failure is reported
-    by step, then by check in the order made below. A malformed row raises
-    wherever it sits: a missing key, an unknown state, a vector of the
-    wrong length, or a negative or non-finite charge.
+    :func:`rule_issues` or :func:`combined_issues`, :func:`step_costs`); the
+    first failure is reported by step, then by check in the order made
+    below. A malformed row raises wherever it sits: a missing key, an
+    unknown state, a vector of the wrong length, or a negative or non-finite
+    charge.
     """
     u = Umts(FiniteMetric(tuple(head["labels"]), head["dist"]), head["rates"], float(head["s"]),
              str(head.get("initial", "")))
@@ -439,40 +442,42 @@ def _verify(head, rows):
         if r is not None:
             found.append((r + start, f"{check} violated at step {r + start}: {detail(r)}"))
 
+    def note(check, issues, detail):
+        """Note the first of the shared ``issues``: the issue of step i is step i + 1."""
+        if issues:
+            first(check, [issues[0].step], lambda r: detail(issues[0]))
+
     first("numbering", (r for r, x in enumerate(numbers) if isinstance(x, bool) or x != r + 1),
           lambda r: f"the row is numbered {numbers[r]!r}")
     gap = np.abs(apply_elementary(u, w[:-1], v, delta) - w[1:]).max(axis=1)
     first("welleqw", np.flatnonzero(~(gap <= EPS_EQ)),
           lambda r: f"stored work function deviates from the recomputed chain by {gap[r]:.3g}")
+    faulty = not_distribution(p)
     if combined:
+        qfaulty = not_distribution(p_hat)
+        checks = combined_issues(u, beta, w, p, faulty, cost, blocks, w_blocks, g, what, p_hat,
+                                 qfaulty, qcost, cost_allow)
         first("block", (r for r, b in enumerate(j.tolist()) if named[r] != b),
               lambda r: f"state {rows[r]['state']} lies in block {int(j[r])}, "
                         f"the row names {named[r]!r}")
-        bgap = np.array([np.abs(w[1:, idx] - wb).max(axis=1)
-                         for idx, wb in zip(blocks, w_blocks)]).T
-        drifts = ~(bgap <= EPS_EQ)
-        b = drifts.argmax(axis=1)
-        first("welleqw", np.flatnonzero(drifts.any(axis=1)),
-              lambda r: f"block {b[r]} work function drifts from the restricted global one "
-                        f"by {bgap[r, b[r]]:.3g}")
+        # the issue's detail reads "block b work function drifts"
+        note("welleqw", checks["welleqw"], lambda issue: f"{issue.detail} from the restricted "
+                                                         f"global one by {issue.magnitude:.3g}")
         hgap = np.abs(apply_elementary(qu, what[:-1], j, delta_hat) - what[1:]).max(axis=1)
         first("hatw", np.flatnonzero(~(hgap <= EPS_EQ)),
               lambda r: f"quotient work function detaches from its charges by {hgap[r]:.3g}")
-        ggap = np.abs(what[1:] - g).max(axis=1)
-        first("hatw", np.flatnonzero(~(ggap <= EPS_AUDIT)),
-              lambda r: f"quotient work function differs from the block G values by "
-                        f"{ggap[r]:.3g}")
-    faulty = not_distribution(p)
-    start, distribution, betatagc = rule_issues(u, beta, combined, w, p, faulty)
-    first("distribution", [0] * len(start) + [issue.step + 1 for issue in distribution],
-          lambda r: _simplex_summary(p[r]), start=0)
+        note("hatw", checks["hatw"], lambda issue: f"quotient work function differs from the "
+                                                   f"block G values by {issue.magnitude:.3g}")
+    else:
+        checks = rule_issues(u, beta, False, w, p, faulty)
+    # the distribution issues are the failing rows, the start's step 0
+    first("distribution", np.flatnonzero(faulty), lambda r: _simplex_summary(p[r]), start=0)
     if combined:
-        qfaulty = not_distribution(p_hat)
         first("distribution", np.flatnonzero(qfaulty),
               lambda r: f"quotient {_simplex_summary(p_hat[r])}", start=0)
     # the issue's detail reads "mass on excluded state X"; the message adds the mass
-    first("betatagc", [issue.step for issue in betatagc],
-          lambda r: betatagc[0].detail.replace("mass", f"mass {betatagc[0].magnitude:.3g}", 1))
+    note("betatagc", checks["betatagc"],
+         lambda issue: issue.detail.replace("mass", f"mass {issue.magnitude:.3g}", 1))
     miss = np.abs(step_costs(u, p, v, delta, faulty) - cost)
     first("samecompratio" if combined else "stepcost", np.flatnonzero(~(miss <= EPS_AUDIT)),
           lambda r: f"stored step cost disagrees with the transport recomputation by "
@@ -482,9 +487,9 @@ def _verify(head, rows):
         first("samecompratio", np.flatnonzero(~(qmiss <= EPS_AUDIT)),
               lambda r: f"stored quotient cost disagrees with the transport recomputation by "
                         f"{qmiss[r]:.3g}")
-        first("samecompratio", np.flatnonzero(~(cost <= qcost + cost_allow)),
-              lambda r: f"step cost {cost[r]:.6g} exceeds the quotient step cost "
-                        f"{qcost[r]:.6g}")
+        note("samecompratio", checks["samecompratio"],
+             lambda issue: f"step cost {cost[issue.step]:.6g} exceeds the quotient step cost "
+                           f"{qcost[issue.step]:.6g}")
     if found:
         # min keeps the first of equal steps: the check made first
         return 1, min(found, key=lambda f: f[0])[1]

@@ -12,10 +12,12 @@ of delta_hat = G_l(w_l + step) - G_l(w_l). The exported constraint pair
 (beta, eta) follows the combination arithmetic below and the potential is
 Phi_hat(w_hat) + r * sum_l alpha_hat(z_l) Phi_l(w_l) / r_l.
 
-:class:`CombinedRun` checks a run step by step for the structural
-identities the construction relies on (hatw, welleqw, samecompratio; the
-audit in :mod:`umtslab.harness` adds betatagc) plus reasonableness of the
-induced sequences, at the tolerances each identity supports.
+:class:`CombinedRun` records, step by step, what the combination does
+inside on one run: the block and quotient work functions, the block G
+values, the quotient charges and distributions and both zero crossings.
+It checks nothing: :mod:`umtslab.checks` holds the identities the
+construction relies on, and :func:`umtslab.harness.audit` checks a
+recorded run against them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from umtslab.algorithms import OnlineAlgorithm
-from umtslab.core import Umts, apply_elementary, step_costs, total_cost
+from umtslab.core import Umts, apply_elementary
 from umtslab.metricspace import (
     Partition,
     induced_metric,
@@ -36,8 +38,7 @@ from umtslab.metricspace import (
 )
 from umtslab.potential import by_rows
 from umtslab.rootfind import brentq
-from umtslab.tolerances import EPS_AUDIT, EPS_EQ
-from umtslab.transport import not_distribution
+from umtslab.tolerances import EPS_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -475,208 +476,57 @@ def combine(
 
 
 # ---------------------------------------------------------------------------
-# auditing runs
-
-
-def trace_header(alg: OnlineAlgorithm, beta: float, p0: np.ndarray) -> dict:
-    """Header fields every run trace carries: the system, the rule and its
-    start distribution ``p0``."""
-    u = alg.umts
-    return {
-        "kind": "header",
-        "labels": list(u.labels),
-        "dist": u.metric.dist.tolist(),
-        "rates": u.rates.tolist(),
-        "s": u.s,
-        "initial": u.initial_state,
-        "beta": beta,
-        "ratio": alg.declared_ratio,
-        "algorithm": alg.name,
-        "p0": p0.tolist(),
-    }
-
-
-@dataclass
-class AuditIssue:
-    lemma: str
-    step: int
-    magnitude: float
-    detail: str
-
-
-def worst_issues(issues: list[AuditIssue]) -> dict[str, dict]:
-    """The largest issue of each lemma, with its step and detail."""
-    worst: dict[str, dict] = {}
-    for issue in issues:
-        cur = worst.get(issue.lemma)
-        if cur is None or issue.magnitude > cur["magnitude"]:
-            worst[issue.lemma] = {
-                "magnitude": issue.magnitude, "step": issue.step, "detail": issue.detail
-            }
-    return worst
-
-
-def distribution_issues(p: np.ndarray, faulty: np.ndarray, name: str = "") -> tuple[list, list]:
-    """The distribution issues of a run through the (k + 1, n) distributions
-    ``p``, its start first, whose rows ``faulty`` marks as failing: the
-    start's, then one per failing step, each as far off as its sum is from 1.
-    ``name`` prefixes the details."""
-    off = np.abs(p.sum(axis=-1) - 1.0).tolist()
-    start = []
-    if faulty[0]:
-        start.append(AuditIssue("distribution", 0, off[0], f"{name}start is not a distribution"))
-    steps = [AuditIssue("distribution", i, off[i + 1], f"{name}not a distribution")
-             for i in np.flatnonzero(faulty[1:]).tolist()]
-    return start, steps
+# recording runs
 
 
 @dataclass
 class CombinedRun:
-    """Check a combined algorithm's structural identities on one run.
+    """Record what a combined rule does inside on one run; check nothing.
 
     :meth:`step` reads each step as :func:`umtslab.harness.simulate` yields
-    it, while the values the run used are still in the memos: it moves the
-    block work functions and the quotient one, started at G_l(0), keeps the
-    quotient run's charges in ``qv`` (block index) and ``qdelta``, and checks
-    resadv (the charge against both crossings), hatw (quotient values equal
-    block G values, 1e-6) and welleqw (block and restricted global work
-    functions agree, 1e-9). :meth:`report` finishes the audit of the
-    recorded run: it takes the rule's own distribution and betatagc issues
-    and step costs from the audit, checks the quotient's distributions and
-    samecompratio (step cost at most the quotient's, 1e-6 plus any gridded
-    slack), prices the quotient run in one call (NaN where a step reads a
-    failing distribution), and fills in ``issues`` and ``qcost``.
+    it, while the values the run used are still in the memos. Each list
+    gets one entry per step: the charged block (``block``), the zero
+    crossings before the charge in that block (``xb``) and in the quotient
+    (``xq``), the quotient charge (``delta_hat``), and after the step the
+    block work functions (``w_blocks``, one array per block), the block G
+    values (``g``), the quotient work function (``what``) and distribution
+    (``p_hat``); the last four hold the start first. The quotient run
+    starts at the block G values G_l(0).
     """
 
     alg: OnlineAlgorithm
-    issues: list[AuditIssue] = field(default_factory=list)
-    trace: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         parts = self.alg.parts
         if parts is None:
             raise ValueError("algorithm was not built by combine()")
         self.parts = parts
-        self.w_blocks = [np.zeros(len(idx)) for idx in parts.global_index]
-        # block G values of the block work functions; the quotient run starts there
-        self.g = self.what = parts.initial_hat_work()
-        self.p_hat0 = parts.quotient_memo.probabilities(self.what)
-        # the quotient run's charges: block index and delta_hat of each step
-        self.qv: list[int] = []
-        self.qdelta: list[float] = []
-        # issues of the checks made while reading the steps
-        self.read_issues: list[AuditIssue] = []
-        self.steps, self.qcost = 0, 0.0
-        self.dhat_tol = max(
-            EPS_EQ,
-            max((a.phi_slack for a in parts.block_algs if math.isfinite(a.phi_slack)),
-                default=0.0),
-        )
+        g0 = parts.initial_hat_work()
+        self.block, self.xb, self.xq, self.delta_hat = [], [], [], []
+        self.w_blocks = [[np.zeros(len(idx)) for idx in parts.global_index]]
+        self.g, self.what = [g0], [g0]
+        self.p_hat = [parts.quotient_memo.probabilities(g0)]
 
-    def header(self, p0: np.ndarray) -> dict:
-        """The trace header of a run that starts at the rule's distribution ``p0``."""
+    def step(self, v: int, delta: float) -> None:
+        """Record the rule's step that charges ``delta`` at state ``v``. The
+        charge moves one block's work function; the quotient charge is the
+        rise of that block's G value, clamped at zero."""
         parts = self.parts
-        return trace_header(self.alg, parts.beta, p0) | {
-            "blocks": [list(b) for b in parts.partition.blocks],
-            "dist_hat": parts.dist_hat.tolist(),
-            "hat_rates": parts.quotient_umts.rates.tolist(),
-            "hat_init": parts.initial_hat_work().tolist(),
-            "alpha": np.asarray(self.alg.alpha).tolist(),
-            "tol": EPS_AUDIT + self.alg.phi_slack if math.isfinite(self.alg.phi_slack) else None,
-            "dhat_tol": self.dhat_tol,
-            "p_hat0": self.p_hat0.tolist(),
-        }
-
-    def _issue(self, lemma, magnitude, detail):
-        self.read_issues.append(AuditIssue(lemma, self.steps, float(magnitude), detail))
-
-    def step(self, v: int, delta: float, w2: np.ndarray, p2: np.ndarray) -> None:
-        """Read the rule's step that charges ``delta`` at state ``v`` and
-        moves it to the work function ``w2`` and distribution ``p2``, and add
-        its trace row, whose costs :meth:`report` fills in.
-
-        The charge moves one block's work function; the quotient charge is
-        the rise of that block's G value, clamped at zero.
-        """
-        parts = self.parts
-        u = parts.u
         j, lv = int(parts.block_of[v]), int(parts.local_index[v])
         memo, qmemo = parts.memos[j], parts.quotient_memo
-
-        # reasonableness against both crossings, before moving anything
-        xb = memo.zero_crossing(self.w_blocks[j], lv)
-        if delta > xb + EPS_EQ:
-            self._issue("resadv", delta - xb, f"charge {delta:.6g} beyond block crossing {xb:.6g}")
-
-        w_blocks2 = list(self.w_blocks)
-        w_blocks2[j] = apply_elementary(parts.block_systems[j], self.w_blocks[j], lv, delta)
+        w_blocks, g, what = self.w_blocks[-1], self.g[-1], self.what[-1]
+        self.block.append(j)
+        self.xb.append(memo.zero_crossing(w_blocks[j], lv))
+        w_blocks2 = list(w_blocks)
+        w_blocks2[j] = apply_elementary(parts.block_systems[j], w_blocks[j], lv, delta)
         # the other blocks did not move, so their G values stand
-        gvals = self.g.copy()
+        gvals = g.copy()
         gvals[j] = memo(w_blocks2[j])[1]
-        raw = float(gvals[j] - self.g[j])
-        dhat = max(0.0, raw)
-        if -raw > self.dhat_tol:
-            self._issue("hatw", -raw, "negative quotient charge beyond tolerance")
-        xq = qmemo.zero_crossing(self.what, j)
-        if dhat > xq + EPS_EQ:
-            self._issue("resadv", dhat - xq, f"quotient charge {dhat:.6g} beyond crossing {xq:.6g}")
-
-        what2 = apply_elementary(parts.quotient_umts, self.what, j, dhat)
-
-        # welleqw: restricted global and block-local work functions agree,
-        # checked over all blocks at once and block by block where that fails
-        if not (np.abs(w2[parts.order] - np.concatenate(w_blocks2)) <= EPS_EQ).all():
-            for i, idx in enumerate(parts.global_index):
-                gap = np.abs(w2[idx] - w_blocks2[i]).max()
-                if gap > EPS_EQ:
-                    self._issue("welleqw", gap, f"block {i} work function drifts")
-
-        # hatw: quotient work function equals the block G values
-        gap = np.abs(what2 - gvals).max()
-        if gap > EPS_AUDIT:
-            self._issue("hatw", gap, "quotient work function detached from block G values")
-
-        self.qv.append(j)
-        self.qdelta.append(dhat)
-        self.w_blocks, self.g, self.what = w_blocks2, gvals, what2
-        self.steps += 1
-        self.trace.append({
-            "kind": "step", "i": self.steps, "state": u.labels[v], "delta": delta, "block": j,
-            "delta_hat": dhat, "w": w2.tolist(), "w_blocks": [wb.tolist() for wb in w_blocks2],
-            "what": what2.tolist(), "g": gvals.tolist(), "p": p2.tolist(),
-            "p_hat": qmemo.probabilities(what2).tolist(),
-        })
-
-    def report(self, run, start: list, distribution: list, betatagc: list) -> dict:
-        """Finish the audit of ``run``, the :class:`umtslab.harness.Run`
-        whose steps this checker read, each check in one pass. ``start``,
-        ``distribution`` and ``betatagc`` are the rule's own issues, and
-        ``run.costs`` its step costs. Issues come by step, then by check: the
-        start distributions, the checks made while reading, the rule's and
-        the quotient's distributions, betatagc and samecompratio."""
-        p_hat = np.array([self.p_hat0.tolist()] + [row["p_hat"] for row in self.trace])
-        qbad = not_distribution(p_hat)
-        qstart, qdistribution = distribution_issues(p_hat, qbad, "quotient ")
-        qcost = step_costs(self.parts.quotient_umts, p_hat, np.array(self.qv, dtype=int),
-                           np.array(self.qdelta, dtype=float), qbad)
-        slack = self.alg.phi_slack
-        allow = EPS_AUDIT + slack if math.isfinite(slack) else math.inf
-        samecompratio = []
-        for i in np.flatnonzero(run.costs > qcost + allow).tolist():
-            c, qc = float(run.costs[i]), float(qcost[i])
-            detail = f"combined step cost {c:.6g} exceeds quotient {qc:.6g}"
-            samecompratio.append(AuditIssue("samecompratio", i, c - qc, detail))
-        issues = (start + qstart + self.read_issues + distribution + qdistribution + betatagc
-                  + samecompratio)
-        issues.sort(key=lambda issue: issue.step)
-        for row, c, qc in zip(self.trace, run.costs.tolist(), qcost.tolist()):
-            row["cost"], row["qcost"] = c, qc
-        self.issues, self.qcost = issues, total_cost(qcost)
-        return {
-            "steps": self.steps,
-            "cost": run.cost,
-            "quotient_cost": self.qcost,
-            "issues": len(issues),
-            "worst": worst_issues(issues),
-            "passed": not issues,
-        }
+        dhat = max(0.0, float(gvals[j] - g[j]))
+        self.xq.append(qmemo.zero_crossing(what, j))
+        what2 = apply_elementary(parts.quotient_umts, what, j, dhat)
+        self.delta_hat.append(dhat)
+        self.w_blocks.append(w_blocks2)
+        self.g.append(gvals)
+        self.what.append(what2)
+        self.p_hat.append(qmemo.probabilities(what2))

@@ -9,7 +9,9 @@ state the algorithm currently occupies with positive probability and stays
 strictly below both the probability zero crossing and the support
 headroom. The offline optimum is the minimum of the work function started
 at dist(initial, .), so empirical ratios compare against the fair cost of
-the best fixed schedule.
+the best fixed schedule. The audit makes the checks of
+:mod:`umtslab.checks` on the record, the ones ``umtslab verify`` makes on
+a written trace, and adds those that need the rule.
 """
 
 from __future__ import annotations
@@ -26,20 +28,14 @@ import numpy as np
 from numpy.random import default_rng
 
 from umtslab.algorithms import OnlineAlgorithm
-from umtslab.combiner import (
-    AuditIssue,
-    CombinedRun,
-    distribution_issues,
-    trace_header,
-    worst_issues,
-)
+from umtslab.checks import AuditIssue, combined_issues, rule_issues, trace_header, worst_issues
+from umtslab.combiner import CombinedRun
 from umtslab.core import (
     ElementaryTask,
     GeneralTask,
     Umts,
     apply_elementary,
     apply_task,
-    beta_excluded_mass,
     flat_work_function,
     initial_work_function,
     step_costs,
@@ -236,8 +232,8 @@ class Run:
     distributions, ``costs`` holds the cost of each step (NaN where a step
     reads a faulty row) and ``cost`` their sum, left to right. ``opt`` is
     the offline optimum of the run's charges. For a combined rule,
-    ``combined`` is the :class:`CombinedRun` that read each step as it was
-    made.
+    ``combined`` is the :class:`CombinedRun` that recorded each step as it
+    was made.
     """
 
     alg: OnlineAlgorithm
@@ -258,7 +254,7 @@ def play(alg: OnlineAlgorithm, policy) -> Run:
 
     The steps :func:`simulate` yields are stacked once, every step priced
     in one :func:`step_costs` call and the offline optimum solved once. A
-    combined rule's :class:`CombinedRun` reads each step as it is made,
+    combined rule's :class:`CombinedRun` records each step as it is made,
     while the block and quotient values the step used are still in the
     memos.
     """
@@ -280,7 +276,7 @@ def play(alg: OnlineAlgorithm, policy) -> Run:
         w.append(w2)
         p.append(p2)
         if combined is not None:
-            combined.step(vi, di, w2, p2)
+            combined.step(vi, di)
     w, p = np.array(w), np.array(p)
     v, delta = np.array(v, dtype=int), np.array(delta, dtype=float)
     faulty = not_distribution(p)
@@ -290,76 +286,44 @@ def play(alg: OnlineAlgorithm, policy) -> Run:
                total_cost(costs), opt, combined)
 
 
-def rule_issues(u: Umts, beta: float, combined: bool, w: np.ndarray, p: np.ndarray,
-                faulty: np.ndarray) -> tuple[list, list, list]:
-    """The rule's own issues on a run through the (k + 1, n) work functions
-    ``w`` and distributions ``p``, the start first, whose failing rows
-    ``faulty`` marks: the start's distribution issues, the steps' and the
-    betatagc ones. An atomic rule of beta 0, as a single-state rule
-    declares, is exempt from betatagc."""
-    start, distribution = distribution_issues(p, faulty)
-    betatagc = []
-    if combined or beta > 0.0:
-        for i, excluded in enumerate(beta_excluded_mass(u, beta, w[1:], p[1:])):
-            betatagc += [AuditIssue("betatagc", i, mass, f"mass on excluded state {u.labels[x]}")
-                         for x, mass in excluded]
-    return start, distribution, betatagc
-
-
 def audit(run: Run) -> dict:
     """Check the declared per-step contracts on a recorded run.
 
-    The rule's own checks, valid distributions and betatagc, are made once
-    over the whole run by :func:`rule_issues`, which ``umtslab verify``
-    calls on a written trace too. An atomic rule's run then goes to
-    :func:`_audit_atomic`, a combined rule's to :meth:`CombinedRun.report`,
-    plus the check that the translated quotient adversary is no harder than
-    the original one, up to the static offset of the translation. The
-    report carries the run's trace (header and step rows) as ``"trace"``.
+    The checks of :mod:`umtslab.checks`, which ``umtslab verify`` makes on a
+    written trace too, run once over the whole run; :func:`_audit_atomic`
+    and :func:`_audit_combined` add the checks that need the rule, and a
+    combined rule's translated quotient adversary must be no harder than
+    the original one, up to the static offset of the translation. Issues
+    come by step. The report carries the run's trace (header and step rows)
+    as ``"trace"``, built from the record's arrays for both kinds of rule.
     """
-    alg, u = run.alg, run.alg.umts
-    combined = alg.parts is not None
-    beta = alg.parts.beta if combined else alg.beta
-    start, distribution, betatagc = rule_issues(u, beta, combined, run.w, run.p, run.faulty)
-    if run.combined is None:
-        return _audit_atomic(run, start + distribution + betatagc)
-
-    combined, parts = run.combined, alg.parts
-    report = combined.report(run, start, distribution, betatagc)
-    qu = parts.quotient_umts
-    opt_hat = offline_opt(qu, zip(combined.qv, combined.qdelta))
-    # The translated adversary can exceed the original optimum only by
-    # the static offset of the translation: the gap between the two
-    # quotient start vectors plus the largest block diameter (the G
-    # values sit at most one block diameter above the block minimum).
-    start_gap = float(np.max(initial_work_function(qu) - parts.initial_hat_work()))
-    block_diam = max(
-        float(u.metric.dist[np.ix_(idx, idx)].max()) for idx in parts.global_index
-    )
-    resadv_allow = (max(0.0, start_gap) + block_diam + EPS_AUDIT
-                    + combined.steps * combined.dhat_tol)
-    if opt_hat > run.opt + resadv_allow:
+    u, combined = run.alg.umts, run.combined is not None
+    report, issues, header, extras = (_audit_combined if combined else _audit_atomic)(run)
+    issues.sort(key=lambda issue: issue.step)
+    report.update({"issues": issues, "worst": worst_issues(issues), "passed": not issues})
+    if combined and report["opt_hat"] > run.opt + report["resadv_allow"]:
         report["passed"] = False
         report["worst"]["resadv"] = {
-            "magnitude": opt_hat - run.opt - resadv_allow,
-            "step": combined.steps,
+            "magnitude": report["opt_hat"] - run.opt - report["resadv_allow"],
+            "step": report["steps"],
             "detail": "quotient adversary is harder than the original",
         }
-    report.update(
-        {"kind": "combined", "opt": run.opt, "opt_hat": opt_hat, "resadv_allow": resadv_allow,
-         "trace": [combined.header(run.p[0])] + combined.trace}
-    )
+    steps = zip(run.v.tolist(), run.delta.tolist(), run.w[1:].tolist(), run.p[1:].tolist(),
+                run.costs.tolist(), extras)
+    report["trace"] = [header] + [
+        {"kind": "step", "i": i + 1, "state": u.labels[v], "delta": d, "w": w, "p": p,
+         "cost": c, **extra}
+        for i, (v, d, w, p, c, extra) in enumerate(steps)
+    ]
     return report
 
 
-def _audit_atomic(run: Run, rule_issues: list[AuditIssue]) -> dict:
-    """Finish the audit of an atomic rule's run, each check over all steps
-    at once: charges below the zero crossing (resadv) and sensibility of
-    each step against the potential, evaluated in one call on the stacked
-    work functions. ``rule_issues`` are the rule's distribution and
-    betatagc issues. The issues come ordered by step, and within a step in
-    the order resadv, distribution, betatagc, sensibility.
-    """
+def _audit_atomic(run: Run) -> tuple[dict, list, dict, list]:
+    """The atomic rule's report, issues, trace header and extra row fields
+    (none). Charges below the zero crossing (resadv) and sensibility of each
+    step against the potential, evaluated in one call on the stacked work
+    functions, are checked over all steps at once. Within a step the issues
+    come in the order resadv, distribution, betatagc, sensibility."""
     alg, u, w, p, v, delta = run.alg, run.alg.umts, run.w, run.p, run.v, run.delta
     k = len(v)
     w1, w2, p2 = w[:-1], w[1:], p[1:]
@@ -369,10 +333,14 @@ def _audit_atomic(run: Run, rule_issues: list[AuditIssue]) -> dict:
         crossing[i] = alg.zero_crossing(w[i], int(v[i]))
     issues = [AuditIssue("resadv", i, float(delta[i] - crossing[i]), "charge beyond crossing")
               for i in np.flatnonzero(delta > crossing + EPS_EQ).tolist()]
-    issues += rule_issues
+    rule = rule_issues(u, alg.beta, False, w, p, run.faulty)
+    issues += rule["start"] + rule["distribution"] + rule["betatagc"]
 
     sens_allow = EPS_AUDIT + alg.phi_slack
     if math.isfinite(sens_allow) and k:
+        if alg.local_cost_integral is None:
+            raise ValueError(f"cannot audit {alg.name!r}: it has no local cost integral, and "
+                             f"a rho-variant of a combined rule cannot be audited yet")
         phi = alg.phi(w)
         local = np.empty(k)
         for x in sorted(set(v.tolist())):  # np.unique would import numpy.ma on first use
@@ -386,22 +354,73 @@ def _audit_atomic(run: Run, rule_issues: list[AuditIssue]) -> dict:
             magnitude = float(lhs[i] - rhs[i])
             issues.append(AuditIssue("sensibility", i, magnitude, "step beyond its allowance"))
 
-    issues.sort(key=lambda issue: issue.step)
-    trace = [trace_header(alg, alg.beta, p[0])]
-    steps = zip(v.tolist(), delta.tolist(), w2.tolist(), p2.tolist(), run.costs.tolist())
-    for i, (vi, di, wi, pi, ci) in enumerate(steps):
-        trace.append({"kind": "step", "i": i + 1, "state": u.labels[vi], "delta": di,
-                      "w": wi, "p": pi, "cost": ci})
-    return {
-        "kind": "atomic",
-        "steps": k,
-        "cost": run.cost,
-        "opt": run.opt,
-        "issues": issues,
-        "worst": worst_issues(issues),
-        "passed": not issues,
-        "trace": trace,
+    report = {"kind": "atomic", "steps": k, "cost": run.cost, "opt": run.opt}
+    return report, issues, trace_header(alg, alg.beta, p[0]), [{}] * k
+
+
+def _audit_combined(run: Run) -> tuple[dict, list, dict, list]:
+    """The combined rule's report, issues, trace header and extra row fields.
+
+    The quotient run its :class:`CombinedRun` recorded is priced in one
+    :func:`step_costs` call (NaN where a step reads a failing distribution)
+    and goes to :func:`combined_issues`. The audit adds, within a step in
+    this order after the start distributions: the charge against the block
+    crossing (resadv), a quotient charge clamped from below ``-dhat_tol``
+    (hatw) and the quotient charge against the quotient crossing (resadv).
+    """
+    alg, u, rec, parts = run.alg, run.alg.umts, run.combined, run.alg.parts
+    qu, k = parts.quotient_umts, len(run.v)
+    g, what, p_hat = np.array(rec.g), np.array(rec.what), np.array(rec.p_hat)
+    w_blocks = [np.array([row[b] for row in rec.w_blocks[1:]]).reshape(k, len(idx))
+                for b, idx in enumerate(parts.global_index)]
+    qfaulty = not_distribution(p_hat)
+    qcosts = step_costs(qu, p_hat, np.array(rec.block, dtype=int),
+                        np.array(rec.delta_hat, dtype=float), qfaulty)
+    slack = alg.phi_slack
+    allow = EPS_AUDIT + slack if math.isfinite(slack) else math.inf
+    checks = combined_issues(u, parts.beta, run.w, run.p, run.faulty, run.costs,
+                             parts.global_index, w_blocks, g[1:], what, p_hat, qfaulty, qcosts,
+                             allow)
+
+    dhat_tol = max([EPS_EQ] + [a.phi_slack for a in parts.block_algs if math.isfinite(a.phi_slack)])
+    read, gl = [], g.tolist()
+    for i, (j, delta, dhat, xb, xq) in enumerate(
+            zip(rec.block, run.delta.tolist(), rec.delta_hat, rec.xb, rec.xq)):
+        if delta > xb + EPS_EQ:
+            read.append(AuditIssue("resadv", i, delta - xb,
+                                   f"charge {delta:.6g} beyond block crossing {xb:.6g}"))
+        if gl[i][j] - gl[i + 1][j] > dhat_tol:
+            read.append(AuditIssue("hatw", i, gl[i][j] - gl[i + 1][j],
+                                   "negative quotient charge beyond tolerance"))
+        if dhat > xq + EPS_EQ:
+            read.append(AuditIssue("resadv", i, dhat - xq,
+                                   f"quotient charge {dhat:.6g} beyond crossing {xq:.6g}"))
+    issues = checks.pop("start") + checks.pop("quotient start") + read
+    issues += [issue for rest in checks.values() for issue in rest]
+
+    opt_hat = offline_opt(qu, zip(rec.block, rec.delta_hat))
+    # The translated adversary can exceed the original optimum only by
+    # the static offset of the translation: the gap between the two
+    # quotient start vectors plus the largest block diameter (the G
+    # values sit at most one block diameter above the block minimum).
+    start_gap = float(np.max(initial_work_function(qu) - what[0]))
+    block_diam = max(float(u.metric.dist[np.ix_(idx, idx)].max()) for idx in parts.global_index)
+    resadv_allow = max(0.0, start_gap) + block_diam + EPS_AUDIT + k * dhat_tol
+    report = {"kind": "combined", "steps": k, "cost": run.cost,
+              "quotient_cost": total_cost(qcosts), "opt": run.opt, "opt_hat": opt_hat,
+              "resadv_allow": resadv_allow}
+    header = trace_header(alg, parts.beta, run.p[0]) | {
+        "blocks": [list(b) for b in parts.partition.blocks], "dist_hat": parts.dist_hat.tolist(),
+        "hat_rates": qu.rates.tolist(), "hat_init": what[0].tolist(),
+        "alpha": np.asarray(alg.alpha).tolist(), "tol": allow if math.isfinite(allow) else None,
+        "dhat_tol": dhat_tol, "p_hat0": p_hat[0].tolist(),
     }
+    extras = [{"block": j, "delta_hat": dhat, "w_blocks": [x.tolist() for x in wb], "what": wh,
+               "g": gv, "p_hat": ph, "qcost": qc}
+              for j, dhat, wb, wh, gv, ph, qc in zip(rec.block, rec.delta_hat, rec.w_blocks[1:],
+                                                       what[1:].tolist(), gl[1:],
+                                                       p_hat[1:].tolist(), qcosts.tolist())]
+    return report, issues, header, extras
 
 
 def ratio_report(run: Run) -> dict:

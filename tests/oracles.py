@@ -67,7 +67,8 @@ from umtslab.algorithms import (
     odd_crossing_bracketed,
     odd_crossing_closed,
 )
-from umtslab.combiner import AuditIssue, CombinedParts, trace_header, worst_issues
+from umtslab.checks import AuditIssue, trace_header, worst_issues
+from umtslab.combiner import CombinedParts
 from umtslab.core import (
     ElementaryTask,
     Umts,
@@ -688,10 +689,11 @@ def reference_crossing_at(memo, wb, lv: int, g0: float, xb: float, xq: float) ->
 
 
 class ReferenceCombinedRun:
-    """The combined audit step by step: :class:`CombinedRun` as it was before
-    it checked and priced whole runs, plus the check of the quotient
-    distributions. Each step checks, in this order: the start distributions
-    (step 0 only, the rule's then the quotient's), the charge against the
+    """The combined audit step by step: the checks ``CombinedRun`` made as it
+    read each step, before it only recorded and the audit checked and
+    priced whole runs, plus the check of the quotient distributions. Each
+    step checks, in this order: the start distributions (step 0 only, the
+    rule's then the quotient's), the charge against the
     block crossing, a negative quotient charge, the quotient charge against
     the quotient crossing, welleqw per block, hatw, the rule's and then the
     quotient's distribution, betatagc and samecompratio."""
@@ -804,7 +806,7 @@ class ReferenceCombinedRun:
             "steps": self.steps,
             "cost": self.cost,
             "quotient_cost": self.qcost,
-            "issues": len(self.issues),
+            "issues": self.issues,
             "worst": worst_issues(self.issues),
             "passed": not self.issues,
         }

@@ -58,7 +58,7 @@ def assert_same_audit(run) -> dict:
     for rec in run_steps(run):
         oracle.step(rec)
     assert as_text({key: report[key] for key in oracle.report()}) == as_text(oracle.report())
-    assert as_text(run.combined.issues) == as_text(oracle.issues)
+    assert as_text(report["issues"]) == as_text(oracle.issues)
     assert as_text(report["trace"]) == as_text([oracle.header(), *oracle.trace])
     assert as_text(audit(run)) == as_text(report)  # a second audit reads the same
     return report

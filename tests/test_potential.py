@@ -9,7 +9,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -121,7 +121,9 @@ def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+# no shrinking: each example builds two bands, and shrinking a one-bit
+# difference through hundreds of them takes minutes
+@settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     st.floats(0.1, 10.0),
     st.tuples(st.floats(0.05, 10.0), st.floats(0.05, 10.0)),
