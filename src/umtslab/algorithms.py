@@ -40,10 +40,8 @@ class OnlineAlgorithm:
     ``phi(w)`` is a potential certifying the declared ratio, a float for
     one work function and one value per leading index for a stack of
     shape ``(..., n)``;
-    ``zero_crossing(w, v)`` is the largest charge at state ``v`` that keeps
-    the run reasonable (probability positive throughout); given a 1-D
-    integer array ``v`` it returns one value per listed state, from one
-    pass over ``w``.
+    ``zero_crossing(w, v)`` is the largest charge at state index ``v`` that
+    keeps the run reasonable (probability positive throughout), a float.
     ``local_cost_integral(w, v, delta)`` is the local cost of raising
     ``w[..., v]`` by ``delta`` for work functions of shape ``(..., n)``, one
     value per leading index; ``delta`` is one charge or an array of them
@@ -59,7 +57,7 @@ class OnlineAlgorithm:
     probabilities: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[np.ndarray], float | np.ndarray]
     phi_sup: float
-    zero_crossing: Callable[[np.ndarray, int | np.ndarray], float | np.ndarray]
+    zero_crossing: Callable[[np.ndarray, int], float]
     descriptor: dict
     eta_variant_basis: float
     local_cost_integral: Callable[[np.ndarray, int, float | np.ndarray], np.ndarray] | None = None
@@ -89,11 +87,6 @@ def probabilities(a: OnlineAlgorithm, w) -> np.ndarray:
     return a.probabilities(np.asarray(w, dtype=float))
 
 
-def _per_state(values: np.ndarray, v):
-    """``values[v]``: a float for one state index, an array for an array of them."""
-    return values[v] if np.ndim(v) else float(values[v])
-
-
 def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
     """Sit on one state forever; ratio equals that state's cost ratio.
 
@@ -115,7 +108,7 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
         return p
 
     def crossing(w, j):
-        return _per_state(crossings, j)
+        return float(crossings[j])
 
     def local_integral(w, j, delta):
         return np.full(np.shape(w)[:-1], rate * delta if j == v else 0.0)
@@ -203,12 +196,9 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         return odd_crossing_bracketed(np.array(others), head, d, t)
 
     def crossing(w, v):
-        # a run asks about one state, or a few, of a work function of a few
-        # entries, so each state is worked through on Python floats
-        values = np.asarray(w, dtype=float).tolist()
-        if np.ndim(v):
-            return np.array([crossing_at(values, x) for x in np.asarray(v).tolist()])
-        return crossing_at(values, int(v))
+        # a run asks about one state of a work function of a few entries,
+        # which is worked through on Python floats
+        return crossing_at(np.asarray(w, dtype=float).tolist(), int(v))
 
     def local_integral(w, v, delta):
         w = np.asarray(w, dtype=float)
@@ -346,8 +336,8 @@ def odd_crossing_closed(others, d: float, t: int) -> float:
     z^3 + 3 p z - 2 h = 0 with p >= 0, whose one real root is taken in the
     cancellation-free Cardano form z = 2 h / (c^2 + p + (p / c)^2), where
     c^3 = h + sign(h) sqrt(h^2 + p^3) is the cube of larger magnitude.
-    Scalar float arithmetic: the crossing asks for one or a few roots per
-    call, which numpy's per-call overhead would dominate.
+    Scalar float arithmetic: the crossing asks for one root per call, which
+    numpy's per-call overhead would dominate.
     """
     m = len(others)
     if t == 1:
@@ -507,7 +497,7 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
 
     def crossing(w, v):
         y = float(w[0] - w[1])
-        return _per_state(np.array([max(0.0, d - y), max(0.0, d + y)]), v)
+        return (max(0.0, d - y), max(0.0, d + y))[v]
 
     def local_step(y, v, delta):
         if v == 0:

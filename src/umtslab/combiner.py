@@ -111,12 +111,6 @@ def nice_beta_eta(k: float, quotient_pair: tuple[float, float],
 MEMO_SIZE = 8
 
 
-def one_state(v) -> bool:
-    """Whether ``v`` is one state index rather than an array of them; an
-    integer is told without ``np.ndim``, which takes microseconds on one."""
-    return isinstance(v, (int, np.integer)) or np.ndim(v) == 0
-
-
 class PotentialMemo:
     """What one rule has been asked at the ``MEMO_SIZE`` work functions
     asked about last, keyed by their float64 bytes; the least recently asked
@@ -156,20 +150,13 @@ class PotentialMemo:
             entry["p"].setflags(write=False)
         return entry["p"]
 
-    def zero_crossing(self, w: np.ndarray, v):
-        """The crossing at state ``v``, or one per state of a 1-D array ``v``;
-        the states not asked at ``w`` before go to the rule in one call."""
+    def zero_crossing(self, w: np.ndarray, v: int) -> float:
+        """The crossing at state ``v``."""
         known = self._entry(w)["crossings"]
-        if one_state(v):
-            v = int(v)
-            if v not in known:
-                known[v] = float(self.alg.zero_crossing(w, v))
-            return known[v]
-        states = np.asarray(v).tolist()
-        missing = list(dict.fromkeys(x for x in states if x not in known))
-        if missing:
-            known.update(zip(missing, self.alg.zero_crossing(w, np.array(missing)).tolist()))
-        return np.array([known[x] for x in states])
+        v = int(v)
+        if v not in known:
+            known[v] = float(self.alg.zero_crossing(w, v))
+        return known[v]
 
 
 # the distribution of every one-state block
@@ -203,8 +190,8 @@ class PointMemo:
     def probabilities(self, w: np.ndarray) -> np.ndarray:
         return POINT_DISTRIBUTION
 
-    def zero_crossing(self, w: np.ndarray, v):
-        return math.inf if one_state(v) else np.full(len(v), math.inf)
+    def zero_crossing(self, w: np.ndarray, v: int) -> float:
+        return math.inf
 
 
 @dataclass
@@ -232,7 +219,6 @@ class CombinedParts:
     quotient_alg: OnlineAlgorithm
     dist_hat: np.ndarray
     beta: float
-    eta: float
     memos: list[PotentialMemo | PointMemo] = field(init=False, repr=False)
     quotient_memo: PotentialMemo = field(init=False, repr=False)
     order: np.ndarray = field(init=False, repr=False)
@@ -390,7 +376,6 @@ def combine(
         quotient_alg=qalg,
         dist_hat=dh,
         beta=beta,
-        eta=eta,
     )
 
     r = qalg.declared_ratio
@@ -425,21 +410,10 @@ def combine(
     def crossing(w, v):
         w = np.asarray(w, dtype=float)
         what = parts.hat_work(w)
-        if one_state(v):
-            j, lv = blocks_of[v], locals_of[v]
-            memo, wb = parts.memos[j], w[global_index[j]]
-            xq = parts.quotient_memo.zero_crossing(what, j)
-            return _crossing_at(memo, wb, lv, float(what[j]), memo.zero_crossing(wb, lv), xq)
-        vs, ws = np.asarray(v), parts.split(w)
-        js = block_of[vs]
-        xqs = parts.quotient_memo.zero_crossing(what, js)
-        xbs = np.empty(len(vs))
-        for j in sorted(set(js.tolist())):  # np.unique would import numpy.ma on first use
-            xbs[js == j] = parts.memos[j].zero_crossing(ws[j], local_index[vs[js == j]])
-        return np.array([
-            _crossing_at(parts.memos[j], ws[j], int(lv), float(what[j]), xb, xq)
-            for j, lv, xb, xq in zip(js, local_index[vs], xbs.tolist(), xqs.tolist())
-        ])
+        j, lv = blocks_of[v], locals_of[v]
+        memo, wb = parts.memos[j], w[global_index[j]]
+        xq = parts.quotient_memo.zero_crossing(what, j)
+        return _crossing_at(memo, wb, lv, float(what[j]), memo.zero_crossing(wb, lv), xq)
 
     block_slack = max(
         (a.phi_slack / rr for a, rr in zip(block_algs, hat_rates) if rr > 0),

@@ -94,20 +94,12 @@ def mcost_metric(metric: FiniteMetric, p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     n = metric.n
-    if p.shape != (n,) or q.shape != (n,):
-        if p.shape[-1:] != (n,) or q.shape != p.shape:
-            raise ValueError("distribution length does not match the space")
-        for row in p.reshape(-1, n).tolist() + q.reshape(-1, n).tolist():
-            _require_distribution(row)
-        return mcost_checked_rows(metric, p, q)
-    # one pair stays on Python floats up to the closed form: the stacked
-    # path's array steps cost a few times a one-row call at k = 1
-    _require_distribution(p.tolist())
-    _require_distribution(q.tolist())
-    diff = p - q
-    if max(map(abs, diff.tolist()), default=0.0) <= 1e-15 or n <= 1:
-        return 0.0
-    return float(_transport_cost(metric, p, q, diff))
+    if p.shape[-1:] != (n,) or q.shape != p.shape:
+        raise ValueError("distribution length does not match the space")
+    for row in p.reshape(-1, n).tolist() + q.reshape(-1, n).tolist():
+        _require_distribution(row)
+    cost = mcost_checked_rows(metric, p, q)
+    return float(cost) if p.ndim == 1 else cost
 
 
 def mcost_checked_rows(metric: FiniteMetric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -140,9 +132,9 @@ def needs_lp(metric: FiniteMetric) -> bool:
 
 
 def _transport_cost(metric: FiniteMetric, p, q, diff):
-    """Transport cost of ``p`` to ``q`` (shape (n,) or (k, n), ``diff = p - q``)
-    by the metric's closed form, which works along the last axis, or one LP
-    per row. Each row's cost has the bits of the one-row call."""
+    """Transport cost of each row of ``p`` to ``q`` (shape (k, n),
+    ``diff = p - q``) by the metric's closed form, which works along the last
+    axis, or one LP per row."""
     n = diff.shape[-1]
     if metric.tree is not None:
         return _tree_flow_cost(metric.tree, diff.T)
@@ -151,9 +143,8 @@ def _transport_cost(metric: FiniteMetric, p, q, diff):
     if n == 3:
         # one dot per row: a matrix-vector product sums the terms in another order
         arms, dev = _star_arms_3pt(metric.dist), np.abs(diff)
-        return arms @ dev if dev.ndim == 1 else np.array([arms @ a for a in dev])
+        return np.array([arms @ a for a in dev])
     if _is_uniform(metric.dist):
         return metric.dist[0, 1] * np.abs(diff).sum(axis=-1) / 2.0
-    pairs = zip(p.reshape(-1, n), q.reshape(-1, n))
-    return np.array([_lp_cost(metric.dist, a, b) for a, b in pairs]).reshape(diff.shape[:-1])
+    return np.array([_lp_cost(metric.dist, a, b) for a, b in zip(p, q)])
 

@@ -444,14 +444,14 @@ def reference_odd_probabilities(alg, w) -> np.ndarray:
 
 def reference_greedy_pick(alg, w, p):
     """The state greedy-pressure charges at ``w`` and ``p``, by exhaustive
-    search: the zero crossing of every open state in one call, then the
-    largest ``p * min(crossing, headroom, 1e12)``, the lowest index among
+    search: the zero crossing of every open state, asked one at a time, then
+    the largest ``p * min(crossing, headroom, 1e12)``, the lowest index among
     equal pressures; None when no state is open."""
     heads = reference_support_headrooms(alg.umts, w).tolist()
     open_states = [x for x in range(len(p)) if p[x] > EPS_EQ and heads[x] > 0.0]
     if not open_states:
         return None
-    cross = dict(zip(open_states, alg.zero_crossing(w, np.array(open_states)).tolist()))
+    cross = {x: alg.zero_crossing(w, x) for x in open_states}
     return max(open_states, key=lambda x: (p[x] * min(min(cross[x], heads[x]), 1e12), -x))
 
 
@@ -605,8 +605,8 @@ def run_tasks(run) -> list[ElementaryTask]:
 def reference_atomic_audit(alg, steps) -> dict:
     """The atomic audit step by step: per step the checks resadv,
     distribution (the start distribution at step 0 first), betatagc and
-    sensibility, then the step's price from one-row calls; a step that reads
-    a distribution pricing refuses costs NaN."""
+    sensibility, each failing on NaN, then the step's price from one-row
+    calls; a step that reads a distribution pricing refuses costs NaN."""
     u = alg.umts
     tasks, issues, trace = [], [], []
     cost = 0.0
@@ -617,7 +617,7 @@ def reference_atomic_audit(alg, steps) -> dict:
         if not trace:
             trace.append(trace_header(alg, alg.beta, rec.p))
         v, delta, p2 = rec.v, rec.delta, rec.p2
-        if delta > rec.crossing + EPS_EQ:
+        if not delta <= rec.crossing + EPS_EQ:  # NaN fails too
             magnitude = float(delta - rec.crossing)
             issues.append(AuditIssue("resadv", i, magnitude, "charge beyond crossing"))
         start_bad = _rejected(u, rec.p)
@@ -642,7 +642,8 @@ def reference_atomic_audit(alg, steps) -> dict:
             phi_w2 = alg.phi(rec.w2)
             lhs += phi_w2 - phi_w
             rhs = alg.declared_ratio * float(np.asarray(alg.alpha) @ (rec.w2 - rec.w))
-            if lhs > rhs + sens_allow:
+            # a step that reads a failing distribution is left to that check
+            if not (lhs <= rhs + sens_allow or start_bad or end_bad):
                 magnitude = float(lhs - rhs)
                 issues.append(AuditIssue("sensibility", i, magnitude, "step beyond its allowance"))
             phi_w = phi_w2

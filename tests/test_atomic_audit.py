@@ -109,6 +109,42 @@ def test_charge_beyond_the_crossing_fails_resadv(name, excess):
     assert report["worst"]["resadv"]["magnitude"] == pytest.approx(excess, rel=1e-6)
 
 
+def far(w):
+    """Whether a work function, or each of a stack of them, has |w|_1 > 0.3."""
+    return np.abs(np.asarray(w)).sum(axis=-1) > 0.3
+
+
+def nan_potential_run():
+    """odd-b4 with its potential NaN past |w|_1 = 0.3, 40 uniform-random steps."""
+    base = rule("odd-b4")
+    alg = replace(base, phi=lambda w: np.where(far(w), math.nan, base.phi(w)))
+    return play(alg, adversary(AdversaryConfig(steps=40, seed=0)))
+
+
+def test_a_nan_potential_fails_sensibility():
+    """Every step that leaves or enters a NaN potential fails sensibility."""
+    run = nan_potential_run()
+    report = assert_same_report(run)
+    nan_at = far(run.w)
+    steps = np.flatnonzero(nan_at[:-1] | nan_at[1:]).tolist()
+    assert len(steps) > 30
+    assert [(i.lemma, i.step) for i in report["issues"]] == [("sensibility", i) for i in steps]
+    assert all(math.isnan(i.magnitude) for i in report["issues"])
+
+
+def test_a_nan_crossing_fails_resadv():
+    """The same charges on a rule whose crossing is NaN past |w|_1 = 0.3
+    fail resadv at every step charged from there."""
+    base = rule("odd-b4")
+    alg = replace(base, zero_crossing=lambda w, v: math.nan if far(w) else base.zero_crossing(w, v))
+    run = play(alg, replay(run_tasks(nan_potential_run())))
+    report = assert_same_report(run)
+    steps = np.flatnonzero(far(run.w[:-1])).tolist()
+    assert len(steps) > 30
+    assert [(i.lemma, i.step) for i in report["issues"]] == [("resadv", i) for i in steps]
+    assert all(math.isnan(i.magnitude) for i in report["issues"])
+
+
 def test_mass_on_an_excluded_state_fails_betatagc():
     alg = replace(rule("two-stable"), probabilities=lambda w: np.full(np.shape(w), 0.5))
     tasks = [ElementaryTask("v1", 5.0), ElementaryTask("v2", 0.3), ElementaryTask("v1", 5.0)]

@@ -81,6 +81,15 @@ def test_a_nan_g_value_fails_hatw_in_the_audit_and_in_verify():
     assert code == 1 and message.startswith("hatw violated at step 14:"), message
 
 
+def test_a_nan_g_value_fails_the_negative_quotient_charge_check():
+    """The charged block's G value rises by NaN at steps 13, 14, 17 and 18."""
+    report = audit(play(nan_g_rule(), replay(healthy_tasks(20))))
+    negative = [issue for issue in report["issues"]
+                if issue.detail == "negative quotient charge beyond tolerance"]
+    assert [issue.step for issue in negative] == [13, 14, 17, 18]
+    assert all(issue.lemma == "hatw" and math.isnan(issue.magnitude) for issue in negative)
+
+
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_families_pass_the_audit_and_verify(name, kind):
