@@ -36,12 +36,15 @@ class OnlineAlgorithm:
 
     ``probabilities(w)`` maps a work function to a distribution over states;
     the atomic families take work functions of shape ``(..., n)`` and return
-    one distribution per leading index.
+    one distribution per leading index, and answer one work function held as
+    a list of Python floats, as :func:`umtslab.harness.simulate` holds it up
+    to ``FLOAT_STATES`` states, with a list.
     ``phi(w)`` is a potential certifying the declared ratio, a float for
     one work function and one value per leading index for a stack of
     shape ``(..., n)``;
     ``zero_crossing(w, v)`` is the largest charge at state index ``v`` that
-    keeps the run reasonable (probability positive throughout), a float.
+    keeps the run reasonable (probability positive throughout), a float, for
+    one work function given as an array or a list.
     ``local_cost_integral(w, v, delta)`` is the local cost of raising
     ``w[..., v]`` by ``delta`` for work functions of shape ``(..., n)``, one
     value per leading index; ``delta`` is one charge or an array of them
@@ -99,16 +102,20 @@ def trivial_algorithm(u: Umts, state: str | None = None) -> OnlineAlgorithm:
     alpha = np.zeros(u.n)
     alpha[v] = 1.0
     rate = float(u.rates[v])
-    crossings = np.zeros(u.n)
+    crossings = [0.0] * u.n
     crossings[v] = math.inf
 
     def probs(w):
+        if isinstance(w, list):
+            p = [0.0] * len(w)
+            p[v] = 1.0
+            return p
         p = np.zeros(np.shape(w))
         p[..., v] = 1.0
         return p
 
     def crossing(w, j):
-        return float(crossings[j])
+        return crossings[j]
 
     def local_integral(w, j, delta):
         return np.full(np.shape(w)[:-1], rate * delta if j == v else 0.0)
@@ -162,15 +169,20 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         diffs = (w[..., None, :] - w[..., :, None]) / d
         return (1.0 + _int_power(diffs, t).sum(axis=-1)) / b
 
+    def float_probs(values: list) -> list:
+        # raw(w) on Python floats, row after row, each summed as numpy sums it
+        terms = _float_powers([(x - wv) / d for wv in values for x in values], t)
+        p = [max((1.0 + numpy_sum(terms[i:i + n])) / b, 0.0) for i in range(0, n * n, n)]
+        total = numpy_sum(p)
+        return [x / total for x in p]
+
     def probs(w):
+        if isinstance(w, list):
+            return float_probs(w)
         w = np.asarray(w, dtype=float)
         if w.ndim == 1 and n <= FLOAT_STATES:
-            # raw(w) on Python floats, row after row, each summed as numpy sums it
-            values = w.tolist()
-            terms = _float_powers([(x - wv) / d for wv in values for x in values], t)
-            p = [max((1.0 + numpy_sum(terms[i:i + n])) / b, 0.0) for i in range(0, n * n, n)]
-            total = numpy_sum(p)
-            return np.array([x / total for x in p])
+            # one array, as a combined rule's memo asks
+            return np.array(float_probs(w.tolist()))
         p = np.maximum(raw(w), 0.0)
         return p / p.sum(axis=-1, keepdims=True)
 
@@ -178,7 +190,10 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
     rest = [[x for x in range(n) if x != v] for v in range(n)]
     cols = u.metric.dist_columns
 
-    def crossing_at(values: list, v: int) -> float:
+    def crossing(w, v):
+        # a run asks about one state of a work function of a few entries,
+        # which is worked through on Python floats
+        values = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()
         wv = values[v]
         # raw(w)[v], its terms summed as numpy sums them
         if (1.0 + numpy_sum(_float_powers([(x - wv) / d for x in values], t))) / b <= 1e-12:
@@ -194,11 +209,6 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         if 1.0 + numpy_sum(_float_powers([(o - head) / d for o in others], t)) > 0.0:
             return head
         return odd_crossing_bracketed(np.array(others), head, d, t)
-
-    def crossing(w, v):
-        # a run asks about one state of a work function of a few entries,
-        # which is worked through on Python floats
-        return crossing_at(np.asarray(w, dtype=float).tolist(), int(v))
 
     def local_integral(w, v, delta):
         w = np.asarray(w, dtype=float)
@@ -480,10 +490,13 @@ def two_stable(u: Umts) -> OnlineAlgorithm:
         return _ts_p1(y, d, z)
 
     def probs(w):
+        if isinstance(w, list):
+            p = _ts_p1(w[0] - w[1], d, z)
+            return [p, 1.0 - p]
         w = np.asarray(w, dtype=float)
         if w.ndim == 1:
-            p = _ts_p1(w[0] - w[1], d, z)
-            return np.array([p, 1.0 - p])
+            # one array, as a combined rule's memo asks
+            return np.array(probs(w.tolist()))
         p = p1(w[..., 0] - w[..., 1])
         out = np.empty(np.shape(p) + (2,))
         out[..., 0] = p

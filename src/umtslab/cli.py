@@ -58,8 +58,9 @@ CSV_COLUMNS = (
     "declared",
     "passed",
 )
-# one encoder for every trace line: json.dumps builds a new one per call
-TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
+# one encoder for every trace line: json.dumps builds a new one per call; a
+# trace line is a tree of dicts, lists, strings and floats, never circular
+TRACE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 # the most points a configured space may have: a uniform or line space of n
 # points allocates an n x n distance matrix, and a caching space of n fetch
 # costs has n points

@@ -27,9 +27,9 @@ from umtslab.tolerances import EPS_EQ, EPS_TIE
 from umtslab.transport import mcost_checked_rows, mcost_metric
 
 
-# one work function of at most this many states is worked through on Python
-# floats, where numpy's per-call overhead would dominate; above it numpy's
-# array passes are faster
+# a run on at most this many states holds its work function and distribution
+# as lists of Python floats, where numpy's per-call overhead would dominate;
+# above it numpy's array passes are faster
 FLOAT_STATES = 4
 
 
@@ -126,46 +126,51 @@ def apply_task(u: Umts, w: np.ndarray, task) -> np.ndarray:
     return np.min((w + c)[:, None] + u.metric.dist, axis=0)
 
 
-def apply_elementary(u: Umts, w: np.ndarray, v, delta) -> np.ndarray:
+def apply_elementary(u: Umts, w, v, delta):
     """Charge ``delta`` at state ``v``: w(v) rises to at most its support
-    level. For ``w`` of shape (k, n), ``v`` and ``delta`` hold one charge per
-    row, and each row equals the one-row call: a minimum is exact in any order."""
-    out = w.copy()
-    if w.ndim > 1:
-        rows = np.arange(len(w))
-        reach = w + u.metric.dist[:, v].T
-        reach[rows, v] = np.inf
-        out[rows, v] = np.minimum(w[rows, v] + delta, reach.min(axis=1, initial=np.inf))
+    level, min over x != v of w(x) + dist(x, v) (inf on one point).
+
+    One work function held as a list of Python floats, as
+    :func:`umtslab.harness.simulate` holds it up to ``FLOAT_STATES`` states,
+    gives a new list, worked through on Python floats. An array of shape
+    (n,), as a combined run's block and quotient work functions are, goes
+    the same way and gives an array: numpy's per-call overhead would
+    dominate the minimum. An array of shape (k, n), with one charge per row
+    in ``v`` and ``delta``, gives one row per charge, each equal to the
+    one-row call: a minimum is exact in any order."""
+    if isinstance(w, list):
+        out = w.copy()
+        out[v] = math.inf
+        out[v] = min(w[v] + delta, min(map(operator.add, out, u.metric.dist_columns[v])))
         return out
-    out[v] = min(w[v] + delta, _support_level(u, w, v))
+    if w.ndim == 1:
+        return np.array(apply_elementary(u, w.tolist(), v, delta))
+    out = w.copy()
+    rows = np.arange(len(w))
+    reach = w + u.metric.dist[:, v].T
+    reach[rows, v] = np.inf
+    out[rows, v] = np.minimum(w[rows, v] + delta, reach.min(axis=1, initial=np.inf))
     return out
 
 
-def _support_level(u: Umts, w: np.ndarray, v: int) -> float:
-    """min over x != v of w(x) + dist(x, v) (inf on one point), on Python
-    floats: at n <= 8 numpy's per-call overhead would dominate the minimum."""
-    reach = w.tolist()
-    reach[v] = math.inf
-    return min(map(operator.add, reach, u.metric.dist_columns[v]))
-
-
-def support_headroom(u: Umts, w: np.ndarray, v: int) -> float:
+def support_headroom(u: Umts, w, v: int) -> float:
     """How far w(v) can rise before v becomes supported (inf on one point)."""
-    return _support_level(u, w, v) - w[v]
+    return support_headrooms(u, w)[v]
 
 
-def support_headrooms(u: Umts, w: np.ndarray) -> np.ndarray:
-    """:func:`support_headroom` at every state: on Python floats for at most
-    ``FLOAT_STATES`` states, from one array minimum above that."""
-    if len(w) <= FLOAT_STATES:
-        values = w.tolist()
+def support_headrooms(u: Umts, w):
+    """:func:`support_headroom` at every state: a list of Python floats for
+    a list, as :func:`apply_elementary` takes one, and one array minimum
+    for an array."""
+    if isinstance(w, list):
+        values = w.copy()
         heads = []
         for v, col in enumerate(u.metric.dist_columns):
-            # _support_level at v, with w(v) set aside in place of a copy
+            # the support level at v, with w(v) set aside
             wv, values[v] = values[v], math.inf
             heads.append(min(map(operator.add, values, col)) - wv)
             values[v] = wv
-        return np.array(heads)
+        return heads
     reach = w[:, None] + u.metric.dist
     reach.flat[:: len(w) + 1] = np.inf
     return reach.min(axis=0) - w

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from umtslab.algorithms import OnlineAlgorithm
 from umtslab.checks import AuditIssue, combined_issues, rule_issues, trace_header, worst_issues
 from umtslab.combiner import CombinedRun
 from umtslab.core import (
+    FLOAT_STATES,
     ElementaryTask,
     GeneralTask,
     Umts,
@@ -85,9 +87,10 @@ def adversary(config: AdversaryConfig):
 
     It stops when the step budget is spent or no occupied state has
     headroom left. It takes the support headroom of every state in one
-    :func:`support_headrooms` call (on Python floats up to
-    ``core.FLOAT_STATES`` states) and reads the work function, the distribution
-    and the headrooms as lists of Python floats. It computes the zero
+    :func:`support_headrooms` call and reads the distribution and the
+    headrooms as lists of Python floats: those :func:`simulate` holds up
+    to ``core.FLOAT_STATES`` states, and arrays turned into lists once per
+    step above that. It computes the zero
     crossing only where the kind needs it: at the charged state, or, for
     greedy-pressure, at the states whose pressure bound
     ``mass * min(headroom, 1e12)`` can still win (:func:`_greediest`). It
@@ -102,8 +105,10 @@ def adversary(config: AdversaryConfig):
         nonlocal budget
         if budget <= 0:
             return None
-        heads = support_headrooms(alg.umts, w).tolist()
-        mass = p.tolist()
+        if isinstance(w, list):
+            heads, mass = support_headrooms(alg.umts, w), p
+        else:
+            heads, mass = support_headrooms(alg.umts, w).tolist(), p.tolist()
         open_states = [x for x in range(len(mass)) if mass[x] > EPS_EQ and heads[x] > 0.0]
         if not open_states:
             return None
@@ -123,8 +128,7 @@ def adversary(config: AdversaryConfig):
                 v = _greediest(alg, w, mass, heads, open_states, cross)
                 fraction = config.max_fraction
             else:  # support-raiser
-                values = w.tolist()
-                v = min(open_states, key=lambda x: (values[x], x))
+                v = min(open_states, key=lambda x: (w[x], x))
                 fraction = config.max_fraction
             limit = cap(v)
             if not math.isfinite(limit):
@@ -185,9 +189,18 @@ def simulate(alg: OnlineAlgorithm, policy) -> Iterator[tuple]:
     moves. Each step is yielded as ``(v, delta, crossing, w2, p2)``: the
     charge, its crossing (NaN where the policy gave None), and the work
     function and distribution after it.
+
+    On at most ``core.FLOAT_STATES`` states the work function is a list of
+    Python floats for the whole run: the policy, the rule and
+    :func:`apply_elementary` read it as a list, and the atomic families
+    answer it with a list of probabilities. A combined rule, whose memos
+    key on float64 bytes, turns it into an array itself, once per call.
+    Above the cutoff both are arrays.
     """
     u = alg.umts
     w = flat_work_function(u)
+    if u.n <= FLOAT_STATES:
+        w = w.tolist()
     p = alg.probabilities(w)
     while (charge := policy(alg, w, p)) is not None:
         v, delta, crossing = charge
@@ -251,38 +264,47 @@ class Run:
 def play(alg: OnlineAlgorithm, policy) -> Run:
     """Run the rule once against ``policy`` and record the run.
 
-    The steps :func:`simulate` yields are stacked once, every step priced
-    in one :func:`step_costs` call and the offline optimum solved once. A
-    combined rule's :class:`CombinedRun` records each step as it is made,
-    while the block and quotient values the step used are still in the
-    memos.
+    Each step :func:`simulate` yields is written into flat float64 storage
+    (``array.array``), which the record views once as arrays at the end; no
+    step keeps an object of its own. Every step is then priced in one
+    :func:`step_costs` call and the offline optimum solved once. A combined
+    rule's :class:`CombinedRun` records each step as it is made, while the
+    block and quotient values the step used are still in the memos.
     """
     u = alg.umts
     combined = CombinedRun(alg) if alg.parts is not None else None
-    w, p = [flat_work_function(u)], []
-    v, delta, crossing = [], [], []
+    w, p = array("d", flat_work_function(u).tobytes()), array("d")
+    v, delta, crossing = array("q"), array("d"), array("d")
 
     def first_sees_start(alg, w0, p0):
         # the policy is asked first at the start, so p gets its distribution
         if not p:
-            p.append(p0)
+            _put(p, p0)
         return policy(alg, w0, p0)
 
     for vi, di, ci, w2, p2 in simulate(alg, first_sees_start):
         v.append(vi)
         delta.append(di)
         crossing.append(ci)
-        w.append(w2)
-        p.append(p2)
+        _put(w, w2)
+        _put(p, p2)
         if combined is not None:
             combined.step(vi, di)
-    w, p = np.array(w), np.array(p)
-    v, delta = np.array(v, dtype=int), np.array(delta, dtype=float)
+    opt = offline_opt(u, zip(v, delta))
+    w, p = np.frombuffer(w).reshape(-1, u.n), np.frombuffer(p).reshape(-1, u.n)
+    v, delta = np.frombuffer(v, dtype=np.int64), np.frombuffer(delta)
     faulty = not_distribution(p)
     costs = step_costs(u, p, v, delta, faulty)
-    opt = offline_opt(u, zip(v.tolist(), delta.tolist()))
-    return Run(alg, w, p, v, delta, np.array(crossing, dtype=float), faulty, costs,
-               total_cost(costs), opt, combined)
+    return Run(alg, w, p, v, delta, np.frombuffer(crossing), faulty, costs, total_cost(costs),
+               opt, combined)
+
+
+def _put(buf: array, x) -> None:
+    """Append the floats of ``x``, a list or a float array, to ``buf``."""
+    if isinstance(x, list):
+        buf.fromlist(x)
+    else:
+        buf.frombytes(np.asarray(x, dtype=float).tobytes())
 
 
 def audit(run: Run) -> dict:

@@ -87,13 +87,16 @@ class TwoPointRule:
     def g_minus(self, y: float) -> float:
         return self.c_minus(y) - self.ratio * self.alpha2
 
-    def big_g_plus(self, y: float) -> float:
-        c = self.s * self.d * (self.p1(0.0) - self.p1(y)) + self.r1 * self.P1(y)
-        return self.ratio * self.alpha1 * y - c
+    @functools.cached_property
+    def p1_at_zero(self) -> float:
+        return self.p1(0.0)
 
-    def big_g_minus(self, y: float) -> float:
-        c = self.s * self.d * (self.p1(0.0) - self.p1(y)) + self.r2 * (y - self.P1(y))
-        return c - self.ratio * self.alpha2 * y
+    def big_g(self, y: float) -> tuple[float, float]:
+        """The antiderivatives of ``g_minus`` and ``g_plus`` at ``y``, from one
+        call of ``p1`` and one of ``P1``."""
+        moved, big_p1 = self.s * self.d * (self.p1_at_zero - self.p1(y)), self.P1(y)
+        return (moved + self.r2 * (y - big_p1) - self.ratio * self.alpha2 * y,
+                self.ratio * self.alpha1 * y - (moved + self.r1 * big_p1))
 
 
 def _sign_change_roots(f, xs: np.ndarray) -> list[float]:
@@ -149,32 +152,21 @@ class BandPotential:
         self._roots_minus = sorted(_sign_change_roots(rule.g_minus, ys))
         self._roots_plus = sorted(_sign_change_roots(rule.g_plus, ys))
         # from below: the edge y_minus and the roots above it, ascending, with
-        # prefix minima of big_g_minus; from above: the roots below y_plus and
-        # the edge, ascending, with suffix minima of big_g_plus
+        # prefix minima of the g_minus side of big_g; from above: the roots
+        # below y_plus and the edge, ascending, with suffix minima of its
+        # g_plus side
         self._knots_minus = [self.y_minus] + [z for z in self._roots_minus if z >= self.y_minus]
         self._floor_minus = list(
-            itertools.accumulate(map(rule.big_g_minus, self._knots_minus), min)
+            itertools.accumulate((rule.big_g(z)[0] for z in self._knots_minus), min)
         )
         self._knots_plus = [z for z in self._roots_plus if z <= self.y_plus] + [self.y_plus]
         self._floor_plus = list(
-            itertools.accumulate(map(rule.big_g_plus, reversed(self._knots_plus)), min)
+            itertools.accumulate((rule.big_g(z)[1] for z in reversed(self._knots_plus)), min)
         )[::-1]
         # the same knots and floors for array lookups
         self._knot_arrays = tuple(
             np.array(x) for x in (self._knots_minus, self._floor_minus, self._knots_plus, self._floor_plus)
         )
-
-    def _need_from_below(self, y: float) -> float:
-        if y < self.y_minus:
-            return 0.0
-        g = self.rule.big_g_minus(y)
-        return g - min(self._floor_minus[bisect.bisect_right(self._knots_minus, y) - 1], g)
-
-    def _need_from_above(self, y: float) -> float:
-        if y > self.y_plus:
-            return 0.0
-        g = self.rule.big_g_plus(y)
-        return g - min(self._floor_plus[bisect.bisect_left(self._knots_plus, y)], g)
 
     def _needs(self, y: np.ndarray) -> np.ndarray:
         """``phi`` of an array of gaps already clipped to [-d, d]: each
@@ -183,12 +175,12 @@ class BandPotential:
         need or +0.0, as ``max(0.0, below, above)`` gives (``fmax`` skips a
         NaN need as that comparison does)."""
         knots_minus, floor_minus, knots_plus, floor_plus = self._knot_arrays
-        g = self.rule.big_g_minus(y)
+        g_minus, g_plus = self.rule.big_g(y)
         floor = floor_minus[np.searchsorted(knots_minus, y, "right") - 1]
-        below = np.where(y < self.y_minus, 0.0, g - np.where(g < floor, g, floor))
-        g = self.rule.big_g_plus(y)
+        below = np.where(y < self.y_minus, 0.0,
+                         g_minus - np.where(g_minus < floor, g_minus, floor))
         floor = floor_plus[np.minimum(np.searchsorted(knots_plus, y, "left"), len(knots_plus) - 1)]
-        above = np.where(y > self.y_plus, 0.0, g - np.where(g < floor, g, floor))
+        above = np.where(y > self.y_plus, 0.0, g_plus - np.where(g_plus < floor, g_plus, floor))
         need = np.fmax(below, above)
         return np.where(need > 0.0, need, 0.0)
 
@@ -199,7 +191,15 @@ class BandPotential:
         if isinstance(y, np.ndarray):
             return self._needs(np.clip(y, -d, d))
         y = min(max(float(y), -d), d)
-        return max(0.0, self._need_from_below(y), self._need_from_above(y))
+        g_minus, g_plus = self.rule.big_g(y)
+        below = above = 0.0
+        if not y < self.y_minus:
+            floor = self._floor_minus[bisect.bisect_right(self._knots_minus, y) - 1]
+            below = g_minus - min(floor, g_minus)
+        if not y > self.y_plus:
+            floor = self._floor_plus[bisect.bisect_left(self._knots_plus, y)]
+            above = g_plus - min(floor, g_plus)
+        return max(0.0, below, above)
 
     def sup(self) -> float:
         """The largest ``phi`` over the scan points, the edges and the roots."""

@@ -17,7 +17,8 @@ array passes the library ran before it answered small queries on Python
 floats; the library must equal them bit for bit. The greedy-pressure
 reference asks for the crossing of every open state, as the adversary did
 before it pruned by the pressure bound, and the offline-optimum reference
-steps a numpy work function through ``apply_task``.
+steps a numpy work function through ``apply_task``. :func:`reference_play`
+is ``harness.play`` as it ran on numpy arrays at every n.
 
 The combined crossing reference, :func:`reference_crossing_at`, is
 ``combiner._crossing_at`` as it was before it bounded the block crossing's
@@ -56,7 +57,7 @@ import bisect
 import itertools
 import math
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -68,7 +69,7 @@ from umtslab.algorithms import (
     odd_crossing_closed,
 )
 from umtslab.checks import AuditIssue, trace_header, worst_issues
-from umtslab.combiner import CombinedParts
+from umtslab.combiner import CombinedParts, CombinedRun
 from umtslab.core import (
     ElementaryTask,
     Umts,
@@ -79,9 +80,11 @@ from umtslab.core import (
     initial_work_function,
     online_step_cost,
     opt_cost,
+    step_costs,
     support_headroom,
+    total_cost,
 )
-from umtslab.harness import offline_opt
+from umtslab.harness import Run, offline_opt
 from umtslab.hst import with_hst_realization
 from umtslab.metricspace import (
     FiniteMetric,
@@ -316,6 +319,20 @@ def _scalar_sign_change_roots(f, xs) -> list[float]:
     return roots
 
 
+def big_g_plus(rule, y: float) -> float:
+    """The antiderivative of the band rule's ``g_plus`` at ``y``, on its own,
+    with ``p1(0.0)`` called each time, as the rule gave it before it
+    shared ``p1(y)`` and ``P1(y)`` with the other side."""
+    c = rule.s * rule.d * (rule.p1(0.0) - rule.p1(y)) + rule.r1 * rule.P1(y)
+    return rule.ratio * rule.alpha1 * y - c
+
+
+def big_g_minus(rule, y: float) -> float:
+    """The antiderivative of the band rule's ``g_minus`` at ``y``, on its own."""
+    c = rule.s * rule.d * (rule.p1(0.0) - rule.p1(y)) + rule.r2 * (y - rule.P1(y))
+    return c - rule.ratio * rule.alpha2 * y
+
+
 class ScalarBand:
     """The two-point band built and read one point at a time: every scan
     calls the rule once per scan point, the least gap is Python's ``min``
@@ -340,10 +357,11 @@ class ScalarBand:
         self._roots_minus = sorted(_scalar_sign_change_roots(rule.g_minus, ys))
         self._roots_plus = sorted(_scalar_sign_change_roots(rule.g_plus, ys))
         self._knots_minus = [self.y_minus] + [z for z in self._roots_minus if z >= self.y_minus]
-        self._floor_minus = list(itertools.accumulate(map(rule.big_g_minus, self._knots_minus), min))
+        self._floor_minus = list(
+            itertools.accumulate(map(partial(big_g_minus, rule), self._knots_minus), min))
         self._knots_plus = [z for z in self._roots_plus if z <= self.y_plus] + [self.y_plus]
         self._floor_plus = list(
-            itertools.accumulate(map(rule.big_g_plus, reversed(self._knots_plus)), min)
+            itertools.accumulate(map(partial(big_g_plus, rule), reversed(self._knots_plus)), min)
         )[::-1]
 
     def phi(self, y: float) -> float:
@@ -351,10 +369,10 @@ class ScalarBand:
         y = min(max(float(y), -r.d), r.d)
         below = above = 0.0
         if y >= self.y_minus:
-            g = r.big_g_minus(y)
+            g = big_g_minus(r, y)
             below = g - min(self._floor_minus[bisect.bisect_right(self._knots_minus, y) - 1], g)
         if y <= self.y_plus:
-            g = r.big_g_plus(y)
+            g = big_g_plus(r, y)
             above = g - min(self._floor_plus[bisect.bisect_left(self._knots_plus, y)], g)
         return max(0.0, below, above)
 
@@ -372,10 +390,10 @@ def band_phi_candidates(band, y) -> float:
     below = above = 0.0
     if y >= band.y_minus:
         cands = [band.y_minus, y] + [z for z in band._roots_minus if band.y_minus <= z <= y]
-        below = r.big_g_minus(y) - min(r.big_g_minus(z) for z in cands)
+        below = big_g_minus(r, y) - min(big_g_minus(r, z) for z in cands)
     if y <= band.y_plus:
         cands = [band.y_plus, y] + [z for z in band._roots_plus if y <= z <= band.y_plus]
-        above = r.big_g_plus(y) - min(r.big_g_plus(z) for z in cands)
+        above = big_g_plus(r, y) - min(big_g_plus(r, z) for z in cands)
     return max(0.0, below, above)
 
 
@@ -447,12 +465,47 @@ def reference_greedy_pick(alg, w, p):
     search: the zero crossing of every open state, asked one at a time, then
     the largest ``p * min(crossing, headroom, 1e12)``, the lowest index among
     equal pressures; None when no state is open."""
+    w, p = np.asarray(w, dtype=float), np.asarray(p, dtype=float)
     heads = reference_support_headrooms(alg.umts, w).tolist()
     open_states = [x for x in range(len(p)) if p[x] > EPS_EQ and heads[x] > 0.0]
     if not open_states:
         return None
     cross = {x: alg.zero_crossing(w, x) for x in open_states}
     return max(open_states, key=lambda x: (p[x] * min(min(cross[x], heads[x]), 1e12), -x))
+
+
+def reference_play(alg, policy) -> Run:
+    """``harness.play`` as it ran before it held runs on lists: the work
+    function and distribution are numpy arrays at every n, each step's kept
+    as an array of its own in Python lists and stacked at the end, and the
+    step takes the support level from one numpy pass."""
+    u = alg.umts
+    combined = CombinedRun(alg) if alg.parts is not None else None
+    w = np.zeros(u.n)
+    p = alg.probabilities(w)
+    ws, ps, vs, deltas, crossings = [w], [p], [], [], []
+    while (charge := policy(alg, w, p)) is not None:
+        v, delta, crossing = charge
+        if not 0 <= delta < math.inf:
+            raise ValueError("charges must be finite and non-negative")
+        level = reference_support_level(u, w, v)
+        w = w.copy()
+        w[v] = min(w[v] + delta, level)
+        p = alg.probabilities(w)
+        ws.append(w)
+        ps.append(p)
+        vs.append(v)
+        deltas.append(delta)
+        crossings.append(math.nan if crossing is None else crossing)
+        if combined is not None:
+            combined.step(v, delta)
+    w, p = np.array(ws), np.array(ps)
+    v, delta = np.array(vs, dtype=int), np.array(deltas, dtype=float)
+    faulty = not_distribution(p)
+    costs = step_costs(u, p, v, delta, faulty)
+    opt = offline_opt(u, zip(v.tolist(), delta.tolist()))
+    return Run(alg, w, p, v, delta, np.array(crossings, dtype=float), faulty, costs,
+               total_cost(costs), opt, combined)
 
 
 def reference_offline_opt(u, tasks) -> float:
@@ -697,7 +750,9 @@ class ReferenceCombinedRun:
     rule's then the quotient's), the charge against the
     block crossing, a negative quotient charge, the quotient charge against
     the quotient crossing, welleqw per block, hatw, the rule's and then the
-    quotient's distribution, betatagc and samecompratio."""
+    quotient's distribution, betatagc and samecompratio. Each check fails
+    on NaN, and samecompratio leaves a step that reads a failing
+    distribution, the rule's or the quotient's, to that check."""
 
     def __init__(self, alg):
         parts = alg.parts
@@ -752,7 +807,7 @@ class ReferenceCombinedRun:
         j, lv = int(parts.block_of[v]), int(parts.local_index[v])
         balg = parts.block_algs[j]
         xb = balg.zero_crossing(self.w_blocks[j], lv)
-        if delta > xb + EPS_EQ:
+        if not delta <= xb + EPS_EQ:
             self._issue("resadv", delta - xb, f"charge {delta:.6g} beyond block crossing {xb:.6g}")
         w_blocks2 = list(self.w_blocks)
         w_blocks2[j] = apply_elementary(parts.block_systems[j], self.w_blocks[j], lv, delta)
@@ -760,19 +815,19 @@ class ReferenceCombinedRun:
         gvals[j] = balg.g_value(w_blocks2[j])
         raw = float(gvals[j] - self.g[j])
         dhat = max(0.0, raw)
-        if -raw > self.dhat_tol:
+        if not -raw <= self.dhat_tol:
             self._issue("hatw", -raw, "negative quotient charge beyond tolerance")
         q = OracleStep(qu, parts.quotient_alg, self.what, self.p_hat, j, dhat)
-        if dhat > q.crossing + EPS_EQ:
+        if not dhat <= q.crossing + EPS_EQ:
             detail = f"quotient charge {dhat:.6g} beyond crossing {q.crossing:.6g}"
             self._issue("resadv", dhat - q.crossing, detail)
         w2 = rec.w2
         for i, idx in enumerate(parts.global_index):
             gap = np.abs(w2[idx] - w_blocks2[i]).max()
-            if gap > EPS_EQ:
+            if not gap <= EPS_EQ:
                 self._issue("welleqw", gap, f"block {i} work function drifts")
         gap = np.abs(q.w2 - gvals).max()
-        if gap > EPS_AUDIT:
+        if not gap <= EPS_AUDIT:
             self._issue("hatw", gap, "quotient work function detached from block G values")
         p2_ok = self._distribution_ok(u, rec.p2, "not a distribution")
         q2_ok = self._distribution_ok(qu, q.p2, "quotient not a distribution")
@@ -783,7 +838,8 @@ class ReferenceCombinedRun:
         qstep_cost = online_step_cost(qu, q.p, q.p2, q.task) if self.q_ok and q2_ok else math.nan
         phi_slack = self.alg.phi_slack
         slack_allow = EPS_AUDIT + phi_slack if math.isfinite(phi_slack) else math.inf
-        if step_cost > qstep_cost + slack_allow:
+        reads_faulty = not (self.p_ok and p2_ok and self.q_ok and q2_ok)
+        if not (step_cost <= qstep_cost + slack_allow or reads_faulty):
             self._issue(
                 "samecompratio",
                 step_cost - qstep_cost,

@@ -52,7 +52,9 @@ def own_configs() -> list[tuple[str, dict]]:
     whose tree has an internal child, combined ahead of the leaves, under
     all three kinds; and odd-exponent at b = 5 with unequal rates under all
     three kinds, whose potential is the 61,051-state box grid, built in
-    many row blocks and audited through its ``phi``."""
+    many row blocks and audited through its ``phi``; and two-stable and
+    trivial on a uniform 2-point space under all three kinds, which run
+    below the float cutoff as the atomic families other than odd-exponent."""
     kinds = ("uniform-random", "greedy-pressure", "support-raiser")
 
     def config(spaces, algorithm, adversaries):
@@ -83,6 +85,10 @@ def own_configs() -> list[tuple[str, dict]]:
     box = {"name": "u5-rates", "kind": "uniform", "points": 5,
            "rates": [0.5, 0.875, 1.25, 1.625, 2.0], "distance": 1.0, "s": 1.0}
     out.append(("own-odd-b5-rates", config([box], "odd-exponent", long_runs)))
+    pair = {"name": "u2-rates", "kind": "uniform", "points": 2, "rates": [2.0, 1.0],
+            "distance": 1.0, "s": 1.0}
+    for algorithm in ("two-stable", "trivial"):
+        out.append((f"own-{algorithm}-u2", config([pair], algorithm, long_runs)))
     return out
 
 

@@ -119,6 +119,7 @@ def main() -> int:
             kind = ADVERSARY_KINDS[run % len(ADVERSARY_KINDS)]
             config = AdversaryConfig(kind=kind, steps=args.steps, seed=int(rng.integers(2**31)))
             for _, _, _, w, _ in simulate(alg, adversary(config)):
+                w = np.asarray(w)  # a list up to FLOAT_STATES states
                 if run % 2:
                     w = w + rng.uniform(-0.25, 0.25, len(w)) * alg.umts.diameter()
                 compare(alg, w, tally)

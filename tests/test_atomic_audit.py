@@ -156,7 +156,7 @@ def test_mass_on_an_excluded_state_fails_betatagc():
 @pytest.mark.parametrize("name", ["trivial", "two-stable"])
 def test_rule_off_the_simplex_fails_distribution(name):
     base = rule(name)
-    alg = replace(base, probabilities=lambda w: 1.01 * base.probabilities(w))
+    alg = replace(base, probabilities=lambda w: 1.01 * np.asarray(base.probabilities(w)))
     tasks = run_tasks(play(base, adversary(AdversaryConfig(steps=30, seed=5))))
     run = play(alg, replay(tasks))
     report = assert_same_report(run)
@@ -173,7 +173,7 @@ def test_rule_off_the_simplex_fails_distribution(name):
 def test_start_off_the_simplex_leaves_only_the_first_step_unpriced():
     base = rule("two-stable")
     def probabilities(w):
-        return base.probabilities(w) * (1.01 if not np.any(w) else 1.0)
+        return np.asarray(base.probabilities(w)) * (1.01 if not np.any(w) else 1.0)
 
     alg = replace(base, probabilities=probabilities)
     report = assert_same_report(play(alg, adversary(AdversaryConfig(steps=30, seed=5))))
@@ -185,7 +185,7 @@ def test_start_off_the_simplex_leaves_only_the_first_step_unpriced():
 def test_verify_fails_a_trace_whose_start_is_off_the_simplex(tmp_path, capsys):
     base = rule("two-stable")
     def probabilities(w):
-        return base.probabilities(w) * (1.01 if not np.any(w) else 1.0)
+        return np.asarray(base.probabilities(w)) * (1.01 if not np.any(w) else 1.0)
 
     alg = replace(base, probabilities=probabilities)
     report = audit(play(alg, adversary(AdversaryConfig(steps=30, seed=5))))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import run_tasks
-from test_combined_audit import NEGATIVE, two_level
+from test_combined_audit import NEGATIVE, assert_same_audit, two_level
 from test_combiner import two_level_metric, ts_var
 from test_verify import FAMILIES
 from umtslab import cli
@@ -82,8 +82,9 @@ def test_a_nan_g_value_fails_hatw_in_the_audit_and_in_verify():
 
 
 def test_a_nan_g_value_fails_the_negative_quotient_charge_check():
-    """The charged block's G value rises by NaN at steps 13, 14, 17 and 18."""
-    report = audit(play(nan_g_rule(), replay(healthy_tasks(20))))
+    """The charged block's G value rises by NaN at steps 13, 14, 17 and 18,
+    and the step-by-step oracle reports every issue the audit does."""
+    report = assert_same_audit(play(nan_g_rule(), replay(healthy_tasks(20))))
     negative = [issue for issue in report["issues"]
                 if issue.detail == "negative quotient charge beyond tolerance"]
     assert [issue.step for issue in negative] == [13, 14, 17, 18]

@@ -645,3 +645,29 @@ def test_bundled_configs_are_valid():
             for algorithm in config["algorithms"]:
                 alg = build_algorithm(space, algorithm)
                 assert alg.declared_ratio > 0
+
+
+def test_trace_encoder_writes_what_json_dumps_writes():
+    """The shared trace encoder, which skips the circular-reference check,
+    writes each trace row as ``json.dumps(row, sort_keys=True)`` does: the
+    header rows, and atomic and combined step rows, those holding NaN and
+    +-inf in top-level and nested fields included."""
+    rows = []
+    for space, algorithm in (({"kind": "uniform", "points": 2}, "odd-exponent"),
+                             ({"kind": "caching", "fetch_costs": [1.0, 0.6, 1.7, 1.2]},
+                              "caching")):
+        alg = build_algorithm({"name": "x", "s": 1.0, **space}, algorithm)
+        config = harness.AdversaryConfig(steps=4, seed=0)
+        head, *steps = harness.audit(harness.play(alg, harness.adversary(config)))["trace"]
+        odd = json.loads(json.dumps(steps[-1]))
+        for key, value in odd.items():
+            if isinstance(value, float):
+                odd[key] = math.nan
+            elif isinstance(value, list) and value and isinstance(value[0], list):
+                odd[key] = [[-math.inf, *row[1:]] for row in value]
+            elif isinstance(value, list):
+                odd[key] = [math.inf, *value[1:]]
+        rows += [head, *steps, odd]
+    assert any("w_blocks" in row for row in rows)
+    for row in rows:
+        assert cli.TRACE_ENCODER.encode(row) == json.dumps(row, sort_keys=True)

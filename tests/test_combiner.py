@@ -318,6 +318,7 @@ def test_memo_hits_return_what_a_fresh_rule_computes(name):
     seen = [dict.fromkeys(np.array([x]).tobytes() for x in (-0.0, -1.5, 0.0))
             if isinstance(memo, PointMemo) else {} for memo in memos]
     for _, _, _, w2, _ in simulate(alg, adversary(AdversaryConfig(steps=25, seed=3))):
+        w2 = np.array(w2)  # a list up to FLOAT_STATES states
         ws.append(w2)
         for memo, keys in zip(memos, seen):
             if isinstance(memo, PointMemo):
@@ -525,6 +526,7 @@ def test_crossing_at_equals_the_reference_where_the_bound_changes_sign(name, see
     w = np.zeros(alg.umts.n)
     for _, _, _, w, _ in simulate(alg, adversary(AdversaryConfig(steps=steps, seed=seed))):
         pass
+    w = np.asarray(w)  # a list up to FLOAT_STATES states
     checked = 0
     todo = [(alg, w)]
     while todo:

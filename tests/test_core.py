@@ -16,7 +16,6 @@ from oracles import (
 )
 from umtslab.core import (
     ElementaryTask,
-    _support_level,
     apply_elementary,
     GeneralTask,
     Umts,
@@ -148,8 +147,8 @@ def test_support_headrooms_equal_the_states(n, seed, spread):
 @given(st.sampled_from(METRIC_KINDS), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.floats(0.0, 3.0), st.booleans())
 def test_support_headrooms_equal_the_numpy_pass(kind, n, seed, spread, ties):
-    """On Python floats up to FLOAT_STATES states and in numpy above, the
-    headrooms equal one numpy pass bit for bit; ``ties`` puts the work
+    """The headrooms of a list, on Python floats, and of an array, in one
+    array minimum, equal one numpy pass bit for bit; ``ties`` puts the work
     function on a quarter grid, so that several states reach one level."""
     rng = np.random.default_rng(seed)
     if kind in ("two-point", "three-point", "lp") and n == 1:
@@ -162,13 +161,17 @@ def test_support_headrooms_equal_the_numpy_pass(kind, n, seed, spread, ties):
     heads = support_headrooms(u, w)
     assert heads.dtype == np.float64 and heads.shape == (m.n,)
     assert heads.tobytes() == reference_support_headrooms(u, w).tobytes()
+    listed = support_headrooms(u, w.tolist())
+    assert all(type(x) is float for x in listed)
+    assert np.array(listed).tobytes() == heads.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(METRIC_KINDS), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.floats(0.0, 3.0), st.floats(0.0, 2.0))
 def test_support_level_equals_the_numpy_pass(kind, n, seed, spread, delta):
-    """The float support level, and the step built on it, equal one numpy pass bit for bit."""
+    """The step on a list, on Python floats, and on an array each equal the
+    step to one numpy pass's support level bit for bit."""
     rng = np.random.default_rng(seed)
     if kind in ("two-point", "three-point", "lp") and n == 1:
         n = 2
@@ -176,11 +179,12 @@ def test_support_level_equals_the_numpy_pass(kind, n, seed, spread, delta):
     u = Umts(m, np.ones(m.n), 1.0)
     w = rng.uniform(0.0, spread, m.n)
     for v in range(m.n):
-        level = _support_level(u, w, v)
-        assert type(level) is float and level == reference_support_level(u, w, v)
         stepped = w.copy()
         stepped[v] = min(w[v] + delta, reference_support_level(u, w, v))
-        assert np.array_equal(apply_elementary(u, w, v, delta), stepped)
+        listed = apply_elementary(u, w.tolist(), v, delta)
+        assert all(type(x) is float for x in listed)
+        assert np.array(listed).tobytes() == stepped.tobytes()
+        assert apply_elementary(u, w, v, delta).tobytes() == stepped.tobytes()
     # a stack charges every state at once, each row as the one-row call
     rows = rng.uniform(0.0, spread, (2 * m.n, m.n))
     states, charges = np.arange(2 * m.n) % m.n, rng.uniform(0.0, delta + 1e-9, 2 * m.n)

@@ -15,6 +15,7 @@ from oracles import (
     random_metric,
     reference_greedy_pick,
     reference_offline_opt,
+    reference_play,
     run_tasks,
 )
 from test_atomic_audit import as_text, assert_same_report
@@ -22,6 +23,7 @@ from test_combined_audit import assert_same_audit
 from umtslab import harness
 from umtslab.algorithms import odd_exponent, trivial_algorithm, two_stable
 from umtslab.core import (
+    FLOAT_STATES,
     ElementaryTask,
     GeneralTask,
     Umts,
@@ -378,3 +380,82 @@ def test_the_record_holds_no_per_step_objects():
     arrays = [x for x in vars(run).values() if isinstance(x, np.ndarray)]
     assert len(run.w) == 4001
     assert held <= 2 * sum(x.nbytes for x in arrays)
+
+
+def loop_rule(family: str, n: int, rates: list, state: int):
+    """A fresh rule of ``family`` on the uniform space of ``n`` states: the
+    trivial rule on ``state``, two-stable with ``rates``, odd-exponent with
+    equal rates, caching on ``n`` fetch costs ``rates`` (K = 3 at n = 4)
+    and the combined rule with ``rates``."""
+    u = uniform_umts(rates[:n])
+    if family == "trivial":
+        return trivial_algorithm(u, u.labels[state % n])
+    if family == "two-stable":
+        return two_stable(u)
+    if family == "odd-exponent":
+        return odd_exponent(uniform_umts(np.ones(n)))
+    if family == "caching":
+        return weighted_caching_algorithm(rates[:n])
+    return combined_algorithm(u)
+
+
+# the families and their sizes, to one state past the float cutoff where the
+# family allows
+LOOP_SIZES = {
+    "trivial": range(1, FLOAT_STATES + 2),
+    "two-stable": [2],
+    "odd-exponent": range(2, FLOAT_STATES + 2),
+    "caching": [4],
+    "combined": [4],
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(LOOP_SIZES)), st.sampled_from(ADVERSARY_KINDS + ("replay",)),
+       st.integers(0, 2**32 - 1), st.integers(0, 60), st.floats(0.3, 0.999), st.data())
+def test_play_equals_the_array_loop(family, kind, seed, steps, fraction, data):
+    """``play`` on lists up to FLOAT_STATES states, and on arrays above,
+    records each run with the bits of the loop that held every work function
+    and distribution as an array: ``w``, ``p``, ``v``, ``delta``,
+    ``crossing``, ``faulty``, ``costs``, ``cost`` and ``opt``. ``replay``
+    charges what the uniform-random adversary charged, with no crossings."""
+    n = data.draw(st.sampled_from(LOOP_SIZES[family]))
+    rates = data.draw(st.lists(st.floats(0.25, 4.0), min_size=5, max_size=5))
+    state = data.draw(st.integers(0, 4))
+
+    def policy():
+        if kind != "replay":
+            return adversary(AdversaryConfig(kind=kind, steps=steps, seed=seed,
+                                              max_fraction=fraction))
+        config = AdversaryConfig(steps=steps, seed=seed, max_fraction=fraction)
+        return replay(run_tasks(play(loop_rule(family, n, rates, state), adversary(config))))
+
+    want = reference_play(loop_rule(family, n, rates, state), policy())
+    got = play(loop_rule(family, n, rates, state), policy())
+    for name in ("w", "p", "v", "delta", "crossing", "faulty", "costs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert as_text([got.cost, got.opt]) == as_text([want.cost, want.opt])
+    assert type(got.cost) is float and type(got.opt) is float
+    w = next(simulate(loop_rule(family, n, rates, state), replay([ElementaryTask("v1", 0.1)])))[3]
+    assert isinstance(w, list) == (n <= FLOAT_STATES)
+
+
+def test_play_peaks_near_its_record():
+    """The traced peak of a 20,000-step b = 2 ``play`` stays within four
+    times the bytes of the record's arrays: each step is written into flat
+    storage, not kept as arrays of its own."""
+    alg = odd_exponent(uniform_umts(np.ones(2)))
+    config = AdversaryConfig(steps=20_000, seed=0)
+    play(alg, adversary(AdversaryConfig(steps=50, seed=0)))  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = play(alg, adversary(config))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    arrays = [x for x in vars(run).values() if isinstance(x, np.ndarray)]
+    assert len(run.w) == 20_001
+    assert peak <= 4 * sum(x.nbytes for x in arrays)
