@@ -37,7 +37,7 @@ for blk, sub_alg in zip(parts.partition.blocks, parts.block_algs):
 print("quotient over representatives:", parts.quotient_alg.name,
       "ratio", round(parts.quotient_alg.declared_ratio, 4))
 print("quotient distances (half-contracted):")
-print(parts.dist_hat)
+print(parts.quotient_umts.metric.dist)
 
 # 2. The constant arithmetic behind the export. The merge rule takes the
 # quotient pair and the block pairs and produces the combined pair.

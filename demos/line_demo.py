@@ -54,5 +54,5 @@ for kind in ("uniform-random", "greedy-pressure", "support-raiser"):
 # line against the right half across the long tree edge.
 parts = alg.parts
 print("\nroot blocks:", [tuple(b) for b in parts.partition.blocks])
-print("root quotient distance:", parts.dist_hat[0, 1])
+print("root quotient distance:", parts.quotient_umts.metric.dist[0, 1])
 print("root quotient algorithm:", parts.quotient_alg.name)

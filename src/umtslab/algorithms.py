@@ -40,8 +40,9 @@ class OnlineAlgorithm:
     a list of Python floats, as :func:`umtslab.harness.simulate` holds it up
     to ``FLOAT_STATES`` states, with a list.
     ``phi(w)`` is a potential certifying the declared ratio, a float for
-    one work function and one value per leading index for a stack of
-    shape ``(..., n)``;
+    one work function; an atomic rule's also takes a stack of shape
+    ``(..., n)`` and gives one value per leading index, while a combined
+    rule's takes one work function only;
     ``zero_crossing(w, v)`` is the largest charge at state index ``v`` that
     keeps the run reasonable (probability positive throughout), a float, for
     one work function given as an array or a list.
@@ -198,7 +199,7 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         # raw(w)[v], its terms summed as numpy sums them
         if (1.0 + numpy_sum(_float_powers([(x - wv) / d for x in values], t))) / b <= 1e-12:
             return 0.0
-        # the support headroom, as core.support_headroom computes it
+        # the support headroom at v, as core.support_headrooms computes it
         reach = list(map(operator.add, values, cols[v]))
         reach[v] = math.inf
         head = min(reach) - wv

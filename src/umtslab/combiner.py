@@ -36,7 +36,6 @@ from umtslab.metricspace import (
     min_cross_distance,
     quotient_metric,
 )
-from umtslab.potential import by_rows
 from umtslab.rootfind import brentq
 from umtslab.tolerances import EPS_EQ
 
@@ -217,7 +216,6 @@ class CombinedParts:
     global_index: list[np.ndarray]
     quotient_umts: Umts
     quotient_alg: OnlineAlgorithm
-    dist_hat: np.ndarray
     beta: float
     memos: list[PotentialMemo | PointMemo] = field(init=False, repr=False)
     quotient_memo: PotentialMemo = field(init=False, repr=False)
@@ -335,14 +333,13 @@ def combine(
             raise ValueError("block algorithm rates or distance ratio disagree")
 
     qmetric = quotient_metric(u.metric, partition)
-    dh = qmetric.dist
     hat_rates = np.array([a.declared_ratio for a in block_algs])
     init_block = next(i for i, blk in enumerate(blocks) if u.initial_state in blk)
     qu = Umts(qmetric, hat_rates, u.s, qmetric.labels[init_block])
     qalg = quotient_builder(qu)
 
     pairs = [(a.beta, a.eta) for a in block_algs]
-    beta, eta = combine_beta_eta(u, partition, dh, (qalg.beta, qalg.eta), pairs)
+    beta, eta = combine_beta_eta(u, partition, qmetric.dist, (qalg.beta, qalg.eta), pairs)
     if declared_beta is not None:
         if declared_beta < beta - 1e-12:
             raise ValueError(f"declared beta {declared_beta} undercuts computed {beta}")
@@ -374,7 +371,6 @@ def combine(
         global_index=global_index,
         quotient_umts=qu,
         quotient_alg=qalg,
-        dist_hat=dh,
         beta=beta,
     )
 
@@ -431,7 +427,7 @@ def combine(
         beta=beta,
         eta=eta,
         probabilities=probs,
-        phi=by_rows(phi),
+        phi=phi,
         phi_sup=float(phi_sup),
         zero_crossing=crossing,
         descriptor={

@@ -153,15 +153,11 @@ def apply_elementary(u: Umts, w, v, delta):
     return out
 
 
-def support_headroom(u: Umts, w, v: int) -> float:
-    """How far w(v) can rise before v becomes supported (inf on one point)."""
-    return support_headrooms(u, w)[v]
-
-
 def support_headrooms(u: Umts, w):
-    """:func:`support_headroom` at every state: a list of Python floats for
-    a list, as :func:`apply_elementary` takes one, and one array minimum
-    for an array."""
+    """How far w(v) can rise at each state v before v becomes supported (inf
+    on one point): a list of Python floats for a list, as
+    :func:`apply_elementary` takes one, and one array minimum for an
+    array."""
     if isinstance(w, list):
         values = w.copy()
         heads = []
@@ -182,37 +178,21 @@ def moving_cost(u: Umts, p, q):
     return u.s * mcost_metric(u.metric, p, q)
 
 
-def online_step_cost(u: Umts, p_before, p_after, task):
-    """Transport cost plus charge paid at the post-move probabilities.
-
-    For distributions of shape (..., n), ``task`` holds one elementary task
-    per leading index, in C order, and the result one cost per leading
-    index, each equal to the one-row call (see :func:`_charges_paid`).
-    """
+def online_step_cost(u: Umts, p_before, p_after, task) -> float:
+    """Transport cost plus charge paid at the post-move probabilities, for
+    one step; :func:`step_costs` prices every step of a run."""
     p_after = np.asarray(p_after, dtype=float)
-    moving = moving_cost(u, p_before, p_after)
-    if p_after.ndim > 1:
-        v = np.array([u.metric.index(t.state) for t in task], dtype=np.int64)
-        delta = np.array([t.delta for t in task], dtype=float)
-        return moving + _charges_paid(u, p_after, v, delta)
-    return moving + float(p_after @ (task_charges(u, task) * u.rates))
-
-
-def _charges_paid(u: Umts, p_after: np.ndarray, v: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """What each row of the (..., n) stack ``p_after`` pays for the charge
-    ``delta`` at state ``v`` of its row (C order), as
-    ``p_after[v] * (delta * rate[v])``: the one nonzero term of the one-row
-    dot product, so each payment equals the one-row call's."""
-    paid = p_after.reshape(-1, u.n)[np.arange(len(v)), v] * (delta * u.rates[v])
-    return paid.reshape(p_after.shape[:-1])
+    return moving_cost(u, p_before, p_after) + float(p_after @ (task_charges(u, task) * u.rates))
 
 
 def step_costs(u: Umts, p: np.ndarray, v: np.ndarray, delta: np.ndarray,
                faulty: np.ndarray) -> np.ndarray:
     """The cost of each step of a run through the (k + 1, n) distributions
     ``p``, its start first, whose step i charges ``delta[i]`` at state
-    ``v[i]``, as :func:`online_step_cost` prices a stack; NaN where a step
-    reads a row that ``faulty`` marks.
+    ``v[i]``, each equal to the one-step :func:`online_step_cost`; NaN where
+    a step reads a row that ``faulty`` marks. A step pays
+    ``p[i + 1, v[i]] * (delta[i] * rate[v[i]])``, the one nonzero term of
+    the one-step dot product.
 
     ``faulty`` must mark every row that is not a distribution, as
     :func:`umtslab.transport.not_distribution` does, so the rows priced are
@@ -224,9 +204,9 @@ def step_costs(u: Umts, p: np.ndarray, v: np.ndarray, delta: np.ndarray,
     if priced.all():
         # every row is priced: the views, not masked copies
         priced = slice(None)
-    before, after = p[:-1][priced], p[1:][priced]
+    before, after, v = p[:-1][priced], p[1:][priced], v[priced]
     moving = u.s * mcost_checked_rows(u.metric, before, after)
-    cost[priced] = moving + _charges_paid(u, after, v[priced], delta[priced])
+    cost[priced] = moving + after[np.arange(len(v)), v] * (delta[priced] * u.rates[v])
     return cost
 
 
@@ -239,24 +219,17 @@ def opt_cost(w) -> float:
     return float(np.asarray(w).min())
 
 
-def beta_excluded_mass(u: Umts, beta: float, w, p) -> list:
-    """(state, mass) for every state that holds mass although beta excludes it.
+def beta_excluded_mass(u: Umts, beta: float, w: np.ndarray, p: np.ndarray) -> list[list]:
+    """For each row of the (k, n) work functions ``w`` and distributions
+    ``p``, the (state, mass) of every state that holds mass although beta
+    excludes it, from one pass over the n states y that never holds a
+    (k, n, n) array.
 
     State x is excluded when some other state y has
     w(x) >= w(y) + beta * dist(y, x), ties within EPS_TIE included; mass
-    counts above EPS_EQ. A rule satisfying the beta constraint returns [].
-    For ``w`` and ``p`` of shape (k, n) it returns one such list per row,
-    each equal to the one-row call, from one pass over the n states y
-    that never holds a (k, n, n) array.
+    counts above EPS_EQ. A rule satisfying the beta constraint gets [] for
+    every row. One work function goes as a stack of one row.
     """
-    w, p = np.asarray(w, dtype=float), np.asarray(p, dtype=float)
-    if w.ndim == 1:
-        # one row takes the (n, n) pair matrix: the loop over y below costs
-        # a few times as much on a single row, more so as n grows
-        gap = w[None, :] - w[:, None] - beta * u.metric.dist
-        np.fill_diagonal(gap, -np.inf)
-        hit = (gap.max(axis=0) >= -EPS_TIE) & (p > EPS_EQ)
-        return [(int(x), float(p[x])) for x in np.flatnonzero(hit)]
     # nearest[:, x]: the largest w(x) - w(y) - beta * dist(y, x) over y != x
     nearest = np.full(w.shape, -np.inf)
     for y in range(u.n):

@@ -72,13 +72,6 @@ class FiniteMetric:
         the one-state queries of a run read them on Python floats."""
         return tuple(self.dist.T.tolist())
 
-    def min_positive(self) -> float:
-        """Smallest off-diagonal distance (0 for a single point)."""
-        if self.n <= 1:
-            return 0.0
-        off = self.dist[~np.eye(self.n, dtype=bool)]
-        return float(off.min())
-
 
 # entries of the (rows, n, n) triangle check made at once: 2 MiB of floats
 TRIANGLE_BLOCK = 2**18
@@ -222,10 +215,9 @@ def induced_metric(metric: FiniteMetric, block) -> FiniteMetric:
     return FiniteMetric(tuple(block), sub)
 
 
-def quotient_metric(metric: FiniteMetric, partition: Partition, dist_hat=None) -> FiniteMetric:
-    """One representative z_i per block; distances default to the largest
-    cross-block distance, the tightest admissible choice (any matrix with
-    entries at least that large is accepted)."""
+def quotient_metric(metric: FiniteMetric, partition: Partition) -> FiniteMetric:
+    """One representative z_i per block; z_i and z_j are at the largest
+    distance between blocks i and j, the tightest admissible choice."""
     b = partition.b
     labels = tuple(f"z{i + 1}" for i in range(b))
     if b == 1:
@@ -236,15 +228,7 @@ def quotient_metric(metric: FiniteMetric, partition: Partition, dist_hat=None) -
         for j in range(b):
             if i != j:
                 maxcross[i, j] = metric.dist[np.ix_(idx[i], idx[j])].max()
-    if dist_hat is None:
-        dh = maxcross
-    else:
-        dh = np.asarray(dist_hat, dtype=float)
-        if dh.shape != (b, b):
-            raise ValueError("dist_hat shape mismatch")
-        if (dh + EPS_EQ < maxcross).any():
-            raise ValueError("dist_hat must dominate every cross-block distance")
-    return FiniteMetric(labels, dh)
+    return FiniteMetric(labels, maxcross)
 
 
 def min_cross_distance(metric: FiniteMetric, partition: Partition, i: int, j: int) -> float:

@@ -132,13 +132,6 @@ def combined_algorithm(u: Umts) -> OnlineAlgorithm:
     b_prime = len(blocks)
     _require(b_prime <= log_x_total ** 2, "block count exceeds ln(x)^2")
 
-    def build_block(host: Umts, idx: list[int], big: bool) -> OnlineAlgorithm:
-        blk = [labels[i] for i in idx]
-        sub = block_subsystem(host, blk)
-        if not big:
-            return trivial_algorithm(sub)
-        return rho_variant(odd_exponent, sub, 0.1)
-
     summary = {
         "family": "bucket-merge",
         "log_x": log_x_total,
@@ -161,32 +154,25 @@ def combined_algorithm(u: Umts) -> OnlineAlgorithm:
 
     block_algs = []
     for idx, log_x, big in blocks:
-        a = build_block(u, idx, big)
+        sub = block_subsystem(u, [labels[i] for i in idx])
+        a = rho_variant(odd_exponent, sub, 0.1) if big else trivial_algorithm(sub)
         _require(
             a.declared_ratio <= ratio_budget(u.s, log_x) * (1 + 1e-9),
             "block ratio exceeds its scale budget",
         )
         block_algs.append(a)
 
-    head_idx, head_log_x, head_big = blocks[0]
-    head_labels = [labels[i] for i in head_idx]
+    head_labels = [labels[i] for i in blocks[0][0]]
     tail_labels = [labels[i] for idx, _, _ in blocks[1:] for i in idx]
-    if b_prime == 2:
-        merged_tail = block_algs[1]
-    else:
-        u_tail = block_subsystem(u, tail_labels)
-        tail_blocks = [[labels[i] for i in idx] for idx, _, _ in blocks[1:]]
-        tail_algs = [
-            build_block(u_tail, idx, big) for idx, _, big in blocks[1:]
-        ]
-        merged_tail = combine(
-            u_tail,
-            tail_blocks,
-            tail_algs,
-            quotient_builder=lambda q: rho_variant(odd_exponent, q, 0.2),
-            declared_beta=0.5,
-            declared_eta=0.3,
-        )
+    # a one-block tail is that block's rule: combine returns it as it is
+    merged_tail = combine(
+        block_subsystem(u, tail_labels),
+        [[labels[i] for i in idx] for idx, _, _ in blocks[1:]],
+        block_algs[1:],
+        quotient_builder=lambda q: rho_variant(odd_exponent, q, 0.2),
+        declared_beta=0.5,
+        declared_eta=0.3,
+    )
     tail_bound = BUDGET_COEFF * u.s * (blocks[1][1] + 0.6) * math.log(log_x_total)
     _require(
         merged_tail.declared_ratio <= tail_bound * (1 + 1e-9),

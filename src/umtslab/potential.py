@@ -243,20 +243,6 @@ def elementwise(f: Callable[[float], float]) -> Callable:
     return g
 
 
-def by_rows(phi: Callable[[np.ndarray], float]) -> Callable:
-    """``phi`` of one work function, extended to stacks of shape (..., n)
-    by one call per row."""
-
-    def stacked(w):
-        w = np.asarray(w, dtype=float)
-        if w.ndim == 1:
-            return phi(w)
-        values = [phi(row) for row in w.reshape(-1, w.shape[-1])]
-        return np.array(values, dtype=float).reshape(w.shape[:-1])
-
-    return stacked
-
-
 # ---------------------------------------------------------------------------
 # value iteration on gridded work-function differences
 

@@ -81,7 +81,7 @@ from umtslab.core import (
     online_step_cost,
     opt_cost,
     step_costs,
-    support_headroom,
+    support_headrooms,
     total_cost,
 )
 from umtslab.harness import Run, offline_opt
@@ -682,7 +682,7 @@ def reference_atomic_audit(alg, steps) -> dict:
             magnitude = float(abs(p2.sum() - 1.0))
             issues.append(AuditIssue("distribution", i, magnitude, "not a distribution"))
         if alg.beta > 0.0:
-            for x, mass in beta_excluded_mass(u, alg.beta, rec.w2, p2):
+            for x, mass in beta_excluded_mass(u, alg.beta, rec.w2[None], p2[None])[0]:
                 detail = f"mass on excluded state {u.labels[x]}"
                 issues.append(AuditIssue("betatagc", i, mass, detail))
         step_cost = math.nan if start_bad or end_bad else float(
@@ -786,7 +786,7 @@ class ReferenceCombinedRun:
         p0 = alg.probabilities(np.zeros(parts.u.n)) if self.p0 is None else self.p0
         return trace_header(alg, parts.beta, p0) | {
             "blocks": [list(b) for b in parts.partition.blocks],
-            "dist_hat": parts.dist_hat.tolist(),
+            "dist_hat": parts.quotient_umts.metric.dist.tolist(),
             "hat_rates": parts.quotient_umts.rates.tolist(),
             "hat_init": parts.initial_hat_work().tolist(),
             "alpha": np.asarray(alg.alpha).tolist(),
@@ -831,7 +831,7 @@ class ReferenceCombinedRun:
             self._issue("hatw", gap, "quotient work function detached from block G values")
         p2_ok = self._distribution_ok(u, rec.p2, "not a distribution")
         q2_ok = self._distribution_ok(qu, q.p2, "quotient not a distribution")
-        for x, mass in beta_excluded_mass(u, parts.beta, w2, rec.p2):
+        for x, mass in beta_excluded_mass(u, parts.beta, w2[None], rec.p2[None])[0]:
             self._issue("betatagc", mass, f"mass on excluded state {u.labels[x]}")
         step_cost = (online_step_cost(u, rec.p, rec.p2, rec.task) if self.p_ok and p2_ok
                      else math.nan)
@@ -986,7 +986,8 @@ def reference_verify(head, rows):
             if not_distribution(ph2):
                 return 1, f"distribution violated at step {i}: quotient {_simplex_summary(ph2)}"
         # a single-state rule declares beta = 0 and is exempt
-        excluded = beta_excluded_mass(u, beta, stored_w, p2) if combined or beta > 0.0 else []
+        excluded = (beta_excluded_mass(u, beta, stored_w[None], p2[None])[0]
+                    if combined or beta > 0.0 else [])
         if excluded:
             x, mass = excluded[0]
             return 1, (
@@ -1043,7 +1044,7 @@ def drive(steps: int, seed: int):
             budget -= 1
             cands = [v for v in range(u.n) if p[v] > 1e-9]
             v = cands[rng.integers(len(cands))]
-            cap = min(alg.zero_crossing(w, v), support_headroom(u, w, v))
+            cap = min(alg.zero_crossing(w, v), support_headrooms(u, w)[v])
             if math.isfinite(cap) and cap > 0:
                 return v, rng.uniform(0.2, 0.999) * cap * (1.0 - 1e-6), None
         return None

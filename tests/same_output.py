@@ -14,8 +14,9 @@ error, and every file of the output trees byte for byte. It also runs
 each tree's own ``umtslab verify`` on every trace either side writes and
 compares their exit codes, standard output and error; a trace that either
 rejects counts as rejected. It prints each difference and each rejected
-trace and exits 1 on any. A run takes a few minutes, so this is a one-off
-check and not part of the test suite.
+trace and exits 1 on any. The summary line gives each tree's package
+size, the lines of ``umtslab/*.py`` under its ``src/``. A run takes a few
+minutes, so this is a one-off check and not part of the test suite.
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ def own_configs() -> list[tuple[str, dict]]:
     whose tree has an internal child, combined ahead of the leaves, under
     all three kinds; and odd-exponent at b = 5 with unequal rates under all
     three kinds, whose potential is the 61,051-state box grid, built in
-    many row blocks and audited through its ``phi``; and two-stable and
-    trivial on a uniform 2-point space under all three kinds, which run
-    below the float cutoff as the atomic families other than odd-exponent."""
+    many row blocks and audited through its ``phi``; and two-stable,
+    trivial and the combined rule on a uniform 2-point space with unequal
+    rates under all three kinds: the first two run below the float cutoff
+    as the atomic families other than odd-exponent, and the combined rule
+    there has two one-state blocks, so its tail is one block's rule."""
     kinds = ("uniform-random", "greedy-pressure", "support-raiser")
 
     def config(spaces, algorithm, adversaries):
@@ -87,7 +90,7 @@ def own_configs() -> list[tuple[str, dict]]:
     out.append(("own-odd-b5-rates", config([box], "odd-exponent", long_runs)))
     pair = {"name": "u2-rates", "kind": "uniform", "points": 2, "rates": [2.0, 1.0],
             "distance": 1.0, "s": 1.0}
-    for algorithm in ("two-stable", "trivial"):
+    for algorithm in ("two-stable", "trivial", "combined"):
         out.append((f"own-{algorithm}-u2", config([pair], algorithm, long_runs)))
     return out
 
@@ -139,6 +142,12 @@ def verified(src: Path, trace: Path) -> tuple:
     return done.returncode, done.stdout, done.stderr
 
 
+def package_lines(src: Path) -> int:
+    """Lines of the package's modules under ``src``, as
+    ``cat src/umtslab/*.py | wc -l`` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (src / "umtslab").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", help="src/ directory of the tree to compare against")
@@ -177,8 +186,10 @@ def main(argv=None) -> int:
                 if parent[0] != 0 or this[0] != 0:
                     print(f"  {name}: {shown} rejected: parent {parent}, this {this}")
                     rejected += 1
+    sizes = ", ".join(f"{side} {package_lines(src)}" for side, src in sides.items())
     print(f"{len(names)} runs compared, {traced} traces verified by both trees, "
-          f"{differences} differences, {rejected} traces rejected by verify")
+          f"{differences} differences, {rejected} traces rejected by verify; "
+          f"umtslab lines: {sizes}")
     return 1 if differences or rejected else 0
 
 

@@ -26,7 +26,7 @@ from umtslab.algorithms import (
     two_stable,
     two_stable_ratio,
 )
-from umtslab.core import Umts, support_headroom
+from umtslab.core import Umts, support_headrooms
 from umtslab.metricspace import make_uniform
 
 EPS = 1e-9
@@ -82,7 +82,7 @@ def test_odd_exponent_zero_crossing():
         w -= w.min()
         for v in range(3):
             x = a.zero_crossing(w, v)
-            head = support_headroom(u, w, v)
+            head = support_headrooms(u, w)[v]
             assert -EPS <= x <= head + EPS
             if probabilities(a, w)[v] < 1e-12:
                 assert x == 0.0
@@ -375,7 +375,7 @@ def test_odd_crossing_dead_capped_and_rooted(b, w, v, kind):
     w = np.array(w)
     x = alg.zero_crossing(w, v)
     assert x == reference_odd_crossing(alg, w, v)
-    head = support_headroom(alg.umts, w, v)
+    head = support_headrooms(alg.umts, w)[v]
     if kind == "dead":
         assert probabilities(alg, w)[v] == 0.0 and x == 0.0
     elif kind == "capped":

@@ -79,6 +79,31 @@ def test_empty_run_equals_the_oracle():
     assert report["steps"] == 0 and report["passed"]
 
 
+def test_a_harder_quotient_adversary_fails_resadv_after_the_last_step():
+    """Negative control of the quotient-adversary bound: a line(8) run whose
+    recorded quotient charges are scaled up until the quotient's offline
+    optimum exceeds the original's by more than the allowance fails resadv
+    at step k, after its last step."""
+    run = play(rule("line8"), adversary(AdversaryConfig(kind="support-raiser", steps=30, seed=5)))
+    assert audit(run)["passed"]
+    recorded = list(run.combined.delta_hat)
+    for factor in 2.0 ** np.arange(1, 20):
+        run.combined.delta_hat[:] = [factor * d for d in recorded]
+        report = audit(run)
+        if report["opt_hat"] > report["opt"] + report["resadv_allow"]:
+            break
+    else:
+        pytest.fail("scaled quotient charges never exceeded the allowance")
+    k = report["steps"]
+    last = [issue for issue in report["issues"] if issue.step == k]
+    assert [(issue.lemma, issue.detail) for issue in last] == [
+        ("resadv", "quotient adversary is harder than the original")]
+    assert last[0].magnitude == report["opt_hat"] - report["opt"] - report["resadv_allow"]
+    assert report["issues"][-1] is last[0]
+    assert not report["passed"]
+    assert report["worst"]["resadv"]["magnitude"] >= last[0].magnitude
+
+
 def scaled(base, factor, where=lambda w: True):
     """``base`` with its distributions scaled by ``factor`` where ``where(w)``."""
     return replace(base, probabilities=lambda w: base.probabilities(w) * (

@@ -30,7 +30,7 @@ from umtslab.combiner import (
     combine,
     nice_beta_eta,
 )
-from umtslab.core import ElementaryTask, Umts, support_headroom
+from umtslab.core import ElementaryTask, Umts, support_headrooms
 from umtslab.harness import (
     ADVERSARY_KINDS,
     AdversaryConfig,
@@ -228,7 +228,7 @@ def test_product_measure_marginals():
         for j, idx in enumerate(parts.global_index):
             assert abs(p[idx].sum() - p_hat[j]) < 1e-12
         v = int(rng.integers(4))
-        cap = min(calg.zero_crossing(w, v), support_headroom(calg.umts, w, v))
+        cap = min(calg.zero_crossing(w, v), support_headrooms(calg.umts, w)[v])
         if cap > 0:
             from umtslab.core import apply_elementary
 

@@ -27,11 +27,11 @@ from umtslab.core import (
     online_step_cost,
     opt_cost,
     step_costs,
-    support_headroom,
     support_headrooms,
     task_charges,
 )
 from umtslab.metricspace import FiniteMetric, make_line, make_star, make_uniform
+from umtslab.transport import mcost_checked_rows
 
 
 def u2(d=1.0, r=(1.0, 1.0), s=1.0):
@@ -120,27 +120,29 @@ def test_work_function_stays_lipschitz():
 
 def test_supported_states():
     u = u2()
-    assert support_headroom(u, np.array([0.0, 1.0]), 1) == 0.0
-    assert support_headroom(u, np.array([0.0, 1.0]), 0) == 2.0
-    assert support_headroom(u, np.array([0.0, 0.5]), 0) == 1.5
-    assert support_headroom(u, np.array([0.0, 0.5]), 1) == 0.5
+    assert support_headrooms(u, np.array([0.0, 1.0]))[1] == 0.0
+    assert support_headrooms(u, np.array([0.0, 1.0]))[0] == 2.0
+    assert support_headrooms(u, np.array([0.0, 0.5]))[0] == 1.5
+    assert support_headrooms(u, np.array([0.0, 0.5]))[1] == 0.5
 
     line = Umts(make_line(3, 1.0), np.ones(3), 1.0)
     w = np.array([0.0, 1.0, 2.0])
-    assert support_headroom(line, w, 0) == 2.0
-    assert support_headroom(line, w, 1) == 0.0
-    assert support_headroom(line, w, 2) == 0.0
+    assert support_headrooms(line, w)[0] == 2.0
+    assert support_headrooms(line, w)[1] == 0.0
+    assert support_headrooms(line, w)[2] == 0.0
 
-    assert support_headroom(u, np.array([0.0, 0.25]), 1) == pytest.approx(0.75)
+    assert support_headrooms(u, np.array([0.0, 0.25]))[1] == pytest.approx(0.75)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
 def test_support_headrooms_equal_the_states(n, seed, spread):
+    """The headroom at each state is its support level less w(v)."""
     rng = np.random.default_rng(seed)
     u = Umts(FiniteMetric(tuple(f"v{i}" for i in range(n)), random_metric(rng, n)), np.ones(n), 1.0)
     w = rng.uniform(0.0, spread, n)
-    assert np.array_equal(support_headrooms(u, w), [support_headroom(u, w, v) for v in range(n)])
+    levels = [reference_support_level(u, w, v) - w[v] for v in range(n)]
+    assert np.array_equal(support_headrooms(u, w), levels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,21 +218,25 @@ def test_online_step_cost_examples():
     st.sampled_from(METRIC_KINDS), st.integers(2, 4), st.integers(1, 5), st.integers(0, 2**32 - 1)
 )
 def test_stacked_step_costs_equal_one_row_calls(kind, n, k, seed):
+    """A run's step costs equal the one-step calls, and the charge each
+    step pays equals the dot product of its distribution with the charge
+    vector, bit for bit off the LP."""
     rng = np.random.default_rng(seed)
     m = metric_of(kind, n, rng)
     u = Umts(m, rng.uniform(0.0, 3.0, m.n), float(rng.uniform(0.5, 2.0)))
-    p, q = random_rows(rng, k, m.n), random_rows(rng, k, m.n)
-    charged = rng.integers(m.n, size=k)
-    tasks = [ElementaryTask(m.labels[v], float(rng.uniform(0.0, 2.0))) for v in charged]
-    got = online_step_cost(u, p, q, tasks)
-    rows = [online_step_cost(u, a, b, t) for a, b, t in zip(p, q, tasks)]
+    p = random_rows(rng, k + 1, m.n)
+    v = rng.integers(m.n, size=k)
+    delta = rng.uniform(0.0, 2.0, k)
+    tasks = [ElementaryTask(m.labels[x], d) for x, d in zip(v.tolist(), delta.tolist())]
+    got = step_costs(u, p, v, delta, np.zeros(k + 1, dtype=bool))
+    rows = [online_step_cost(u, p[i], p[i + 1], t) for i, t in enumerate(tasks)]
+    paid = [float(p[i + 1] @ (task_charges(u, t) * u.rates)) for i, t in enumerate(tasks)]
+    moving = u.s * mcost_checked_rows(m, p[:-1], p[1:])
     if kind == "lp":
         np.testing.assert_allclose(got, rows, rtol=0.0, atol=1e-12)
     else:
         assert np.array_equal(got, rows)
-    # one row pays the charge as the dot product with the charge vector did
-    for a, b, t, cost in zip(p, q, tasks, rows):
-        assert cost == moving_cost(u, a, b) + float(b @ (task_charges(u, t) * u.rates))
+    assert np.array_equal(got, moving + paid)
 
 
 @settings(max_examples=80, deadline=None)
@@ -283,7 +289,6 @@ def test_stacked_beta_exclusion_equals_one_row_calls(kind, n, k, seed, beta):
     p = random_rows(rng, k, m.n)
     p[rng.random((k, m.n)) < 0.3] = 0.0
     got = beta_excluded_mass(u, beta, w, p)
-    assert got == [beta_excluded_mass(u, beta, a, b) for a, b in zip(w, p)]
     assert got == [excluded_by_pairs(u, beta, a, b) for a, b in zip(w, p)]
 
 

@@ -30,7 +30,6 @@ from umtslab.core import (
     apply_elementary,
     flat_work_function,
     online_step_cost,
-    support_headroom,
     support_headrooms,
 )
 from umtslab.harness import (
@@ -103,7 +102,7 @@ def test_generated_charges_stay_admissible():
             v = u.metric.index(t.state)
             assert alg.probabilities(w)[v] > 1e-9
             assert t.delta < alg.zero_crossing(w, v)
-            assert t.delta < support_headroom(u, w, v)
+            assert t.delta < support_headrooms(u, w)[v]
             w = apply_elementary(u, w, v, t.delta)
 
 
@@ -331,15 +330,15 @@ def one_pass_rule(name):
 def test_one_pass_equals_two(name, kind):
     """The audit of a run played once equals the step-by-step oracle's and
     the audit of its replay, and the record's cost is the left-to-right sum
-    of one stacked ``online_step_cost`` call, bit for bit."""
+    of one-step ``online_step_cost`` calls, bit for bit."""
     alg = one_pass_rule(name)
     run = play(alg, adversary(AdversaryConfig(kind=kind, steps=40, seed=6)))
     assert len(run.v)
     report = (assert_same_report if alg.parts is None else assert_same_audit)(run)
     assert as_text(audit(play(alg, replay(run_tasks(run))))) == as_text(report)
     total = 0.0
-    for cost in online_step_cost(alg.umts, run.p[:-1], run.p[1:], run_tasks(run)).tolist():
-        total += cost
+    for i, task in enumerate(run_tasks(run)):
+        total += online_step_cost(alg.umts, run.p[i], run.p[i + 1], task)
     assert run.cost == total and report["cost"] == total
 
 

@@ -85,14 +85,12 @@ def test_partition_and_quotient():
 
     qm = quotient_metric(m, part)
     assert qm.labels == ("z1", "z2", "z3")
-    # default quotient distance is the largest cross-block distance
+    # the quotient distance is the largest cross-block distance
     assert (qm.dist[~np.eye(3, dtype=bool)] == 2.0).all()
     assert min_cross_distance(m, part, 0, 1) == 2.0
 
     with pytest.raises(ValueError):
         make_partition(m, [("v1",), ("v2",)])
-    with pytest.raises(ValueError):
-        quotient_metric(m, part, dist_hat=np.ones((3, 3)) * 0.5)
 
 
 def test_induced_metric():

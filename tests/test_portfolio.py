@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from oracles import drive
-from umtslab.algorithms import two_stable_ratio
+from umtslab import portfolio
+from umtslab.algorithms import trivial_algorithm, two_stable_ratio
 from umtslab.core import Umts
 from umtslab.harness import audit, play
 from umtslab.metricspace import make_line, make_uniform
@@ -130,6 +131,23 @@ def test_combined_all_singletons_audit_run():
     report = audit(play(alg, drive(40, seed=11)))
     assert report["steps"] == 40
     assert report["passed"], report["issues"]
+
+
+@pytest.mark.parametrize("rates", [[2.0, 1.0], [2.0, 1.0, 0.5, 3.0, 1.5]])
+def test_combined_builds_each_block_rule_once(monkeypatch, rates):
+    """Each singleton state gets one trivial rule: the tail is combined
+    from the blocks' own rules, and a one-block tail is that block's rule."""
+    builds = []
+
+    def counted(u, state=None):
+        builds.append(u.labels)
+        return trivial_algorithm(u, state)
+
+    monkeypatch.setattr(portfolio, "trivial_algorithm", counted)
+    alg = combined_algorithm(Umts(make_uniform(len(rates)), np.array(rates), 1.0))
+    assert sorted(builds) == [(label,) for label in alg.umts.labels]
+    if len(rates) == 2:
+        assert alg.parts.block_algs[1].descriptor["family"] == "trivial"
 
 
 def test_combined_variant_contracts_constants():

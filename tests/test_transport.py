@@ -88,7 +88,8 @@ def test_transport_properties():
         p, q, r = (random_prob(rng, n) for _ in range(3))
         cpq = mcost_metric(m, p, q)
         assert cpq == pytest.approx(mcost_metric(m, q, p), abs=1e-9)
-        assert cpq >= m.min_positive() * np.abs(p - q).sum() / 2.0 - 1e-9
+        nearest = d[~np.eye(n, dtype=bool)].min()
+        assert cpq >= nearest * np.abs(p - q).sum() / 2.0 - 1e-9
         assert cpq <= mcost_metric(m, p, r) + mcost_metric(m, r, q) + 1e-9
 
 
