@@ -11,6 +11,7 @@ has step 0 too."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,16 @@ class AuditIssue:
 
 
 def worst_issues(issues: list[AuditIssue]) -> dict[str, dict]:
-    """The largest issue of each lemma, with its step and detail."""
+    """The largest issue of each lemma, with its step and detail. A NaN
+    magnitude ranks above every number; of equal ranks the first is kept."""
     worst: dict[str, dict] = {}
+
+    def rank(magnitude):
+        return (1, 0.0) if math.isnan(magnitude) else (0, magnitude)
+
     for issue in issues:
         cur = worst.get(issue.lemma)
-        if cur is None or issue.magnitude > cur["magnitude"]:
+        if cur is None or rank(issue.magnitude) > rank(cur["magnitude"]):
             worst[issue.lemma] = {
                 "magnitude": issue.magnitude, "step": issue.step, "detail": issue.detail
             }

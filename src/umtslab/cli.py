@@ -65,6 +65,9 @@ TRACE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 # points allocates an n x n distance matrix, and a caching space of n fetch
 # costs has n points
 MAX_POINTS = 1024
+# the most (steps + 1) x points a job may ask for: its record holds that many
+# work-function entries and as many probabilities, 64 MiB of floats at the cap
+MAX_RECORD = 2**22
 
 
 class ConfigError(Exception):
@@ -82,9 +85,11 @@ def _integral(value, what: str) -> int:
     return int(value)
 
 
-def _check_size(spec) -> None:
+def _check_size(spec, steps: int = 0) -> None:
     """Reject a space of more than ``MAX_POINTS`` points (``points``, or
-    the number of ``fetch_costs``) before anything of its size is built."""
+    the number of ``fetch_costs``), and a job of ``steps`` steps on it whose
+    (steps + 1) x points exceeds ``MAX_RECORD``, before anything of its size
+    is built."""
     kind = spec.get("kind", "uniform")
     if kind in ("uniform", "line") and "points" in spec:
         n = _integral(spec["points"], "'points'")
@@ -95,6 +100,10 @@ def _check_size(spec) -> None:
     if n > MAX_POINTS:
         raise ConfigError(f"space {_space_label(spec)!r} has {n} points, more than the "
                           f"{MAX_POINTS} a config may ask for")
+    if (steps + 1) * n > MAX_RECORD:
+        raise ConfigError(f"a job of {steps} steps on space {_space_label(spec)!r} records "
+                          f"(steps + 1) x points = {(steps + 1) * n} entries, more than the "
+                          f"{MAX_RECORD} a job may hold")
 
 
 def _build_uniform_space(spec) -> Umts:
@@ -272,10 +281,11 @@ def cmd_run(args) -> int:
     if adversaries is not None and not isinstance(adversaries, list):
         raise ConfigError(f"config 'adversaries' must be a list, got {adversaries!r}")
     adversaries = adversaries or [{"kind": "uniform-random", "steps": 100}]
-    # reject a bad entry or an oversized space before any job runs
-    kinds = [_adversary_config(entry, seeds[0]).kind for entry in adversaries]
+    # reject a bad entry, an oversized space or an oversized job before any job runs
+    entries = [_adversary_config(entry, seeds[0]) for entry in adversaries]
+    kinds = [entry.kind for entry in entries]
     for space in spaces:
-        _check_size(space)
+        _check_size(space, max(entry.steps for entry in entries))
     jobs, names = [], {}
     for space, algorithm, (entry, kind), seed in product(
         spaces, algorithms, zip(adversaries, kinds), seeds
@@ -405,8 +415,7 @@ def _verify(head, rows):
     numbers = [row["i"] for row in rows]
     if combined:
         partition = make_partition(u.metric, head["blocks"])
-        blocks = [[u.metric.index(m) for m in b] for b in partition.blocks]
-        j = np.array([partition.block_of(row["state"]) for row in rows], dtype=int)
+        blocks, j = partition.index, partition.block_of[v]
         named = [row["block"] for row in rows]
         nb, qlabels = len(blocks), tuple(f"B{b}" for b in range(len(blocks)))
         delta_hat = _charges(row["delta_hat"] for row in rows)
@@ -426,7 +435,7 @@ def _verify(head, rows):
         u = replace(u, metric=with_hst_realization(u.metric))
     if combined:
         dist_hat = np.asarray(head["dist_hat"], dtype=float)
-        expected = quotient_metric(u.metric, partition).dist
+        expected = quotient_metric(partition).dist
         same_shape = dist_hat.shape == expected.shape
         gap = float(np.abs(dist_hat - expected).max()) if same_shape else math.inf
         if not gap <= EPS_EQ:  # NaN fails too

@@ -29,13 +29,7 @@ import numpy as np
 
 from umtslab.algorithms import OnlineAlgorithm
 from umtslab.core import Umts, apply_elementary
-from umtslab.metricspace import (
-    Partition,
-    induced_metric,
-    make_partition,
-    min_cross_distance,
-    quotient_metric,
-)
+from umtslab.metricspace import Partition, induced_metric, make_partition, quotient_metric
 from umtslab.rootfind import brentq
 from umtslab.tolerances import EPS_EQ
 
@@ -58,28 +52,20 @@ def combine_beta_eta(u: Umts, partition: Partition, dist_hat: np.ndarray,
     eta is eta_hat diam(M_hat)/diam(M) + max_i eta_i diam(M_i)/diam(M).
     """
     qb, qe = quotient_pair
-    diams = [induced_metric(u.metric, blk).diameter() for blk in partition.blocks]
+    diams = partition.max_cross.diagonal()
+    betas, etas = (np.array(column, dtype=float) for column in zip(*block_pairs))
     beta = max((bp[0] for bp in block_pairs), default=0.0)
-    b = partition.b
-    for i in range(b):
-        for j in range(b):
-            if i == j:
-                continue
-            cross = min_cross_distance(u.metric, partition, i, j)
-            num = (
-                qb * dist_hat[i, j]
-                + block_pairs[j][0] * diams[j]
-                + block_pairs[i][0] * diams[i]
-                + block_pairs[i][1] * diams[i]
-            )
-            beta = max(beta, num / cross)
+    if partition.b > 1:
+        scaled = betas * diams
+        # summed in the formula's order, entry by entry
+        num = qb * dist_hat + scaled[None, :] + scaled[:, None] + (etas * diams)[:, None]
+        off = ~np.eye(partition.b, dtype=bool)
+        beta = max(beta, (num[off] / partition.min_cross[off]).max())
     diam = u.diameter()
     diam_hat = float(dist_hat.max())
     eta = qe * diam_hat / diam if diam > 0 else 0.0
-    eta += max(
-        (block_pairs[i][1] * diams[i] / diam for i in range(b) if diam > 0),
-        default=0.0,
-    )
+    eta += max((bp[1] * d / diam for bp, d in zip(block_pairs, diams.tolist()) if diam > 0),
+               default=0.0)
     return beta, eta
 
 
@@ -202,40 +188,44 @@ class CombinedParts:
     reader of the quotient rule's through ``quotient_memo``. The memo of a
     block of one state is a :class:`PointMemo`, whose answers are checked
     here once against the rule's own at w = [0.0]; a one-state rule that
-    answers otherwise keeps a :class:`PotentialMemo`. ``order`` lists the
-    states block after block, and ``all_points`` says whether every block is
-    a point memo's, in which case the G values are ``w[order] + 0.0``.
+    answers otherwise keeps a :class:`PotentialMemo`. The point blocks
+    (``point_blocks``, on the states ``point_states``) are read in one
+    index step, and only the other blocks (``memo_blocks``) ask their memos.
     """
 
     u: Umts
     partition: Partition
     block_algs: list[OnlineAlgorithm]
     block_systems: list[Umts]
-    block_of: np.ndarray
-    local_index: np.ndarray
-    global_index: list[np.ndarray]
     quotient_umts: Umts
     quotient_alg: OnlineAlgorithm
     beta: float
     memos: list[PotentialMemo | PointMemo] = field(init=False, repr=False)
     quotient_memo: PotentialMemo = field(init=False, repr=False)
-    order: np.ndarray = field(init=False, repr=False)
-    all_points: bool = field(init=False, repr=False)
+    point_blocks: np.ndarray = field(init=False, repr=False)
+    point_states: np.ndarray = field(init=False, repr=False)
+    memo_blocks: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        index = self.partition.index
         self.memos = [PointMemo(a) if len(idx) == 1 and PointMemo.fits(a) else PotentialMemo(a)
-                      for a, idx in zip(self.block_algs, self.global_index)]
+                      for a, idx in zip(self.block_algs, index)]
         self.quotient_memo = PotentialMemo(self.quotient_alg)
-        self.order = np.concatenate(self.global_index)
-        self.all_points = all(isinstance(memo, PointMemo) for memo in self.memos)
+        points = [isinstance(memo, PointMemo) for memo in self.memos]
+        self.point_blocks = np.flatnonzero(points)
+        self.point_states = np.array([index[j][0] for j in self.point_blocks.tolist()], dtype=int)
+        self.memo_blocks = [j for j, point in enumerate(points) if not point]
 
     def split(self, w: np.ndarray) -> list[np.ndarray]:
-        return [w[idx] for idx in self.global_index]
+        return [w[idx] for idx in self.partition.index]
 
     def hat_work(self, w: np.ndarray) -> np.ndarray:
-        if self.all_points:
-            return w[self.order] + 0.0
-        return np.array([memo(wb)[1] for memo, wb in zip(self.memos, self.split(w))])
+        """The block G values at ``w``: a point block's is ``w[v] + 0.0``."""
+        g = np.empty(self.partition.b)
+        g[self.point_blocks] = w[self.point_states] + 0.0
+        for j in self.memo_blocks:
+            g[j] = self.memos[j](w[self.partition.index[j]])[1]
+        return g
 
     def initial_hat_work(self) -> np.ndarray:
         return self.hat_work(np.zeros(self.u.n))
@@ -302,7 +292,6 @@ def block_subsystem(u: Umts, block) -> Umts:
 
 def combine(
     u: Umts,
-    blocks: list[list[str]],
     block_algs: list[OnlineAlgorithm],
     quotient_builder,
     declared_beta: float | None = None,
@@ -310,31 +299,26 @@ def combine(
 ) -> OnlineAlgorithm:
     """Combine per-block algorithms under a quotient family.
 
-    ``quotient_builder`` maps the quotient system (representatives, block
-    ratios as cost ratios, same distance ratio) to an algorithm. Declared
-    constraint constants may upgrade the computed ones but never undercut
-    them; a computed beta above 1 makes the construction unsound and is
-    rejected.
+    The blocks are the block rules' own label tuples, which must partition
+    ``u``'s labels. ``quotient_builder`` maps the quotient system
+    (representatives, block ratios as cost ratios, same distance ratio) to an
+    algorithm. Declared constraint constants may upgrade the computed ones
+    but never undercut them; a computed beta above 1 makes the construction
+    unsound and is rejected.
     """
-    if len(blocks) != len(block_algs):
-        raise ValueError("one algorithm per block required")
-    partition = make_partition(u.metric, blocks)
+    partition = make_partition(u.metric, [a.umts.labels for a in block_algs])
     if partition.b == 1:
         return block_algs[0]
-    systems = []
-    for a, blk in zip(block_algs, blocks):
-        sub = block_subsystem(u, blk)
-        systems.append(sub)
-        if a.umts.labels != sub.labels:
-            raise ValueError(f"block algorithm labels {a.umts.labels} != {sub.labels}")
+    systems = [block_subsystem(u, blk) for blk in partition.blocks]
+    for a, sub in zip(block_algs, systems):
         if not np.abs(a.umts.metric.dist - sub.metric.dist).max(initial=0.0) <= EPS_EQ:
             raise ValueError("block algorithm metric disagrees with induced metric")
         if not np.abs(a.umts.rates - sub.rates).max(initial=0.0) <= EPS_EQ or a.umts.s != sub.s:
             raise ValueError("block algorithm rates or distance ratio disagree")
 
-    qmetric = quotient_metric(u.metric, partition)
+    qmetric = quotient_metric(partition)
     hat_rates = np.array([a.declared_ratio for a in block_algs])
-    init_block = next(i for i, blk in enumerate(blocks) if u.initial_state in blk)
+    init_block = partition.block_of[u.metric.index(u.initial_state)]
     qu = Umts(qmetric, hat_rates, u.s, qmetric.labels[init_block])
     qalg = quotient_builder(qu)
 
@@ -351,63 +335,48 @@ def combine(
     if beta > 1.0 + EPS_EQ:
         raise ValueError(f"combination needs beta <= 1, got {beta:.6g}")
 
-    n = u.n
-    block_of = np.zeros(n, dtype=int)
-    local_index = np.zeros(n, dtype=int)
-    global_index = []
-    for j, blk in enumerate(blocks):
-        idx = np.array([u.metric.index(x) for x in blk])
-        global_index.append(idx)
-        block_of[idx] = j
-        local_index[idx] = np.arange(len(blk))
-
     parts = CombinedParts(
         u=u,
         partition=partition,
         block_algs=list(block_algs),
         block_systems=systems,
-        block_of=block_of,
-        local_index=local_index,
-        global_index=global_index,
         quotient_umts=qu,
         quotient_alg=qalg,
         beta=beta,
     )
 
-    r = qalg.declared_ratio
+    n, r, index = u.n, qalg.declared_ratio, partition.index
     alpha = np.zeros(n)
-    for j, idx in enumerate(global_index):
+    for j, idx in enumerate(index):
         alpha[idx] = qalg.alpha[j] * np.asarray(block_algs[j].alpha)
 
+    # a point block's distribution is [1], so its state gets the quotient mass
     def probs(w):
         w = np.asarray(w, dtype=float)
         p_hat = parts.quotient_memo.probabilities(parts.hat_work(w))
         p = np.zeros(n)
-        if parts.all_points:
-            p[parts.order] = p_hat
-            return p
-        for j, (idx, wb) in enumerate(zip(global_index, parts.split(w))):
-            p[idx] = p_hat[j] * parts.memos[j].probabilities(wb)
+        p[parts.point_states] = p_hat[parts.point_blocks]
+        for j in parts.memo_blocks:
+            p[index[j]] = p_hat[j] * parts.memos[j].probabilities(w[index[j]])
         return p
 
+    # a point block's potential is 0, so it adds nothing
     def phi(w):
         w = np.asarray(w, dtype=float)
-        if parts.all_points:
-            return float(parts.quotient_memo(parts.hat_work(w))[0])
-        values = [memo(wb) for memo, wb in zip(parts.memos, parts.split(w))]
-        total = parts.quotient_memo(np.array([g for _, g in values]))[0]
-        for j, (bphi, _) in enumerate(values):
+        total = parts.quotient_memo(parts.hat_work(w))[0]
+        for j in parts.memo_blocks:
+            bphi = parts.memos[j](w[index[j]])[0]
             if bphi != 0.0:
                 total += r * qalg.alpha[j] * bphi / hat_rates[j]
         return float(total)
 
-    blocks_of, locals_of = block_of.tolist(), local_index.tolist()
+    blocks_of, locals_of = partition.block_of.tolist(), partition.local_index.tolist()
 
     def crossing(w, v):
         w = np.asarray(w, dtype=float)
         what = parts.hat_work(w)
         j, lv = blocks_of[v], locals_of[v]
-        memo, wb = parts.memos[j], w[global_index[j]]
+        memo, wb = parts.memos[j], w[index[j]]
         xq = parts.quotient_memo.zero_crossing(what, j)
         return _crossing_at(memo, wb, lv, float(what[j]), memo.zero_crossing(wb, lv), xq)
 
@@ -434,7 +403,7 @@ def combine(
             "family": "combined",
             "quotient": qalg.descriptor,
             "blocks": [a.descriptor for a in block_algs],
-            "partition": [list(blk) for blk in blocks],
+            "partition": [list(blk) for blk in partition.blocks],
             "beta": beta,
             "eta": eta,
             "ratio": r,
@@ -473,7 +442,7 @@ class CombinedRun:
         self.parts = parts
         g0 = parts.initial_hat_work()
         self.block, self.xb, self.xq, self.delta_hat = [], [], [], []
-        self.w_blocks = [[np.zeros(len(idx)) for idx in parts.global_index]]
+        self.w_blocks = [[np.zeros(len(idx)) for idx in parts.partition.index]]
         self.g, self.what = [g0], [g0]
         self.p_hat = [parts.quotient_memo.probabilities(g0)]
 
@@ -482,7 +451,7 @@ class CombinedRun:
         charge moves one block's work function; the quotient charge is the
         rise of that block's G value, clamped at zero."""
         parts = self.parts
-        j, lv = int(parts.block_of[v]), int(parts.local_index[v])
+        j, lv = int(parts.partition.block_of[v]), int(parts.partition.local_index[v])
         memo, qmemo = parts.memos[j], parts.quotient_memo
         w_blocks, g, what = self.w_blocks[-1], self.g[-1], self.what[-1]
         self.block.append(j)

@@ -387,17 +387,17 @@ def _audit_combined(run: Run) -> tuple[dict, list, dict, list]:
     only by the static offset of the translation.
     """
     alg, u, rec, parts = run.alg, run.alg.umts, run.combined, run.alg.parts
-    qu, k = parts.quotient_umts, len(run.v)
+    qu, k, index = parts.quotient_umts, len(run.v), parts.partition.index
     g, what, p_hat = np.array(rec.g), np.array(rec.what), np.array(rec.p_hat)
     w_blocks = [np.array([row[b] for row in rec.w_blocks[1:]]).reshape(k, len(idx))
-                for b, idx in enumerate(parts.global_index)]
+                for b, idx in enumerate(index)]
     qfaulty = not_distribution(p_hat)
     qcosts = step_costs(qu, p_hat, np.array(rec.block, dtype=int),
                         np.array(rec.delta_hat, dtype=float), qfaulty)
     slack = alg.phi_slack
     allow = EPS_AUDIT + slack if math.isfinite(slack) else math.inf
     checks = combined_issues(u, parts.beta, run.w, run.p, run.faulty, run.costs,
-                             parts.global_index, w_blocks, g[1:], what, p_hat, qfaulty, qcosts,
+                             index, w_blocks, g[1:], what, p_hat, qfaulty, qcosts,
                              allow)
 
     dhat_tol = max([EPS_EQ] + [a.phi_slack for a in parts.block_algs if math.isfinite(a.phi_slack)])
@@ -422,7 +422,7 @@ def _audit_combined(run: Run) -> tuple[dict, list, dict, list]:
     # quotient start vectors plus the largest block diameter (the G
     # values sit at most one block diameter above the block minimum).
     start_gap = float(np.max(initial_work_function(qu) - what[0]))
-    block_diam = max(float(u.metric.dist[np.ix_(idx, idx)].max()) for idx in parts.global_index)
+    block_diam = float(parts.partition.max_cross.diagonal().max())
     resadv_allow = max(0.0, start_gap) + block_diam + EPS_AUDIT + k * dhat_tol
     if not opt_hat <= run.opt + resadv_allow:
         issues.append(AuditIssue("resadv", k, opt_hat - run.opt - resadv_allow,

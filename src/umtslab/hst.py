@@ -186,7 +186,7 @@ def _tree_rule(u: Umts, node: HstNode, quotient, declared=(None, None),
         _tree_rule(block_subsystem(u, blk), c, quotient, declared, internal_first)
         for blk, c in zip(blocks, children)
     ]
-    return combine(u, blocks, rules, quotient, *declared)
+    return combine(u, rules, quotient, *declared)
 
 
 def _dominates(tree_dist: np.ndarray, dist: np.ndarray, stretch: float = math.inf) -> bool:

@@ -64,7 +64,16 @@ class FiniteMetric:
         return float(self.dist.max())
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        """The position of ``label``; ``ValueError`` for an unknown label."""
+        try:
+            return self.positions[label]
+        except (KeyError, TypeError):
+            raise ValueError(f"{label!r} is not a label of the metric") from None
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each label's position, made once."""
+        return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
     def dist_columns(self) -> tuple[list[float], ...]:
@@ -179,33 +188,54 @@ def make_star(fetch_costs, labels=None) -> FiniteMetric:
     return FiniteMetric(labels, dist, TreeRealization(parent, weight, points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint blocks of labels covering a metric's label set."""
+    """Disjoint blocks of labels covering a metric's label set, resolved to
+    the metric's state indices once by :func:`make_partition`.
+
+    ``index[j]`` holds the states of block j in block order, and state v is
+    entry ``local_index[v]`` of block ``block_of[v]``. ``min_cross[i, j]``
+    and ``max_cross[i, j]`` are the smallest and largest distances between
+    blocks i and j; the diagonal of ``max_cross`` holds the block diameters.
+    """
 
     blocks: tuple[tuple[str, ...], ...]
+    index: tuple[np.ndarray, ...]
+    block_of: np.ndarray
+    local_index: np.ndarray
+    min_cross: np.ndarray
+    max_cross: np.ndarray
 
     @property
     def b(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, label: str) -> int:
-        for i, blk in enumerate(self.blocks):
-            if label in blk:
-                return i
-        raise KeyError(label)
-
 
 def make_partition(metric: FiniteMetric, blocks) -> Partition:
+    """The partition of ``metric`` into ``blocks`` of labels. Both cross
+    matrices come from one block-ordered copy of the distance matrix, reduced
+    over the blocks' rows and then their columns; minimum and maximum are
+    exact, so each entry is one of the distances."""
     blocks = tuple(tuple(blk) for blk in blocks)
-    seen: list[str] = []
-    for blk in blocks:
-        if not blk:
-            raise ValueError("empty block")
-        seen.extend(blk)
-    if sorted(seen) != sorted(metric.labels):
+    if not all(blocks):
+        raise ValueError("empty block")
+    labels = [x for blk in blocks for x in blk]
+    if sorted(labels) != sorted(metric.labels):
         raise ValueError("blocks must partition the label set exactly")
-    return Partition(blocks)
+    sizes = [len(blk) for blk in blocks]
+    starts = np.cumsum([0] + sizes[:-1])
+    order = np.array([metric.index(x) for x in labels], dtype=int)
+    block_of = np.empty(metric.n, dtype=int)
+    block_of[order] = np.repeat(np.arange(len(blocks)), sizes)
+    local_index = np.empty(metric.n, dtype=int)
+    local_index[order] = np.arange(metric.n) - np.repeat(starts, sizes)
+    d = metric.dist[np.ix_(order, order)]
+    min_cross = np.minimum.reduceat(np.minimum.reduceat(d, starts, axis=0), starts, axis=1)
+    max_cross = np.maximum.reduceat(np.maximum.reduceat(d, starts, axis=0), starts, axis=1)
+    index = tuple(np.split(order, starts[1:]))
+    for a in (*index, block_of, local_index, min_cross, max_cross):
+        a.setflags(write=False)
+    return Partition(blocks, index, block_of, local_index, min_cross, max_cross)
 
 
 def induced_metric(metric: FiniteMetric, block) -> FiniteMetric:
@@ -215,26 +245,12 @@ def induced_metric(metric: FiniteMetric, block) -> FiniteMetric:
     return FiniteMetric(tuple(block), sub)
 
 
-def quotient_metric(metric: FiniteMetric, partition: Partition) -> FiniteMetric:
+def quotient_metric(partition: Partition) -> FiniteMetric:
     """One representative z_i per block; z_i and z_j are at the largest
     distance between blocks i and j, the tightest admissible choice."""
-    b = partition.b
-    labels = tuple(f"z{i + 1}" for i in range(b))
-    if b == 1:
-        return FiniteMetric(labels, np.zeros((1, 1)))
-    idx = [[metric.index(x) for x in blk] for blk in partition.blocks]
-    maxcross = np.zeros((b, b))
-    for i in range(b):
-        for j in range(b):
-            if i != j:
-                maxcross[i, j] = metric.dist[np.ix_(idx[i], idx[j])].max()
-    return FiniteMetric(labels, maxcross)
-
-
-def min_cross_distance(metric: FiniteMetric, partition: Partition, i: int, j: int) -> float:
-    idx_i = [metric.index(x) for x in partition.blocks[i]]
-    idx_j = [metric.index(x) for x in partition.blocks[j]]
-    return float(metric.dist[np.ix_(idx_i, idx_j)].min())
+    dist = partition.max_cross.copy()
+    np.fill_diagonal(dist, 0.0)
+    return FiniteMetric(tuple(f"z{i + 1}" for i in range(partition.b)), dist)
 
 
 def scale_metric(m: FiniteMetric, factor: float) -> FiniteMetric:

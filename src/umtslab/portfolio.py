@@ -162,12 +162,10 @@ def combined_algorithm(u: Umts) -> OnlineAlgorithm:
         )
         block_algs.append(a)
 
-    head_labels = [labels[i] for i in blocks[0][0]]
     tail_labels = [labels[i] for idx, _, _ in blocks[1:] for i in idx]
     # a one-block tail is that block's rule: combine returns it as it is
     merged_tail = combine(
         block_subsystem(u, tail_labels),
-        [[labels[i] for i in idx] for idx, _, _ in blocks[1:]],
         block_algs[1:],
         quotient_builder=lambda q: rho_variant(odd_exponent, q, 0.2),
         declared_beta=0.5,
@@ -181,7 +179,6 @@ def combined_algorithm(u: Umts) -> OnlineAlgorithm:
 
     alg = combine(
         u,
-        [head_labels, tail_labels],
         [block_algs[0], merged_tail],
         quotient_builder=lambda q: rho_variant(two_stable, q, 0.1),
         declared_beta=EXPORT_BETA,
@@ -224,7 +221,6 @@ def w_combined_algorithm(u: Umts) -> OnlineAlgorithm:
     )
     alg = combine(
         u,
-        [[anchor], tail],
         [trivial_algorithm(block_subsystem(u, [anchor])), tail_alg],
         quotient_builder=lambda q: rho_variant(two_stable, q, 0.2),
         declared_beta=W_EXPORT_BETA,

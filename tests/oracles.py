@@ -20,6 +20,13 @@ before it pruned by the pressure bound, and the offline-optimum reference
 steps a numpy work function through ``apply_task``. :func:`reference_play`
 is ``harness.play`` as it ran on numpy arrays at every n.
 
+The partition reference, :func:`reference_partition`, looks every label up
+with ``tuple.index`` and takes each block pair's smallest and largest
+distances from an ``np.ix_`` block of its own, as the library did before
+``make_partition`` resolved a partition once. The combined values
+reference, :func:`reference_block_values`, asks every block's memo for its
+G value, distribution and potential, point blocks included.
+
 The combined crossing reference, :func:`reference_crossing_at`, is
 ``combiner._crossing_at`` as it was before it bounded the block crossing's
 G rise by the dot product alone: it evaluates the block potential at every
@@ -92,7 +99,6 @@ from umtslab.metricspace import (
     make_partition,
     make_star,
     make_uniform,
-    quotient_metric,
     validate,
 )
 from umtslab.potential import BAND_SCAN
@@ -207,6 +213,28 @@ def line_cdf_cost(positions, p, q) -> float:
 def random_prob(rng: np.random.Generator, n: int) -> np.ndarray:
     x = rng.random(n) + 1e-3
     return x / x.sum()
+
+
+def reference_partition(metric: FiniteMetric, blocks) -> dict:
+    """A partition's index form and cross-block matrices as the library
+    found them before ``make_partition`` resolved them once: each label
+    looked up with ``tuple.index`` and each ordered block pair's distances
+    taken as one ``np.ix_`` block. A block's diameter is 0.0 for one state
+    and its largest distance otherwise, as ``induced_metric`` gives it."""
+    index = [np.array([metric.labels.index(x) for x in blk], dtype=int) for blk in blocks]
+    b = len(index)
+    block_of, local_index = np.zeros(metric.n, dtype=int), np.zeros(metric.n, dtype=int)
+    min_cross, max_cross = np.zeros((b, b)), np.zeros((b, b))
+    for i, rows in enumerate(index):
+        block_of[rows] = i
+        local_index[rows] = np.arange(len(rows))
+        for j, cols in enumerate(index):
+            cross = metric.dist[np.ix_(rows, cols)]
+            min_cross[i, j], max_cross[i, j] = cross.min(), cross.max()
+    diameters = [0.0 if len(rows) == 1 else float(metric.dist[np.ix_(rows, rows)].max())
+                 for rows in index]
+    return {"index": index, "block_of": block_of, "local_index": local_index,
+            "min_cross": min_cross, "max_cross": max_cross, "diameters": diameters}
 
 
 def reference_validate(m: FiniteMetric, tol: float = EPS_EQ) -> list[str]:
@@ -757,7 +785,7 @@ class ReferenceCombinedRun:
     def __init__(self, alg):
         parts = alg.parts
         self.alg, self.parts = alg, parts
-        self.w_blocks = [np.zeros(len(idx)) for idx in parts.global_index]
+        self.w_blocks = [np.zeros(len(idx)) for idx in parts.partition.index]
         self.g = self.what = np.array(
             [a.g_value(np.zeros(a.umts.n)) for a in parts.block_algs])
         self.p0 = None
@@ -804,7 +832,7 @@ class ReferenceCombinedRun:
             self.p_ok = self._distribution_ok(u, rec.p, "start is not a distribution")
             detail = "quotient start is not a distribution"
             self.q_ok = self._distribution_ok(qu, self.p_hat, detail)
-        j, lv = int(parts.block_of[v]), int(parts.local_index[v])
+        j, lv = int(parts.partition.block_of[v]), int(parts.partition.local_index[v])
         balg = parts.block_algs[j]
         xb = balg.zero_crossing(self.w_blocks[j], lv)
         if not delta <= xb + EPS_EQ:
@@ -822,7 +850,7 @@ class ReferenceCombinedRun:
             detail = f"quotient charge {dhat:.6g} beyond crossing {q.crossing:.6g}"
             self._issue("resadv", dhat - q.crossing, detail)
         w2 = rec.w2
-        for i, idx in enumerate(parts.global_index):
+        for i, idx in enumerate(parts.partition.index):
             gap = np.abs(w2[idx] - w_blocks2[i]).max()
             if not gap <= EPS_EQ:
                 self._issue("welleqw", gap, f"block {i} work function drifts")
@@ -869,6 +897,26 @@ class ReferenceCombinedRun:
         }
 
 
+def reference_block_values(parts, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The block G values, distribution and potential of the combined rule
+    whose parts are ``parts`` at ``w``, as one loop over every block's memo,
+    point blocks included: the rule's reading before it gathered the point
+    blocks in one index step."""
+    index = parts.partition.index
+    values = [memo(w[idx]) for memo, idx in zip(parts.memos, index)]
+    what = np.array([g for _, g in values])
+    p_hat = parts.quotient_memo.probabilities(what)
+    p = np.zeros(parts.u.n)
+    for j, idx in enumerate(index):
+        p[idx] = p_hat[j] * parts.memos[j].probabilities(w[idx])
+    qalg, hat_rates = parts.quotient_alg, parts.quotient_umts.rates
+    total = parts.quotient_memo(what)[0]
+    for j, (bphi, _) in enumerate(values):
+        if bphi != 0.0:
+            total += qalg.declared_ratio * qalg.alpha[j] * bphi / hat_rates[j]
+    return what, p, float(total)
+
+
 def _simplex_summary(p: np.ndarray) -> str:
     return f"probabilities sum to {float(p.sum()):.12g}, smallest {float(p.min()):.3g}"
 
@@ -905,8 +953,9 @@ def reference_verify(head, rows):
     combined = "blocks" in head
     if combined:
         dist_hat = np.asarray(head["dist_hat"], dtype=float)
-        partition = make_partition(u.metric, head["blocks"])
-        expected = quotient_metric(u.metric, partition).dist
+        partition = reference_partition(u.metric, make_partition(u.metric, head["blocks"]).blocks)
+        expected = partition["max_cross"]
+        np.fill_diagonal(expected, 0.0)
         same_shape = dist_hat.shape == expected.shape
         gap = float(np.abs(dist_hat - expected).max()) if same_shape else math.inf
         if not gap <= EPS_EQ:  # NaN fails too
@@ -914,7 +963,7 @@ def reference_verify(head, rows):
                 f"dist_hat violated in the header: deviates from the largest "
                 f"cross-block distances by {gap:.3g}"
             )
-        blocks = [[u.metric.index(m) for m in b] for b in partition.blocks]
+        blocks = [idx.tolist() for idx in partition["index"]]
         block_of = {v: b for b, idx in enumerate(blocks) for v in idx}
         qlabels = tuple(f"B{i}" for i in range(len(blocks)))
         qu = Umts(

@@ -30,6 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
 
@@ -57,7 +59,10 @@ def own_configs() -> list[tuple[str, dict]]:
     trivial and the combined rule on a uniform 2-point space with unequal
     rates under all three kinds: the first two run below the float cutoff
     as the atomic families other than odd-exponent, and the combined rule
-    there has two one-state blocks, so its tail is one block's rule."""
+    there has two one-state blocks, so its tail is one block's rule; and a
+    caching rule on 64 fetch costs drawn from {0.25, 1, 4, 16} under all
+    three kinds, 20 steps each, whose top combination has dozens of
+    one-state blocks beside blocks of several states."""
     kinds = ("uniform-random", "greedy-pressure", "support-raiser")
 
     def config(spaces, algorithm, adversaries):
@@ -92,6 +97,10 @@ def own_configs() -> list[tuple[str, dict]]:
             "distance": 1.0, "s": 1.0}
     for algorithm in ("two-stable", "trivial", "combined"):
         out.append((f"own-{algorithm}-u2", config([pair], algorithm, long_runs)))
+    costs = np.random.default_rng(64).choice([0.25, 1.0, 4.0, 16.0], 64).tolist()
+    mixed = {"name": "k63-mixed", "kind": "caching", "fetch_costs": costs, "s": 1.0}
+    out.append(("own-caching-mixed", config([mixed], "caching",
+                                            [{"kind": k, "steps": 20} for k in kinds])))
     return out
 
 

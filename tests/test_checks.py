@@ -16,6 +16,7 @@ from test_combiner import two_level_metric, ts_var
 from test_verify import FAMILIES
 from umtslab import cli
 from umtslab.algorithms import rho_variant
+from umtslab.checks import AuditIssue, worst_issues
 from umtslab.combiner import block_subsystem, combine
 from umtslab.core import Umts
 from umtslab.harness import ADVERSARY_KINDS, AdversaryConfig, adversary, audit, play, replay
@@ -69,7 +70,7 @@ def nan_g_rule():
     balgs = [ts_var(0.1)(block_subsystem(u, b)) for b in blocks]
     base = balgs[0]
     balgs[0] = replace(base, phi=lambda w: math.nan if np.abs(w).sum() > 0.3 else base.phi(w))
-    return combine(u, blocks, balgs, ts_var(0.1))
+    return combine(u, balgs, ts_var(0.1))
 
 
 def test_a_nan_g_value_fails_hatw_in_the_audit_and_in_verify():
@@ -123,3 +124,16 @@ def test_a_rho_variant_of_a_combined_rule_is_refused_by_name():
     run = play(alg, adversary(AdversaryConfig(steps=5, seed=0)))
     with pytest.raises(ValueError, match="rho-variant of a combined rule cannot be audited yet"):
         audit(run)
+
+
+@pytest.mark.parametrize("magnitudes", [[1.0, math.nan], [math.nan, 5.0], [math.nan, math.nan]])
+def test_a_nan_magnitude_is_the_worst_in_either_order(magnitudes):
+    issues = [AuditIssue("resadv", i, m, f"issue {i}") for i, m in enumerate(magnitudes)]
+    worst = worst_issues(issues)["resadv"]
+    assert math.isnan(worst["magnitude"])
+    assert worst["step"] == magnitudes.index(next(m for m in magnitudes if math.isnan(m)))
+
+
+def test_the_first_of_equal_magnitudes_is_the_worst():
+    issues = [AuditIssue("hatw", i, m, "") for i, m in enumerate([2.0, 3.0, 3.0, -1.0])]
+    assert worst_issues(issues)["hatw"]["step"] == 1

@@ -167,6 +167,30 @@ def test_oversized_spaces_exit_2(tmp_path, capsys, space, algorithm):
         build_algorithm(space, algorithm)
 
 
+@pytest.mark.parametrize(
+    "space, points, algorithm",
+    [
+        ({"name": "u", "kind": "uniform", "points": cli.MAX_POINTS}, cli.MAX_POINTS, "trivial"),
+        ({"name": "k", "kind": "caching", "fetch_costs": [1.0, 2.0]}, 2, "caching"),
+    ],
+    ids=["uniform", "caching"],
+)
+def test_a_job_over_the_record_budget_exits_2(tmp_path, capsys, space, points, algorithm):
+    """A job whose (steps + 1) x points is just over ``MAX_RECORD`` is
+    rejected with one line before any job runs; one step fewer is not."""
+    steps = cli.MAX_RECORD // points
+    adversaries = [{"kind": "uniform-random", "steps": 1},
+                   {"kind": "support-raiser", "steps": steps}]
+    config = write_config(tmp_path, spaces=[space], algorithms=[algorithm],
+                          adversaries=adversaries)
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than the {cli.MAX_RECORD} a job may hold" in err
+    assert not (tmp_path / "o").exists()
+    cli._check_size(space, steps - 1)
+
+
 def test_small_max_fraction_charges_at_most_that_fraction(tmp_path):
     """uniform-random draws its fraction from [max_fraction, max_fraction]
     below 0.2, so each charge is at most that fraction of its limit."""

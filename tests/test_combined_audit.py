@@ -117,8 +117,7 @@ def off_quotient(qu):
 def two_trivial_blocks(quotient):
     u = Umts(make_uniform(2), np.array([2.0, 1.0]), 1.0)
     blocks = [["v1"], ["v2"]]
-    return combine(u, blocks, [trivial_algorithm(block_subsystem(u, b)) for b in blocks],
-                   quotient)
+    return combine(u, [trivial_algorithm(block_subsystem(u, b)) for b in blocks], quotient)
 
 
 def normalized(base):
@@ -167,7 +166,7 @@ def two_level(weak: bool):
     balgs = [ts_var(0.1)(block_subsystem(u, b)) for b in blocks]
     if weak:
         balgs[0] = under_declared(balgs[0])
-    return combine(u, blocks, balgs, ts_var(0.1))
+    return combine(u, balgs, ts_var(0.1))
 
 
 def test_under_declared_block_fails_resadv_and_samecompratio():

@@ -17,6 +17,7 @@ from oracles import (
     combined_parts,
     drive,
     edge_quotient_crossings,
+    reference_block_values,
     reference_crossing_at,
     run_tasks,
 )
@@ -89,7 +90,7 @@ def instance_a():
     u = Umts(two_level_metric(), np.array([1.0, 2.0, 3.0, 1.0]), 1.0)
     blocks = [["v1", "v2"], ["v3", "v4"]]
     balgs = [ts_var(0.1)(block_subsystem(u, b)) for b in blocks]
-    return combine(u, blocks, balgs, ts_var(0.1))
+    return combine(u, balgs, ts_var(0.1))
 
 
 def instance_b():
@@ -100,16 +101,15 @@ def instance_b():
         sub = block_subsystem(u, labels)
         pairs = [labels[:2], labels[2:]]
         balgs = [ts_var(0.1)(block_subsystem(sub, b)) for b in pairs]
-        quads.append(combine(sub, pairs, balgs, ts_var(0.1)))
-    blocks = [[f"v{i}" for i in range(1, 5)], [f"v{i}" for i in range(5, 9)]]
-    return combine(u, blocks, quads, ts_var(0.1))
+        quads.append(combine(sub, balgs, ts_var(0.1)))
+    return combine(u, quads, ts_var(0.1))
 
 
 def instance_c():
     u = Umts(make_uniform(3, 1.0), np.array([2.0, 1.0, 0.5]), 1.0)
     blocks = [["v1"], ["v2"], ["v3"]]
     balgs = [trivial_algorithm(block_subsystem(u, b)) for b in blocks]
-    return combine(u, blocks, balgs, lambda uu: rho_variant(odd_exponent, uu, 0.2))
+    return combine(u, balgs, lambda uu: rho_variant(odd_exponent, uu, 0.2))
 
 
 def instance_d():
@@ -129,12 +129,11 @@ def instance_d():
     sub = block_subsystem(u, ["v1", "v2", "v3", "v4"])
     inner = combine(
         sub,
-        inner_blocks,
         [ts_var(0.1)(block_subsystem(sub, b)) for b in inner_blocks],
         ts_var(0.1),
     )
     pair = ts_var(0.1)(block_subsystem(u, ["v5", "v6"]))
-    return combine(u, [["v1", "v2", "v3", "v4"], ["v5", "v6"]], [inner, pair], ts_var(0.1))
+    return combine(u, [inner, pair], ts_var(0.1))
 
 
 def test_nice_arithmetic_reproduces_published_constants():
@@ -161,10 +160,10 @@ def test_combine_rejects_unsound_requests():
     balgs = [two_stable(block_subsystem(u, b)) for b in blocks]
     # raw two-point blocks carry beta = 1, eta = 4: beta lands above 1
     with pytest.raises(ValueError):
-        combine(u, blocks, balgs, ts_var(0.1))
+        combine(u, balgs, ts_var(0.1))
     vargs = [ts_var(0.1)(block_subsystem(u, b)) for b in blocks]
     with pytest.raises(ValueError):
-        combine(u, blocks, vargs, ts_var(0.1), declared_beta=0.01)
+        combine(u, vargs, ts_var(0.1), declared_beta=0.01)
 
 
 def test_combine_rejects_a_block_rate_off_by_more_than_eps_eq():
@@ -174,14 +173,22 @@ def test_combine_rejects_a_block_rate_off_by_more_than_eps_eq():
     subs = [block_subsystem(u, b) for b in blocks]
     subs[1] = replace(subs[1], rates=subs[1].rates + 1e-6)
     with pytest.raises(ValueError, match="rates or distance ratio disagree"):
-        combine(u, blocks, [trivial_algorithm(sub) for sub in subs], two_stable)
+        combine(u, [trivial_algorithm(sub) for sub in subs], two_stable)
+
+
+def test_combine_rejects_block_rules_that_do_not_partition_the_labels():
+    u = Umts(make_uniform(3, 1.0), np.ones(3), 1.0)
+    overlapping = [trivial_algorithm(block_subsystem(u, b)) for b in (["v1", "v2"], ["v2", "v3"])]
+    for block_algs in (overlapping, overlapping[:1]):
+        with pytest.raises(ValueError, match="blocks must partition the label set exactly"):
+            combine(u, block_algs, two_stable)
 
 
 def test_two_singletons_reduce_to_the_quotient_rule():
     u = Umts(make_uniform(2, 1.0), np.array([2.0, 0.0]), 1.0)
     blocks = [["v1"], ["v2"]]
     balgs = [trivial_algorithm(block_subsystem(u, b)) for b in blocks]
-    calg = combine(u, blocks, balgs, two_stable)
+    calg = combine(u, balgs, two_stable)
     direct = two_stable(u)
     assert abs(calg.declared_ratio - direct.declared_ratio) < 1e-12
     rng = np.random.default_rng(2)
@@ -225,7 +232,7 @@ def test_product_measure_marginals():
     for _ in range(10):
         p = calg.probabilities(w)
         p_hat = parts.quotient_alg.probabilities(parts.hat_work(w))
-        for j, idx in enumerate(parts.global_index):
+        for j, idx in enumerate(parts.partition.index):
             assert abs(p[idx].sum() - p_hat[j]) < 1e-12
         v = int(rng.integers(4))
         cap = min(calg.zero_crossing(w, v), support_headrooms(calg.umts, w)[v])
@@ -247,7 +254,7 @@ def test_singleton_block_charge_translates_as_is():
 def test_single_block_passthrough():
     u = Umts(make_uniform(2, 1.0), np.array([1.0, 1.0]), 1.0)
     a = two_stable(u)
-    assert combine(u, [["v1", "v2"]], [a], ts_var(0.5)) is a
+    assert combine(u, [a], ts_var(0.5)) is a
 
 
 RULES = {
@@ -596,9 +603,39 @@ def test_one_state_rule_that_answers_otherwise_keeps_its_memo():
     blocks = [["v1"], ["v2"], ["v3"]]
     algs = [trivial_algorithm(block_subsystem(u, b)) for b in blocks]
     algs[0] = replace(algs[0], phi=lambda w: 0.5)
-    parts = combine(u, blocks, algs, lambda uu: rho_variant(odd_exponent, uu, 0.2)).parts
+    parts = combine(u, algs, lambda uu: rho_variant(odd_exponent, uu, 0.2)).parts
     assert [type(memo) for memo in parts.memos] == [PotentialMemo, PointMemo, PointMemo]
-    assert not parts.all_points
+    assert parts.memo_blocks == [0] and parts.point_states.tolist() == [1, 2]
+
+
+# rules whose top combination has point blocks beside a block of several states
+MIXED_RULES = {
+    "caching-k7": lambda: weighted_caching_algorithm([16.0, 4.0, 4.0, 1.0, 1.0, 0.25, 0.25, 0.25]),
+    "wcombined-n8": POINT_RULES["wcombined-n8"],
+}
+
+
+@functools.cache
+def mixed(name: str):
+    return MIXED_RULES[name]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(MIXED_RULES)), st.sampled_from(ADVERSARY_KINDS),
+       st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_mixed_blocks_read_as_a_loop_over_every_memo(name, kind, seed, steps):
+    """At every work function a run reaches, the G values, distribution and
+    potential of a rule with point and non-point blocks have the bits of a
+    loop over every block's memo."""
+    alg = mixed(name)
+    parts = alg.parts
+    assert parts.memo_blocks and parts.point_blocks.size
+    for _, _, _, w, _ in simulate(alg, adversary(AdversaryConfig(kind=kind, steps=steps,
+                                                                seed=seed))):
+        what, p, phi = reference_block_values(parts, w)
+        assert parts.hat_work(w).tobytes() == what.tobytes()
+        assert alg.probabilities(w).tobytes() == p.tobytes()
+        assert float_bits(alg.phi(w)) == float_bits(phi)
 
 
 @settings(max_examples=100, deadline=None)

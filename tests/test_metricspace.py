@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_metric, reference_validate
+from oracles import random_metric, reference_partition, reference_validate
 from umtslab import metricspace
 from umtslab.metricspace import (
     FiniteMetric,
@@ -14,7 +14,6 @@ from umtslab.metricspace import (
     make_partition,
     make_star,
     make_uniform,
-    min_cross_distance,
     quotient_metric,
     validate,
 )
@@ -81,16 +80,53 @@ def test_partition_and_quotient():
     m = make_uniform(4, 2.0)
     part = make_partition(m, [("v1", "v2"), ("v3",), ("v4",)])
     assert part.b == 3
-    assert part.block_of("v3") == 1
+    assert part.block_of[m.index("v3")] == 1
 
-    qm = quotient_metric(m, part)
+    qm = quotient_metric(part)
     assert qm.labels == ("z1", "z2", "z3")
     # the quotient distance is the largest cross-block distance
     assert (qm.dist[~np.eye(3, dtype=bool)] == 2.0).all()
-    assert min_cross_distance(m, part, 0, 1) == 2.0
+    assert part.min_cross[0, 1] == 2.0
 
     with pytest.raises(ValueError):
         make_partition(m, [("v1",), ("v2",)])
+
+
+def test_index_gives_every_label_its_position():
+    m = make_star([1.0, 2.0, 3.0], labels=("c", "a", "b"))
+    assert [m.index(x) for x in m.labels] == [0, 1, 2]
+    for unknown in ("d", "", ["a"], 0):
+        with pytest.raises(ValueError):
+            m.index(unknown)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_partition_equals_the_pairwise_reference(n, data):
+    """On random metrics and on matrices with ties, over random partitions,
+    one-state blocks and a single block included, the index arrays, both
+    cross matrices and the block diameters have the reference's bits."""
+    if data.draw(st.booleans()):
+        d = random_metric(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n)
+    else:
+        values = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0])
+        d = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+        d = np.maximum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+    m = FiniteMetric(tuple(f"x{i}" for i in range(n)), d)
+    labels = data.draw(st.permutations(m.labels))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set())
+    blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    part = make_partition(m, blocks)
+    ref = reference_partition(m, blocks)
+    assert part.blocks == tuple(tuple(blk) for blk in blocks)
+    assert [idx.tolist() for idx in part.index] == [idx.tolist() for idx in ref["index"]]
+    assert part.block_of.tolist() == ref["block_of"].tolist()
+    assert part.local_index.tolist() == ref["local_index"].tolist()
+    assert part.min_cross.tobytes() == ref["min_cross"].tobytes()
+    assert part.max_cross.tobytes() == ref["max_cross"].tobytes()
+    diameters = np.array(ref["diameters"])
+    assert part.max_cross.diagonal().tobytes() == diameters.tobytes()
 
 
 def test_induced_metric():
