@@ -170,46 +170,60 @@ def odd_exponent(u: Umts) -> OnlineAlgorithm:
         diffs = (w[..., None, :] - w[..., :, None]) / d
         return (1.0 + _int_power(diffs, t).sum(axis=-1)) / b
 
+    # one work function on at most FLOAT_STATES states, where t <= 3, is
+    # worked through on Python floats; above the cutoff numpy passes on the array
     def float_probs(values: list) -> list:
         # raw(w) on Python floats, row after row, each summed as numpy sums it
         terms = _float_powers([(x - wv) / d for wv in values for x in values], t)
-        p = [max((1.0 + numpy_sum(terms[i:i + n])) / b, 0.0) for i in range(0, n * n, n)]
-        total = numpy_sum(p)
+        p = [max((1.0 + left_sum(terms[i:i + n])) / b, 0.0) for i in range(0, n * n, n)]
+        total = left_sum(p)
         return [x / total for x in p]
 
     def probs(w):
-        if isinstance(w, list):
-            return float_probs(w)
-        w = np.asarray(w, dtype=float)
-        if w.ndim == 1 and n <= FLOAT_STATES:
-            # one array, as a combined rule's memo asks
-            return np.array(float_probs(w.tolist()))
-        p = np.maximum(raw(w), 0.0)
+        if n <= FLOAT_STATES:
+            if isinstance(w, list):
+                return float_probs(w)
+            w = np.asarray(w, dtype=float)
+            if w.ndim == 1:
+                # one array, as a combined rule's memo asks
+                return np.array(float_probs(w.tolist()))
+        p = np.maximum(raw(np.asarray(w, dtype=float)), 0.0)
         return p / p.sum(axis=-1, keepdims=True)
 
-    # rest[v]: the other states, in order; cols[v][x]: dist(x, v)
-    rest = [[x for x in range(n) if x != v] for v in range(n)]
-    cols = u.metric.dist_columns
+    # rest[v]: the other states, in order; cols[v][x]: dist(x, v), read on
+    # Python floats up to the cutoff
+    rest = np.array([[x for x in range(n) if x != v] for v in range(n)])
+    dist = u.metric.dist
+    cols = u.metric.dist_columns if n <= FLOAT_STATES else None
 
     def crossing(w, v):
-        # a run asks about one state of a work function of a few entries,
-        # which is worked through on Python floats
-        values = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()
-        wv = values[v]
-        # raw(w)[v], its terms summed as numpy sums them
-        if (1.0 + numpy_sum(_float_powers([(x - wv) / d for x in values], t))) / b <= 1e-12:
-            return 0.0
-        # the support headroom at v, as core.support_headrooms computes it
-        reach = list(map(operator.add, values, cols[v]))
-        reach[v] = math.inf
-        head = min(reach) - wv
-        others = [values[x] - wv for x in rest[v]]
-        if t in CLOSED_FORM_EXPONENTS:
+        if n <= FLOAT_STATES:
+            values = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()
+            wv = values[v]
+            # raw(w)[v], its terms summed as numpy sums them
+            if (1.0 + left_sum(_float_powers([(x - wv) / d for x in values], t))) / b <= 1e-12:
+                return 0.0
+            # the support headroom at v, as core.support_headrooms computes it
+            reach = list(map(operator.add, values, cols[v]))
+            reach[v] = math.inf
+            head = min(reach) - wv
+            others = [x - wv for x in values]
+            del others[v]
             # the polynomial falls strictly: its root, capped by the headroom
             return min(max(odd_crossing_closed(others, d, t), 0.0), head)
-        if 1.0 + numpy_sum(_float_powers([(o - head) / d for o in others], t)) > 0.0:
+        w = np.asarray(w, dtype=float)
+        wv = w[v]
+        if (1.0 + _int_power((w - wv) / d, t).sum()) / b <= 1e-12:
+            return 0.0
+        reach = w + dist[:, v]
+        reach[v] = math.inf
+        head = float(reach.min() - wv)
+        others = w[rest[v]] - wv
+        if t in CLOSED_FORM_EXPONENTS:
+            return min(max(odd_crossing_closed(others.tolist(), d, t), 0.0), head)
+        if 1.0 + _int_power((others - head) / d, t).sum() > 0.0:
             return head
-        return odd_crossing_bracketed(np.array(others), head, d, t)
+        return odd_crossing_bracketed(others, head, d, t)
 
     def local_integral(w, v, delta):
         w = np.asarray(w, dtype=float)
@@ -291,45 +305,20 @@ def _int_power(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _float_powers(xs: list, k: int) -> list:
-    """x ** k of each float x of ``xs`` for a positive integer k, as the
-    products of :func:`_int_power`."""
-    if k == 1:
-        return xs
-    if k == 3:
-        return [x * x * x for x in xs]
-    out = [x * x for x in xs]
-    for _ in range(k - 2):
-        out = [o * x for o, x in zip(out, xs)]
-    return out
+    """x ** k of each float x of ``xs`` for k = 1 or 3, as the products of
+    :func:`_int_power`."""
+    return xs if k == 1 else [x * x * x for x in xs]
 
 
-def numpy_sum(values: list) -> float:
-    """The sum numpy's ``add.reduce`` gives for the floats ``values`` as one
-    contiguous row, bit for bit.
+def left_sum(values) -> float:
+    """The floats ``values`` added left to right from 0.0.
 
-    Below 8 terms numpy adds left to right. Up to 128 it keeps 8
-    accumulators, the k-th summing terms k, k + 8, ..., combines them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the tail
-    past the last multiple of 8 left to right; longer rows are split in two
-    at a multiple of 8 and summed recursively.
+    This is numpy's ``add.reduce`` of fewer than 8 terms bit for bit, and
+    the built-in ``sum`` before Python 3.12, from which ``sum`` compensates
+    float rounding and so gives other bits.
     """
-    m = len(values)
-    if m < 8:
-        total = 0.0
-        for x in values:
-            total += x
-        return total
-    if m > 128:
-        half = m // 2
-        half -= half % 8
-        return numpy_sum(values[:half]) + numpy_sum(values[half:])
-    r = values[:8]
-    end = m - m % 8
-    for i in range(8, end, 8):
-        for k in range(8):
-            r[k] += values[i + k]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in values[end:]:
+    total = 0.0
+    for x in values:
         total += x
     return total
 
@@ -348,15 +337,16 @@ def odd_crossing_closed(others, d: float, t: int) -> float:
     cancellation-free Cardano form z = 2 h / (c^2 + p + (p / c)^2), where
     c^3 = h + sign(h) sqrt(h^2 + p^3) is the cube of larger magnitude.
     Scalar float arithmetic: the crossing asks for one root per call, which
-    numpy's per-call overhead would dominate.
+    numpy's per-call overhead would dominate. The sums are :func:`left_sum`,
+    whose bits do not change with the Python version.
     """
     m = len(others)
     if t == 1:
-        return (d + sum(others)) / m
-    mu = sum(others) / m
+        return (d + left_sum(others)) / m
+    mu = left_sum(others) / m
     dev = [o - mu for o in others]
-    p = sum(e * e for e in dev) / m
-    h = (d**3 + sum(e * e * e for e in dev)) / (2 * m)
+    p = left_sum(e * e for e in dev) / m
+    h = (d**3 + left_sum(e * e * e for e in dev)) / (2 * m)
     c3 = h + math.copysign(math.sqrt(h * h + p * p * p), h)
     c = math.copysign(abs(c3) ** (1.0 / 3.0), c3)
     return mu + 2.0 * h / (c * c + p + (p / c) ** 2)

@@ -196,7 +196,6 @@ class CombinedParts:
     u: Umts
     partition: Partition
     block_algs: list[OnlineAlgorithm]
-    block_systems: list[Umts]
     quotient_umts: Umts
     quotient_alg: OnlineAlgorithm
     beta: float
@@ -309,11 +308,11 @@ def combine(
     partition = make_partition(u.metric, [a.umts.labels for a in block_algs])
     if partition.b == 1:
         return block_algs[0]
-    systems = [block_subsystem(u, blk) for blk in partition.blocks]
-    for a, sub in zip(block_algs, systems):
-        if not np.abs(a.umts.metric.dist - sub.metric.dist).max(initial=0.0) <= EPS_EQ:
+    for a, idx in zip(block_algs, partition.index):
+        induced = u.metric.dist[np.ix_(idx, idx)]
+        if not np.abs(a.umts.metric.dist - induced).max(initial=0.0) <= EPS_EQ:
             raise ValueError("block algorithm metric disagrees with induced metric")
-        if not np.abs(a.umts.rates - sub.rates).max(initial=0.0) <= EPS_EQ or a.umts.s != sub.s:
+        if not np.abs(a.umts.rates - u.rates[idx]).max(initial=0.0) <= EPS_EQ or a.umts.s != u.s:
             raise ValueError("block algorithm rates or distance ratio disagree")
 
     qmetric = quotient_metric(partition)
@@ -339,7 +338,6 @@ def combine(
         u=u,
         partition=partition,
         block_algs=list(block_algs),
-        block_systems=systems,
         quotient_umts=qu,
         quotient_alg=qalg,
         beta=beta,
@@ -457,7 +455,7 @@ class CombinedRun:
         self.block.append(j)
         self.xb.append(memo.zero_crossing(w_blocks[j], lv))
         w_blocks2 = list(w_blocks)
-        w_blocks2[j] = apply_elementary(parts.block_systems[j], w_blocks[j], lv, delta)
+        w_blocks2[j] = apply_elementary(parts.block_algs[j].umts, w_blocks[j], lv, delta)
         # the other blocks did not move, so their G values stand
         gvals = g.copy()
         gvals[j] = memo(w_blocks2[j])[1]

@@ -838,7 +838,7 @@ class ReferenceCombinedRun:
         if not delta <= xb + EPS_EQ:
             self._issue("resadv", delta - xb, f"charge {delta:.6g} beyond block crossing {xb:.6g}")
         w_blocks2 = list(self.w_blocks)
-        w_blocks2[j] = apply_elementary(parts.block_systems[j], self.w_blocks[j], lv, delta)
+        w_blocks2[j] = apply_elementary(parts.block_algs[j].umts, self.w_blocks[j], lv, delta)
         gvals = self.g.copy()
         gvals[j] = balg.g_value(w_blocks2[j])
         raw = float(gvals[j] - self.g[j])

@@ -62,7 +62,9 @@ def own_configs() -> list[tuple[str, dict]]:
     there has two one-state blocks, so its tail is one block's rule; and a
     caching rule on 64 fetch costs drawn from {0.25, 1, 4, 16} under all
     three kinds, 20 steps each, whose top combination has dozens of
-    one-state blocks beside blocks of several states."""
+    one-state blocks beside blocks of several states; and odd-exponent at
+    b = 24 and 64 under all three kinds, 200 steps each, whose exponent 5
+    takes the crossing through numpy's passes and its brentq branch."""
     kinds = ("uniform-random", "greedy-pressure", "support-raiser")
 
     def config(spaces, algorithm, adversaries):
@@ -101,6 +103,10 @@ def own_configs() -> list[tuple[str, dict]]:
     mixed = {"name": "k63-mixed", "kind": "caching", "fetch_costs": costs, "s": 1.0}
     out.append(("own-caching-mixed", config([mixed], "caching",
                                             [{"kind": k, "steps": 20} for k in kinds])))
+    wide = [{"name": f"u{b}", "kind": "uniform", "points": b, "distance": 1.0, "rate": 1.0,
+             "s": 1.0} for b in (24, 64)]
+    out.append(("own-odd-b24-b64", config(wide, "odd-exponent",
+                                          [{"kind": k, "steps": 200} for k in kinds])))
     return out
 
 

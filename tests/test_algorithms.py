@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from umtslab.algorithms import (
-    numpy_sum,
+    left_sum,
     odd_crossing_bracketed,
     odd_crossing_closed,
     odd_exponent,
@@ -26,7 +26,7 @@ from umtslab.algorithms import (
     two_stable,
     two_stable_ratio,
 )
-from umtslab.core import Umts, support_headrooms
+from umtslab.core import FLOAT_STATES, Umts, support_headrooms
 from umtslab.metricspace import make_uniform
 
 EPS = 1e-9
@@ -292,12 +292,20 @@ def test_odd_exponent_products_match_the_power_forms(b, d, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 300), st.sampled_from([1e-300, 1e-3, 1.0, 1e300]), st.integers(0, 2**32 - 1))
-def test_numpy_sum_equals_numpy(m, scale, seed):
+@given(st.integers(1, 7), st.sampled_from([1e-300, 1e-3, 1.0, 1e300]), st.integers(0, 2**32 - 1))
+def test_left_sum_equals_numpy(m, scale, seed):
+    """Below 8 terms numpy adds left to right, in a row and along an axis."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(m) ** 3 * scale
-    assert numpy_sum(values.tolist()) == values.sum()
-    assert numpy_sum(values.tolist()) == np.tile(values, (3, 1)).sum(axis=-1)[1]
+    assert left_sum(values.tolist()) == values.sum()
+    assert left_sum(values.tolist()) == np.tile(values, (3, 1)).sum(axis=-1)[1]
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.5])
+def test_closed_form_crossing_sums_left_to_right(d):
+    """1e16 + 1.0 rounds back to 1e16, so the sum is 0.0; a compensated sum,
+    as the built-in ``sum`` is from Python 3.12, would give 1.0."""
+    assert odd_crossing_closed([1e16, 1.0, -1e16], d, 1) == d / 3
 
 
 def odd_work_function(rng, b, d):
@@ -314,24 +322,38 @@ def odd_work_function(rng, b, d):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16, 21]),
+    st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16, 21, 64, 1024]),
     st.sampled_from([0.5, 1.0, 2.5]),
     st.integers(0, 2**32 - 1),
 )
 def test_odd_crossing_equals_the_numpy_passes(b, d, seed):
-    """The float crossing of each state, one per call, equals the numpy
-    array passes bit for bit at t = 1 (b = 2), 3 (b = 3..20) and 5 (b = 21),
-    the passes over one state and over an array of them alike."""
+    """The crossing of each state, one per call, equals the numpy array
+    passes bit for bit at t = 1 (b = 2), 3 (b = 3..20), 5 (b = 21 and 64)
+    and 7 (b = 1,024), the passes over one state and over an array of them
+    alike; at b = 1,024 on 32 states drawn at random, at most 64 in a pass."""
     alg = odd_rule(b, d)
     rng = np.random.default_rng(seed)
     w = odd_work_function(rng, b, d)
-    for v in range(b):
+    for v in range(b) if b <= 64 else rng.integers(0, b, 32).tolist():
         x = alg.zero_crossing(w, v)
         assert type(x) is float
         assert x == reference_odd_crossing(alg, w, v)
-    for vs in (np.arange(b), rng.integers(0, b, rng.integers(0, 2 * b))):
+    whole = np.arange(b) if b <= 64 else rng.integers(0, b, 64)
+    for vs in (whole, rng.integers(0, b, rng.integers(0, min(2 * b, 64)))):
         x = [alg.zero_crossing(w, v) for v in vs.tolist()]
         assert np.array_equal(x, reference_odd_crossing(alg, w, vs))
+
+
+@pytest.mark.parametrize("b", [FLOAT_STATES + 1, 8, 64])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_list_above_the_float_cutoff_reads_as_its_array(b, seed):
+    """Above FLOAT_STATES states a work function given as a list of floats
+    gets the crossings and distribution of its array, bit for bit."""
+    alg = odd_rule(b, 1.0)
+    w = odd_work_function(np.random.default_rng(seed), b, 1.0)
+    assert alg.probabilities(w.tolist()).tobytes() == alg.probabilities(w).tobytes()
+    for v in range(b):
+        assert alg.zero_crossing(w.tolist(), v) == alg.zero_crossing(w, v)
 
 
 @settings(max_examples=200, deadline=None)

@@ -42,7 +42,7 @@ from umtslab.harness import (
     simulate,
 )
 from umtslab.hst import line_algorithm, weighted_caching_algorithm
-from umtslab.metricspace import FiniteMetric, TreeRealization, make_uniform
+from umtslab.metricspace import FiniteMetric, TreeRealization, make_uniform, scale_metric
 from umtslab.portfolio import combined_algorithm, w_combined_algorithm
 
 
@@ -173,6 +173,22 @@ def test_combine_rejects_a_block_rate_off_by_more_than_eps_eq():
     subs = [block_subsystem(u, b) for b in blocks]
     subs[1] = replace(subs[1], rates=subs[1].rates + 1e-6)
     with pytest.raises(ValueError, match="rates or distance ratio disagree"):
+        combine(u, [trivial_algorithm(sub) for sub in subs], two_stable)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda sub: replace(sub, metric=scale_metric(sub.metric, 2.0)), "metric disagrees"),
+        (lambda sub: replace(sub, s=2.0), "rates or distance ratio disagree"),
+    ],
+    ids=["metric-scaled-by-2", "distance-ratio-2"],
+)
+def test_combine_rejects_a_block_on_another_metric_or_distance_ratio(change, message):
+    u = Umts(two_level_metric(), np.ones(4), 1.0)
+    subs = [block_subsystem(u, b) for b in (["v1", "v2"], ["v3", "v4"])]
+    subs[1] = change(subs[1])
+    with pytest.raises(ValueError, match=message):
         combine(u, [trivial_algorithm(sub) for sub in subs], two_stable)
 
 
